@@ -4,9 +4,11 @@
 //!
 //! Each policy benchmark declares its kernel-event count, so the harness
 //! reports events/sec — the per-event cost of the whole loop (kernel
-//! bookkeeping + idle sweep + policy decision). Results are written to
-//! `BENCH_sched.json` at the workspace root: the committed baseline future
-//! PRs diff against. Set `BENCH_QUICK` for the CI smoke run.
+//! bookkeeping + idle-core offers + policy decision), at 4 cores and, in
+//! `core_scaling`, at 4, 50 and 100 cores under the same load per core.
+//! Results are written to `BENCH_sched.json` at the workspace root: the
+//! committed baseline future PRs diff against. Set `BENCH_QUICK` for the
+//! CI smoke run.
 
 use faas_bench::timing::{black_box, Bench};
 
@@ -17,7 +19,7 @@ use faas_cluster::{
     ClusterTask, ClusterTaskStream, ColdStartConfig, Dispatch, EjectionConfig, FaultPlan,
     FaultPlanConfig, FrontEnd, HealthConfig, HedgeConfig, OverloadConfig, StreamOptions,
 };
-use faas_kernel::{CostModel, MachineConfig, Scheduler, Simulation, TaskSpec};
+use faas_kernel::{CostModel, MachineConfig, MachineRun, Scheduler, Simulation, TaskSpec};
 use faas_simcore::{EventQueue, SimDuration, SimTime};
 use hybrid_scheduler::{HybridConfig, HybridScheduler, SlidingWindow, TimeLimitPolicy};
 
@@ -80,6 +82,55 @@ fn bench_policies(c: &mut Bench) {
                 .with_time_limit(TimeLimitPolicy::Fixed(SimDuration::from_millis(100)))
         )
     );
+    g.finish();
+}
+
+/// Per-event kernel + policy cost against core count at constant load per
+/// core: 125 tasks per core with the `specs` work mix (mean 58 ms), one
+/// arrival every 64 ms ÷ cores, so each core is about 90% busy at 4, 50
+/// and 100 cores alike. Flat events/sec across a policy's three rows means
+/// the per-event path does not pay for idle cores (offers, steal scans);
+/// a drop with core count is per-core creep. The hybrid splits its cores
+/// half/half with the 100 ms limit of the `policy_event_loop_500_tasks`
+/// row, so the 400 ms tasks migrate to its CFS side.
+fn bench_core_scaling(c: &mut Bench) {
+    let mut g = c.benchmark_group("core_scaling");
+    g.sample_size(10);
+    fn run<P: Scheduler>(cores: usize, specs: &[TaskSpec], policy: P) -> u64 {
+        let cfg = MachineConfig::new(cores).with_cost(CostModel::default());
+        let report = MachineRun::new(cfg, specs, policy).run_slim().unwrap();
+        black_box(report.finished_at);
+        report.events_processed
+    }
+    for cores in [4usize, 50, 100] {
+        let specs: Vec<TaskSpec> = specs(125 * cores)
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut spec)| {
+                spec.arrival = SimTime::from_micros(i as u64 * 64_000 / cores as u64);
+                spec
+            })
+            .collect();
+        let hybrid = || {
+            HybridScheduler::new(
+                HybridConfig::split(cores / 2, cores - cores / 2)
+                    .with_time_limit(TimeLimitPolicy::Fixed(SimDuration::from_millis(100))),
+            )
+        };
+        macro_rules! scaling_bench {
+            ($policy:literal, $make:expr) => {
+                // One untimed run fixes the deterministic event count.
+                let events = run(cores, &specs, $make);
+                g.throughput(events);
+                g.bench_function(format!("{}_{cores}c", $policy), |b| {
+                    b.iter(|| run(cores, &specs, $make))
+                });
+            };
+        }
+        scaling_bench!("fifo", faas_policies::Fifo::new());
+        scaling_bench!("cfs", faas_policies::Cfs::with_cores(cores));
+        scaling_bench!("hybrid", hybrid());
+    }
     g.finish();
 }
 
@@ -455,6 +506,7 @@ fn bench_primitives(c: &mut Bench) {
 fn main() {
     let mut c = Bench::from_env();
     bench_policies(&mut c);
+    bench_core_scaling(&mut c);
     bench_cluster(&mut c);
     bench_cluster_xl(&mut c);
     bench_frontend_scale(&mut c);

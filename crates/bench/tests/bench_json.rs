@@ -85,6 +85,15 @@ fn baseline_has_schema_and_expected_rows() {
     ] {
         assert!(text.contains(name), "baseline missing row: {name}");
     }
+    // The core-scaling rows: constant load per core at 4, 50 and 100
+    // cores, so the bench-guard quick run catches per-core creep in the
+    // kernel's per-event path.
+    for policy in ["fifo", "cfs", "hybrid"] {
+        for cores in [4, 50, 100] {
+            let name = format!("\"group\": \"core_scaling\", \"name\": \"{policy}_{cores}c\"");
+            assert!(text.contains(&name), "baseline missing row: {name}");
+        }
+    }
     // Every row must carry a real group label; `"group": ""` means a
     // bench was registered outside a benchmark_group again.
     assert!(

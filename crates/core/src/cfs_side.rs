@@ -10,13 +10,17 @@
 use faas_kernel::{Machine, TaskId};
 use faas_simcore::{MinHeap4, SimDuration};
 
+/// A run-queue key: effective vruntime (µs) with the task id tie-break.
+type RqKey = (i64, TaskId);
+type RunQueue = MinHeap4<RqKey>;
+
 #[derive(Debug, Default)]
 struct Rq {
     /// Runnable tasks keyed by (vruntime, id) in a dense 4-ary heap —
     /// keys are unique, so `pop_min`/`take_max` reproduce the old
     /// `BTreeSet` iteration-order picks exactly, without per-insert node
     /// allocation.
-    queue: MinHeap4<(i64, TaskId)>,
+    queue: RunQueue,
     min_vruntime: i64,
 }
 
@@ -41,6 +45,10 @@ pub(crate) struct CfsSide {
     /// Smallest runnable count at which the slice formula bottoms out at
     /// `min_granularity` (skips the division on the dispatch hot path).
     slice_floor_nr: u64,
+    /// Member queues holding at least two tasks — the only ones a steal
+    /// may take from. While it is zero a steal attempt misses in O(1)
+    /// instead of scanning every member.
+    crowded: usize,
 }
 
 impl CfsSide {
@@ -57,6 +65,7 @@ impl CfsSide {
             slice_floor_nr: sched_latency
                 .as_micros()
                 .div_ceil(min_granularity.as_micros()),
+            crowded: 0,
         }
     }
 
@@ -72,12 +81,16 @@ impl CfsSide {
     /// Removes a core, returning its queued tasks in vruntime order.
     pub(crate) fn remove_core(&mut self, core: usize) -> Vec<TaskId> {
         match self.rqs.get_mut(core).and_then(Option::take) {
-            Some(rq) => rq
-                .queue
-                .into_sorted_vec()
-                .into_iter()
-                .map(|(_, t)| t)
-                .collect(),
+            Some(rq) => {
+                if rq.queue.len() >= 2 {
+                    self.crowded -= 1;
+                }
+                rq.queue
+                    .into_sorted_vec()
+                    .into_iter()
+                    .map(|(_, t)| t)
+                    .collect()
+            }
             None => Vec::new(),
         }
     }
@@ -98,6 +111,17 @@ impl CfsSide {
         self.rqs.iter().flatten().map(|r| r.queue.len()).sum()
     }
 
+    /// Asserts the incremental crowded-queue count against a scan of
+    /// every member queue (the test oracle).
+    #[cfg(test)]
+    pub(crate) fn check_crowded(&self) {
+        let scan = self.members().filter(|(_, rq)| rq.queue.len() >= 2).count();
+        assert_eq!(
+            self.crowded, scan,
+            "crowded-queue count diverged from the scan"
+        );
+    }
+
     /// Iterates `(core, rq)` over member cores in ascending core order.
     fn members(&self) -> impl Iterator<Item = (usize, &Rq)> {
         self.rqs
@@ -110,6 +134,27 @@ impl CfsSide {
         self.rqs.get_mut(core).and_then(Option::as_mut)
     }
 
+    /// Pushes `key` onto member `core`'s queue, keeping the crowded-queue
+    /// count.
+    fn push(&mut self, core: usize, key: RqKey) {
+        let queue = &mut self.rq_mut(core).expect("push on member core").queue;
+        queue.push(key);
+        if queue.len() == 2 {
+            self.crowded += 1;
+        }
+    }
+
+    /// Takes one key off member `core`'s queue with `pick` (`pop_min` or
+    /// `take_max`), keeping the crowded-queue count.
+    fn take(&mut self, core: usize, pick: fn(&mut RunQueue) -> Option<RqKey>) -> Option<RqKey> {
+        let queue = &mut self.rq_mut(core)?.queue;
+        let key = pick(queue)?;
+        if queue.len() == 1 {
+            self.crowded -= 1;
+        }
+        Some(key)
+    }
+
     fn effective_vr(&self, m: &Machine, task: TaskId) -> i64 {
         self.offsets.get(task.index()).copied().unwrap_or(0)
             + m.task(task).cpu_time().as_micros() as i64
@@ -119,13 +164,12 @@ impl CfsSide {
     /// `min_vruntime` so it is not starved nor unfairly boosted.
     pub(crate) fn enqueue_new(&mut self, m: &Machine, core: usize, task: TaskId) {
         let cpu = m.task(task).cpu_time().as_micros() as i64;
-        let rq = self
-            .rqs
-            .get_mut(core)
-            .and_then(Option::as_mut)
-            .expect("enqueue on member core");
-        let offset = rq.min_vruntime - cpu;
-        rq.queue.push((offset + cpu, task));
+        let min_vruntime = self
+            .rq_mut(core)
+            .expect("enqueue on member core")
+            .min_vruntime;
+        let offset = min_vruntime - cpu;
+        self.push(core, (offset + cpu, task));
         if self.offsets.len() <= task.index() {
             self.offsets.resize(task.index() + 1, 0);
         }
@@ -136,15 +180,14 @@ impl CfsSide {
     /// its vruntime advanced by the CPU time it just consumed.
     pub(crate) fn requeue(&mut self, m: &Machine, core: usize, task: TaskId) {
         let vr = self.effective_vr(m, task);
-        let rq = self.rq_mut(core).expect("requeue on member core");
-        rq.queue.push((vr, task));
+        self.push(core, (vr, task));
     }
 
     /// Pops the smallest-vruntime task of `core` together with its slice.
     pub(crate) fn pop(&mut self, core: usize) -> Option<(TaskId, SimDuration)> {
         let (sched_latency, min_granularity) = (self.sched_latency, self.min_granularity);
-        let rq = self.rq_mut(core)?;
-        let key = rq.queue.pop_min()?;
+        let key = self.take(core, RunQueue::pop_min)?;
+        let rq = self.rq_mut(core).expect("member core");
         rq.min_vruntime = rq.min_vruntime.max(key.0);
         let nr = rq.queue.len() as u64 + 1;
         let slice = if nr >= self.slice_floor_nr {
@@ -159,8 +202,11 @@ impl CfsSide {
 
     /// Steals the longest-waiting task from the most loaded sibling queue
     /// (length > 1) and enqueues it fresh on `core`. Returns whether a
-    /// steal happened.
+    /// steal happened; a miss with no crowded queue anywhere is O(1).
     pub(crate) fn steal_into(&mut self, m: &Machine, core: usize) -> bool {
+        if self.crowded == 0 {
+            return false;
+        }
         let victim = self
             .members()
             .filter(|&(c, _)| c != core)
@@ -168,12 +214,7 @@ impl CfsSide {
             .map(|(c, rq)| (c, rq.queue.len()));
         match victim {
             Some((v, len)) if len > 1 => {
-                let key = self
-                    .rq_mut(v)
-                    .expect("victim exists")
-                    .queue
-                    .take_max()
-                    .expect("non-empty");
+                let key = self.take(v, RunQueue::take_max).expect("non-empty");
                 self.enqueue_new(m, core, key.1);
                 true
             }
@@ -198,12 +239,7 @@ impl CfsSide {
             if max_len <= min_len + 1 {
                 return moved;
             }
-            let key = self
-                .rq_mut(max_c)
-                .expect("max exists")
-                .queue
-                .take_max()
-                .expect("non-empty");
+            let key = self.take(max_c, RunQueue::take_max).expect("non-empty");
             self.enqueue_new(m, min_c, key.1);
             moved += 1;
         }

@@ -670,6 +670,64 @@ mod tests {
         assert!(report.tasks.iter().all(|t| t.completion().is_some()));
     }
 
+    /// The CFS side's crowded-queue count matches the scan after every
+    /// event of randomized runs whose rightsizing moves cores both ways
+    /// (`add_core` + `balance`, `remove_core` + redistribution).
+    #[test]
+    fn crowded_count_matches_scan_through_rightsizing() {
+        use faas_kernel::{InterferenceConfig, PlacementHint};
+        use faas_simcore::check;
+        check::run("hybrid_crowded_count_matches_scan", 24, |g| {
+            let fifo = g.usize_in(1, 6);
+            let cfs = g.usize_in(1, 6);
+            let mut cfg = HybridConfig::split(fifo, cfs)
+                .with_time_limit(TimeLimitPolicy::Adaptive {
+                    percentile: 0.9,
+                    initial: ms(g.u64_in(5, 200)),
+                })
+                .with_rightsizing(RightsizingConfig {
+                    window: ms(300),
+                    threshold: 0.1,
+                    cooldown: ms(100),
+                    min_cores: 1,
+                });
+            if g.boolean() {
+                cfg = cfg.with_cfs_placement(CfsPlacement::LeastLoaded);
+            }
+            if g.boolean() {
+                cfg = cfg.with_hint_routing();
+            }
+            let n = g.usize_in(1, 120);
+            let span_ms = g.u64_in(1, 3_000);
+            let specs: Vec<TaskSpec> = (0..n)
+                .map(|_| {
+                    let spec = TaskSpec::function(
+                        SimTime::from_millis(g.u64_in(0, span_ms)),
+                        ms(g.u64_in(1, 600)),
+                        128,
+                    );
+                    if g.u64_in(0, 4) == 0 {
+                        spec.with_hint(PlacementHint::Background)
+                    } else {
+                        spec
+                    }
+                })
+                .collect();
+            let mcfg = MachineConfig::new(cfg.total_cores())
+                .with_cost(CostModel::default())
+                .with_interference(InterferenceConfig {
+                    mean_interval: ms(50),
+                    duration: ms(5),
+                })
+                .with_seed(g.u64_in(0, u64::MAX));
+            let mut sim = Simulation::new(mcfg, specs, HybridScheduler::new(cfg));
+            while sim.step().unwrap() {
+                sim.policy().cfs.check_crowded();
+            }
+            sim.policy().cfs.check_crowded();
+        });
+    }
+
     #[test]
     fn group_membership_is_partition() {
         let cfg = HybridConfig::split(3, 5);

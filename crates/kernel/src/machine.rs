@@ -238,7 +238,7 @@ pub enum PolicyCall {
     /// Periodic policy tick.
     Tick,
     /// Kernel-internal event; nothing to deliver (cores may have changed
-    /// state, so the driver still sweeps idle cores).
+    /// state, so the driver still offers idle cores while a task waits).
     Internal,
 }
 
@@ -306,10 +306,16 @@ pub struct Machine {
     /// state transition; replaces the per-event O(cores) scan).
     idle: IdleSet,
     /// Monotonic count of busy→idle transitions. The driver compares it
-    /// against the value at its last idle sweep to decide whether any
-    /// core's state changed — the batching signal, at the cost of one
-    /// increment on the hot path.
+    /// across one pass of idle-core offers to see whether the pass freed
+    /// a core that needs a follow-up pass.
     idle_transitions: u64,
+    /// Arrived tasks a policy can dispatch: those in the `Queued` or
+    /// `Preempted` state. Rises at each arrival event and each
+    /// preemption, falls at each dispatch; building or feeding tasks
+    /// does not move it, because `Task::new` creates them `Queued`
+    /// before they arrive. The driver offers idle cores only while it is
+    /// non-zero.
+    waiting: usize,
     /// Kernel events processed so far (stale generations included).
     events_processed: u64,
     /// Tasks whose arrival event has fired (retired ones included).
@@ -387,6 +393,7 @@ impl Machine {
             tick_every: None,
             idle: IdleSet::all_idle(cfg.cores),
             idle_transitions: 0,
+            waiting: 0,
             events_processed: 0,
             arrived: 0,
             max_in_flight: 0,
@@ -395,8 +402,16 @@ impl Machine {
         }
     }
 
-    /// Arms the periodic [`PolicyCall::Tick`]; used by the simulation driver.
-    pub(crate) fn arm_tick(&mut self, every: SimDuration) {
+    /// Arms the periodic [`PolicyCall::Tick`], as [`MachineRun`] does for
+    /// a policy with a tick interval. Public for drivers built directly on
+    /// [`Machine::advance`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every` is zero.
+    ///
+    /// [`MachineRun`]: crate::MachineRun
+    pub fn arm_tick(&mut self, every: SimDuration) {
         assert!(!every.is_zero(), "tick interval must be positive");
         self.tick_every = Some(every);
         self.events
@@ -496,6 +511,13 @@ impl Machine {
     /// Number of currently idle cores (O(1)).
     pub fn num_idle_cores(&self) -> usize {
         self.idle.len()
+    }
+
+    /// Number of arrived tasks a policy can dispatch — those `Queued` or
+    /// `Preempted` (O(1)). While it is zero no policy has work to place,
+    /// so the driver offers no idle core.
+    pub fn num_waiting(&self) -> usize {
+        self.waiting
     }
 
     /// The lowest-numbered idle core, if any (one bit scan). The driver's
@@ -752,6 +774,7 @@ impl Machine {
         }
         let generation = c.generation;
         self.idle.remove(core);
+        self.waiting -= 1;
 
         let now = self.now;
         let t = self.task_mut(task);
@@ -858,6 +881,7 @@ impl Machine {
         let call = match ev {
             Event::Arrival(task) => {
                 self.arrived += 1;
+                self.waiting += 1;
                 let in_flight = self.arrived - (self.task_base + self.finished) as u64;
                 if in_flight > self.max_in_flight {
                     self.max_in_flight = in_flight;
@@ -1044,6 +1068,7 @@ impl Machine {
         };
         self.mark_idle(core);
         self.util.record_busy(core.index(), since, now);
+        self.waiting += 1;
         let t = self.task_mut(task);
         let ran = ran.min(t.remaining);
         t.remaining -= ran;
@@ -1146,15 +1171,15 @@ impl Machine {
     }
 
     /// Records a busy→idle transition: updates the idle set and bumps the
-    /// change counter the driver's batched sweep keys off.
+    /// change counter the driver's follow-up offer passes key off.
     #[inline]
     fn mark_idle(&mut self, core: CoreId) {
         self.idle.insert(core);
         self.idle_transitions += 1;
     }
 
-    /// Monotonic count of busy→idle transitions (the driver's batching
-    /// signal: unchanged counter ⇒ no core became idle ⇒ no sweep needed).
+    /// Monotonic count of busy→idle transitions (unchanged across an offer
+    /// pass ⇒ the pass freed no core ⇒ no follow-up pass needed).
     pub(crate) fn idle_transitions(&self) -> u64 {
         self.idle_transitions
     }

@@ -4,8 +4,8 @@
 //! the kernel delivers messages (task arrival, slice expiry, …) and the
 //! agent reacts by invoking the scheduling verbs on the [`Machine`].
 //! [`MachineRun`] is the reusable per-machine driver — it binds one
-//! machine to one agent and owns the event loop plus the batched idle
-//! sweep. [`Simulation`] is the trivial single-machine case (a thin
+//! machine to one agent and owns the event loop plus the idle-core
+//! offers. [`Simulation`] is the trivial single-machine case (a thin
 //! wrapper over one `MachineRun`); the cluster layer drives many
 //! `MachineRun`s side by side.
 
@@ -23,15 +23,17 @@ use crate::task::{Task, TaskId, TaskSpec};
 /// The driver guarantees:
 ///
 /// * every callback runs with exclusive access to the [`Machine`];
-/// * after every kernel event that delivers a policy callback,
-///   [`Scheduler::on_core_idle`] is invoked once for each core that is
-///   idle at that point (in core-id order), so a policy only needs to
-///   react locally;
-/// * the sweep is skipped only when it provably cannot matter: after a
-///   kernel-internal event (no callback ran) when additionally no core
-///   became idle since the last sweep and that sweep made no offer at
-///   all — so the policy's decision inputs are exactly those it already
-///   declined under;
+/// * after every kernel event, while some task waits
+///   ([`Machine::num_waiting`] > 0), [`Scheduler::on_core_idle`] is
+///   invoked once for each idle core, in core-id order, so a policy only
+///   needs to react locally. A core freed during the offers is offered
+///   in a follow-up pass; no core is offered twice for one event;
+/// * offers stop as soon as no task waits, even in the middle of a pass,
+///   so an event's cost does not grow with the number of idle cores. A
+///   policy must not rely on offers with nothing waiting (periodic work
+///   belongs in [`Scheduler::on_tick`]). Every in-tree policy does
+///   nothing on such an offer, which keeps its outcome identical to that
+///   of a driver offering every idle core after every event;
 /// * a task handed over in `on_slice_expired` / `on_interference_preempt`
 ///   is in the `Preempted` state and is *owned by the policy* until it is
 ///   dispatched again — the kernel will never move it.
@@ -50,7 +52,8 @@ pub trait Scheduler {
     /// A task's dispatch slice expired; the task is now `Preempted`.
     fn on_slice_expired(&mut self, m: &mut Machine, task: TaskId, core: CoreId);
 
-    /// A core has nothing to run. Dispatch here if work is queued.
+    /// A core has nothing to run and some task waits. Dispatch here if
+    /// this policy has work for the core.
     fn on_core_idle(&mut self, m: &mut Machine, core: CoreId);
 
     /// A task finished (`MSG_TASK_DEAD`). Default: no-op.
@@ -143,7 +146,7 @@ impl SlimReport {
 }
 
 /// The reusable per-machine driver: one [`Machine`] bound to one
-/// [`Scheduler`], plus the sweep state of the event loop.
+/// [`Scheduler`], plus the idle-core offer state of the event loop.
 ///
 /// This is the unit the cluster layer replicates — M machines of a fleet
 /// are M independent `MachineRun`s (after front-end dispatch has split
@@ -154,19 +157,12 @@ impl SlimReport {
 pub struct MachineRun<P> {
     machine: Machine,
     policy: P,
-    /// Reusable scratch for the idle sweep (no per-event allocation).
+    /// Reusable snapshot of the idle cores (no per-event allocation).
     sweep_buf: Vec<CoreId>,
     /// Per-core stamp of the last step a core was offered to the policy,
     /// bounding each core to one `on_core_idle` call per event.
     swept_at: Vec<u64>,
     step: u64,
-    /// [`Machine::idle_transitions`] at the end of the previous sweep; an
-    /// unchanged counter means no core became idle since.
-    swept_transitions: u64,
-    /// Whether the previous sweep invoked `on_core_idle` at all. An offer
-    /// may mutate policy state even when declined, so the next event must
-    /// re-sweep; only an offer-free quiescent state allows skipping.
-    last_sweep_offered: bool,
 }
 
 impl<P: Scheduler> MachineRun<P> {
@@ -185,8 +181,6 @@ impl<P: Scheduler> MachineRun<P> {
             sweep_buf: Vec::with_capacity(cores),
             swept_at: vec![0; cores],
             step: 0,
-            swept_transitions: 0,
-            last_sweep_offered: false,
         }
     }
 
@@ -247,7 +241,8 @@ impl<P: Scheduler> MachineRun<P> {
     }
 
     /// Advances by one kernel event, delivering messages to the policy and
-    /// sweeping idle cores. Returns `false` when the run is complete.
+    /// offering idle cores while a task waits. Returns `false` when the run
+    /// is complete.
     ///
     /// # Errors
     ///
@@ -259,7 +254,6 @@ impl<P: Scheduler> MachineRun<P> {
         };
         self.step += 1;
         let m = &mut self.machine;
-        let delivered = !matches!(call, PolicyCall::Internal);
         match call {
             PolicyCall::TaskNew(t) => self.policy.on_task_new(m, t),
             PolicyCall::TaskFinished(t, c) => self.policy.on_task_finished(m, t, c),
@@ -268,64 +262,52 @@ impl<P: Scheduler> MachineRun<P> {
             PolicyCall::Tick => self.policy.on_tick(m),
             PolicyCall::Internal => {}
         }
-        // Idle sweep, batched: the sweep is skipped only when it provably
-        // cannot matter — the event was kernel-internal (no policy
-        // callback ran), no core transitioned to idle since the last
-        // sweep, and the last sweep made no `on_core_idle` offer (an
-        // offer, even a declined one, may mutate policy state — e.g. the
-        // hybrid agent migrates over-limit tasks between its queues while
-        // declining a core). In the common loaded phases of a simulation
-        // every core is busy and completions arrive stale, so whole
-        // swaths of events skip the sweep; when it does run, it walks the
-        // idle bitset into a reusable buffer — no allocation and no
-        // O(all cores) scan. Cores freed by preempts made during the
-        // sweep itself are picked up in follow-up passes, each core
+        // Idle-core offers, only while a task waits: with nothing waiting
+        // no policy has work to place (see the `Scheduler` contract), so
+        // the cost of an event does not grow with the number of idle cores.
+        // The offers walk the idle bitset into a reusable buffer (no
+        // allocation, no O(all cores) scan). Cores freed by preempts made
+        // during a pass are picked up in follow-up passes, each core
         // offered at most once per event.
-        if delivered
-            || self.machine.idle_transitions() != self.swept_transitions
-            || self.last_sweep_offered
-        {
-            let mut offered = false;
-            loop {
-                let idle_now = self.machine.num_idle_cores();
-                if idle_now == 0 {
-                    break;
+        'offers: while self.machine.num_waiting() > 0 {
+            let idle_now = self.machine.num_idle_cores();
+            if idle_now == 0 {
+                break;
+            }
+            let pass_transitions = self.machine.idle_transitions();
+            let mut pass_offered = false;
+            if idle_now == 1 {
+                // Fast path for the loaded steady state: exactly one core
+                // just went idle — offer it straight off the bitset, no
+                // snapshot buffer walk.
+                let core = self.machine.first_idle_core().expect("one idle core");
+                if self.swept_at[core.index()] != self.step {
+                    self.swept_at[core.index()] = self.step;
+                    pass_offered = true;
+                    self.policy.on_core_idle(&mut self.machine, core);
                 }
-                let pass_transitions = self.machine.idle_transitions();
-                let mut pass_offered = false;
-                if idle_now == 1 {
-                    // Fast path for the loaded steady state: exactly one
-                    // core just went idle — offer it straight off the
-                    // bitset, no snapshot buffer walk.
-                    let core = self.machine.first_idle_core().expect("one idle core");
-                    if self.swept_at[core.index()] != self.step {
+            } else {
+                self.sweep_buf.clear();
+                self.machine.fill_idle_cores(&mut self.sweep_buf);
+                for i in 0..self.sweep_buf.len() {
+                    if self.machine.num_waiting() == 0 {
+                        break 'offers;
+                    }
+                    let core = self.sweep_buf[i];
+                    if self.machine.core_state(core) == CoreState::Idle
+                        && self.swept_at[core.index()] != self.step
+                    {
                         self.swept_at[core.index()] = self.step;
                         pass_offered = true;
                         self.policy.on_core_idle(&mut self.machine, core);
                     }
-                } else {
-                    self.sweep_buf.clear();
-                    self.machine.fill_idle_cores(&mut self.sweep_buf);
-                    for i in 0..self.sweep_buf.len() {
-                        let core = self.sweep_buf[i];
-                        if self.machine.core_state(core) == CoreState::Idle
-                            && self.swept_at[core.index()] != self.step
-                        {
-                            self.swept_at[core.index()] = self.step;
-                            pass_offered = true;
-                            self.policy.on_core_idle(&mut self.machine, core);
-                        }
-                    }
-                }
-                offered |= pass_offered;
-                // Another pass only if a core was freed during this one
-                // (each core is still offered at most once per event).
-                if !pass_offered || self.machine.idle_transitions() == pass_transitions {
-                    break;
                 }
             }
-            self.swept_transitions = self.machine.idle_transitions();
-            self.last_sweep_offered = offered;
+            // Another pass only if a core was freed during this one (each
+            // core is still offered at most once per event).
+            if !pass_offered || self.machine.idle_transitions() == pass_transitions {
+                break;
+            }
         }
         Ok(true)
     }

@@ -6,12 +6,15 @@
 
 use faas_kernel::{
     CoreId, CoreState, CostModel, InterferenceConfig, KernelMessage, Machine, MachineConfig,
-    Scheduler, Simulation, TaskId, TaskSpec,
+    Scheduler, Simulation, TaskId, TaskSpec, TaskState,
 };
 use faas_simcore::check::{self, Gen};
 use faas_simcore::{SimDuration, SimTime};
 
 use faas_simcore::SimDuration as Dur;
+
+#[path = "support/brute_force.rs"]
+mod brute_force;
 
 /// A deterministic chaos agent driven by an LCG.
 struct Chaos {
@@ -176,13 +179,25 @@ fn message_protocol_is_well_formed() {
 }
 
 /// The incrementally maintained idle-core set always equals the
-/// brute-force scan over core states, and the task→core back-pointer
+/// brute-force scan over core states, the task→core back-pointer
 /// (`core_of` / `observed_runtime`) always matches a brute-force search,
-/// across randomized dispatch/preempt/finish/interference sequences.
+/// and the waiting count (`num_waiting`) always equals a count of arrived
+/// `Queued`/`Preempted` tasks, across randomized dispatch/preempt/finish/
+/// interference sequences with off-CPU waits and deadline cancellations.
 #[test]
 fn incremental_idle_set_matches_brute_force() {
     check::run("incremental_idle_set_matches_brute_force", 48, |g| {
-        let specs = arb_specs(g);
+        let specs: Vec<TaskSpec> = arb_specs(g)
+            .into_iter()
+            .map(|s| match g.u64_in(0, 6) {
+                0 => s.with_io_wait(SimDuration::from_millis(g.u64_in(1, 300))),
+                1 => {
+                    let deadline = s.arrival + SimDuration::from_millis(g.u64_in(0, 800));
+                    s.with_deadline(deadline)
+                }
+                _ => s,
+            })
+            .collect();
         let cores = g.usize_in(1, 6);
         let with_interference = g.boolean();
         let seed = g.u64_in(0, u64::MAX);
@@ -205,7 +220,19 @@ fn incremental_idle_set_matches_brute_force() {
             lcg >> 33
         };
         let mut runnable: Vec<TaskId> = Vec::new();
-        let check_invariants = |m: &Machine| {
+        let mut arrived = vec![false; total];
+        let check_invariants = |m: &Machine, arrived: &[bool]| {
+            // Waiting count == arrived tasks a policy could dispatch.
+            let waiting = (0..total)
+                .filter(|&i| {
+                    arrived[i]
+                        && matches!(
+                            m.task(TaskId::from_index(i)).state(),
+                            TaskState::Queued | TaskState::Preempted
+                        )
+                })
+                .count();
+            assert_eq!(m.num_waiting(), waiting, "waiting count diverged from scan");
             // Idle set == brute-force scan, same order.
             let incremental: Vec<CoreId> = m.idle_cores().collect();
             let brute: Vec<CoreId> = (0..m.num_cores())
@@ -252,20 +279,23 @@ fn incremental_idle_set_matches_brute_force() {
                 None => break,
                 Some(call) => {
                     match call {
-                        faas_kernel::PolicyCall::TaskNew(t) => runnable.push(t),
+                        faas_kernel::PolicyCall::TaskNew(t) => {
+                            arrived[t.index()] = true;
+                            runnable.push(t);
+                        }
                         faas_kernel::PolicyCall::SliceExpired(t, _)
                         | faas_kernel::PolicyCall::InterferencePreempt(t, _) => runnable.push(t),
                         faas_kernel::PolicyCall::TaskFinished(..) => finished += 1,
                         _ => {}
                     }
-                    check_invariants(&m);
+                    check_invariants(&m, &arrived);
                     // Randomly preempt a running core.
                     if next().is_multiple_of(7) {
                         let victim = CoreId::from_index((next() as usize) % m.num_cores());
                         if matches!(m.core_state(victim), CoreState::Running(_)) {
                             let t = m.preempt(victim).expect("victim was running");
                             runnable.push(t);
-                            check_invariants(&m);
+                            check_invariants(&m, &arrived);
                         }
                     }
                     // Fill idle cores with random runnable tasks.
@@ -282,7 +312,7 @@ fn incremental_idle_set_matches_brute_force() {
                             _ => Some(SimDuration::from_millis(1 + next() % 30)),
                         };
                         m.dispatch(core, task, slice).expect("idle core dispatch");
-                        check_invariants(&m);
+                        check_invariants(&m, &arrived);
                     }
                 }
             }
@@ -290,49 +320,13 @@ fn incremental_idle_set_matches_brute_force() {
     });
 }
 
-/// The batched idle sweep in `Simulation::step` (which skips the sweep
-/// after internal events when no core became idle and the last sweep
-/// made no offer) is observationally equivalent to the brute-force
-/// driver it replaced: advance the machine, deliver the callback, then
-/// unconditionally offer every idle core in id order after every event.
+/// The offer rule of `Simulation::step` (idle cores are offered only
+/// while a task waits, and offers stop once none does) is observationally
+/// equivalent to the brute-force driver that offers every idle core in id
+/// order after every event.
 #[test]
-fn batched_sweep_equals_brute_force_driver() {
-    /// The pre-batching driver, re-implemented over the public API.
-    fn run_brute_force(
-        cfg: MachineConfig,
-        specs: Vec<TaskSpec>,
-        mut policy: Chaos,
-    ) -> faas_kernel::Machine {
-        let mut m = Machine::new(cfg, specs);
-        loop {
-            let call = match m.advance().expect("no deadlock") {
-                Some(c) => c,
-                None => return m,
-            };
-            match call {
-                faas_kernel::PolicyCall::TaskNew(t) => policy.on_task_new(&mut m, t),
-                faas_kernel::PolicyCall::TaskFinished(t, c) => {
-                    policy.on_task_finished(&mut m, t, c)
-                }
-                faas_kernel::PolicyCall::SliceExpired(t, c) => {
-                    policy.on_slice_expired(&mut m, t, c)
-                }
-                faas_kernel::PolicyCall::InterferencePreempt(t, c) => {
-                    policy.on_interference_preempt(&mut m, t, c)
-                }
-                faas_kernel::PolicyCall::Tick => policy.on_tick(&mut m),
-                faas_kernel::PolicyCall::Internal => {}
-            }
-            for i in 0..m.num_cores() {
-                let core = CoreId::from_index(i);
-                if m.core_state(core) == CoreState::Idle {
-                    policy.on_core_idle(&mut m, core);
-                }
-            }
-        }
-    }
-
-    check::run("batched_sweep_equals_brute_force_driver", 48, |g| {
+fn offer_rule_equals_brute_force_driver() {
+    check::run("offer_rule_equals_brute_force_driver", 48, |g| {
         let specs = arb_specs(g);
         let cores = g.usize_in(1, 5);
         let seed = g.u64_in(0, u64::MAX);
@@ -353,20 +347,21 @@ fn batched_sweep_equals_brute_force_driver() {
             cfg
         };
         // Chaos is deterministic given its seed, so both drivers see the
-        // same policy; any divergence comes from the sweep batching.
-        let batched = Simulation::new(make_cfg(), specs.clone(), Chaos::new(seed, preempt_bias))
+        // same policy; any divergence comes from the offer rule.
+        let driven = Simulation::new(make_cfg(), specs.clone(), Chaos::new(seed, preempt_bias))
             .run()
-            .expect("batched driver completes");
-        let brute = run_brute_force(make_cfg(), specs, Chaos::new(seed, preempt_bias));
+            .expect("driver completes");
+        let brute =
+            brute_force::run_brute_force(make_cfg(), specs, &mut Chaos::new(seed, preempt_bias));
         assert_eq!(
-            batched.machine.messages(),
+            driven.machine.messages(),
             brute.messages(),
             "kernel message streams diverged"
         );
-        assert_eq!(batched.machine.now(), brute.now());
+        assert_eq!(driven.machine.now(), brute.now());
         for i in 0..brute.num_tasks() {
             let id = TaskId::from_index(i);
-            let (a, b) = (batched.machine.task(id), brute.task(id));
+            let (a, b) = (driven.machine.task(id), brute.task(id));
             assert_eq!(a.completion(), b.completion(), "task {id} completion");
             assert_eq!(a.cpu_time(), b.cpu_time(), "task {id} cpu time");
             assert_eq!(a.preemptions(), b.preemptions(), "task {id} preemptions");

@@ -43,6 +43,10 @@ impl Default for CfsParams {
     }
 }
 
+/// A run-queue key: effective vruntime (µs) with the task id tie-break.
+type RqKey = (i64, TaskId);
+type RunQueue = MinHeap4<RqKey>;
+
 #[derive(Debug, Default)]
 struct CoreRq {
     /// Runnable tasks keyed by effective vruntime (µs) with id tie-break.
@@ -50,7 +54,7 @@ struct CoreRq {
     /// `pop_min` with no node allocation or pointer chasing, and the
     /// (vruntime, id) keys are unique, so min/max picks match the old
     /// `BTreeSet` ordering exactly.
-    queue: MinHeap4<(i64, TaskId)>,
+    queue: RunQueue,
     /// Monotone floor for new placements.
     min_vruntime: i64,
 }
@@ -84,6 +88,10 @@ pub struct Cfs {
     /// `min_granularity`; at or beyond it the per-dispatch hot path skips
     /// the division (loaded queues hit this constantly).
     slice_floor_nr: u64,
+    /// Run queues holding at least two tasks — the only ones a steal may
+    /// take from. While it is zero a steal attempt misses in O(1) instead
+    /// of scanning every queue.
+    crowded: usize,
 }
 
 impl Cfs {
@@ -111,6 +119,7 @@ impl Cfs {
                 .sched_latency
                 .as_micros()
                 .div_ceil(params.min_granularity.as_micros()),
+            crowded: 0,
         }
     }
 
@@ -151,7 +160,22 @@ impl Cfs {
             self.offsets[task.index()] = self.rqs[core].min_vruntime - bonus_us - cpu;
         }
         let key = (self.effective_vr(m, task), task);
-        self.rqs[core].queue.push(key);
+        let queue = &mut self.rqs[core].queue;
+        queue.push(key);
+        if queue.len() == 2 {
+            self.crowded += 1;
+        }
+    }
+
+    /// Takes one key off `core`'s queue with `pick` (`pop_min` or
+    /// `take_max`), keeping the crowded-queue count.
+    fn take(&mut self, core: usize, pick: fn(&mut RunQueue) -> Option<RqKey>) -> Option<RqKey> {
+        let queue = &mut self.rqs[core].queue;
+        let key = pick(queue)?;
+        if queue.len() == 1 {
+            self.crowded -= 1;
+        }
+        Some(key)
     }
 
     fn least_loaded_core(&self, m: &Machine) -> usize {
@@ -162,6 +186,17 @@ impl Cfs {
                 self.rqs[i].queue.len() + running
             })
             .expect("at least one core")
+    }
+
+    /// Asserts the incremental crowded-queue count against a scan of
+    /// every queue (the test oracle).
+    #[cfg(test)]
+    fn check_crowded(&self) {
+        let scan = self.rqs.iter().filter(|rq| rq.queue.len() >= 2).count();
+        assert_eq!(
+            self.crowded, scan,
+            "crowded-queue count diverged from the scan"
+        );
     }
 
     fn slice_for(&self, queued_after_pick: usize) -> SimDuration {
@@ -211,20 +246,20 @@ impl Scheduler for Cfs {
     fn on_core_idle(&mut self, m: &mut Machine, core: CoreId) {
         let idx = core.index();
         if self.rqs[idx].queue.is_empty() {
+            if self.crowded == 0 {
+                return; // no queue to steal from; stay idle
+            }
             // Load balance: steal the task that would wait longest on the
-            // most loaded sibling queue.
+            // most loaded sibling queue (its own queue is empty, so some
+            // sibling holds two or more).
             let victim = (0..self.rqs.len())
                 .filter(|&i| i != idx)
-                .max_by_key(|&i| self.rqs[i].queue.len());
-            match victim {
-                Some(v) if self.rqs[v].queue.len() > 1 => {
-                    let key = self.rqs[v].queue.take_max().expect("non-empty");
-                    self.enqueue_at(m, idx, key.1, true);
-                }
-                _ => return, // nothing to steal; stay idle
-            }
+                .max_by_key(|&i| self.rqs[i].queue.len())
+                .expect("a crowded sibling queue");
+            let key = self.take(victim, RunQueue::take_max).expect("non-empty");
+            self.enqueue_at(m, idx, key.1, true);
         }
-        let key = self.rqs[idx].queue.pop_min().expect("non-empty queue");
+        let key = self.take(idx, RunQueue::pop_min).expect("non-empty queue");
         let rq = &mut self.rqs[idx];
         rq.min_vruntime = rq.min_vruntime.max(key.0);
         let slice = self.slice_for(self.rqs[idx].queue.len());
@@ -236,8 +271,10 @@ impl Scheduler for Cfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faas_kernel::{CostModel, MachineConfig, SimReport, Simulation, TaskSpec};
-    use faas_simcore::SimTime;
+    use faas_kernel::{
+        CostModel, InterferenceConfig, MachineConfig, SimReport, Simulation, TaskSpec,
+    };
+    use faas_simcore::{check, SimTime};
 
     fn run(cores: usize, specs: Vec<TaskSpec>) -> SimReport {
         let cfg = MachineConfig::new(cores).with_cost(CostModel::free());
@@ -362,6 +399,42 @@ mod tests {
             "got {}",
             report.tasks[1].response_time().unwrap()
         );
+    }
+
+    #[test]
+    fn crowded_count_matches_scan_after_every_event() {
+        check::run("cfs_crowded_count_matches_scan", 32, |g| {
+            let cores = g.usize_in(1, 12);
+            let n = g.usize_in(1, 8 * cores + 8);
+            let span_ms = g.u64_in(1, 2_000);
+            let specs: Vec<TaskSpec> = (0..n)
+                .map(|_| {
+                    TaskSpec::function(
+                        SimTime::from_millis(g.u64_in(0, span_ms)),
+                        SimDuration::from_millis(g.u64_in(1, 400)),
+                        128,
+                    )
+                })
+                .collect();
+            let mut cfg = MachineConfig::new(cores).with_cost(CostModel::default());
+            if g.boolean() {
+                cfg = cfg
+                    .with_interference(InterferenceConfig {
+                        mean_interval: SimDuration::from_millis(30),
+                        duration: SimDuration::from_millis(4),
+                    })
+                    .with_seed(g.u64_in(0, u64::MAX));
+            }
+            let params = CfsParams {
+                wakeup_preemption: g.boolean(),
+                ..CfsParams::default()
+            };
+            let mut sim = Simulation::new(cfg, specs, Cfs::with_params(cores, params));
+            while sim.step().unwrap() {
+                sim.policy().check_crowded();
+            }
+            sim.policy().check_crowded();
+        });
     }
 
     #[test]

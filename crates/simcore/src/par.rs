@@ -14,7 +14,9 @@
 //! not consult the environment (benchmarks, determinism tests) can pin
 //! the fan width explicitly with [`par_map_with`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The worker-thread count: `BENCH_THREADS` if set to a positive integer,
@@ -41,7 +43,8 @@ fn available() -> usize {
 /// `f` receives `(index, item)`. Items are claimed from a shared counter,
 /// so long jobs do not serialize behind short ones. With one thread (or
 /// one item) everything runs on the calling thread. A panic in any job
-/// (e.g. a simulation deadlock) propagates to the caller.
+/// (e.g. a simulation deadlock) propagates to the caller with its own
+/// payload.
 ///
 /// # Examples
 ///
@@ -52,7 +55,8 @@ fn available() -> usize {
 ///
 /// # Panics
 ///
-/// Re-raises the first panic observed in a worker thread.
+/// Re-raises the panic of the lowest-index job that panicked — the panic
+/// the serial path would raise — at any fan width.
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -69,7 +73,8 @@ where
 ///
 /// # Panics
 ///
-/// Re-raises the first panic observed in a worker thread.
+/// Re-raises the panic of the lowest-index job that panicked, as
+/// [`par_map`] does.
 pub fn par_map_with<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -88,9 +93,18 @@ where
     let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    // Each job's panic is caught so `thread::scope` cannot replace its
+    // payload. Jobs are claimed in index order, so once one panics every
+    // lower-index job is already claimed: claiming stops, and the lowest
+    // panicked index left at the end is the one the serial path would hit.
+    let failed = AtomicBool::new(false);
+    let first_panic: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| loop {
+                if failed.load(Ordering::Relaxed) {
+                    break;
+                }
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -100,11 +114,22 @@ where
                     .expect("job slot poisoned")
                     .take()
                     .expect("job claimed twice");
-                let out = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
+                match panic::catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                    Ok(out) => *slots[i].lock().expect("result slot poisoned") = Some(out),
+                    Err(payload) => {
+                        failed.store(true, Ordering::Relaxed);
+                        let mut first = first_panic.lock().expect("panic slot poisoned");
+                        if first.as_ref().is_none_or(|&(j, _)| i < j) {
+                            *first = Some((i, payload));
+                        }
+                    }
+                }
             });
         }
     });
+    if let Some((_, payload)) = first_panic.into_inner().expect("panic slot poisoned") {
+        panic::resume_unwind(payload);
+    }
     slots
         .into_iter()
         .map(|m| {
@@ -121,7 +146,7 @@ where
 ///
 /// # Panics
 ///
-/// Re-raises the first panic observed in a worker thread.
+/// Re-raises the panic of the lowest-index job that panicked.
 pub fn run_all<R: Send>(jobs: Vec<Box<dyn FnOnce() -> R + Send + '_>>) -> Vec<R> {
     par_map(jobs, |_, job| job())
 }
@@ -130,33 +155,55 @@ pub fn run_all<R: Send>(jobs: Vec<Box<dyn FnOnce() -> R + Send + '_>>) -> Vec<R>
 mod tests {
     use super::*;
 
+    /// The fan widths every test pins, so a test means the same thing on
+    /// a 1-CPU host as on a many-core one: the serial path and a real fan.
+    const WIDTHS: [usize; 2] = [1, 4];
+
+    /// The payload of the panic `f` raises, as a string.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = panic::catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => (*p.downcast::<&str>().expect("string payload")).to_owned(),
+        }
+    }
+
     #[test]
     fn results_keep_input_order() {
-        // Make later items finish first by sleeping less.
-        let items: Vec<u64> = (0..16).collect();
-        let out = par_map(items, |i, x| {
-            std::thread::sleep(std::time::Duration::from_micros(200 - 10 * x));
-            (i, x * 2)
-        });
-        for (i, (idx, doubled)) in out.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*doubled, 2 * i as u64);
+        for width in WIDTHS {
+            // Make later items finish first by sleeping less.
+            let items: Vec<u64> = (0..16).collect();
+            let out = par_map_with(width, items, |i, x| {
+                std::thread::sleep(std::time::Duration::from_micros(200 - 10 * x));
+                (i, x * 2)
+            });
+            for (i, (idx, doubled)) in out.iter().enumerate() {
+                assert_eq!(*idx, i);
+                assert_eq!(*doubled, 2 * i as u64);
+            }
         }
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(empty, |_, x: u32| x).is_empty());
-        assert_eq!(par_map(vec![7u32], |i, x| x + i as u32), vec![7]);
+        for width in WIDTHS {
+            let empty: Vec<u32> = Vec::new();
+            assert!(par_map_with(width, empty, |_, x: u32| x).is_empty());
+            assert_eq!(
+                par_map_with(width, vec![7u32], |i, x| x + i as u32),
+                vec![7]
+            );
+        }
     }
 
     #[test]
     fn explicit_thread_cap_matches_env_path() {
         let items: Vec<u64> = (0..32).collect();
         let serial = par_map_with(1, items.clone(), |i, x| x * 3 + i as u64);
-        let fanned = par_map_with(4, items, |i, x| x * 3 + i as u64);
+        let fanned = par_map_with(4, items.clone(), |i, x| x * 3 + i as u64);
+        let env = par_map(items, |i, x| x * 3 + i as u64);
         assert_eq!(serial, fanned);
+        assert_eq!(serial, env);
     }
 
     #[test]
@@ -176,13 +223,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
-        let _ = par_map(vec![0u8, 1], |_, x| {
-            if x == 1 {
-                panic!("boom");
-            }
-            x
-        });
+        for width in WIDTHS {
+            let msg = panic_message(|| {
+                par_map_with(width, vec![0u8, 1], |_, x| {
+                    if x == 1 {
+                        panic!("boom");
+                    }
+                    x
+                });
+            });
+            assert_eq!(msg, "boom", "width {width}");
+        }
+    }
+
+    #[test]
+    fn lowest_index_panic_wins_at_every_width() {
+        // Job 3 panics late and job 6 early: the serial path stops at job
+        // 3, so every width must re-raise job 3's payload.
+        for width in WIDTHS {
+            let msg = panic_message(|| {
+                par_map_with(width, (0..8u64).collect(), |i, x| {
+                    if i == 3 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        panic!("job {i} failed");
+                    }
+                    if i == 6 {
+                        panic!("job {i} failed");
+                    }
+                    x
+                });
+            });
+            assert_eq!(msg, "job 3 failed", "width {width}");
+        }
     }
 }

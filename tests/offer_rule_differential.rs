@@ -1,0 +1,210 @@
+//! Offer-rule differential over every in-tree policy.
+//!
+//! `MachineRun` offers idle cores only while a task waits and stops the
+//! moment none does, which makes an event's cost independent of how many
+//! cores sit idle. That is only sound because every in-tree policy leaves
+//! its state untouched when offered a core with nothing waiting. This
+//! suite pins the claim: for every policy, at 1 to 50 cores, with host
+//! interference, off-CPU waits, deadlines and placement hints, the kernel
+//! message log and every task record equal those of the brute-force
+//! driver that offers every idle core after every event. Along the way it
+//! checks the kernel's waiting count against a brute-force count after
+//! every event.
+
+#[path = "../crates/kernel/tests/support/brute_force.rs"]
+mod brute_force;
+
+use faas_kernel::{
+    CoreId, CostModel, InterferenceConfig, KernelMessage, MachineConfig, PlacementHint, Scheduler,
+    Simulation, TaskId, TaskSpec, TaskState,
+};
+use faas_policies::{Cfs, Edf, Fifo, FifoWithLimit, Mlfq, MlfqParams, RoundRobin, Sfs, Shinjuku};
+use faas_simcore::check::{self, Gen};
+use faas_simcore::{SimDuration, SimTime};
+use hybrid_scheduler::{
+    CfsPlacement, HybridConfig, HybridScheduler, RightsizingConfig, TimeLimitPolicy,
+};
+
+fn ms(v: u64) -> SimDuration {
+    SimDuration::from_millis(v)
+}
+
+struct Case {
+    cores: usize,
+    cfg: MachineConfig,
+    specs: Vec<TaskSpec>,
+}
+
+fn arb_case(g: &mut Gen) -> Case {
+    let cores = match g.u64_in(0, 3) {
+        0 => g.usize_in(1, 5),
+        1 => g.usize_in(5, 50),
+        _ => 50,
+    };
+    let n = g.usize_in(1, 2 * cores + 40);
+    let span_ms = g.u64_in(1, 3_000);
+    let specs = (0..n)
+        .map(|_| {
+            let arrival = SimTime::from_millis(g.u64_in(0, span_ms));
+            let work = if g.u64_in(0, 5) == 0 {
+                ms(g.u64_in(300, 3_000))
+            } else {
+                ms(g.u64_in(1, 80))
+            };
+            let mut spec = TaskSpec::function(arrival, work, 128);
+            if g.boolean() {
+                spec = spec.with_expected(work);
+            }
+            if g.u64_in(0, 5) == 0 {
+                spec = spec.with_io_wait(ms(g.u64_in(1, 300)));
+            }
+            if g.u64_in(0, 5) == 0 {
+                spec = spec.with_deadline(arrival + ms(g.u64_in(20, 2_000)));
+            }
+            if g.u64_in(0, 5) == 0 {
+                spec = spec.with_hint(PlacementHint::Background);
+            }
+            spec
+        })
+        .collect();
+    let cost = if g.boolean() {
+        CostModel::default()
+    } else {
+        CostModel::free()
+    };
+    let mut cfg = MachineConfig::new(cores).with_cost(cost).with_message_log();
+    if g.boolean() {
+        cfg = cfg
+            .with_interference(InterferenceConfig {
+                mean_interval: ms(g.u64_in(20, 400)),
+                duration: ms(g.u64_in(1, 10)),
+            })
+            .with_seed(g.u64_in(0, u64::MAX));
+    }
+    Case { cores, cfg, specs }
+}
+
+/// The paper's half/half core split (exactly `paper_25_25` at 50 cores).
+fn paper_split(cores: usize) -> HybridConfig {
+    if cores == 50 {
+        HybridConfig::paper_25_25()
+    } else {
+        HybridConfig::split(cores / 2, cores - cores / 2)
+    }
+}
+
+/// The paper split with every optional mechanism armed.
+fn armed_hybrid(cores: usize) -> HybridConfig {
+    paper_split(cores)
+        .with_time_limit(TimeLimitPolicy::Adaptive {
+            percentile: 0.9,
+            initial: ms(50),
+        })
+        .with_rightsizing(RightsizingConfig {
+            window: ms(300),
+            threshold: 0.1,
+            cooldown: ms(100),
+            min_cores: 1,
+        })
+        .with_cfs_placement(CfsPlacement::LeastLoaded)
+        .with_hint_routing()
+}
+
+/// Runs `case` under the kernel driver, checking the waiting count after
+/// every event, and under the brute-force driver, then compares the two
+/// machines.
+fn assert_equivalent<P: Scheduler>(case: &Case, make: impl Fn() -> P) {
+    let total = case.specs.len();
+    let mut sim = Simulation::new(case.cfg.clone(), case.specs.clone(), make());
+    let name = sim.policy().name().to_owned();
+    let mut arrived = vec![false; total];
+    let mut seen = 0;
+    loop {
+        let more = sim
+            .step()
+            .unwrap_or_else(|e| panic!("{name} at {} cores: {e}", case.cores));
+        let m = sim.machine();
+        for (_, msg) in &m.messages()[seen..] {
+            if let KernelMessage::TaskNew { task } = msg {
+                arrived[task.index()] = true;
+            }
+        }
+        seen = m.messages().len();
+        let waiting = (0..total)
+            .filter(|&i| {
+                arrived[i]
+                    && matches!(
+                        m.task(TaskId::from_index(i)).state(),
+                        TaskState::Queued | TaskState::Preempted
+                    )
+            })
+            .count();
+        assert_eq!(
+            m.num_waiting(),
+            waiting,
+            "{name}: waiting count at {}",
+            m.now()
+        );
+        if !more {
+            break;
+        }
+    }
+    let driven = sim.machine();
+    let brute = brute_force::run_brute_force(case.cfg.clone(), case.specs.clone(), &mut make());
+    assert_eq!(
+        driven.messages(),
+        brute.messages(),
+        "{name} at {} cores: kernel message logs diverged",
+        case.cores
+    );
+    assert_eq!(driven.now(), brute.now(), "{name}: finish instant");
+    assert_eq!(
+        driven.events_processed(),
+        brute.events_processed(),
+        "{name}: event count"
+    );
+    for i in 0..total {
+        let id = TaskId::from_index(i);
+        let (a, b) = (driven.task(id), brute.task(id));
+        assert_eq!(a.state(), b.state(), "{name}: task {id} state");
+        assert_eq!(a.first_run(), b.first_run(), "{name}: task {id} first run");
+        assert_eq!(
+            a.completion(),
+            b.completion(),
+            "{name}: task {id} completion"
+        );
+        assert_eq!(a.cpu_time(), b.cpu_time(), "{name}: task {id} cpu time");
+        assert_eq!(
+            a.preemptions(),
+            b.preemptions(),
+            "{name}: task {id} preemptions"
+        );
+    }
+    for c in (0..case.cores).map(CoreId::from_index) {
+        assert_eq!(
+            driven.core_stats(c),
+            brute.core_stats(c),
+            "{name}: core {c}"
+        );
+    }
+}
+
+#[test]
+fn offer_rule_matches_brute_force_driver_for_every_policy() {
+    check::run("offer_rule_matches_brute_force_driver", 24, |g| {
+        let case = arb_case(g);
+        let cores = case.cores;
+        assert_equivalent(&case, Fifo::new);
+        assert_equivalent(&case, || FifoWithLimit::new(ms(40)));
+        assert_equivalent(&case, || Cfs::with_cores(cores));
+        assert_equivalent(&case, || RoundRobin::new(ms(10)));
+        assert_equivalent(&case, Edf::new);
+        assert_equivalent(&case, || Mlfq::new(MlfqParams::default()));
+        assert_equivalent(&case, || Sfs::new(ms(5)));
+        assert_equivalent(&case, || Shinjuku::new(ms(2)));
+        if cores >= 2 {
+            assert_equivalent(&case, || HybridScheduler::new(paper_split(cores)));
+            assert_equivalent(&case, || HybridScheduler::new(armed_hybrid(cores)));
+        }
+    });
+}
