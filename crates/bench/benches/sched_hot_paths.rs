@@ -68,12 +68,12 @@ fn bench_policies(c: &mut Bench) {
     policy_bench!("cfs", faas_policies::Cfs::with_cores(4));
     policy_bench!(
         "round_robin",
-        faas_policies::RoundRobin::new(SimDuration::from_millis(10))
+        faas_policies::Fifo::round_robin(SimDuration::from_millis(10))
     );
     policy_bench!("edf", faas_policies::Edf::new());
     policy_bench!(
         "shinjuku",
-        faas_policies::Shinjuku::new(SimDuration::from_millis(1))
+        faas_policies::Fifo::shinjuku(SimDuration::from_millis(1))
     );
     policy_bench!(
         "hybrid",

@@ -3,9 +3,7 @@
 //!
 //! ```text
 //! faas-eval --list [--tag <t> ...]        # enumerate scenarios
-//! faas-eval --id <id> [-- <args>...]      # run one scenario (stdout is
-//!                                         #   byte-identical to the
-//!                                         #   legacy binary)
+//! faas-eval --id <id> [-- <args>...]      # run one scenario
 //! faas-eval --tag <t> [--tag <u> ...]     # run all matching scenarios
 //! faas-eval --all                         # run everything batchable
 //! ```

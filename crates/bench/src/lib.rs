@@ -4,9 +4,8 @@
 //! the paper's evaluation. Each experiment is a self-describing
 //! [`scenario::Scenario`] in a central registry; the `faas-eval` binary
 //! lists, filters and runs them (fanning independent scenarios and cases
-//! across [`par`]), and the legacy `src/bin/figNN_*.rs` binaries are
-//! two-line shims onto the same registry. `EXPERIMENTS.md` at the
-//! workspace root records paper-vs-measured for all of them.
+//! across [`par`]). `EXPERIMENTS.md` at the workspace root records
+//! paper-vs-measured for all of them.
 //!
 //! This library holds the shared experiment plumbing: the standard
 //! 50-core machine (§V-C), policy runners, and figure-style writers.

@@ -6,10 +6,8 @@
 //! tags, a [`RuntimeClass`], and a run function that writes its output
 //! into an abstract sink. The `faas-eval` binary lists, filters
 //! (`--tag`, `--id`) and runs scenarios from this table, fanning
-//! independent scenarios across [`crate::par`] workers; the legacy
-//! per-figure binaries under `src/bin/` are two-line shims onto
-//! [`shim_main`], so `faas-eval --id <x>` is byte-identical to the
-//! legacy binary at any `BENCH_THREADS` setting.
+//! independent scenarios across [`crate::par`] workers; its output is
+//! byte-identical at any `BENCH_THREADS` setting.
 //!
 //! Adding a scenario is adding one entry to the table (and its run
 //! function under `src/scenarios/`) — not a new binary.
@@ -36,7 +34,6 @@
 //! ```
 
 use std::io::{self, Write};
-use std::process::ExitCode;
 
 use crate::scenarios;
 
@@ -63,8 +60,8 @@ impl RuntimeClass {
 /// A scenario failure: either bad user input (usage) or a sink error.
 #[derive(Debug)]
 pub enum ScenarioError {
-    /// The scenario's arguments were missing or invalid; the message is
-    /// printed to stderr, matching the legacy binaries.
+    /// The scenario's arguments were missing or invalid; `faas-eval`
+    /// prints the message to stderr.
     Usage(String),
     /// An I/O error from the output sink or a file the scenario touches.
     Io(io::Error),
@@ -89,8 +86,8 @@ impl std::fmt::Display for ScenarioError {
 pub type ScenarioResult = Result<(), ScenarioError>;
 
 /// The execution context handed to a scenario: the output sink and the
-/// scenario's own CLI arguments (everything after the binary name for a
-/// legacy shim; everything after `--` for `faas-eval --id`).
+/// scenario's own CLI arguments (everything after `--` for
+/// `faas-eval --id`).
 pub struct ScenarioCtx<'a> {
     /// Where the scenario writes the series/rows a plot would show.
     pub out: &'a mut dyn Write,
@@ -492,34 +489,6 @@ pub fn with_tag(tag: &str) -> Vec<&'static Scenario> {
     SCENARIOS.iter().filter(|s| s.has_tag(tag)).collect()
 }
 
-/// The `main` of a legacy per-figure shim binary: runs scenario `id`
-/// against the process stdout and argv, translating errors exactly the
-/// way the pre-registry binaries did (usage/IO message on stderr,
-/// failure exit code).
-///
-/// # Panics
-///
-/// Panics if `id` is not registered — a shim binary referencing an
-/// unregistered id is a bug caught by the registry tests.
-pub fn shim_main(id: &str) -> ExitCode {
-    let scenario = find(id).unwrap_or_else(|| panic!("scenario '{id}' is not registered"));
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let stdout = io::stdout();
-    let mut out = io::BufWriter::new(stdout.lock());
-    let result = scenario.run_to(&mut out, &args);
-    if let Err(e) = out.flush() {
-        eprintln!("{id}: {e}");
-        return ExitCode::FAILURE;
-    }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,7 +499,7 @@ mod tests {
         let n = ids.len();
         assert_eq!(
             n, 37,
-            "26 legacy scenarios + 3 cluster + 2 streaming cluster-xl + 2 overload \
+            "26 paper scenarios + 3 cluster + 2 streaming cluster-xl + 2 overload \
              + 2 chaos + 2 health"
         );
         ids.sort_unstable();

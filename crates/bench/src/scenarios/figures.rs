@@ -10,7 +10,7 @@ use azure_trace::{
 };
 use faas_kernel::{CostModel, MachineConfig, SlimReport, TaskSpec};
 use faas_metrics::{Metric, MetricSummary, TaskRecord};
-use faas_policies::{Cfs, Edf, Fifo, FifoWithLimit, Mlfq, MlfqParams, RoundRobin, Sfs, Shinjuku};
+use faas_policies::{Cfs, Edf, Fifo, Mlfq, MlfqParams, Sfs};
 use faas_simcore::{SimDuration, SimRng, SimTime};
 use hybrid_scheduler::{HybridConfig, HybridScheduler, RightsizingConfig, TimeLimitPolicy};
 use lambda_pricing::{cost_ratio, PriceModel};
@@ -141,7 +141,7 @@ pub(crate) fn fig05(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
             run_policy_slim(
                 paper_machine(),
                 &specs,
-                FifoWithLimit::new(SimDuration::from_millis(100)),
+                Fifo::with_limit(SimDuration::from_millis(100)),
             )
             .1
         }),
@@ -485,7 +485,7 @@ pub(crate) fn fig23(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
             run_policy_slim(
                 paper_machine(),
                 s,
-                FifoWithLimit::new(SimDuration::from_millis(100)),
+                Fifo::with_limit(SimDuration::from_millis(100)),
             )
             .1
         }),
@@ -496,7 +496,7 @@ pub(crate) fn fig23(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
             run_policy_slim(
                 paper_machine(),
                 s,
-                RoundRobin::new(SimDuration::from_millis(10)),
+                Fifo::round_robin(SimDuration::from_millis(10)),
             )
             .1
         }),
@@ -511,7 +511,7 @@ pub(crate) fn fig23(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
             run_policy_slim(
                 shinjuku_machine,
                 s,
-                Shinjuku::new(SimDuration::from_millis(1)),
+                Fifo::shinjuku(SimDuration::from_millis(1)),
             )
             .1
         }),

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use azure_trace::{AzureTrace, TraceStats};
 use faas_kernel::MachineConfig;
 use faas_metrics::{Metric, TaskRecord};
-use faas_policies::{Cfs, Edf, Fifo, FifoWithLimit, Mlfq, MlfqParams, RoundRobin, Sfs, Shinjuku};
+use faas_policies::{Cfs, Edf, Fifo, Mlfq, MlfqParams, Sfs};
 use faas_simcore::SimDuration;
 use hybrid_scheduler::{HybridConfig, HybridScheduler};
 use lambda_pricing::PriceModel;
@@ -100,7 +100,7 @@ pub(crate) fn compare(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
             run_policy_slim(
                 machine(),
                 s,
-                FifoWithLimit::new(SimDuration::from_millis(100)),
+                Fifo::with_limit(SimDuration::from_millis(100)),
             )
             .1
         }),
@@ -108,7 +108,12 @@ pub(crate) fn compare(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     jobs.push((
         "round-robin",
         Box::new(move || {
-            run_policy_slim(machine(), s, RoundRobin::new(SimDuration::from_millis(10))).1
+            run_policy_slim(
+                machine(),
+                s,
+                Fifo::round_robin(SimDuration::from_millis(10)),
+            )
+            .1
         }),
     ));
     jobs.push((
@@ -118,7 +123,7 @@ pub(crate) fn compare(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     jobs.push((
         "shinjuku",
         Box::new(move || {
-            run_policy_slim(machine(), s, Shinjuku::new(SimDuration::from_millis(1))).1
+            run_policy_slim(machine(), s, Fifo::shinjuku(SimDuration::from_millis(1))).1
         }),
     ));
     jobs.push((

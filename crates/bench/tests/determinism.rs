@@ -1,19 +1,23 @@
 //! Determinism pins for the heavy-policy figures.
 //!
-//! PR 4 swapped the simulation's two hottest data structures (the event
-//! queue and the CFS/Shinjuku-side runqueues) for index-addressed dense
-//! equivalents under a byte-identical-output contract. These tests pin
-//! that contract permanently:
+//! Two byte-identical-output contracts are pinned here permanently:
 //!
-//! * the fig11/fig12 scenario output digests below were captured from the
-//!   tree **before** the swap — any ordering change in the kernel event
-//!   loop or the runqueue picks shows up as a digest mismatch;
-//! * the same output must be byte-identical at any `BENCH_THREADS`
-//!   setting (the sweep fan-out must not affect results).
+//! * PR 4 swapped the simulation's two hottest data structures (the event
+//!   queue and the CFS run queues) for index-addressed dense equivalents.
+//!   The fig11/fig12 digests were captured from the tree **before** that
+//!   swap: any ordering change in the kernel event loop or the run-queue
+//!   picks shows up as a digest mismatch.
+//! * The global-queue policies were later folded into one `Fifo` type and
+//!   the hybrid's CFS group onto the same run-queue type as `Cfs`. The
+//!   fig23 digest (every scheduler in the zoo) and the fig18 digest
+//!   (rightsizing, which adds and removes CFS cores and rebalances) were
+//!   captured from the tree before that merge.
+//!
+//! The same output must also be byte-identical at any `BENCH_THREADS`
+//! setting (the sweep fan-out must not affect results).
 //!
 //! The digests cover the downscaled (`SCALE_DIV=40`) runs so the test
-//! stays fast; the full-scale outputs were diffed pre/post as part of the
-//! PR itself. Everything in the pipeline is deterministic integer/float
+//! stays fast. Everything in the pipeline is deterministic integer/float
 //! arithmetic with deterministic formatting, so the digests are stable
 //! across machines.
 
@@ -60,6 +64,20 @@ fn fig11_fig12_bytes_pinned_to_pre_swap_and_thread_invariant() {
         fnv1a(&fig12_t1),
         0xedc3_a6b9_8a34_4406,
         "fig12 output changed vs. the pre-swap baseline"
+    );
+
+    // Digests recorded from the tree before the policy-layer merge
+    // (separate round-robin/limit/Shinjuku types, a hybrid-private copy
+    // of the CFS run queues) at SCALE_DIV=40.
+    assert_eq!(
+        fnv1a(&run_scenario("fig23")),
+        0x967e_ff30_5c12_2e4f,
+        "fig23 output changed vs. the pre-merge baseline"
+    );
+    assert_eq!(
+        fnv1a(&run_scenario("fig18")),
+        0x7b10_ec83_dfe3_439b,
+        "fig18 output changed vs. the pre-merge baseline"
     );
 
     // Thread invariance: the parallel sweep runner must not change bytes.

@@ -4,7 +4,8 @@
 //! Tasks first enter a centralized global FIFO queue served by the
 //! *short-task* core group and run **without preemption** up to a time
 //! limit. A task that exceeds the limit is preempted and migrated to the
-//! *long-task* group, whose cores run per-core CFS queues; migrated tasks
+//! *long-task* group, whose cores run per-core CFS queues
+//! ([`CfsRunQueues`], shared with `faas_policies::Cfs`); migrated tasks
 //! are spread round-robin (§IV-A). Two provider-side mechanisms keep
 //! utilization high (§IV-B): the limit tracks a percentile of the last 100
 //! task durations, and a rightsizing controller moves cores between the
@@ -13,9 +14,9 @@
 use std::collections::VecDeque;
 
 use faas_kernel::{CoreId, CoreState, Machine, Scheduler, TaskId};
+use faas_policies::CfsRunQueues;
 use faas_simcore::{SimDuration, SimTime};
 
-use crate::cfs_side::CfsSide;
 use crate::config::{CfsPlacement, HybridConfig, TimeLimitPolicy};
 use crate::rightsizing::{
     MigrationDirection, MigrationReport, MigrationStep, RightsizingController,
@@ -72,7 +73,7 @@ pub struct HybridScheduler {
     fifo_cores: Vec<CoreId>,
     cfs_cores: Vec<CoreId>,
     fifo_queue: VecDeque<TaskId>,
-    cfs: CfsSide,
+    cfs: CfsRunQueues,
     /// Round-robin pointer for placing migrated tasks (§IV-A).
     rr_next: usize,
     window: SlidingWindow,
@@ -83,7 +84,6 @@ pub struct HybridScheduler {
     fifo_size_history: Vec<(SimTime, usize)>,
     tasks_migrated: u64,
     background_routed: u64,
-    validated: bool,
 }
 
 impl HybridScheduler {
@@ -93,7 +93,7 @@ impl HybridScheduler {
         let mut group_of = Vec::with_capacity(total);
         let mut fifo_cores = Vec::new();
         let mut cfs_cores = Vec::new();
-        let mut cfs = CfsSide::new(cfg.sched_latency, cfg.min_granularity);
+        let mut cfs = CfsRunQueues::new(total, cfg.sched_latency, cfg.min_granularity);
         for i in 0..total {
             let id = CoreId::from_index(i);
             if i < cfg.fifo_cores {
@@ -102,7 +102,7 @@ impl HybridScheduler {
             } else {
                 group_of.push(Group::Cfs);
                 cfs_cores.push(id);
-                cfs.add_core(i);
+                cfs.add_core(id);
             }
         }
         let limit = match cfg.time_limit {
@@ -133,7 +133,6 @@ impl HybridScheduler {
             fifo_size_history: vec![(SimTime::ZERO, cfg.fifo_cores)],
             tasks_migrated: 0,
             background_routed: 0,
-            validated: false,
             cfg,
         }
     }
@@ -212,7 +211,7 @@ impl HybridScheduler {
             CfsPlacement::LeastLoaded => *self
                 .cfs_cores
                 .iter()
-                .min_by_key(|c| self.cfs.queue_len(c.index()))
+                .min_by_key(|&&c| self.cfs.queue_len(c))
                 .expect("cfs group non-empty"),
         }
     }
@@ -220,7 +219,7 @@ impl HybridScheduler {
     /// Places a task that exceeded the limit onto the CFS side (§IV-A).
     fn migrate_task_to_cfs(&mut self, m: &Machine, task: TaskId) {
         let target = self.next_cfs_target();
-        self.cfs.enqueue_new(m, target.index(), task);
+        self.cfs.enqueue_new(m, target, task);
         self.tasks_migrated += 1;
     }
 
@@ -241,17 +240,6 @@ impl HybridScheduler {
                     self.migrate_task_to_cfs(m, task);
                 }
             }
-        }
-    }
-
-    fn dispatch_cfs(&mut self, m: &mut Machine, core: CoreId) {
-        let idx = core.index();
-        if self.cfs.queue_len(idx) == 0 && !self.cfs.steal_into(m, idx) {
-            return;
-        }
-        if let Some((task, slice)) = self.cfs.pop(idx) {
-            m.dispatch(core, task, Some(slice))
-                .expect("dispatch on idle cfs core");
         }
     }
 
@@ -281,12 +269,9 @@ impl HybridScheduler {
                 let core = *self
                     .cfs_cores
                     .iter()
-                    .min_by_key(|c| self.cfs.queue_len(c.index()))
+                    .min_by_key(|&&c| self.cfs.queue_len(c))
                     .expect("cfs group non-empty");
-                debug_assert!(
-                    self.cfs.has_core(core.index()),
-                    "donor must be a CFS member"
-                );
+                debug_assert!(self.cfs.has_core(core), "donor must be a CFS member");
                 // Step 1: lock — atomic here, recorded for observability.
                 steps.push(MigrationStep::Lock(core));
                 // Step 2: preempt the occupying task, if any, into a
@@ -301,14 +286,14 @@ impl HybridScheduler {
                 steps.push(MigrationStep::PreemptRunning(preempted));
                 // Step 3: redistribute the core's queue to remaining cores.
                 self.cfs_cores.retain(|c| *c != core);
-                let mut orphans = self.cfs.remove_core(core.index());
+                let mut orphans = self.cfs.remove_core(core);
                 if let Some(t) = preempted {
                     orphans.push(t);
                 }
                 let n = orphans.len();
                 for (i, t) in orphans.into_iter().enumerate() {
                     let target = self.cfs_cores[i % self.cfs_cores.len()];
-                    self.cfs.enqueue_new(m, target.index(), t);
+                    self.cfs.enqueue_new(m, target, t);
                 }
                 steps.push(MigrationStep::RedistributeQueue(n));
                 // Step 4: policy transition.
@@ -343,7 +328,7 @@ impl HybridScheduler {
                 self.fifo_cores.retain(|c| *c != core);
                 self.group_of[core.index()] = Group::Cfs;
                 self.cfs_cores.push(core);
-                self.cfs.add_core(core.index());
+                self.cfs.add_core(core);
                 // §IV-B: the newcomer has an empty queue, so rebalance.
                 let moved = self.cfs.balance(m);
                 steps.push(MigrationStep::RedistributeQueue(moved));
@@ -386,21 +371,18 @@ impl Scheduler for HybridScheduler {
     }
 
     fn on_task_new(&mut self, m: &mut Machine, task: TaskId) {
-        if !self.validated {
-            assert_eq!(
-                m.num_cores(),
-                self.cfg.total_cores(),
-                "machine core count must match HybridConfig::total_cores()"
-            );
-            self.validated = true;
-        }
+        assert_eq!(
+            m.num_cores(),
+            self.group_of.len(),
+            "machine core count must match HybridConfig::total_cores()"
+        );
         if self.cfg.honor_hints
             && m.task(task).spec().hint == faas_kernel::PlacementHint::Background
         {
             // §VII-4 extension: background threads (microVM VMM/I-O) skip
             // the latency-optimized FIFO stage entirely.
             let target = self.next_cfs_target();
-            self.cfs.enqueue_new(m, target.index(), task);
+            self.cfs.enqueue_new(m, target, task);
             self.background_routed += 1;
             return;
         }
@@ -412,7 +394,7 @@ impl Scheduler for HybridScheduler {
         match self.group_of[core.index()] {
             // FIFO slice == remaining limit budget: the task is long.
             Group::Fifo => self.migrate_task_to_cfs(m, task),
-            Group::Cfs => self.cfs.requeue(m, core.index(), task),
+            Group::Cfs => self.cfs.requeue(m, core, task),
         }
     }
 
@@ -421,7 +403,7 @@ impl Scheduler for HybridScheduler {
             // The centralized agent re-queues the victim at the head so it
             // resumes as soon as a short-task core frees up.
             Group::Fifo => self.fifo_queue.push_front(task),
-            Group::Cfs => self.cfs.requeue(m, core.index(), task),
+            Group::Cfs => self.cfs.requeue(m, core, task),
         }
     }
 
@@ -437,7 +419,7 @@ impl Scheduler for HybridScheduler {
     fn on_core_idle(&mut self, m: &mut Machine, core: CoreId) {
         match self.group_of[core.index()] {
             Group::Fifo => self.dispatch_fifo(m, core),
-            Group::Cfs => self.dispatch_cfs(m, core),
+            Group::Cfs => self.cfs.dispatch(m, core),
         }
     }
 

@@ -8,7 +8,10 @@
 //!
 //! The crate provides:
 //!
-//! * [`HybridScheduler`] — the agent itself (§IV-A, Fig. 7);
+//! * [`HybridScheduler`] — the agent itself (§IV-A, Fig. 7). Its FIFO
+//!   group is one global queue and its CFS group runs
+//!   [`faas_policies::CfsRunQueues`], the same run-queue type as
+//!   `faas_policies::Cfs`, over the group's current member cores;
 //! * [`TimeLimitPolicy`] / [`SlidingWindow`] — fixed or percentile-adaptive
 //!   FIFO preemption limits over the last 100 task durations (§IV-B);
 //! * [`RightsizingConfig`] / [`RightsizingController`] — utilization-driven
@@ -38,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cfs_side;
 mod config;
 mod hybrid;
 mod rightsizing;

@@ -11,6 +11,9 @@
 //! With equal weights, a task's vruntime advance equals its on-CPU time, so
 //! we derive the effective vruntime as `offset + cpu_time`, where the
 //! offset is fixed at enqueue time (placement at `min_vruntime`).
+//!
+//! The run queues ([`CfsRunQueues`]) are shared with the hybrid
+//! scheduler's long-task group, whose member cores join and leave.
 
 use faas_kernel::{CoreId, CoreState, Machine, Scheduler, TaskId};
 use faas_simcore::{MinHeap4, SimDuration};
@@ -52,14 +55,270 @@ struct CoreRq {
     /// Runnable tasks keyed by effective vruntime (µs) with id tie-break.
     /// A dense 4-ary heap: picking the next task is a cache-local
     /// `pop_min` with no node allocation or pointer chasing, and the
-    /// (vruntime, id) keys are unique, so min/max picks match the old
-    /// `BTreeSet` ordering exactly.
+    /// (vruntime, id) keys are unique, so every min/max pick is fully
+    /// determined.
     queue: RunQueue,
-    /// Monotone floor for new placements.
+    /// Monotone floor for new placements; reset when the core leaves.
     min_vruntime: i64,
+    /// Whether the core belongs to the group. A non-member's queue is
+    /// always empty.
+    member: bool,
 }
 
-/// The simulated CFS agent.
+/// The CFS mechanism: per-core vruntime run queues over cores
+/// `0..cores`, of which any subset are *members*.
+///
+/// Members can join and leave at run time ([`add_core`](Self::add_core),
+/// [`remove_core`](Self::remove_core)), which is how the hybrid
+/// scheduler's rightsizing moves cores between its groups (§IV-B); [`Cfs`]
+/// makes every core a member. The type owns placement at a core's
+/// `min_vruntime`, the latency-target slice, stealing into an idle core
+/// and rebalancing; callers choose the core a task lands on.
+///
+/// The queues are a dense vector indexed by core id, sized once. Steal
+/// and balance pick victims by iterating it in core order, so tie-breaks
+/// are deterministic — a `HashMap` here once made whole simulations
+/// nondeterministic across runs.
+#[derive(Debug)]
+pub struct CfsRunQueues {
+    rqs: Vec<CoreRq>,
+    /// vruntime offset per task: effective vr = offset + cpu_time.
+    /// Indexed by `TaskId::index()` (the kernel assigns ids densely);
+    /// absent entries read as 0.
+    offsets: Vec<i64>,
+    sched_latency: SimDuration,
+    min_granularity: SimDuration,
+    /// Smallest runnable count at which the slice formula bottoms out at
+    /// `min_granularity`; at or beyond it the per-dispatch hot path skips
+    /// the division (loaded queues hit this constantly).
+    slice_floor_nr: u64,
+    /// Queues holding at least two tasks — the only ones a steal may take
+    /// from. While it is zero a steal attempt misses in O(1) instead of
+    /// scanning every queue.
+    crowded: usize,
+}
+
+impl CfsRunQueues {
+    /// Empty queues for cores `0..cores`, none of them a member yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min_granularity` is zero.
+    pub fn new(cores: usize, sched_latency: SimDuration, min_granularity: SimDuration) -> Self {
+        assert!(
+            !min_granularity.is_zero(),
+            "min_granularity must be positive"
+        );
+        CfsRunQueues {
+            rqs: (0..cores).map(|_| CoreRq::default()).collect(),
+            offsets: Vec::new(),
+            sched_latency,
+            min_granularity,
+            slice_floor_nr: sched_latency
+                .as_micros()
+                .div_ceil(min_granularity.as_micros()),
+            crowded: 0,
+        }
+    }
+
+    /// Number of cores the queues were sized for, members or not.
+    pub fn num_cores(&self) -> usize {
+        self.rqs.len()
+    }
+
+    /// Makes `core` a member with an empty queue (no-op if it is one).
+    pub fn add_core(&mut self, core: CoreId) {
+        self.rqs[core.index()].member = true;
+    }
+
+    /// Removes `core` from the members, returning its queued tasks in
+    /// vruntime order.
+    pub fn remove_core(&mut self, core: CoreId) -> Vec<TaskId> {
+        let rq = std::mem::take(&mut self.rqs[core.index()]);
+        if rq.queue.len() >= 2 {
+            self.crowded -= 1;
+        }
+        rq.queue
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(_, t)| t)
+            .collect()
+    }
+
+    /// Whether `core` is a member.
+    pub fn has_core(&self, core: CoreId) -> bool {
+        self.rqs[core.index()].member
+    }
+
+    /// Runnable tasks queued on `core` (excluding the running one).
+    pub fn queue_len(&self, core: CoreId) -> usize {
+        self.rqs[core.index()].queue.len()
+    }
+
+    /// Total queued tasks across all cores.
+    pub fn total_queued(&self) -> usize {
+        self.rqs.iter().map(|rq| rq.queue.len()).sum()
+    }
+
+    /// A task's effective vruntime (µs).
+    pub fn vruntime(&self, m: &Machine, task: TaskId) -> i64 {
+        self.offsets.get(task.index()).copied().unwrap_or(0)
+            + m.task(task).cpu_time().as_micros() as i64
+    }
+
+    /// Enqueues a task entering member `core` fresh, placed at the core's
+    /// `min_vruntime` so it is neither starved nor unfairly boosted.
+    pub fn enqueue_new(&mut self, m: &Machine, core: CoreId, task: TaskId) {
+        self.place(m, core.index(), task, 0);
+    }
+
+    /// Like [`enqueue_new`](Self::enqueue_new), but placed `credit` below
+    /// `min_vruntime` — the sleeper-fairness credit real CFS grants
+    /// wakeups, which is what arms its wakeup-preemption check.
+    pub fn enqueue_with_credit(
+        &mut self,
+        m: &Machine,
+        core: CoreId,
+        task: TaskId,
+        credit: SimDuration,
+    ) {
+        self.place(m, core.index(), task, credit.as_micros() as i64);
+    }
+
+    /// Re-enqueues a task that already belongs to member `core` (slice
+    /// expiry or preemption); its vruntime advanced by the CPU time it
+    /// consumed.
+    pub fn requeue(&mut self, m: &Machine, core: CoreId, task: TaskId) {
+        let vr = self.vruntime(m, task);
+        self.push(core.index(), (vr, task));
+    }
+
+    /// Dispatches member `core`'s smallest-vruntime task with its slice.
+    /// An empty queue first steals the longest-waiting task of the most
+    /// loaded sibling queue; with nothing to run or steal the core stays
+    /// idle.
+    pub fn dispatch(&mut self, m: &mut Machine, core: CoreId) {
+        let idx = core.index();
+        if self.rqs[idx].queue.is_empty() && !self.steal_into(m, idx) {
+            return;
+        }
+        let key = self.take(idx, RunQueue::pop_min).expect("non-empty queue");
+        let rq = &mut self.rqs[idx];
+        rq.min_vruntime = rq.min_vruntime.max(key.0);
+        let queued = rq.queue.len();
+        let slice = self.slice_for(queued);
+        m.dispatch(core, key.1, Some(slice))
+            .expect("cfs dispatch on idle core");
+    }
+
+    /// Rebalances member queues so the longest and shortest differ by at
+    /// most one (used after a core joins, §IV-B). Returns how many tasks
+    /// moved.
+    pub fn balance(&mut self, m: &Machine) -> usize {
+        let mut moved = 0;
+        loop {
+            let Some((max_c, max_len)) = self.member_lens().max_by_key(|&(_, len)| len) else {
+                return moved;
+            };
+            let (min_c, min_len) = self
+                .member_lens()
+                .min_by_key(|&(_, len)| len)
+                .expect("a member");
+            if max_len <= min_len + 1 {
+                return moved;
+            }
+            let key = self.take(max_c, RunQueue::take_max).expect("non-empty");
+            self.place(m, min_c, key.1, 0);
+            moved += 1;
+        }
+    }
+
+    /// Asserts the incremental crowded-queue count against a scan of
+    /// every queue. O(cores): a test oracle, not for the event loop.
+    pub fn check_crowded(&self) {
+        let scan = self.rqs.iter().filter(|rq| rq.queue.len() >= 2).count();
+        assert_eq!(
+            self.crowded, scan,
+            "crowded-queue count diverged from the scan"
+        );
+    }
+
+    /// `(core, queue length)` of every member in ascending core order.
+    fn member_lens(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.rqs
+            .iter()
+            .enumerate()
+            .filter(|(_, rq)| rq.member)
+            .map(|(c, rq)| (c, rq.queue.len()))
+    }
+
+    /// Places `task` on `core` at `min_vruntime - credit_us`.
+    fn place(&mut self, m: &Machine, core: usize, task: TaskId, credit_us: i64) {
+        let cpu = m.task(task).cpu_time().as_micros() as i64;
+        let offset = self.rqs[core].min_vruntime - credit_us - cpu;
+        if self.offsets.len() <= task.index() {
+            self.offsets.resize(task.index() + 1, 0);
+        }
+        self.offsets[task.index()] = offset;
+        self.push(core, (offset + cpu, task));
+    }
+
+    /// Pushes `key` onto member `core`'s queue, keeping the crowded-queue
+    /// count.
+    fn push(&mut self, core: usize, key: RqKey) {
+        let rq = &mut self.rqs[core];
+        debug_assert!(rq.member, "enqueue on a non-member core");
+        rq.queue.push(key);
+        if rq.queue.len() == 2 {
+            self.crowded += 1;
+        }
+    }
+
+    /// Takes one key off `core`'s queue with `pick` (`pop_min` or
+    /// `take_max`), keeping the crowded-queue count.
+    fn take(&mut self, core: usize, pick: fn(&mut RunQueue) -> Option<RqKey>) -> Option<RqKey> {
+        let queue = &mut self.rqs[core].queue;
+        let key = pick(queue)?;
+        if queue.len() == 1 {
+            self.crowded -= 1;
+        }
+        Some(key)
+    }
+
+    /// Steals the longest-waiting task of the most loaded sibling queue
+    /// into `core`'s empty queue. A miss with no crowded queue anywhere is
+    /// O(1).
+    fn steal_into(&mut self, m: &Machine, core: usize) -> bool {
+        if self.crowded == 0 {
+            return false;
+        }
+        // `core`'s own queue is empty, so the most loaded sibling is
+        // crowded.
+        let (victim, _) = self
+            .member_lens()
+            .filter(|&(c, _)| c != core)
+            .max_by_key(|&(_, len)| len)
+            .expect("a crowded sibling queue");
+        let key = self.take(victim, RunQueue::take_max).expect("non-empty");
+        self.place(m, core, key.1, 0);
+        true
+    }
+
+    fn slice_for(&self, queued_after_pick: usize) -> SimDuration {
+        let nr = queued_after_pick as u64 + 1;
+        if nr >= self.slice_floor_nr {
+            // nr * min_granularity >= sched_latency, so the quotient can
+            // only be <= min_granularity: the max() below would pick the
+            // floor anyway. Skip the division.
+            return self.min_granularity;
+        }
+        (self.sched_latency / nr).max(self.min_granularity)
+    }
+}
+
+/// The simulated CFS agent: [`CfsRunQueues`] over every core, plus
+/// least-loaded placement, the new-task sleeper credit and wakeup
+/// preemption.
 ///
 /// # Examples
 ///
@@ -81,17 +340,7 @@ struct CoreRq {
 #[derive(Debug)]
 pub struct Cfs {
     params: CfsParams,
-    rqs: Vec<CoreRq>,
-    /// vruntime offset per task: effective vr = offset + cpu_time.
-    offsets: Vec<i64>,
-    /// Smallest runnable count at which the slice formula bottoms out at
-    /// `min_granularity`; at or beyond it the per-dispatch hot path skips
-    /// the division (loaded queues hit this constantly).
-    slice_floor_nr: u64,
-    /// Run queues holding at least two tasks — the only ones a steal may
-    /// take from. While it is zero a steal attempt misses in O(1) instead
-    /// of scanning every queue.
-    crowded: usize,
+    rqs: CfsRunQueues,
 }
 
 impl Cfs {
@@ -100,27 +349,19 @@ impl Cfs {
         Cfs::with_params(cores, CfsParams::default())
     }
 
-    /// CFS with explicit parameters.
+    /// CFS with explicit parameters. The machine it drives must have
+    /// exactly `cores` cores.
     ///
     /// # Panics
     ///
     /// Panics if `cores` is zero or `min_granularity` is zero.
     pub fn with_params(cores: usize, params: CfsParams) -> Self {
         assert!(cores > 0, "need at least one core");
-        assert!(
-            !params.min_granularity.is_zero(),
-            "min_granularity must be positive"
-        );
-        Cfs {
-            params,
-            rqs: (0..cores).map(|_| CoreRq::default()).collect(),
-            offsets: Vec::new(),
-            slice_floor_nr: params
-                .sched_latency
-                .as_micros()
-                .div_ceil(params.min_granularity.as_micros()),
-            crowded: 0,
+        let mut rqs = CfsRunQueues::new(cores, params.sched_latency, params.min_granularity);
+        for c in 0..cores {
+            rqs.add_core(CoreId::from_index(c));
         }
+        Cfs { params, rqs }
     }
 
     /// The parameters in use.
@@ -130,84 +371,17 @@ impl Cfs {
 
     /// Runnable tasks queued on `core` (excluding the running one).
     pub fn queue_len(&self, core: usize) -> usize {
-        self.rqs[core].queue.len()
+        self.rqs.queue_len(CoreId::from_index(core))
     }
 
-    fn effective_vr(&self, m: &Machine, task: TaskId) -> i64 {
-        self.offsets[task.index()] + m.task(task).cpu_time().as_micros() as i64
-    }
-
-    fn enqueue_at(&mut self, m: &Machine, core: usize, task: TaskId, at_min: bool) {
-        self.enqueue_with_bonus(m, core, task, at_min, 0);
-    }
-
-    /// Enqueues with a vruntime placement bonus (µs below `min_vruntime`)
-    /// — the sleeper-fairness credit real CFS grants wakeups, which is
-    /// what arms the wakeup-preemption check.
-    fn enqueue_with_bonus(
-        &mut self,
-        m: &Machine,
-        core: usize,
-        task: TaskId,
-        at_min: bool,
-        bonus_us: i64,
-    ) {
-        if self.offsets.len() <= task.index() {
-            self.offsets.resize(task.index() + 1, 0);
-        }
-        if at_min {
-            let cpu = m.task(task).cpu_time().as_micros() as i64;
-            self.offsets[task.index()] = self.rqs[core].min_vruntime - bonus_us - cpu;
-        }
-        let key = (self.effective_vr(m, task), task);
-        let queue = &mut self.rqs[core].queue;
-        queue.push(key);
-        if queue.len() == 2 {
-            self.crowded += 1;
-        }
-    }
-
-    /// Takes one key off `core`'s queue with `pick` (`pop_min` or
-    /// `take_max`), keeping the crowded-queue count.
-    fn take(&mut self, core: usize, pick: fn(&mut RunQueue) -> Option<RqKey>) -> Option<RqKey> {
-        let queue = &mut self.rqs[core].queue;
-        let key = pick(queue)?;
-        if queue.len() == 1 {
-            self.crowded -= 1;
-        }
-        Some(key)
-    }
-
-    fn least_loaded_core(&self, m: &Machine) -> usize {
-        (0..self.rqs.len())
-            .min_by_key(|&i| {
-                let running =
-                    matches!(m.core_state(CoreId::from_index(i)), CoreState::Running(_)) as usize;
-                self.rqs[i].queue.len() + running
+    fn least_loaded_core(&self, m: &Machine) -> CoreId {
+        (0..self.rqs.num_cores())
+            .map(CoreId::from_index)
+            .min_by_key(|&c| {
+                let running = matches!(m.core_state(c), CoreState::Running(_)) as usize;
+                self.rqs.queue_len(c) + running
             })
             .expect("at least one core")
-    }
-
-    /// Asserts the incremental crowded-queue count against a scan of
-    /// every queue (the test oracle).
-    #[cfg(test)]
-    fn check_crowded(&self) {
-        let scan = self.rqs.iter().filter(|rq| rq.queue.len() >= 2).count();
-        assert_eq!(
-            self.crowded, scan,
-            "crowded-queue count diverged from the scan"
-        );
-    }
-
-    fn slice_for(&self, queued_after_pick: usize) -> SimDuration {
-        let nr = queued_after_pick as u64 + 1;
-        if nr >= self.slice_floor_nr {
-            // nr * min_granularity >= sched_latency, so the quotient can
-            // only be <= min_granularity: the max() below would pick the
-            // floor anyway. Skip the division.
-            return self.params.min_granularity;
-        }
-        (self.params.sched_latency / nr).max(self.params.min_granularity)
     }
 }
 
@@ -217,54 +391,38 @@ impl Scheduler for Cfs {
     }
 
     fn on_task_new(&mut self, m: &mut Machine, task: TaskId) {
+        assert_eq!(
+            m.num_cores(),
+            self.rqs.num_cores(),
+            "machine core count must match the core count Cfs was built for"
+        );
         let core = self.least_loaded_core(m);
         // New tasks get the sleeper credit: placed half a latency period
         // below min_vruntime (bounded unfairness, like the kernel).
-        let bonus = (self.params.sched_latency / 2).as_micros() as i64;
-        self.enqueue_with_bonus(m, core, task, true, bonus);
+        self.rqs
+            .enqueue_with_credit(m, core, task, self.params.sched_latency / 2);
         if !self.params.wakeup_preemption {
             return;
         }
         // check_preempt_wakeup: if the core is running something whose
         // vruntime is far enough ahead of the newcomer, kick it off now;
         // the idle sweep re-picks the smallest vruntime (the newcomer).
-        let core_id = CoreId::from_index(core);
-        if let Some((running, _)) = m.running_on(core_id) {
-            let lead = self.effective_vr(m, running) - self.effective_vr(m, task);
+        if let Some((running, _)) = m.running_on(core) {
+            let lead = self.rqs.vruntime(m, running) - self.rqs.vruntime(m, task);
             if lead >= self.params.wakeup_granularity.as_micros() as i64 {
-                let evicted = m.preempt(core_id).expect("core was running");
-                self.enqueue_at(m, core, evicted, false);
+                let evicted = m.preempt(core).expect("core was running");
+                self.rqs.requeue(m, core, evicted);
             }
         }
     }
 
     fn on_slice_expired(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
         // Keep the accumulated offset: vruntime advanced by the on-CPU time.
-        self.enqueue_at(m, core.index(), task, false);
+        self.rqs.requeue(m, core, task);
     }
 
     fn on_core_idle(&mut self, m: &mut Machine, core: CoreId) {
-        let idx = core.index();
-        if self.rqs[idx].queue.is_empty() {
-            if self.crowded == 0 {
-                return; // no queue to steal from; stay idle
-            }
-            // Load balance: steal the task that would wait longest on the
-            // most loaded sibling queue (its own queue is empty, so some
-            // sibling holds two or more).
-            let victim = (0..self.rqs.len())
-                .filter(|&i| i != idx)
-                .max_by_key(|&i| self.rqs[i].queue.len())
-                .expect("a crowded sibling queue");
-            let key = self.take(victim, RunQueue::take_max).expect("non-empty");
-            self.enqueue_at(m, idx, key.1, true);
-        }
-        let key = self.take(idx, RunQueue::pop_min).expect("non-empty queue");
-        let rq = &mut self.rqs[idx];
-        rq.min_vruntime = rq.min_vruntime.max(key.0);
-        let slice = self.slice_for(self.rqs[idx].queue.len());
-        m.dispatch(core, key.1, Some(slice))
-            .expect("cfs dispatch on idle core");
+        self.rqs.dispatch(m, core);
     }
 }
 
@@ -431,17 +589,87 @@ mod tests {
             };
             let mut sim = Simulation::new(cfg, specs, Cfs::with_params(cores, params));
             while sim.step().unwrap() {
-                sim.policy().check_crowded();
+                sim.policy().rqs.check_crowded();
             }
-            sim.policy().check_crowded();
+            sim.policy().rqs.check_crowded();
         });
     }
 
     #[test]
     fn slice_respects_min_granularity() {
         let cfs = Cfs::with_cores(1);
-        assert_eq!(cfs.slice_for(0), SimDuration::from_millis(24));
-        assert_eq!(cfs.slice_for(1), SimDuration::from_millis(12));
-        assert_eq!(cfs.slice_for(100), SimDuration::from_millis(3));
+        assert_eq!(cfs.rqs.slice_for(0), SimDuration::from_millis(24));
+        assert_eq!(cfs.rqs.slice_for(1), SimDuration::from_millis(12));
+        assert_eq!(cfs.rqs.slice_for(100), SimDuration::from_millis(3));
+    }
+
+    #[test]
+    fn steal_takes_from_the_most_loaded_sibling() {
+        // Core 0 queues two tasks, core 1 three, core 2 none: idle core 2
+        // steals core 1's largest key, the equal-vruntime task with the
+        // highest id.
+        let specs = uniform(5, 10);
+        let mut m = Machine::new(MachineConfig::new(3), &specs[..]);
+        for _ in 0..5 {
+            m.advance().unwrap(); // each task's arrival
+        }
+        let mut rqs =
+            CfsRunQueues::new(3, SimDuration::from_millis(24), SimDuration::from_millis(3));
+        let core = CoreId::from_index;
+        for (c, tasks) in [(0, 0..2), (1, 2..5)] {
+            rqs.add_core(core(c));
+            for t in tasks {
+                rqs.enqueue_new(&m, core(c), TaskId::from_index(t));
+            }
+        }
+        rqs.add_core(core(2));
+        rqs.dispatch(&mut m, core(2));
+        let (stolen, _) = m.running_on(core(2)).expect("core 2 stole a task");
+        assert_eq!(stolen, TaskId::from_index(4));
+        assert_eq!(
+            [0, 1, 2].map(|c| rqs.queue_len(core(c))),
+            [2, 2, 0],
+            "exactly one task moved, off core 1"
+        );
+        rqs.check_crowded();
+    }
+
+    #[test]
+    fn balance_moves_largest_keys_to_a_joining_core() {
+        // Four equal-vruntime tasks on core 0, then core 1 joins empty:
+        // balance moves the two largest keys (highest ids) across.
+        let specs = uniform(4, 10);
+        let m = Machine::new(MachineConfig::new(2), &specs[..]);
+        let mut rqs =
+            CfsRunQueues::new(2, SimDuration::from_millis(24), SimDuration::from_millis(3));
+        let core = CoreId::from_index;
+        rqs.add_core(core(0));
+        for t in 0..4 {
+            rqs.enqueue_new(&m, core(0), TaskId::from_index(t));
+        }
+        rqs.add_core(core(1));
+        assert_eq!(rqs.balance(&m), 2);
+        rqs.check_crowded();
+        let ids = |tasks: Vec<TaskId>| tasks.into_iter().map(TaskId::index).collect::<Vec<_>>();
+        assert_eq!(ids(rqs.remove_core(core(1))), [2, 3]);
+        assert_eq!(ids(rqs.remove_core(core(0))), [0, 1]);
+        rqs.check_crowded();
+    }
+
+    fn run_mismatched(machine_cores: usize, policy_cores: usize) {
+        let cfg = MachineConfig::new(machine_cores).with_cost(CostModel::free());
+        let _ = Simulation::new(cfg, uniform(8, 10), Cfs::with_cores(policy_cores)).run();
+    }
+
+    #[test]
+    #[should_panic(expected = "machine core count must match the core count Cfs was built for")]
+    fn fewer_policy_cores_than_machine_cores_rejected() {
+        run_mismatched(4, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "machine core count must match the core count Cfs was built for")]
+    fn more_policy_cores_than_machine_cores_rejected() {
+        run_mismatched(2, 4);
     }
 }

@@ -5,22 +5,23 @@
 //! [`Scheduler`](faas_kernel::Scheduler) agents over the simulated
 //! [`Machine`](faas_kernel::Machine):
 //!
-//! * [`Fifo`] — global queue, run to completion; optimal execution time,
-//!   worst head-of-line blocking.
-//! * [`FifoWithLimit`] — the paper's "FIFO 100ms": preempt-and-requeue
-//!   after a fixed limit (§II-D).
+//! * [`Fifo`] — one global queue, optionally time-sliced: run to
+//!   completion ([`Fifo::new`]), the paper's "FIFO 100ms" preemption
+//!   limit ([`Fifo::with_limit`], §II-D), Round-Robin
+//!   ([`Fifo::round_robin`]) and Shinjuku-like small-quantum preemption
+//!   after Kaffes et al. \[42\] ([`Fifo::shinjuku`]).
 //! * [`Cfs`] — the Linux default: per-core vruntime queues, latency-target
-//!   slices, work stealing.
-//! * [`RoundRobin`] — global queue with a fixed quantum.
+//!   slices, work stealing, wakeup preemption.
 //! * [`Edf`] — earliest-deadline-first with arrival-time preemption.
-//! * [`Shinjuku`] — centralized single queue with small-quantum
-//!   preemption, after Kaffes et al. \[42\].
 //! * [`Sfs`] — least-attained-service, approximating SFS \[25\] (the
 //!   paper's closest related work).
 //! * [`Mlfq`] — multi-level feedback queue with priority boost \[37\].
 //!
-//! The hybrid FIFO+CFS scheduler — the paper's contribution — lives in the
-//! `hybrid-scheduler` crate and composes the same building blocks.
+//! [`CfsRunQueues`] is the CFS mechanism itself (per-core vruntime heaps
+//! whose member cores can join and leave, slices, steal and balance).
+//! [`Cfs`] runs it over every core; the hybrid FIFO+CFS scheduler — the
+//! paper's contribution, in the `hybrid-scheduler` crate — runs it over
+//! its long-task core group.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,17 +29,11 @@
 mod cfs;
 mod edf;
 mod fifo;
-mod fifo_limit;
 mod mlfq;
-mod rr;
 mod sfs;
-mod shinjuku;
 
-pub use cfs::{Cfs, CfsParams};
+pub use cfs::{Cfs, CfsParams, CfsRunQueues};
 pub use edf::Edf;
 pub use fifo::Fifo;
-pub use fifo_limit::FifoWithLimit;
 pub use mlfq::{Mlfq, MlfqParams};
-pub use rr::RoundRobin;
 pub use sfs::Sfs;
-pub use shinjuku::Shinjuku;

@@ -37,16 +37,16 @@ fn main() {
         ("cfs", run_records(&trace, Cfs::with_cores(CORES))),
         (
             "fifo+100ms",
-            run_records(&trace, FifoWithLimit::new(SimDuration::from_millis(100))),
+            run_records(&trace, Fifo::with_limit(SimDuration::from_millis(100))),
         ),
         (
             "round-robin",
-            run_records(&trace, RoundRobin::new(SimDuration::from_millis(10))),
+            run_records(&trace, Fifo::round_robin(SimDuration::from_millis(10))),
         ),
         ("edf", run_records(&trace, Edf::new())),
         (
             "shinjuku",
-            run_records(&trace, Shinjuku::new(SimDuration::from_millis(1))),
+            run_records(&trace, Fifo::shinjuku(SimDuration::from_millis(1))),
         ),
         (
             "hybrid",

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`simcore`] | `faas-simcore` | virtual time, event queue, seeded RNG |
 //! | [`kernel`] | `faas-kernel` | the simulated ghOSt-style OS substrate |
-//! | [`policies`] | `faas-policies` | FIFO, CFS, RR, EDF, FIFO+limit, Shinjuku |
+//! | [`policies`] | `faas-policies` | FIFO (plain, limit, RR, Shinjuku), CFS, EDF, SFS, MLFQ |
 //! | [`hybrid`] | `hybrid-scheduler` | **the paper's hybrid FIFO+CFS scheduler** |
 //! | [`trace`] | `azure-trace` | synthetic Azure-like workloads + calibration |
 //! | [`metrics`] | `faas-metrics` | execution/response/turnaround, CDFs |
@@ -63,7 +63,7 @@ pub mod prelude {
         TaskSpec,
     };
     pub use crate::metrics::{records_from_tasks, DurationCdf, Metric, RunSummary, TaskRecord};
-    pub use crate::policies::{Cfs, Edf, Fifo, FifoWithLimit, RoundRobin, Shinjuku};
+    pub use crate::policies::{Cfs, Edf, Fifo};
     pub use crate::pricing::PriceModel;
     pub use crate::simcore::{SimDuration, SimTime};
     pub use crate::trace::{AzureTrace, TraceConfig};

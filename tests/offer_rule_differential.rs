@@ -18,7 +18,7 @@ use faas_kernel::{
     CoreId, CostModel, InterferenceConfig, KernelMessage, MachineConfig, PlacementHint, Scheduler,
     Simulation, TaskId, TaskSpec, TaskState,
 };
-use faas_policies::{Cfs, Edf, Fifo, FifoWithLimit, Mlfq, MlfqParams, RoundRobin, Sfs, Shinjuku};
+use faas_policies::{Cfs, Edf, Fifo, Mlfq, MlfqParams, Sfs};
 use faas_simcore::check::{self, Gen};
 use faas_simcore::{SimDuration, SimTime};
 use hybrid_scheduler::{
@@ -195,13 +195,13 @@ fn offer_rule_matches_brute_force_driver_for_every_policy() {
         let case = arb_case(g);
         let cores = case.cores;
         assert_equivalent(&case, Fifo::new);
-        assert_equivalent(&case, || FifoWithLimit::new(ms(40)));
+        assert_equivalent(&case, || Fifo::with_limit(ms(40)));
         assert_equivalent(&case, || Cfs::with_cores(cores));
-        assert_equivalent(&case, || RoundRobin::new(ms(10)));
+        assert_equivalent(&case, || Fifo::round_robin(ms(10)));
         assert_equivalent(&case, Edf::new);
         assert_equivalent(&case, || Mlfq::new(MlfqParams::default()));
         assert_equivalent(&case, || Sfs::new(ms(5)));
-        assert_equivalent(&case, || Shinjuku::new(ms(2)));
+        assert_equivalent(&case, || Fifo::shinjuku(ms(2)));
         if cores >= 2 {
             assert_equivalent(&case, || HybridScheduler::new(paper_split(cores)));
             assert_equivalent(&case, || HybridScheduler::new(armed_hybrid(cores)));

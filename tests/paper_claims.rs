@@ -50,7 +50,7 @@ fn observation_2_fifo_beats_cfs_on_execution_loses_on_response() {
 #[test]
 fn observation_3_preemption_limit_improves_fifo_response_and_turnaround() {
     let (_, fifo) = run(Fifo::new());
-    let (_, limited) = run(FifoWithLimit::new(SimDuration::from_millis(100)));
+    let (_, limited) = run(Fifo::with_limit(SimDuration::from_millis(100)));
     let fifo_s = RunSummary::compute(&fifo);
     let lim_s = RunSummary::compute(&limited);
     assert!(
@@ -193,8 +193,8 @@ fn all_tasks_always_complete_under_every_policy() {
     let (r2, _) = run(Cfs::with_cores(CORES));
     let (r3, _) = run(hybrid());
     let (r4, _) = run(Edf::new());
-    let (r5, _) = run(RoundRobin::new(SimDuration::from_millis(10)));
-    let (r6, _) = run(Shinjuku::new(SimDuration::from_millis(1)));
+    let (r5, _) = run(Fifo::round_robin(SimDuration::from_millis(10)));
+    let (r6, _) = run(Fifo::shinjuku(SimDuration::from_millis(1)));
     for r in [r1, r2, r3, r4, r5, r6] {
         assert_eq!(
             r.tasks.iter().filter(|t| t.completion().is_some()).count(),

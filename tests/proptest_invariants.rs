@@ -34,10 +34,10 @@ fn policies(cores: usize) -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(Fifo::new()),
         Box::new(Cfs::with_cores(cores)),
-        Box::new(FifoWithLimit::new(SimDuration::from_millis(50))),
-        Box::new(RoundRobin::new(SimDuration::from_millis(20))),
+        Box::new(Fifo::with_limit(SimDuration::from_millis(50))),
+        Box::new(Fifo::round_robin(SimDuration::from_millis(20))),
         Box::new(Edf::new()),
-        Box::new(Shinjuku::new(SimDuration::from_millis(5))),
+        Box::new(Fifo::shinjuku(SimDuration::from_millis(5))),
     ]
 }
 
