@@ -1,6 +1,6 @@
 //! Determinism pins for the heavy-policy figures.
 //!
-//! Two byte-identical-output contracts are pinned here permanently:
+//! Three byte-identical-output contracts are pinned here permanently:
 //!
 //! * PR 4 swapped the simulation's two hottest data structures (the event
 //!   queue and the CFS run queues) for index-addressed dense equivalents.
@@ -12,6 +12,10 @@
 //!   fig23 digest (every scheduler in the zoo) and the fig18 digest
 //!   (rightsizing, which adds and removes CFS cores and rebalances) were
 //!   captured from the tree before that merge.
+//! * The front-end fold was later rewritten as one ordered sequence of
+//!   stages. The `overload`, `crash-storm`, `straggler-outliers` and
+//!   `retry-backoff` digests (middleware, chaos and health layers) were
+//!   captured from the tree before that rewrite.
 //!
 //! The same output must also be byte-identical at any `BENCH_THREADS`
 //! setting (the sweep fan-out must not affect results).
@@ -79,6 +83,24 @@ fn fig11_fig12_bytes_pinned_to_pre_swap_and_thread_invariant() {
         0x7b10_ec83_dfe3_439b,
         "fig18 output changed vs. the pre-merge baseline"
     );
+
+    // Digests recorded from the tree before the front-end fold was
+    // staged (separate primary and hedge-copy booking, two machine
+    // resets, an optional fault layer) at SCALE_DIV=40. Together they
+    // cover timeouts, crashes and retries, breaker trips, hedges with
+    // straggled tasks, and backoff with ejections.
+    for (id, digest) in [
+        ("overload", 0x8613_afbb_4aea_24d5),
+        ("crash-storm", 0xaa84_4d8e_6a03_9ce1),
+        ("straggler-outliers", 0xb3e8_5a43_6780_8e18),
+        ("retry-backoff", 0xbba2_809e_1268_1370),
+    ] {
+        assert_eq!(
+            fnv1a(&run_scenario(id)),
+            digest,
+            "{id} output changed vs. the pre-staging baseline"
+        );
+    }
 
     // Thread invariance: the parallel sweep runner must not change bytes.
     std::env::set_var("BENCH_THREADS", "4");

@@ -44,8 +44,8 @@ impl<D: Dispatch + ?Sized> Dispatch for Box<D> {
 }
 
 /// Sends every invocation to machine 0 — the degenerate policy that makes
-/// a 1-machine cluster *equal* the legacy single-machine [`Simulation`]
-/// path (pinned by the differential tests).
+/// a 1-machine cluster *equal* a standalone single-machine [`Simulation`]
+/// run (pinned by the differential tests).
 ///
 /// [`Simulation`]: faas_kernel::Simulation
 pub struct Passthrough;
@@ -238,7 +238,7 @@ mod tests {
     }
 
     fn shares(cfg: &ClusterConfig, ts: &[ClusterTask], d: &mut dyn Dispatch) -> Vec<usize> {
-        let a = FrontEnd::new(cfg).dispatch_all(ts, d);
+        let a = FrontEnd::new(cfg).dispatch_chunk(ts, d);
         a.per_machine.iter().map(Vec::len).collect()
     }
 
@@ -275,8 +275,8 @@ mod tests {
                 function: (i % 2) as u64,
             })
             .collect();
-        let ka = FrontEnd::new(&cfg).dispatch_all(&ts, &mut KeepAliveDispatch);
-        let rr = FrontEnd::new(&cfg).dispatch_all(&ts, &mut RoundRobinDispatch::new());
+        let ka = FrontEnd::new(&cfg).dispatch_chunk(&ts, &mut KeepAliveDispatch);
+        let rr = FrontEnd::new(&cfg).dispatch_chunk(&ts, &mut RoundRobinDispatch::new());
         assert!(
             ka.cold_starts < rr.cold_starts,
             "keep-alive ({}) must beat round-robin ({}) on cold starts",
@@ -297,7 +297,7 @@ mod tests {
         // to machine 0; the spill bound must spread the flood.
         let cfg = ClusterConfig::new(4, MachineConfig::new(4)).with_cold_start(cold);
         let ts = tasks(400, |_| 0);
-        let a = FrontEnd::new(&cfg).dispatch_all(&ts, &mut KeepAliveDispatch);
+        let a = FrontEnd::new(&cfg).dispatch_chunk(&ts, &mut KeepAliveDispatch);
         let shares: Vec<usize> = a.per_machine.iter().map(Vec::len).collect();
         assert!(
             shares.iter().all(|&n| n > 0),

@@ -18,7 +18,9 @@ use faas_metrics::{ChaosStats, HealthStats, MachineHealth, OverloadStats};
 use faas_simcore::{IndexedMinHeap, MinHeap4, SimDuration, SimRng, SimTime};
 use lambda_pricing::ChurnCostAccumulator;
 
-use crate::chaos::{Autoscaler, BackoffConfig, Fault, RetryEntry, RetryQueue, ScaleDecision};
+use crate::chaos::{
+    Autoscaler, BackoffConfig, ChaosConfig, Fault, RetryEntry, RetryQueue, ScaleDecision,
+};
 use crate::dispatch::Dispatch;
 use crate::health::HealthTracker;
 use crate::middleware::{Admission, Overload};
@@ -93,6 +95,7 @@ pub struct DispatchCtx<'a> {
 
 impl DispatchCtx<'_> {
     /// Maps a policy-visible candidate index to the physical machine.
+    #[inline]
     fn phys(&self, machine: usize) -> usize {
         self.cand.map_or(machine, |c| c[machine])
     }
@@ -125,18 +128,14 @@ impl DispatchCtx<'_> {
     /// this is in *time* units, so a few heavy invocations and many light
     /// ones compare correctly.
     pub fn est_wait(&self, machine: usize) -> SimDuration {
-        let free = *self.front.loads[self.phys(machine)]
-            .free_cores
-            .peek_min()
-            .expect("machine has cores");
-        SimDuration::from_micros(free.saturating_sub(self.now.as_micros()))
+        self.front.est_wait(self.phys(machine), self.now)
     }
 
     /// The boot cost a cold dispatch would pay under the cluster's
     /// cold-start model (zero when the model is disabled) — the budget a
     /// locality policy weighs queueing delay against.
     pub fn cold_boot_work(&self) -> SimDuration {
-        self.front.cold.map_or(SimDuration::ZERO, |c| c.boot_work)
+        self.front.cold_boot_work()
     }
 
     /// The machine with the smallest [`DispatchCtx::est_wait`] (lowest
@@ -196,12 +195,8 @@ impl DispatchCtx<'_> {
     /// [`KeepAliveDispatch`](crate::dispatch::KeepAliveDispatch)'s spill
     /// budget.
     pub fn est_completion(&self, machine: usize) -> SimTime {
-        let boot = if self.is_warm(machine) {
-            SimDuration::ZERO
-        } else {
-            self.cold_boot_work()
-        };
-        self.now + self.est_wait(machine) + boot + self.duration
+        self.front
+            .est_completion(self.phys(machine), self.function, self.now, self.duration)
     }
 
     /// [`DispatchCtx::est_completion`] charged a boot unconditionally —
@@ -281,9 +276,8 @@ pub struct FrontEnd {
     cores: usize,
     /// Latest arrival dispatched so far — carried across
     /// [`FrontEnd::dispatch_chunk`] calls so a chunked feed enforces the
-    /// same global sorted-stream contract as one [`dispatch_all`] pass.
-    ///
-    /// [`dispatch_all`]: FrontEnd::dispatch_all
+    /// same global sorted-stream contract as one pass over the whole
+    /// stream.
     last_arrival: SimTime,
     /// `(machine, function) → pool of instance busy-until instants (µs)`.
     /// One entry per live function instance: an instance serves **one**
@@ -308,10 +302,10 @@ pub struct FrontEnd {
     /// can receive a spec — pushed forward by crash downtime and scale-up
     /// boot lag. Only ever max-monotone, so per-machine feeds stay sorted.
     available_at: Vec<u64>,
-    /// Fault-injection state (`None` without a [`ChaosConfig`]). Like the
+    /// Fault-injection state (empty without a [`ChaosConfig`]). Like the
     /// middleware, it folds serially across chunks, which is what keeps
     /// chaos bitwise-invariant to fan width and chunking.
-    chaos: Option<ChaosFold>,
+    chaos: ChaosFold,
     /// Elastic-fleet controller (`None` for a fixed fleet).
     scaler: Option<Autoscaler>,
     /// Crash/retry/scale ledger (all-zero without chaos or autoscaling).
@@ -361,6 +355,8 @@ struct ChaosFold {
     cursor: usize,
     /// Per-machine crash instants for the dispatch-time doom check, each
     /// with its own cursor (per-machine probe instants are monotone).
+    /// This and the straggler lists are empty without a chaos config, so
+    /// a chaos-free dispatch reads no per-machine fault state.
     crash_at: Vec<Vec<u64>>,
     crash_cur: Vec<usize>,
     /// Per-machine straggler windows `(start_us, end_us, slowdown)`,
@@ -386,6 +382,69 @@ struct ChaosFold {
     backoff_delay_us: u64,
 }
 
+impl ChaosFold {
+    /// Splits `cfg`'s fault plan into the hot-path shapes, counting its
+    /// straggler and storm events into `stats`. Without a config the fold
+    /// is empty: nothing dooms, straggles or queues for retry, which is
+    /// bitwise the bare front end (pinned by `chaos_differential.rs`).
+    fn new(cfg: Option<&ChaosConfig>, machines: usize, stats: &mut ChaosStats) -> Self {
+        let per_machine = cfg.map_or(0, |_| machines);
+        let mut crashes = Vec::new();
+        let mut crash_at = vec![Vec::new(); per_machine];
+        let mut straggle = vec![Vec::new(); per_machine];
+        for e in cfg.map_or(&[][..], |c| c.plan.events()) {
+            match e.fault {
+                Fault::Crash { down } => {
+                    crashes.push((e.at.as_micros(), e.machine, down.as_micros()));
+                    crash_at[e.machine].push(e.at.as_micros());
+                }
+                Fault::Straggle { duration, slowdown } => {
+                    stats.stragglers += 1;
+                    straggle[e.machine].push((
+                        e.at.as_micros(),
+                        (e.at + duration).as_micros(),
+                        slowdown,
+                    ));
+                }
+                // Storms modulate the kernel's interference draws; the
+                // router neither sees nor reacts to them (see
+                // `ClusterConfig::machine_config`).
+                Fault::Storm { .. } => stats.storms += 1,
+            }
+        }
+        ChaosFold {
+            crashes,
+            cursor: 0,
+            crash_at,
+            crash_cur: vec![0; per_machine],
+            straggle,
+            straggle_cur: vec![0; per_machine],
+            retries: RetryQueue::new(),
+            max_retries: cfg.and_then(|c| c.max_retries),
+            slo_us: cfg.and_then(|c| c.slo).map(|s| s.as_micros()),
+            pending_epochs: Vec::new(),
+            churn: cfg.and_then(|c| c.price).map(ChurnCostAccumulator::new),
+            backoff: cfg.and_then(|c| c.backoff).map(|b| (b, b.stream())),
+            backoff_retries: 0,
+            backoff_delay_us: 0,
+        }
+    }
+}
+
+/// One booked attempt of an invocation — the primary or its hedge copy —
+/// as it passes through the fold's stages.
+struct Booking {
+    machine: usize,
+    /// The spec its kernel will see: cold boot folded in by `book`,
+    /// arrival floor and straggle applied by `land`.
+    spec: TaskSpec,
+    /// The router's FCFS completion estimate (µs), never straggle-scaled.
+    completion: u64,
+    /// Straggle inflation (µs) added by `land`: the completion report
+    /// describes `completion + extra_us`.
+    extra_us: u64,
+}
+
 /// The output of the dispatch pass: one spec list per machine (cold-start
 /// boot work already folded in) plus dispatch statistics.
 pub struct Assignment {
@@ -399,47 +458,7 @@ impl FrontEnd {
     /// A front end over the fleet described by `cfg`.
     pub fn new(cfg: &ClusterConfig) -> Self {
         let mut stats = ChaosStats::default();
-        let chaos = cfg.chaos.as_ref().map(|c| {
-            let mut crashes = Vec::new();
-            let mut crash_at = vec![Vec::new(); cfg.machines];
-            let mut straggle = vec![Vec::new(); cfg.machines];
-            for e in c.plan.events() {
-                match e.fault {
-                    Fault::Crash { down } => {
-                        crashes.push((e.at.as_micros(), e.machine, down.as_micros()));
-                        crash_at[e.machine].push(e.at.as_micros());
-                    }
-                    Fault::Straggle { duration, slowdown } => {
-                        stats.stragglers += 1;
-                        straggle[e.machine].push((
-                            e.at.as_micros(),
-                            (e.at + duration).as_micros(),
-                            slowdown,
-                        ));
-                    }
-                    // Storms modulate the kernel's interference draws; the
-                    // router neither sees nor reacts to them (see
-                    // `ClusterConfig::machine_config`).
-                    Fault::Storm { .. } => stats.storms += 1,
-                }
-            }
-            ChaosFold {
-                crashes,
-                cursor: 0,
-                crash_cur: vec![0; cfg.machines],
-                crash_at,
-                straggle_cur: vec![0; cfg.machines],
-                straggle,
-                retries: RetryQueue::new(),
-                max_retries: c.max_retries,
-                slo_us: c.slo.map(|s| s.as_micros()),
-                pending_epochs: Vec::new(),
-                churn: c.price.map(ChurnCostAccumulator::new),
-                backoff: c.backoff.map(|b| (b, b.stream())),
-                backoff_retries: 0,
-                backoff_delay_us: 0,
-            }
-        });
+        let chaos = ChaosFold::new(cfg.chaos.as_ref(), cfg.machines, &mut stats);
         let scaler = cfg.autoscale.map(|a| Autoscaler::new(a, cfg.machines));
         let active = scaler
             .as_ref()
@@ -492,7 +511,7 @@ impl FrontEnd {
     /// `unrecovered` is only final after [`FrontEnd::finish`].
     pub fn chaos_stats(&self) -> ChaosStats {
         let mut stats = self.stats;
-        if let Some(churn) = self.chaos.as_ref().and_then(|c| c.churn.as_ref()) {
+        if let Some(churn) = &self.chaos.churn {
             stats.churn_cost_usd = churn.total_usd();
         }
         stats
@@ -508,10 +527,8 @@ impl FrontEnd {
             .as_ref()
             .map(|h| h.snapshot(self.clock_us))
             .unwrap_or_default();
-        if let Some(chaos) = &self.chaos {
-            stats.backoff_retries = chaos.backoff_retries;
-            stats.backoff_delay_total = SimDuration::from_micros(chaos.backoff_delay_us);
-        }
+        stats.backoff_retries = self.chaos.backoff_retries;
+        stats.backoff_delay_total = SimDuration::from_micros(self.chaos.backoff_delay_us);
         (stats, machines)
     }
 
@@ -525,9 +542,48 @@ impl FrontEnd {
             .map_or_else(OverloadStats::default, Overload::stats)
     }
 
+    /// Estimated queueing delay before a dispatch to `machine` at `now`
+    /// starts (see [`DispatchCtx::est_wait`]).
+    #[inline]
+    fn est_wait(&self, machine: usize, now: SimTime) -> SimDuration {
+        let free = *self.loads[machine]
+            .free_cores
+            .peek_min()
+            .expect("machine has cores");
+        SimDuration::from_micros(free.saturating_sub(now.as_micros()))
+    }
+
+    /// The boot cost of a cold dispatch (zero without a cold-start model).
+    #[inline]
+    fn cold_boot_work(&self) -> SimDuration {
+        self.cold.map_or(SimDuration::ZERO, |c| c.boot_work)
+    }
+
+    /// The one completion estimator, behind the timeout stage and
+    /// [`DispatchCtx::est_completion`]. Always inlined: locality policies
+    /// call it once per warm candidate, and an out-of-line call here
+    /// keeps their candidate scans from inlining (measured on the
+    /// `frontend_scale` rows).
+    #[inline(always)]
+    fn est_completion(
+        &self,
+        machine: usize,
+        function: u64,
+        now: SimTime,
+        duration: SimDuration,
+    ) -> SimTime {
+        let boot = if self.is_warm(machine, function, now) {
+            SimDuration::ZERO
+        } else {
+            self.cold_boot_work()
+        };
+        now + self.est_wait(machine, now) + boot + duration
+    }
+
     /// `true` if `machine` has an **idle, unexpired** instance of
     /// `function` — only such an instance can absorb a new invocation
     /// without a boot (busy instances are serving someone else).
+    #[inline]
     fn is_warm(&self, machine: usize, function: u64, now: SimTime) -> bool {
         let Some(c) = self.cold else { return false };
         let ka = c.keep_alive.as_micros();
@@ -579,43 +635,17 @@ impl FrontEnd {
         }
     }
 
-    /// Drops `machine` from every warm-site list — the wholesale pool
-    /// wipe of a crash or scale-up reset.
-    fn purge_sites(&mut self, machine: usize) {
-        let m = machine as u32;
-        for sites in self.warm_sites.values_mut() {
-            if let Ok(pos) = sites.binary_search(&m) {
-                sites.remove(pos);
-            }
-        }
-    }
-
     /// Runs the dispatch pass over `tasks` (must be sorted by arrival;
-    /// trace synthesis produces exactly that).
+    /// trace synthesis produces exactly that). The next chunk continues
+    /// from the same load estimates, warm pools and arrival floor, so
+    /// chunked dispatch of a stream is decision-for-decision identical to
+    /// one call over its concatenation — the front end is a pure fold
+    /// over the arrival sequence.
     ///
     /// # Panics
     ///
-    /// Panics if arrivals are out of order or the policy picks a machine
-    /// index out of range.
-    pub fn dispatch_all<D: Dispatch + ?Sized>(
-        mut self,
-        tasks: &[ClusterTask],
-        policy: &mut D,
-    ) -> Assignment {
-        self.dispatch_chunk(tasks, policy)
-    }
-
-    /// One incremental slice of the dispatch pass: like
-    /// [`FrontEnd::dispatch_all`], but keeps the front end alive so the
-    /// next chunk continues from the same load estimates, warm pools and
-    /// arrival floor. Chunked dispatch of a stream is decision-for-
-    /// decision identical to one `dispatch_all` over its concatenation —
-    /// the front end is a pure fold over the arrival sequence.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`FrontEnd::dispatch_all`], with the arrival floor
-    /// carried across chunks.
+    /// Panics if arrivals are out of order (across chunks too) or the
+    /// policy picks a machine index out of range.
     pub fn dispatch_chunk<D: Dispatch + ?Sized>(
         &mut self,
         tasks: &[ClusterTask],
@@ -644,7 +674,7 @@ impl FrontEnd {
     /// chaos); call it exactly once, after the final `dispatch_chunk`.
     pub fn finish<D: Dispatch + ?Sized>(&mut self, policy: &mut D) -> Assignment {
         let mut out = self.empty_assignment();
-        while let Some(at) = self.chaos.as_ref().and_then(|c| c.retries.peek_at()) {
+        while let Some(at) = self.chaos.retries.peek_at() {
             let now_us = at.as_micros().max(self.last_arrival.as_micros());
             self.advance_to(now_us, policy, &mut out);
             self.last_arrival = SimTime::from_micros(now_us);
@@ -653,10 +683,8 @@ impl FrontEnd {
         // Trailing crashes past the last dispatch still count (and can
         // open epochs that now have no chance to close).
         self.advance_crashes(u64::MAX);
-        if let Some(chaos) = &mut self.chaos {
-            self.stats.unrecovered += chaos.pending_epochs.len() as u64;
-            chaos.pending_epochs.clear();
-        }
+        self.stats.unrecovered += self.chaos.pending_epochs.len() as u64;
+        self.chaos.pending_epochs.clear();
         // Completion reports still in flight fold now: the final
         // telemetry describes every completion the router booked, even
         // the ones landing after the last arrival. (Nothing dispatches
@@ -737,29 +765,40 @@ impl FrontEnd {
 
     /// Applies every scheduled crash at or before `now_us`.
     fn advance_crashes(&mut self, now_us: u64) {
-        while let Some(&(at, machine, down)) =
-            self.chaos.as_ref().and_then(|c| c.crashes.get(c.cursor))
-        {
+        while let Some(&(at, machine, down)) = self.chaos.crashes.get(self.chaos.cursor) {
             if at > now_us {
                 break;
             }
-            self.chaos.as_mut().expect("crash peeked above").cursor += 1;
+            self.chaos.cursor += 1;
             self.apply_crash(machine, at, down);
         }
     }
 
     /// A machine dies: all in-flight work is lost (the doomed invocations
-    /// were already routed to the retry queue at dispatch time), the load
-    /// estimate resets to "every core frees when the machine comes back",
-    /// its warm pools are gone, and its arrival floor moves past the
-    /// downtime so the kernel feed stays sorted.
+    /// were already routed to the retry queue at dispatch time) and the
+    /// router's view of it resets until the downtime ends.
     fn apply_crash(&mut self, machine: usize, at_us: u64, down_us: u64) {
         let until = at_us + down_us;
-        self.available_at[machine] = self.available_at[machine].max(until);
+        self.reset_machine(machine, until);
+        self.stats.crashes += 1;
+        if let Some(h) = &mut self.health {
+            h.note_crash(machine, until, at_us);
+        }
+        if self.chaos.slo_us.is_some() && machine < self.active {
+            self.chaos.pending_epochs.push(at_us);
+        }
+    }
+
+    /// Voids everything the router booked on `machine` until `ready_us`:
+    /// the one reset behind a crash (end of downtime) and a scale-up (end
+    /// of boot lag). The arrival floor moves to `ready_us` too, so the
+    /// kernel feed stays sorted.
+    fn reset_machine(&mut self, machine: usize, ready_us: u64) {
+        self.available_at[machine] = self.available_at[machine].max(ready_us);
         let load = &mut self.loads[machine];
         load.free_cores.clear();
         for _ in 0..self.cores {
-            load.free_cores.push(until);
+            load.free_cores.push(ready_us);
         }
         // Void the booked completions wholesale: the epoch bump turns
         // this machine's completion-heap entries into no-ops at pop.
@@ -772,22 +811,16 @@ impl FrontEnd {
         }
         self.refresh_wait(machine, self.clock_us);
         self.pools.retain(|&(m, _), _| m as usize != machine);
-        self.purge_sites(machine);
-        self.stats.crashes += 1;
-        let active = self.active;
-        if let Some(h) = &mut self.health {
-            h.note_crash(machine, until, at_us);
-        }
-        if let Some(chaos) = &mut self.chaos {
-            if chaos.slo_us.is_some() && machine < active {
-                chaos.pending_epochs.push(at_us);
+        for sites in self.warm_sites.values_mut() {
+            if let Ok(pos) = sites.binary_search(&(machine as u32)) {
+                sites.remove(pos);
             }
         }
     }
 
     /// Re-files `machine` in the wait heaps after its FCFS head moved
-    /// (dispatch booking, crash reset, scale-up reset). `now_us` must be
-    /// the fold clock the idle/busy partition is defined against.
+    /// (dispatch booking, machine reset). `now_us` must be the fold clock
+    /// the idle/busy partition is defined against.
     fn refresh_wait(&mut self, machine: usize, now_us: u64) {
         if machine >= self.active {
             return;
@@ -805,35 +838,19 @@ impl FrontEnd {
         }
     }
 
-    /// Books one invocation on `machine`: the FCFS estimate, the global
-    /// completion heap, the outstanding count and both dispatch heaps
-    /// move together so every read stays O(1)/O(log M).
-    fn note_booked(&mut self, machine: usize, now_us: u64, work_us: u64, io_us: u64) -> u64 {
-        let load = &mut self.loads[machine];
-        let completion = load.push_work(now_us, work_us, io_us);
-        let key = (completion, machine as u32, load.epoch);
-        let outstanding = load.outstanding;
-        self.completions.push(key);
-        self.active_outstanding += 1;
-        self.out_heap.set(machine, (outstanding, machine as u32));
-        self.refresh_wait(machine, now_us);
-        completion
-    }
-
     /// Pops the next retry due at or before `now_us`, if any.
     fn due_retry(&mut self, now_us: u64) -> Option<RetryEntry> {
-        let chaos = self.chaos.as_mut()?;
-        if chaos.retries.peek_at()?.as_micros() <= now_us {
-            chaos.retries.pop()
+        if self.chaos.retries.peek_at()?.as_micros() <= now_us {
+            self.chaos.retries.pop()
         } else {
             None
         }
     }
 
     /// One autoscaler observation. Scale-up boots the next spare machine
-    /// (cores free after `boot_lag`, warm pools cold, arrival floor past
-    /// the boot); scale-down just shrinks the active prefix — the removed
-    /// machine keeps draining what it already holds.
+    /// (a machine reset whose cores free after `boot_lag`); scale-down
+    /// just shrinks the active prefix — the removed machine keeps
+    /// draining what it already holds.
     fn autoscale_check(&mut self, now_us: u64) {
         let Some(scaler) = &mut self.scaler else {
             return;
@@ -841,23 +858,12 @@ impl FrontEnd {
         let boot_us = scaler.boot_lag().as_micros();
         match scaler.observe(now_us, self.active_outstanding, self.active) {
             Some(ScaleDecision::Up) => {
+                // The spare rejoins the active prefix with whatever it was
+                // still draining, which the reset voids: a fresh boot.
                 let idx = self.active;
-                let ready = now_us + boot_us;
-                let load = &mut self.loads[idx];
-                load.free_cores.clear();
-                for _ in 0..self.cores {
-                    load.free_cores.push(ready);
-                }
-                // Same wholesale voiding as a crash: whatever the spare
-                // was still draining is irrelevant to its fresh boot.
-                load.epoch += 1;
-                load.outstanding = 0;
-                self.pools.retain(|&(m, _), _| m as usize != idx);
-                self.purge_sites(idx);
-                self.available_at[idx] = self.available_at[idx].max(ready);
                 self.active += 1;
-                self.out_heap.set(idx, (0, idx as u32));
-                self.refresh_wait(idx, now_us);
+                self.active_outstanding += u64::from(self.loads[idx].outstanding);
+                self.reset_machine(idx, now_us + boot_us);
                 if let Some(h) = &mut self.health {
                     h.set_active(self.active);
                 }
@@ -884,25 +890,19 @@ impl FrontEnd {
     /// across the active fleet is back under the SLO. Sampled at dispatch
     /// instants — the only clock the serial fold has.
     fn resolve_epochs(&mut self, now_us: u64) {
-        let Some(chaos) = &mut self.chaos else { return };
-        let Some(slo) = chaos.slo_us else { return };
-        if chaos.pending_epochs.is_empty() {
+        let Some(slo) = self.chaos.slo_us else { return };
+        if self.chaos.pending_epochs.is_empty() {
             return;
         }
-        let worst = self.loads[..self.active]
-            .iter()
-            .map(|l| {
-                l.free_cores
-                    .peek_min()
-                    .expect("machine has cores")
-                    .saturating_sub(now_us)
-            })
+        let now = SimTime::from_micros(now_us);
+        let worst = (0..self.active)
+            .map(|m| self.est_wait(m, now).as_micros())
             .max()
             .unwrap_or(0);
         if worst > slo {
             return;
         }
-        for at in chaos.pending_epochs.drain(..) {
+        for at in self.chaos.pending_epochs.drain(..) {
             let dt = SimDuration::from_micros(now_us - at);
             self.stats.recoveries += 1;
             self.stats.recovery_total += dt;
@@ -912,27 +912,11 @@ impl FrontEnd {
         }
     }
 
-    /// The first scheduled crash of `machine` strictly inside
-    /// `(now_us, completion_us)`: the machine dies before the booked
-    /// completion, so this attempt is doomed. Crashes at or before
-    /// `now_us` have already been applied (the machine is back up); a
-    /// task completing exactly at the crash instant survives.
-    fn dooming_crash(&mut self, machine: usize, now_us: u64, completion_us: u64) -> Option<u64> {
-        let chaos = self.chaos.as_mut()?;
-        let list = &chaos.crash_at[machine];
-        let cur = &mut chaos.crash_cur[machine];
-        while *cur < list.len() && list[*cur] <= now_us {
-            *cur += 1;
-        }
-        (*cur < list.len() && list[*cur] < completion_us).then(|| list[*cur])
-    }
-
     /// The slowdown factor of the straggler window covering `arrival_us`
     /// on `machine`, if any (first covering window wins).
     fn straggle_factor(&mut self, machine: usize, arrival_us: u64) -> Option<f64> {
-        let chaos = self.chaos.as_mut()?;
-        let windows = &chaos.straggle[machine];
-        let cur = &mut chaos.straggle_cur[machine];
+        let windows = self.chaos.straggle.get(machine)?;
+        let cur = &mut self.chaos.straggle_cur[machine];
         while *cur < windows.len() && windows[*cur].1 <= arrival_us {
             *cur += 1;
         }
@@ -968,9 +952,8 @@ impl FrontEnd {
     }
 
     /// Routes one invocation (a fresh arrival or a re-dispatch on its
-    /// `attempts`-th replay, avoiding `avoid`) through middleware,
-    /// health feedback, policy, cold-start and chaos accounting,
-    /// appending the surviving spec(s) to `out`.
+    /// `attempts`-th replay, avoiding `avoid`) through the fold's stages,
+    /// outside to inside, appending the surviving spec(s) to `out`.
     fn dispatch_one<D: Dispatch + ?Sized>(
         &mut self,
         task: &ClusterTask,
@@ -980,43 +963,67 @@ impl FrontEnd {
         policy: &mut D,
         out: &mut Assignment,
     ) {
-        let now = SimTime::from_micros(now_us);
-        // Middleware layers 1–2 (admission control, breaker gate):
-        // shed work never consults the policy or touches any load
-        // estimate — it is recorded, not simulated.
-        let mut probe = false;
-        if let Some(mw) = &mut self.overload {
-            match mw.admit(task.function, now_us, &task.spec) {
-                Admission::Shed => return,
-                Admission::Admit { probe: p } => probe = p,
-            }
-        }
-        // Health layer: an expired probation turns this dispatch into
-        // the suspect machine's half-open probe (skipping the policy);
-        // otherwise ejected machines and the retry's crash site leave
-        // the candidate set handed to the policy.
-        let health_probe = match &mut self.health {
-            Some(h) => h.probe_target(now_us),
-            None => None,
+        let Some(breaker_probe) = self.admission(task, now_us) else {
+            return;
         };
-        let (machine, est_completion) = if let Some(pm) = health_probe {
+        let (machine, health_probe) = self.pick(task, now_us, avoid, policy);
+        let Some(spec) = self.timeout(task, now_us, machine, breaker_probe, health_probe) else {
+            return;
+        };
+        let mut primary = self.book(machine, task.function, spec, now_us, out);
+        if let Some(mw) = &mut self.overload {
+            mw.note_dispatch(task.function, primary.completion);
+        }
+        if let Some(crash_at) = self.doom(&primary, now_us) {
+            self.retry_doomed(task, &primary, crash_at, attempts, health_probe);
+            return;
+        }
+        self.land(&mut primary, now_us);
+        let copy = if attempts == 0 && !health_probe {
+            self.hedge(task, &mut primary, now_us, out)
+        } else {
+            None
+        };
+        self.report(primary, copy, now_us, health_probe, out);
+    }
+
+    /// Admission stage (middleware layers 1–2: admission control, breaker
+    /// gate). Shed work never consults the policy or touches any load
+    /// estimate — it is recorded, not simulated. Returns `None` when shed,
+    /// otherwise whether this invocation is the breaker's half-open probe.
+    fn admission(&mut self, task: &ClusterTask, now_us: u64) -> Option<bool> {
+        match &mut self.overload {
+            None => Some(false),
+            Some(mw) => match mw.admit(task.function, now_us, &task.spec) {
+                Admission::Shed => None,
+                Admission::Admit { probe } => Some(probe),
+            },
+        }
+    }
+
+    /// Pick stage: an expired health probation turns this dispatch into
+    /// the suspect machine's half-open probe (skipping the policy);
+    /// otherwise the policy picks from the active machines minus the
+    /// health layer's ejections and the retry's crash site. Returns the
+    /// physical machine and whether it is a health probe.
+    fn pick<D: Dispatch + ?Sized>(
+        &mut self,
+        task: &ClusterTask,
+        now_us: u64,
+        avoid: Option<usize>,
+        policy: &mut D,
+    ) -> (usize, bool) {
+        let probe = self.health.as_mut().and_then(|h| h.probe_target(now_us));
+        let machine = if let Some(pm) = probe {
+            pm
+        } else {
+            let use_cand = self.fill_candidate_set(avoid);
             let ctx = DispatchCtx {
-                now,
+                now: SimTime::from_micros(now_us),
                 function: task.function,
                 duration: task.spec.work + task.spec.io_wait,
                 front: self,
-                cand: None,
-            };
-            (pm, self.overload.is_some().then(|| ctx.est_completion(pm)))
-        } else {
-            let use_cand = self.fill_candidate_set(avoid);
-            let front: &FrontEnd = self;
-            let ctx = DispatchCtx {
-                now,
-                function: task.function,
-                duration: task.spec.work + task.spec.io_wait,
-                front,
-                cand: use_cand.then_some(front.cand_scratch.as_slice()),
+                cand: use_cand.then_some(self.cand_scratch.as_slice()),
             };
             let picked = policy.pick(&ctx);
             assert!(
@@ -1024,212 +1031,246 @@ impl FrontEnd {
                 "dispatch picked candidate {picked} of {}",
                 ctx.machines()
             );
-            let est = front.overload.is_some().then(|| ctx.est_completion(picked));
-            (
-                if use_cand {
-                    front.cand_scratch[picked]
-                } else {
-                    picked
-                },
-                est,
-            )
+            ctx.phys(picked)
         };
         assert!(
             machine < self.active,
             "dispatch picked machine {machine} of {} active",
             self.active
         );
-        // Middleware layer 3 (request timeout): predicted-late work is
-        // abandoned at the router; either way the verdict feeds the
-        // function's breaker window — and the machine's timeout streak.
+        (machine, probe.is_some())
+    }
+
+    /// Timeout stage (middleware layer 3): predicted-late work is
+    /// abandoned at the router; either way the verdict feeds the
+    /// function's breaker window. A shed placement feeds the machine's
+    /// timeout streak; a surviving health probe is committed. Returns the
+    /// spec to book — carrying the kernel deadline under kernel-cancel —
+    /// or `None` when shed.
+    fn timeout(
+        &mut self,
+        task: &ClusterTask,
+        now_us: u64,
+        machine: usize,
+        breaker_probe: bool,
+        health_probe: bool,
+    ) -> Option<TaskSpec> {
+        let now = SimTime::from_micros(now_us);
+        let deadline = self.overload.as_ref().and_then(|mw| mw.deadline_at(now));
+        let duration = task.spec.work + task.spec.io_wait;
+        let late = deadline
+            .is_some_and(|d| self.est_completion(machine, task.function, now, duration) > d);
+        let mut spec = task.spec.clone();
         if let Some(mw) = &mut self.overload {
-            let late = mw
-                .deadline_at(now)
-                .is_some_and(|d| est_completion.expect("computed above") > d);
-            if mw.verdict(task.function, probe, late, now_us, &task.spec) {
+            if mw.verdict(task.function, breaker_probe, late, now_us, &task.spec) {
                 if let Some(h) = &mut self.health {
                     h.note_timeout(machine);
                 }
-                return;
+                return None;
             }
-        }
-        let is_health_probe = health_probe.is_some();
-        let mut spec = task.spec.clone();
-        if let Some(mw) = &self.overload {
             mw.stamp(&mut spec, now);
         }
-        let warm_hit = self.claim_instance(machine, task.function, now_us);
-        if let Some(c) = self.cold {
-            if !warm_hit {
-                spec.work += c.boot_work;
-                out.cold_starts += 1;
-            }
-        }
-        let completion = self.note_booked(
-            machine,
-            now_us,
-            spec.work.as_micros(),
-            spec.io_wait.as_micros(),
-        );
-        if self.cold.is_some() {
-            // The (new or reused) instance serves this invocation
-            // until its estimated completion, then idles warm.
-            self.pools
-                .entry((machine as u32, task.function))
-                .or_default()
-                .push(completion);
-            self.site_add(task.function, machine);
-        }
-        if let Some(mw) = &mut self.overload {
-            mw.note_dispatch(task.function, completion);
-        }
-        if is_health_probe {
+        if health_probe {
             if let Some(h) = &mut self.health {
                 h.mark_probing(machine);
             }
         }
-        // Doom check: the router has already paid for this attempt (load
-        // booked, instance claimed, boot billed) but the machine dies
-        // before the booked completion — the work never reaches the
-        // kernel. Re-enqueue (after the backoff delay, when configured),
-        // or abandon once the retry budget is spent.
-        if let Some(crash_at) = self.dooming_crash(machine, now_us, completion) {
-            if is_health_probe {
-                if let Some(h) = &mut self.health {
-                    h.probe_doomed(machine, crash_at);
-                }
+        Some(spec)
+    }
+
+    /// Book stage, shared by primaries and hedge copies: claims an idle
+    /// warm instance or folds a cold boot into `spec`, books the FCFS
+    /// estimate, and re-pools the instance, which serves this invocation
+    /// until its booked completion and then idles warm. The estimate, the
+    /// completion heap, the outstanding count and both wait heaps move
+    /// together, so every read stays O(1)/O(log M).
+    fn book(
+        &mut self,
+        machine: usize,
+        function: u64,
+        mut spec: TaskSpec,
+        now_us: u64,
+        out: &mut Assignment,
+    ) -> Booking {
+        let warm = self.claim_instance(machine, function, now_us);
+        if let Some(c) = self.cold.filter(|_| !warm) {
+            spec.work += c.boot_work;
+            out.cold_starts += 1;
+        }
+        let load = &mut self.loads[machine];
+        let completion = load.push_work(now_us, spec.work.as_micros(), spec.io_wait.as_micros());
+        self.completions
+            .push((completion, machine as u32, load.epoch));
+        self.out_heap
+            .set(machine, (load.outstanding, machine as u32));
+        self.active_outstanding += 1;
+        self.refresh_wait(machine, now_us);
+        if self.cold.is_some() {
+            self.pools
+                .entry((machine as u32, function))
+                .or_default()
+                .push(completion);
+            self.site_add(function, machine);
+        }
+        Booking {
+            machine,
+            spec,
+            completion,
+            extra_us: 0,
+        }
+    }
+
+    /// Doom stage: the first scheduled crash of the booked machine
+    /// strictly inside `(now_us, completion)`. The router has already paid
+    /// for the attempt (load booked, instance claimed, boot billed), but
+    /// the machine dies first and the work never reaches its kernel.
+    /// Crashes at or before `now_us` have already been applied (the
+    /// machine is back up); an attempt completing exactly at the crash
+    /// instant survives.
+    fn doom(&mut self, b: &Booking, now_us: u64) -> Option<u64> {
+        let list = self.chaos.crash_at.get(b.machine)?;
+        let cur = &mut self.chaos.crash_cur[b.machine];
+        while *cur < list.len() && list[*cur] <= now_us {
+            *cur += 1;
+        }
+        (*cur < list.len() && list[*cur] < b.completion).then(|| list[*cur])
+    }
+
+    /// What a doomed primary costs: a doomed health probe re-ejects its
+    /// machine, the attempt is billed as churn, and the invocation
+    /// re-enqueues (after the backoff delay, when configured) or is
+    /// abandoned once its retry budget is spent.
+    fn retry_doomed(
+        &mut self,
+        task: &ClusterTask,
+        doomed: &Booking,
+        crash_at: u64,
+        attempts: u32,
+        health_probe: bool,
+    ) {
+        if health_probe {
+            if let Some(h) = &mut self.health {
+                h.probe_doomed(doomed.machine, crash_at);
             }
-            let billed = spec.work + spec.io_wait;
-            let chaos = self.chaos.as_mut().expect("doom implies chaos");
+        }
+        let chaos = &mut self.chaos;
+        if let Some(churn) = &mut chaos.churn {
+            churn.record_retry(doomed.spec.work + doomed.spec.io_wait, doomed.spec.mem_mib);
+        }
+        if chaos.max_retries.is_some_and(|cap| attempts >= cap) {
+            self.stats.abandoned += 1;
             if let Some(churn) = &mut chaos.churn {
-                churn.record_retry(billed, spec.mem_mib);
-            }
-            if chaos.max_retries.is_some_and(|cap| attempts >= cap) {
-                self.stats.abandoned += 1;
-                if let Some(churn) = &mut chaos.churn {
-                    churn.record_abandoned(task.spec.work + task.spec.io_wait, task.spec.mem_mib);
-                }
-            } else {
-                self.stats.retries += 1;
-                let (retry_at, avoid_next) = match &mut chaos.backoff {
-                    Some((cfg, rng)) => {
-                        let delay = cfg.delay(rng, attempts + 1);
-                        chaos.backoff_retries += 1;
-                        chaos.backoff_delay_us += delay.as_micros();
-                        (crash_at + delay.as_micros(), Some(machine))
-                    }
-                    None => (crash_at, None),
-                };
-                chaos.retries.push(RetryEntry {
-                    at: SimTime::from_micros(retry_at),
-                    task: task.clone(),
-                    attempts: attempts + 1,
-                    avoid: avoid_next,
-                });
+                churn.record_abandoned(task.spec.work + task.spec.io_wait, task.spec.mem_mib);
             }
             return;
         }
-        // Survivor: respect the machine's arrival floor (crash downtime,
-        // boot lag), then scale kernel-side work if a straggler window
-        // covers the arrival — the router's booking above stays unscaled,
-        // because stragglers are invisible from behind its information
-        // boundary. The completion *report* queued for the health
-        // tracker does carry the inflation: reports describe ground
-        // truth, they just arrive late.
-        let arrival_us = now_us.max(self.available_at[machine]);
-        let mut extra_us = 0;
-        if let Some(slow) = self.straggle_factor(machine, arrival_us) {
-            let scaled = spec.work.mul_f64(slow);
-            extra_us = (scaled - spec.work).as_micros();
-            spec.work = scaled;
+        self.stats.retries += 1;
+        let (retry_at, avoid) = match &mut chaos.backoff {
+            Some((cfg, rng)) => {
+                let delay = cfg.delay(rng, attempts + 1);
+                chaos.backoff_retries += 1;
+                chaos.backoff_delay_us += delay.as_micros();
+                (crash_at + delay.as_micros(), Some(doomed.machine))
+            }
+            None => (crash_at, None),
+        };
+        chaos.retries.push(RetryEntry {
+            at: SimTime::from_micros(retry_at),
+            task: task.clone(),
+            attempts: attempts + 1,
+            avoid,
+        });
+    }
+
+    /// Land stage: respects the machine's arrival floor (crash downtime,
+    /// boot lag), then scales kernel-side work if a straggler window
+    /// covers the arrival. The booking stays unscaled, because stragglers
+    /// are invisible from behind the router's information boundary; the
+    /// completion report carries the inflation, because reports describe
+    /// ground truth, they just arrive late.
+    fn land(&mut self, b: &mut Booking, now_us: u64) {
+        let arrival_us = now_us.max(self.available_at[b.machine]);
+        if let Some(slow) = self.straggle_factor(b.machine, arrival_us) {
+            let scaled = b.spec.work.mul_f64(slow);
+            b.extra_us = (scaled - b.spec.work).as_micros();
+            b.spec.work = scaled;
             self.stats.straggled_tasks += 1;
         }
-        spec.arrival = SimTime::from_micros(arrival_us);
-        // Hedge: a fresh, non-probe arrival whose estimated response
-        // passes the observed tail gets a speculative copy on the
-        // healthiest other machine; the estimated loser is cancelled by
-        // the kernel at the winner's booked completion, and only the
-        // winner's completion report feeds the tracker.
-        let mut report = (machine, completion + extra_us);
-        if attempts == 0 && !is_health_probe {
-            let hedge_to = self.health.as_mut().and_then(|h| {
-                h.should_hedge(machine, completion.saturating_sub(now_us))
-                    .then(|| h.hedge_target(machine))
-                    .flatten()
-            });
-            if let Some(hm) = hedge_to {
-                // The copy bypasses the middleware (no admission, no
-                // deadline stamp) but pays cold starts and load
-                // accounting like any dispatch.
-                let mut spec2 = task.spec.clone();
-                let warm2 = self.claim_instance(hm, task.function, now_us);
-                if let Some(c) = self.cold {
-                    if !warm2 {
-                        spec2.work += c.boot_work;
-                        out.cold_starts += 1;
-                    }
-                }
-                let completion2 = self.note_booked(
-                    hm,
-                    now_us,
-                    spec2.work.as_micros(),
-                    spec2.io_wait.as_micros(),
-                );
-                if self.cold.is_some() {
-                    self.pools
-                        .entry((hm as u32, task.function))
-                        .or_default()
-                        .push(completion2);
-                    self.site_add(task.function, hm);
-                }
-                if let Some(crash_at) = self.dooming_crash(hm, now_us, completion2) {
-                    // The speculation dies with its machine: billed,
-                    // never retried — the primary still owns the
-                    // invocation.
-                    let busy = SimDuration::from_micros(crash_at.saturating_sub(now_us));
-                    let h = self.health.as_mut().expect("hedge implies tracker");
-                    h.record_hedge(false, busy, task.spec.mem_mib);
-                } else {
-                    let arrival2_us = now_us.max(self.available_at[hm]);
-                    let mut extra2_us = 0;
-                    if let Some(slow) = self.straggle_factor(hm, arrival2_us) {
-                        let scaled = spec2.work.mul_f64(slow);
-                        extra2_us = (scaled - spec2.work).as_micros();
-                        spec2.work = scaled;
-                        self.stats.straggled_tasks += 1;
-                    }
-                    spec2.arrival = SimTime::from_micros(arrival2_us);
-                    let h = self.health.as_mut().expect("hedge implies tracker");
-                    if completion2 < completion {
-                        // The copy is the estimated winner: the original
-                        // booking inherits a deadline at the copy's
-                        // completion and dies in the kernel.
-                        let cancel = SimTime::from_micros(completion2);
-                        spec.deadline = Some(spec.deadline.map_or(cancel, |d| d.min(cancel)));
-                        let busy = SimDuration::from_micros(completion2.saturating_sub(now_us));
-                        h.record_hedge(true, busy, spec.mem_mib);
-                        report = (hm, completion2 + extra2_us);
-                    } else {
-                        // The original wins: the copy is cancelled at
-                        // the original's booked completion.
-                        spec2.deadline = Some(SimTime::from_micros(completion));
-                        let busy = SimDuration::from_micros(completion.saturating_sub(arrival2_us));
-                        h.record_hedge(false, busy, spec2.mem_mib);
-                    }
-                    out.per_machine[hm].push(spec2);
-                }
+        b.spec.arrival = SimTime::from_micros(arrival_us);
+    }
+
+    /// Hedge stage: a placement whose estimated response passes the
+    /// observed tail gets a speculative copy on the healthiest other
+    /// machine. The copy books, dooms and lands like the primary, but
+    /// skips admission, the deadline stamp and the concurrency note. A
+    /// copy doomed by a crash is billed and never retried, because the
+    /// primary still owns the invocation. Returns the copy if it reaches
+    /// a kernel.
+    fn hedge(
+        &mut self,
+        task: &ClusterTask,
+        primary: &mut Booking,
+        now_us: u64,
+        out: &mut Assignment,
+    ) -> Option<Booking> {
+        let h = self.health.as_mut()?;
+        if !h.should_hedge(primary.machine, primary.completion.saturating_sub(now_us)) {
+            return None;
+        }
+        let target = h.hedge_target(primary.machine)?;
+        let mut copy = self.book(target, task.function, task.spec.clone(), now_us, out);
+        let mem = task.spec.mem_mib;
+        if let Some(crash_at) = self.doom(&copy, now_us) {
+            let busy = SimDuration::from_micros(crash_at.saturating_sub(now_us));
+            if let Some(h) = &mut self.health {
+                h.record_doomed_copy(busy, mem);
             }
+            return None;
         }
+        self.land(&mut copy, now_us);
+        let won = copy.completion < primary.completion;
+        let busy = if won {
+            // The copy is the estimated winner: the primary inherits a
+            // deadline at the copy's completion and dies in its kernel.
+            let cancel = SimTime::from_micros(copy.completion);
+            primary.spec.deadline = Some(primary.spec.deadline.map_or(cancel, |d| d.min(cancel)));
+            copy.completion.saturating_sub(now_us)
+        } else {
+            copy.spec.deadline = Some(SimTime::from_micros(primary.completion));
+            primary
+                .completion
+                .saturating_sub(copy.spec.arrival.as_micros())
+        };
         if let Some(h) = &mut self.health {
-            let (report_machine, report_at) = report;
-            h.push_report(
-                report_machine,
-                report_at,
-                report_at.saturating_sub(now_us),
-                is_health_probe,
-            );
+            h.record_hedge(won, SimDuration::from_micros(busy), mem);
         }
-        out.per_machine[machine].push(spec);
+        Some(copy)
+    }
+
+    /// Report stage: queues the completion report of the estimated winner
+    /// (the earlier booked completion) for the health tracker, at its true
+    /// straggle-inflated instant, and appends each surviving spec to its
+    /// machine's feed.
+    fn report(
+        &mut self,
+        primary: Booking,
+        copy: Option<Booking>,
+        now_us: u64,
+        health_probe: bool,
+        out: &mut Assignment,
+    ) {
+        if let Some(h) = &mut self.health {
+            let winner = copy
+                .as_ref()
+                .filter(|c| c.completion < primary.completion)
+                .unwrap_or(&primary);
+            let at = winner.completion + winner.extra_us;
+            h.push_report(winner.machine, at, at.saturating_sub(now_us), health_probe);
+        }
+        if let Some(c) = copy {
+            out.per_machine[c.machine].push(c.spec);
+        }
+        out.per_machine[primary.machine].push(primary.spec);
     }
 }
 
@@ -1259,7 +1300,7 @@ mod tests {
     #[test]
     fn passthrough_sends_everything_to_machine_zero() {
         let tasks: Vec<ClusterTask> = (0..5).map(|i| task(i, 10, 0)).collect();
-        let a = FrontEnd::new(&cfg(3, 2)).dispatch_all(&tasks, &mut Passthrough);
+        let a = FrontEnd::new(&cfg(3, 2)).dispatch_chunk(&tasks, &mut Passthrough);
         assert_eq!(a.per_machine[0].len(), 5);
         assert!(a.per_machine[1].is_empty() && a.per_machine[2].is_empty());
         assert_eq!(a.cold_starts, 0, "no cold-start model configured");
@@ -1270,7 +1311,7 @@ mod tests {
         // 4 simultaneous long tasks on 4 single-core machines: each
         // machine must receive exactly one.
         let tasks: Vec<ClusterTask> = (0..4).map(|_| task(0, 1_000, 0)).collect();
-        let a = FrontEnd::new(&cfg(4, 1)).dispatch_all(&tasks, &mut LeastOutstanding);
+        let a = FrontEnd::new(&cfg(4, 1)).dispatch_chunk(&tasks, &mut LeastOutstanding);
         for m in 0..4 {
             assert_eq!(a.per_machine[m].len(), 1, "machine {m} share");
         }
@@ -1281,7 +1322,7 @@ mod tests {
         // One short task, then a long gap: the second task sees machine 0
         // drained and lands there again under least-outstanding.
         let tasks = vec![task(0, 10, 0), task(10_000, 10, 0)];
-        let a = FrontEnd::new(&cfg(2, 1)).dispatch_all(&tasks, &mut LeastOutstanding);
+        let a = FrontEnd::new(&cfg(2, 1)).dispatch_chunk(&tasks, &mut LeastOutstanding);
         assert_eq!(a.per_machine[0].len(), 2, "drained machine is reused");
     }
 
@@ -1294,8 +1335,8 @@ mod tests {
         // f7 boots once (busy 135 ms, idle well before the 400 ms
         // revisit), f9 boots on first sight.
         let tasks = vec![task(0, 10, 7), task(400, 10, 7), task(600, 10, 9)];
-        let a =
-            FrontEnd::new(&cfg(1, 2).with_cold_start(cold)).dispatch_all(&tasks, &mut Passthrough);
+        let a = FrontEnd::new(&cfg(1, 2).with_cold_start(cold))
+            .dispatch_chunk(&tasks, &mut Passthrough);
         assert_eq!(a.cold_starts, 2, "two distinct functions boot once each");
         let works: Vec<u64> = a.per_machine[0]
             .iter()
@@ -1318,20 +1359,20 @@ mod tests {
         // still busy when the next call arrives, so every call boots —
         // one warm instance must not blanket a whole burst.
         let tasks = vec![task(0, 10, 7), task(1, 10, 7), task(2, 10, 7)];
-        let a =
-            FrontEnd::new(&cfg(1, 4).with_cold_start(cold)).dispatch_all(&tasks, &mut Passthrough);
+        let a = FrontEnd::new(&cfg(1, 4).with_cold_start(cold))
+            .dispatch_chunk(&tasks, &mut Passthrough);
         assert_eq!(a.cold_starts, 3, "concurrency forces one boot per call");
         // After the burst drains, a revisit reuses an idle instance.
         let tasks = vec![task(0, 10, 7), task(1, 10, 7), task(500, 10, 7)];
-        let a =
-            FrontEnd::new(&cfg(1, 4).with_cold_start(cold)).dispatch_all(&tasks, &mut Passthrough);
+        let a = FrontEnd::new(&cfg(1, 4).with_cold_start(cold))
+            .dispatch_chunk(&tasks, &mut Passthrough);
         assert_eq!(a.cold_starts, 2, "idle instance absorbs the revisit");
     }
 
     #[test]
     fn round_robin_cycles_machines() {
         let tasks: Vec<ClusterTask> = (0..6).map(|i| task(i, 1, 0)).collect();
-        let a = FrontEnd::new(&cfg(3, 1)).dispatch_all(&tasks, &mut RoundRobinDispatch::new());
+        let a = FrontEnd::new(&cfg(3, 1)).dispatch_chunk(&tasks, &mut RoundRobinDispatch::new());
         for m in 0..3 {
             assert_eq!(a.per_machine[m].len(), 2);
         }
@@ -1341,6 +1382,6 @@ mod tests {
     #[should_panic(expected = "sorted")]
     fn unsorted_arrivals_are_rejected() {
         let tasks = vec![task(10, 1, 0), task(5, 1, 0)];
-        FrontEnd::new(&cfg(1, 1)).dispatch_all(&tasks, &mut Passthrough);
+        FrontEnd::new(&cfg(1, 1)).dispatch_chunk(&tasks, &mut Passthrough);
     }
 }

@@ -860,6 +860,14 @@ impl HealthTracker {
         }
     }
 
+    /// Books a hedge whose copy a crash doomed at dispatch: a lost hedge
+    /// whose copy reaches no kernel, so it neither completes nor is
+    /// cancelled. `busy` is how long it held its machine before the crash.
+    pub(crate) fn record_doomed_copy(&mut self, busy: SimDuration, mem_mib: u32) {
+        self.stats.doomed_copies += 1;
+        self.record_hedge(false, busy, mem_mib);
+    }
+
     /// The ledger and per-machine columns as of `as_of_us` (machines
     /// still ejected have their open span counted up to that instant).
     pub(crate) fn snapshot(&self, as_of_us: u64) -> (HealthStats, Vec<MachineHealth>) {

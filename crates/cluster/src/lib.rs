@@ -22,8 +22,8 @@
 //!    [`SimRng::stream_seed`]), fanned across worker threads and merged
 //!    back **in machine order** — output is byte-identical at any fan
 //!    width, and a 1-machine cluster under [`dispatch::Passthrough`]
-//!    equals the legacy [`faas_kernel::Simulation`] exactly (pinned by
-//!    differential tests).
+//!    equals a standalone single-machine [`faas_kernel::Simulation`]
+//!    exactly (pinned by differential tests).
 //!
 //! The per-machine simulations never interact, which is what makes the
 //! parallel fan sound; the price is that load-aware dispatch reads the

@@ -22,6 +22,14 @@
 //!   and dispatch splits are identical whether the stream arrives whole
 //!   or chunked at any window, at any fan width (property-checked over
 //!   random chunk windows).
+//! * **Hedge copies land like primaries.** Every spec fed to a machine,
+//!   primary or copy, respects that machine's arrival floor (its feed
+//!   stays in arrival order) and is scaled and counted by a covering
+//!   straggler window.
+//! * **The attempt ledger closes.** Every arrival and every hedge copy
+//!   ends exactly once: completed, shed, abandoned, cancelled by its
+//!   kernel, or doomed by a crash before reaching a kernel — on both run
+//!   paths, under the whole control-plane stack.
 
 use azure_trace::{AzureTrace, TraceConfig};
 use faas_cluster::dispatch::{
@@ -29,12 +37,12 @@ use faas_cluster::dispatch::{
 };
 use faas_cluster::{
     chunk_workload, workload_from_trace, BackoffConfig, ChaosConfig, Cluster, ClusterConfig,
-    ClusterTask, ColdStartConfig, Dispatch, EjectionConfig, FaultPlan, FaultPlanConfig,
-    HealthConfig, HedgeConfig, StreamOptions,
+    ClusterTask, ColdStartConfig, Dispatch, EjectionConfig, Fault, FaultPlan, FaultPlanConfig,
+    FrontEnd, HealthConfig, HedgeConfig, OverloadConfig, StreamOptions,
 };
 use faas_kernel::{InterferenceConfig, MachineConfig, Scheduler};
 use faas_policies::Fifo;
-use faas_simcore::{check, SimDuration};
+use faas_simcore::{check, SimDuration, SimTime};
 use hybrid_scheduler::{HybridConfig, HybridScheduler};
 use lambda_pricing::PriceModel;
 
@@ -482,4 +490,154 @@ fn full_health_stack_is_chunk_and_thread_invariant() {
         assert_eq!(exact.dispatched(), stream_fed, "{what}: dispatch split");
         assert_eq!(exact.finished_at(), stream.finished_at(), "{what}: finish");
     });
+}
+
+#[test]
+fn hedge_copies_land_like_primaries() {
+    // Straggler windows cover most machine-time and crashes raise arrival
+    // floors, so hedge copies land under both.
+    let machines = 8;
+    let tasks = scenario_workload(machines);
+    let plan = FaultPlan::generate(
+        &FaultPlanConfig::new(0x1A4D_0001, 2)
+            .with_crashes(4.0, SimDuration::from_secs(4))
+            .with_stragglers(24.0, SimDuration::from_secs(30), 4.0),
+        machines,
+    );
+    let cfg = scenario_fleet(machines)
+        .with_chaos(ChaosConfig::new(plan.clone()))
+        .with_health(
+            HealthConfig::default().with_hedge(
+                HedgeConfig::default()
+                    .with_min_samples(32)
+                    .with_max_fraction(0.2),
+            ),
+        );
+    let mut front = FrontEnd::new(&cfg);
+    let mut dispatch = LeastOutstanding;
+    let mut fed = front.dispatch_chunk(&tasks, &mut dispatch).per_machine;
+    for (m, tail) in front
+        .finish(&mut dispatch)
+        .per_machine
+        .into_iter()
+        .enumerate()
+    {
+        fed[m].extend(tail);
+    }
+    let (health, _) = front.health_stats();
+    assert!(health.hedges > 0, "nothing hedged");
+    let mut straggled = 0;
+    for (m, specs) in fed.iter().enumerate() {
+        assert!(
+            specs.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+            "machine {m}: a spec ignored its arrival floor"
+        );
+        let covered = |at: SimTime| {
+            plan.events().iter().any(|e| {
+                e.machine == m
+                    && matches!(e.fault, Fault::Straggle { duration, .. }
+                        if e.at <= at && at < e.at + duration)
+            })
+        };
+        straggled += specs.iter().filter(|s| covered(s.arrival)).count() as u64;
+    }
+    assert!(straggled > 0, "no spec landed in a straggler window");
+    assert_eq!(
+        front.chaos_stats().straggled_tasks,
+        straggled,
+        "a spec landing in a straggler window was not scaled and counted"
+    );
+}
+
+/// Every stage of the front-end fold armed at once, as in the benchmark's
+/// control-plane workload but shrunk to `machines` nodes: cold starts, a
+/// concurrency cap, a 5 s deadline with kernel cancel, crashes with 4 s
+/// downtime, stragglers, a retry cap of 1 with backoff, ejection, and
+/// hedging.
+fn control_plane_fleet(machines: usize) -> ClusterConfig {
+    let price = PriceModel::duration_only();
+    let overload = OverloadConfig::default()
+        .with_concurrency_limit(320)
+        .with_deadline(SimDuration::from_secs(5))
+        .with_kernel_cancel()
+        .with_price(price);
+    let faults = FaultPlanConfig::new(0x00BA_C0FF, 2)
+        .with_crashes(4.0, SimDuration::from_secs(4))
+        .with_stragglers(2.0, SimDuration::from_secs(30), 8.0);
+    let chaos = ChaosConfig::new(FaultPlan::generate(&faults, machines))
+        .with_max_retries(1)
+        .with_slo(SimDuration::from_secs(2))
+        .with_price(price)
+        .with_backoff(
+            BackoffConfig::new(0x0BAC_0FF5)
+                .with_delays(SimDuration::from_millis(250), SimDuration::from_secs(30))
+                .with_jitter(0.25),
+        );
+    let health = HealthConfig::default()
+        .with_ejection(
+            EjectionConfig::default()
+                .with_threshold(2.0)
+                .with_probation(SimDuration::from_secs(5))
+                .with_min_samples(8),
+        )
+        .with_hedge(
+            HedgeConfig::default()
+                .with_min_samples(256)
+                .with_price(price),
+        );
+    let machine = MachineConfig::new(50).with_interference(InterferenceConfig::default());
+    ClusterConfig::new(machines, machine)
+        .with_cold_start(ColdStartConfig::firecracker())
+        .with_overload(overload)
+        .with_chaos(chaos)
+        .with_health(health)
+}
+
+#[test]
+fn attempt_ledger_closes_with_doomed_hedge_copies() {
+    let machines = 8;
+    let tasks = workload_from_trace(&AzureTrace::generate(&TraceConfig::w2().rps_scaled(2)), 1);
+    let chunks = chunk_workload(&tasks, SimDuration::from_secs(10));
+    let arrived = tasks.len() as u64;
+    for threads in [1, 4] {
+        let run = Cluster::new(control_plane_fleet(machines), LeastOutstanding, |_| {
+            Fifo::new()
+        })
+        .run(&tasks, threads)
+        .expect("control-plane run completes");
+        let stream = Cluster::new(control_plane_fleet(machines), LeastOutstanding, |_| {
+            Fifo::new()
+        })
+        .run_streaming(chunks.iter().cloned(), &stream_opts(), threads)
+        .expect("control-plane streaming run completes");
+        let completed_run = run.merged_records().len() as u64;
+        let completed_stream: u64 = stream.machines.iter().map(|m| m.tasks).sum();
+        for (path, completed, overload, chaos, h) in [
+            ("run", completed_run, run.overload, run.chaos, run.health),
+            (
+                "run_streaming",
+                completed_stream,
+                stream.overload,
+                stream.chaos,
+                stream.health,
+            ),
+        ] {
+            let what = format!("{path} @ fan width {threads}");
+            assert!(
+                h.doomed_copies > 0,
+                "{what}: no hedge copy was doomed: {h:?}"
+            );
+            assert!(h.doomed_copies <= h.hedges_lost, "{what}: {h:?}");
+            assert_eq!(
+                arrived + h.hedges,
+                completed
+                    + overload.total_shed()
+                    + chaos.abandoned
+                    + overload.kernel_cancelled
+                    + h.doomed_copies,
+                "{what}: attempt ledger does not close \
+                 (completed {completed}, {overload:?}, {chaos:?}, {h:?})"
+            );
+        }
+    }
 }

@@ -3,11 +3,10 @@
 //! [`Scheduler`] is the simulated equivalent of a ghOSt user-space agent:
 //! the kernel delivers messages (task arrival, slice expiry, …) and the
 //! agent reacts by invoking the scheduling verbs on the [`Machine`].
-//! [`MachineRun`] is the reusable per-machine driver — it binds one
-//! machine to one agent and owns the event loop plus the idle-core
-//! offers. [`Simulation`] is the trivial single-machine case (a thin
-//! wrapper over one `MachineRun`); the cluster layer drives many
-//! `MachineRun`s side by side.
+//! [`MachineRun`] is the per-machine driver — it binds one machine to one
+//! agent and owns the event loop plus the idle-core offers.
+//! [`Simulation`] is its name for a single-machine run; the cluster layer
+//! drives many `MachineRun`s side by side.
 
 use std::borrow::Cow;
 
@@ -151,7 +150,7 @@ impl SlimReport {
 /// This is the unit the cluster layer replicates — M machines of a fleet
 /// are M independent `MachineRun`s (after front-end dispatch has split
 /// the arrival stream), each advanced to completion with [`step`].
-/// [`Simulation`] is the 1-machine convenience wrapper.
+/// [`Simulation`] is the same type, named for a single-machine run.
 ///
 /// [`step`]: MachineRun::step
 pub struct MachineRun<P> {
@@ -372,8 +371,9 @@ impl<P: Scheduler> MachineRun<P> {
     }
 }
 
-/// Binds a [`Machine`] to a [`Scheduler`] and runs the event loop — the
-/// trivial single-machine case of [`MachineRun`].
+/// A single-machine simulation: the [`MachineRun`] driver the cluster
+/// layer replicates per machine, run on its own to completion with
+/// [`MachineRun::run`] or [`MachineRun::run_slim`].
 ///
 /// # Examples
 ///
@@ -409,60 +409,7 @@ impl<P: Scheduler> MachineRun<P> {
 /// assert_eq!(report.tasks.len(), 3);
 /// assert!(report.tasks.iter().all(|t| t.completion().is_some()));
 /// ```
-pub struct Simulation<P> {
-    run: MachineRun<P>,
-}
-
-impl<P: Scheduler> Simulation<P> {
-    /// Builds a simulation over `specs` with the given policy. `specs` is
-    /// an owned `Vec<TaskSpec>` (moved into the machine, as before) or a
-    /// borrowed `&[TaskSpec]` so multi-policy sweeps build the trace once
-    /// (pass `&arc_specs[..]` for an `Arc<[TaskSpec]>`).
-    pub fn new<'s>(cfg: MachineConfig, specs: impl Into<Cow<'s, [TaskSpec]>>, policy: P) -> Self {
-        Simulation {
-            run: MachineRun::new(cfg, specs, policy),
-        }
-    }
-
-    /// Read access to the machine mid-run (useful in tests).
-    pub fn machine(&self) -> &Machine {
-        self.run.machine()
-    }
-
-    /// Read access to the policy mid-run.
-    pub fn policy(&self) -> &P {
-        self.run.policy()
-    }
-
-    /// Advances by one kernel event (see [`MachineRun::step`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the machine.
-    pub fn step(&mut self) -> Result<bool, SimError> {
-        self.run.step()
-    }
-
-    /// Runs to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] if the policy strands tasks or
-    /// [`SimError::Stalled`] if progress halts for the configured timeout.
-    pub fn run(self) -> Result<SimReport, SimError> {
-        self.run.run()
-    }
-
-    /// Runs to completion, dropping the machine (see
-    /// [`MachineRun::run_slim`]).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Simulation::run`].
-    pub fn run_slim(self) -> Result<SlimReport, SimError> {
-        self.run.run_slim()
-    }
-}
+pub type Simulation<P> = MachineRun<P>;
 
 #[cfg(test)]
 mod tests {

@@ -38,6 +38,11 @@ pub struct HealthStats {
     /// Hedges whose speculative attempt lost (cancelled at the
     /// original booking's estimated completion) or died with a crash.
     pub hedges_lost: u64,
+    /// Lost hedges whose copy a crash doomed at dispatch: the copy reached
+    /// no kernel, so it is neither completed nor cancelled. Closes the
+    /// attempt ledger: arrived + hedges = completed + shed + abandoned +
+    /// kernel-cancelled + doomed copies.
+    pub doomed_copies: u64,
     /// Crash re-dispatches that were delayed by exponential backoff
     /// instead of re-entering at the crash instant.
     pub backoff_retries: u64,
@@ -59,6 +64,7 @@ impl HealthStats {
             && self.hedges == 0
             && self.hedges_won == 0
             && self.hedges_lost == 0
+            && self.doomed_copies == 0
             && self.backoff_retries == 0
             && self.backoff_delay_total == SimDuration::ZERO
             && self.hedge_cost_usd == 0.0
@@ -101,6 +107,10 @@ mod tests {
             },
             HealthStats {
                 hedges: 1,
+                ..Default::default()
+            },
+            HealthStats {
+                doomed_copies: 1,
                 ..Default::default()
             },
             HealthStats {
