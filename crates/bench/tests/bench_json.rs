@@ -94,6 +94,11 @@ fn baseline_has_schema_and_expected_rows() {
             assert!(text.contains(&name), "baseline missing row: {name}");
         }
     }
+    // The light-load hybrid row: long functions alone on their CFS cores,
+    // so most events are slice expiries renewed in place. The
+    // bench-guard quick run catches a regression of that path.
+    let name = "\"group\": \"light_load\", \"name\": \"hybrid_50c\"";
+    assert!(text.contains(name), "baseline missing row: {name}");
     // Every row must carry a real group label; `"group": ""` means a
     // bench was registered outside a benchmark_group again.
     assert!(

@@ -1,6 +1,6 @@
 //! Determinism pins for the heavy-policy figures.
 //!
-//! Three byte-identical-output contracts are pinned here permanently:
+//! Four byte-identical-output contracts are pinned here permanently:
 //!
 //! * PR 4 swapped the simulation's two hottest data structures (the event
 //!   queue and the CFS run queues) for index-addressed dense equivalents.
@@ -16,14 +16,20 @@
 //!   stages. The `overload`, `crash-storm`, `straggler-outliers` and
 //!   `retry-backoff` digests (middleware, chaos and health layers) were
 //!   captured from the tree before that rewrite.
+//! * A lone CFS slice was later renewed inside the run queue instead of
+//!   through `MachineRun`'s idle-core offers, and streaming machines were
+//!   advanced in place instead of being moved through the fan. The
+//!   `cluster-xl-512` digest (512 streamed hybrid nodes at
+//!   `SCALE_DIV=4096`, where most kernel events are such expiries) was
+//!   captured from the tree before both.
 //!
 //! The same output must also be byte-identical at any `BENCH_THREADS`
 //! setting (the sweep fan-out must not affect results).
 //!
-//! The digests cover the downscaled (`SCALE_DIV=40`) runs so the test
-//! stays fast. Everything in the pipeline is deterministic integer/float
-//! arithmetic with deterministic formatting, so the digests are stable
-//! across machines.
+//! The digests cover downscaled runs (`SCALE_DIV=40`, and 4096 for the
+//! hour-long fleet) so the test stays fast. Everything in the pipeline
+//! is deterministic integer/float arithmetic with deterministic
+//! formatting, so the digests are stable across machines.
 
 use faas_bench::scenario;
 
@@ -102,11 +108,28 @@ fn fig11_fig12_bytes_pinned_to_pre_swap_and_thread_invariant() {
         );
     }
 
+    // Digest recorded from the tree before a lone CFS slice was renewed
+    // inside the run queue (every expiry went through `MachineRun`'s
+    // idle-core offers) and before streaming machines were advanced in
+    // place. This is the provider-scale streaming shape: 512 hybrid
+    // nodes, one of them loaded, its long tasks mostly alone on their
+    // CFS cores.
+    std::env::set_var("SCALE_DIV", "4096");
+    let xl_t1 = run_scenario("cluster-xl-512");
+    assert_eq!(
+        fnv1a(&xl_t1),
+        0x4552_14be_de7c_abe6,
+        "cluster-xl-512 output changed vs. the pre-renewal baseline"
+    );
+
     // Thread invariance: the parallel sweep runner must not change bytes.
     std::env::set_var("BENCH_THREADS", "4");
+    let xl_t4 = run_scenario("cluster-xl-512");
+    std::env::set_var("SCALE_DIV", "40");
     let fig11_t4 = run_scenario("fig11");
     let fig12_t4 = run_scenario("fig12");
     std::env::set_var("BENCH_THREADS", "1");
     assert_eq!(fig11_t1, fig11_t4, "fig11 differs across BENCH_THREADS");
     assert_eq!(fig12_t1, fig12_t4, "fig12 differs across BENCH_THREADS");
+    assert_eq!(xl_t1, xl_t4, "cluster-xl-512 differs across BENCH_THREADS");
 }

@@ -394,7 +394,7 @@ impl Scheduler for HybridScheduler {
         match self.group_of[core.index()] {
             // FIFO slice == remaining limit budget: the task is long.
             Group::Fifo => self.migrate_task_to_cfs(m, task),
-            Group::Cfs => self.cfs.requeue(m, core, task),
+            Group::Cfs => self.cfs.expire_slice(m, core, task),
         }
     }
 

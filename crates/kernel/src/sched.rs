@@ -36,6 +36,17 @@ use crate::task::{Task, TaskId, TaskSpec};
 /// * a task handed over in `on_slice_expired` / `on_interference_preempt`
 ///   is in the `Preempted` state and is *owned by the policy* until it is
 ///   dispatched again — the kernel will never move it.
+///
+/// A policy may dispatch from inside any callback, not only from
+/// [`Scheduler::on_core_idle`]. The CFS run queues use this on a slice
+/// expiry: when the expired task is the only waiting task
+/// ([`Machine::num_waiting`] is 1), they renew its slice on the core it
+/// just left. That is exact, not a heuristic: with one task waiting, the
+/// offers would find every lower-numbered idle core with nothing to run
+/// and nothing to steal, then dispatch that core, and then stop. Skipping
+/// them leaves every event, message and counter unchanged. An
+/// interference preemption must not take this path, because the host
+/// still holds the core.
 pub trait Scheduler {
     /// Human-readable policy name (used in reports and figures).
     fn name(&self) -> &str;
@@ -60,8 +71,10 @@ pub trait Scheduler {
         let _ = (m, task, core);
     }
 
-    /// The host OS kicked a task off a core. Default: treat it like a
-    /// slice expiry (re-queue per policy rules).
+    /// The host OS kicked a task off a core, which the host now holds.
+    /// Default: treat it like a slice expiry (re-queue per policy rules).
+    /// A policy whose `on_slice_expired` may dispatch on the expiring
+    /// core must override this, since that core is not idle here.
     fn on_interference_preempt(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
         self.on_slice_expired(m, task, core);
     }

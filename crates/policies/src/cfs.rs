@@ -79,6 +79,12 @@ struct CoreRq {
 /// and balance pick victims by iterating it in core order, so tie-breaks
 /// are deterministic — a `HashMap` here once made whole simulations
 /// nondeterministic across runs.
+///
+/// A slice expiry goes through [`expire_slice`](Self::expire_slice),
+/// which renews a lone task's slice in place. A lightly loaded machine
+/// whose long tasks run alone on their cores spends most of its events
+/// there; renewing in place spares it one declined idle-core offer per
+/// lower-numbered idle core per expiry, with byte-identical output.
 #[derive(Debug)]
 pub struct CfsRunQueues {
     rqs: Vec<CoreRq>,
@@ -185,12 +191,32 @@ impl CfsRunQueues {
         self.place(m, core.index(), task, credit.as_micros() as i64);
     }
 
-    /// Re-enqueues a task that already belongs to member `core` (slice
-    /// expiry or preemption); its vruntime advanced by the CPU time it
-    /// consumed.
+    /// Re-enqueues a task that already belongs to member `core` after a
+    /// preemption (wakeup or host interference; slice expiries go
+    /// through [`expire_slice`](Self::expire_slice)); its vruntime
+    /// advanced by the CPU time it consumed.
     pub fn requeue(&mut self, m: &Machine, core: CoreId, task: TaskId) {
         let vr = self.vruntime(m, task);
         self.push(core.index(), (vr, task));
+    }
+
+    /// A slice of `task` expired on member `core`, which is now idle:
+    /// requeues the task and, when it is the machine's only waiting task,
+    /// renews its slice on `core` at once.
+    ///
+    /// The renewal is exactly what `MachineRun`'s idle-core offers would
+    /// do. With one task waiting, every other queue is empty, so no
+    /// crowded queue exists and no sibling can steal it; a composing
+    /// policy's other groups hold nothing either. Every lower-numbered
+    /// idle core would decline, then `core` would dispatch its queue
+    /// head, and the offers would stop with nothing left waiting. Doing
+    /// it here skips those declined offers and leaves every event,
+    /// message, counter and `min_vruntime` unchanged.
+    pub fn expire_slice(&mut self, m: &mut Machine, core: CoreId, task: TaskId) {
+        self.requeue(m, core, task);
+        if m.num_waiting() == 1 {
+            self.dispatch(m, core);
+        }
     }
 
     /// Dispatches member `core`'s smallest-vruntime task with its slice.
@@ -418,6 +444,14 @@ impl Scheduler for Cfs {
 
     fn on_slice_expired(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
         // Keep the accumulated offset: vruntime advanced by the on-CPU time.
+        self.rqs.expire_slice(m, core, task);
+    }
+
+    fn on_interference_preempt(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
+        // The host holds the core, so the slice cannot be renewed there
+        // (the inherited default would route this through
+        // `on_slice_expired`): only queue the task, for the offers to run
+        // once its core is back or a sibling steals it.
         self.rqs.requeue(m, core, task);
     }
 
@@ -430,7 +464,8 @@ impl Scheduler for Cfs {
 mod tests {
     use super::*;
     use faas_kernel::{
-        CostModel, InterferenceConfig, MachineConfig, SimReport, Simulation, TaskSpec,
+        CostModel, InterferenceConfig, KernelMessage, MachineConfig, SimReport, Simulation,
+        TaskSpec,
     };
     use faas_simcore::{check, SimTime};
 
@@ -593,6 +628,83 @@ mod tests {
             }
             sim.policy().rqs.check_crowded();
         });
+    }
+
+    #[test]
+    fn lone_task_hit_by_interference_waits_for_its_core() {
+        // One long task on two cores, with a host interference episode
+        // every 100 ms on average. A slice expiry renews the lone task in
+        // place; an interference preemption must not, because the host
+        // still holds the core: the task is queued, the idle sibling
+        // cannot steal a lone task, and the task resumes cold on its own
+        // core when the episode ends.
+        let cfg = MachineConfig::new(2)
+            .with_cost(CostModel::default())
+            .with_interference(InterferenceConfig {
+                mean_interval: SimDuration::from_millis(100),
+                duration: SimDuration::from_millis(4),
+            })
+            .with_seed(3)
+            .with_message_log();
+        let specs = uniform(1, 600);
+        let report = Simulation::new(cfg, specs, Cfs::with_cores(2))
+            .run()
+            .unwrap();
+        let log = report.machine.messages();
+        let home = match log[1].1 {
+            KernelMessage::Dispatch { core, .. } => core,
+            ref other => panic!("expected the first dispatch, got {other:?}"),
+        };
+        let (mut expiries, mut hits) = (0, 0);
+        for (i, &(at, msg)) in log.iter().enumerate() {
+            match msg {
+                KernelMessage::SliceExpired { core, .. } => {
+                    assert_eq!(core, home);
+                    expiries += 1;
+                    // Renewed warm, in place, at the same instant.
+                    assert!(matches!(
+                        log[i + 1],
+                        (t, KernelMessage::Dispatch { core: c, .. }) if t == at && c == home
+                    ));
+                }
+                KernelMessage::TaskPreempt {
+                    core,
+                    by_interference: true,
+                    ..
+                } => {
+                    assert_eq!(core, home);
+                    hits += 1;
+                    // The host takes the core, and the task's next dispatch
+                    // comes at that episode's end, on the same core.
+                    assert_eq!(log[i + 1], (at, KernelMessage::InterferenceStart { core }));
+                    let end = log[i + 2..]
+                        .iter()
+                        .position(|&(_, m)| m == KernelMessage::InterferenceEnd { core })
+                        .map(|j| i + 2 + j)
+                        .expect("the episode ends");
+                    let (end_at, _) = log[end];
+                    let (next_at, next) = *log[i + 2..]
+                        .iter()
+                        .find(|(_, m)| matches!(m, KernelMessage::Dispatch { .. }))
+                        .expect("the task runs again");
+                    assert_eq!(next_at, end_at, "resumed at the episode's end");
+                    assert!(matches!(next, KernelMessage::Dispatch { core: c, .. } if c == home));
+                }
+                _ => {}
+            }
+        }
+        assert!(hits > 0, "the seed must let the host hit the running task");
+        assert!(expiries > hits, "slice expiries must be renewed too");
+        let task = &report.tasks[0];
+        assert!(task.completion().is_some());
+        assert_eq!(task.preemptions() as usize, expiries + hits);
+        let stats = report.core_stats[home.index()];
+        assert_eq!(stats.preemptions as usize, expiries + hits);
+        // One cold start plus one cold resume per episode; the renewals
+        // are warm.
+        assert_eq!(stats.ctx_switches as usize, 1 + hits);
+        let sibling = report.core_stats[1 - home.index()];
+        assert_eq!((sibling.preemptions, sibling.ctx_switches), (0, 0));
     }
 
     #[test]
