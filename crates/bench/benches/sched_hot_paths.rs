@@ -479,35 +479,6 @@ fn bench_primitives(c: &mut Bench) {
             }
         })
     });
-    let mut q = EventQueue::new();
-    g.bench_function("event_queue_untracked_schedule_pop_1k", |b| {
-        b.iter(|| {
-            q.clear();
-            for i in 0..1_000u64 {
-                q.schedule_untracked(SimTime::from_micros((i * 7) % 997), i);
-            }
-            while let Some(ev) = q.pop() {
-                black_box(ev);
-            }
-        })
-    });
-    let mut q = EventQueue::new();
-    let mut ids = Vec::with_capacity(1_000);
-    g.bench_function("event_queue_schedule_cancel_half_pop_1k", |b| {
-        b.iter(|| {
-            q.clear();
-            ids.clear();
-            for i in 0..1_000u64 {
-                ids.push(q.schedule(SimTime::from_micros((i * 7) % 997), i));
-            }
-            for id in ids.iter().step_by(2) {
-                black_box(q.cancel(*id));
-            }
-            while let Some(ev) = q.pop() {
-                black_box(ev);
-            }
-        })
-    });
     let mut h: faas_simcore::MinHeap4<(i64, u64)> = faas_simcore::MinHeap4::new();
     g.bench_function("minheap4_push_pop_1k", |b| {
         b.iter(|| {

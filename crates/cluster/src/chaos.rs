@@ -14,8 +14,8 @@
 //!   signals (outstanding work per active machine). It never sees kernel
 //!   ground truth; everything it reacts to is derivable from the front end's
 //!   own FCFS booking model.
-//! * **[`RetryQueue`]** — the re-dispatch queue for work doomed by a crash,
-//!   ordered by retry instant with FIFO tie-breaking so replay order is
+//! * **[`RetryEntry`]** — a crash-doomed invocation awaiting re-dispatch,
+//!   queued by retry instant with FIFO tie-breaking so replay order is
 //!   deterministic.
 //!
 //! All of this state lives in the serial front-end fold (see
@@ -23,9 +23,6 @@
 //! `BENCH_THREADS` and any streaming chunk size. An **empty** fault plan with
 //! no autoscaler is a strict no-op: the differential suite in
 //! `tests/chaos_differential.rs` pins bare-cluster equality bitwise.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use azure_trace::shard;
 use faas_kernel::StormWindow;
@@ -574,11 +571,12 @@ impl Autoscaler {
     }
 }
 
-/// A crashed invocation waiting for re-dispatch.
+/// A crashed invocation waiting for re-dispatch. The front end queues it
+/// in an [`EventQueue`](faas_simcore::EventQueue) keyed by the earliest
+/// instant the retry may be dispatched, FIFO on equal instants, so crash
+/// replay is deterministic regardless of insertion pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryEntry {
-    /// Earliest instant the retry may be dispatched.
-    pub at: SimTime,
     /// The invocation to replay.
     pub task: ClusterTask,
     /// How many dispatch attempts the invocation has already consumed.
@@ -587,76 +585,6 @@ pub struct RetryEntry {
     /// enabled the retry's candidate set excludes it (unless it is the
     /// only machine left).
     pub avoid: Option<usize>,
-}
-
-#[derive(Debug)]
-struct Keyed {
-    at_us: u64,
-    seq: u64,
-    entry: RetryEntry,
-}
-
-impl PartialEq for Keyed {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at_us, self.seq) == (other.at_us, other.seq)
-    }
-}
-impl Eq for Keyed {}
-impl PartialOrd for Keyed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Keyed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_us, self.seq).cmp(&(other.at_us, other.seq))
-    }
-}
-
-/// The re-dispatch queue: min-ordered by retry instant, FIFO on ties, so
-/// crash replay is deterministic regardless of insertion pattern.
-#[derive(Debug, Default)]
-pub struct RetryQueue {
-    heap: BinaryHeap<Reverse<Keyed>>,
-    seq: u64,
-}
-
-impl RetryQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        RetryQueue::default()
-    }
-
-    /// Enqueues a retry.
-    pub fn push(&mut self, entry: RetryEntry) {
-        let keyed = Keyed {
-            at_us: entry.at.as_micros(),
-            seq: self.seq,
-            entry,
-        };
-        self.seq += 1;
-        self.heap.push(Reverse(keyed));
-    }
-
-    /// The earliest retry instant in the queue, if any.
-    pub fn peek_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(k)| k.entry.at)
-    }
-
-    /// Pops the earliest retry (FIFO on equal instants).
-    pub fn pop(&mut self) -> Option<RetryEntry> {
-        self.heap.pop().map(|Reverse(k)| k.entry)
-    }
-
-    /// Queued retries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -758,34 +686,22 @@ mod tests {
 
     #[test]
     fn retry_queue_orders_by_instant_then_fifo() {
-        let task = |f: u64| ClusterTask {
-            spec: TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(5), 128),
-            function: f,
+        let entry = |f: u64, attempts: u32, avoid: Option<usize>| RetryEntry {
+            task: ClusterTask {
+                spec: TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(5), 128),
+                function: f,
+            },
+            attempts,
+            avoid,
         };
-        let mut q = RetryQueue::new();
-        q.push(RetryEntry {
-            at: SimTime::from_millis(30),
-            task: task(0),
-            attempts: 1,
-            avoid: None,
-        });
-        q.push(RetryEntry {
-            at: SimTime::from_millis(10),
-            task: task(1),
-            attempts: 1,
-            avoid: Some(3),
-        });
-        q.push(RetryEntry {
-            at: SimTime::from_millis(10),
-            task: task(2),
-            attempts: 2,
-            avoid: None,
-        });
+        let mut q = faas_simcore::EventQueue::new();
+        q.schedule(SimTime::from_millis(30), entry(0, 1, None));
+        q.schedule(SimTime::from_millis(10), entry(1, 1, Some(3)));
+        q.schedule(SimTime::from_millis(10), entry(2, 2, None));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_at(), Some(SimTime::from_millis(10)));
-        assert_eq!(q.pop().unwrap().task.function, 1);
-        assert_eq!(q.pop().unwrap().task.function, 2);
-        assert_eq!(q.pop().unwrap().task.function, 0);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(10)));
+        let mut pop = || q.pop().unwrap().1.task.function;
+        assert_eq!([pop(), pop(), pop()], [1, 2, 0]);
         assert!(q.is_empty());
     }
 

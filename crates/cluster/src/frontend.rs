@@ -15,12 +15,10 @@ use std::collections::HashMap;
 
 use faas_kernel::TaskSpec;
 use faas_metrics::{ChaosStats, HealthStats, MachineHealth, OverloadStats};
-use faas_simcore::{IndexedMinHeap, MinHeap4, SimDuration, SimRng, SimTime};
-use lambda_pricing::ChurnCostAccumulator;
+use faas_simcore::{EventQueue, IndexedMinHeap, MinHeap4, SimDuration, SimRng, SimTime};
+use lambda_pricing::CostAccumulator;
 
-use crate::chaos::{
-    Autoscaler, BackoffConfig, ChaosConfig, Fault, RetryEntry, RetryQueue, ScaleDecision,
-};
+use crate::chaos::{Autoscaler, BackoffConfig, ChaosConfig, Fault, RetryEntry, ScaleDecision};
 use crate::dispatch::Dispatch;
 use crate::health::HealthTracker;
 use crate::middleware::{Admission, Overload};
@@ -363,16 +361,18 @@ struct ChaosFold {
     /// start-sorted, with advancing cursors.
     straggle: Vec<Vec<(u64, u64, f64)>>,
     straggle_cur: Vec<usize>,
-    /// Crashed invocations awaiting re-dispatch.
-    retries: RetryQueue,
+    /// Crashed invocations awaiting re-dispatch, keyed by retry instant
+    /// (FIFO on ties, so replay order is deterministic).
+    retries: EventQueue<RetryEntry>,
     /// Re-dispatch attempts allowed per invocation (`None` = unlimited).
     max_retries: Option<u32>,
     /// SLO bound for recovery epochs, in µs (`None` disables tracking).
     slo_us: Option<u64>,
     /// Crash instants whose SLO-recovery epoch is still open.
     pending_epochs: Vec<u64>,
-    /// Dollar ledger of doomed attempts and abandonments.
-    churn: Option<ChurnCostAccumulator>,
+    /// Dollar ledgers of doomed attempts and of abandonments, in that
+    /// order.
+    churn: Option<(CostAccumulator, CostAccumulator)>,
     /// Retry-backoff config and its jitter stream, consumed in fold
     /// order (`None` re-dispatches at the crash instant).
     backoff: Option<(BackoffConfig, SimRng)>,
@@ -419,11 +419,13 @@ impl ChaosFold {
             crash_cur: vec![0; per_machine],
             straggle,
             straggle_cur: vec![0; per_machine],
-            retries: RetryQueue::new(),
+            retries: EventQueue::new(),
             max_retries: cfg.and_then(|c| c.max_retries),
             slo_us: cfg.and_then(|c| c.slo).map(|s| s.as_micros()),
             pending_epochs: Vec::new(),
-            churn: cfg.and_then(|c| c.price).map(ChurnCostAccumulator::new),
+            churn: cfg
+                .and_then(|c| c.price)
+                .map(|p| (CostAccumulator::new(p), CostAccumulator::new(p))),
             backoff: cfg.and_then(|c| c.backoff).map(|b| (b, b.stream())),
             backoff_retries: 0,
             backoff_delay_us: 0,
@@ -511,8 +513,8 @@ impl FrontEnd {
     /// `unrecovered` is only final after [`FrontEnd::finish`].
     pub fn chaos_stats(&self) -> ChaosStats {
         let mut stats = self.stats;
-        if let Some(churn) = &self.chaos.churn {
-            stats.churn_cost_usd = churn.total_usd();
+        if let Some((retry, abandoned)) = &self.chaos.churn {
+            stats.churn_cost_usd = retry.total_usd() + abandoned.total_usd();
         }
         stats
     }
@@ -674,7 +676,7 @@ impl FrontEnd {
     /// chaos); call it exactly once, after the final `dispatch_chunk`.
     pub fn finish<D: Dispatch + ?Sized>(&mut self, policy: &mut D) -> Assignment {
         let mut out = self.empty_assignment();
-        while let Some(at) = self.chaos.retries.peek_at() {
+        while let Some(at) = self.chaos.retries.peek_time() {
             let now_us = at.as_micros().max(self.last_arrival.as_micros());
             self.advance_to(now_us, policy, &mut out);
             self.last_arrival = SimTime::from_micros(now_us);
@@ -840,8 +842,8 @@ impl FrontEnd {
 
     /// Pops the next retry due at or before `now_us`, if any.
     fn due_retry(&mut self, now_us: u64) -> Option<RetryEntry> {
-        if self.chaos.retries.peek_at()?.as_micros() <= now_us {
-            self.chaos.retries.pop()
+        if self.chaos.retries.peek_time()?.as_micros() <= now_us {
+            self.chaos.retries.pop().map(|(_, entry)| entry)
         } else {
             None
         }
@@ -1154,13 +1156,13 @@ impl FrontEnd {
             }
         }
         let chaos = &mut self.chaos;
-        if let Some(churn) = &mut chaos.churn {
-            churn.record_retry(doomed.spec.work + doomed.spec.io_wait, doomed.spec.mem_mib);
+        if let Some((retry, _)) = &mut chaos.churn {
+            retry.record_duration(doomed.spec.work + doomed.spec.io_wait, doomed.spec.mem_mib);
         }
         if chaos.max_retries.is_some_and(|cap| attempts >= cap) {
             self.stats.abandoned += 1;
-            if let Some(churn) = &mut chaos.churn {
-                churn.record_abandoned(task.spec.work + task.spec.io_wait, task.spec.mem_mib);
+            if let Some((_, abandoned)) = &mut chaos.churn {
+                abandoned.record_duration(task.spec.work + task.spec.io_wait, task.spec.mem_mib);
             }
             return;
         }
@@ -1174,12 +1176,14 @@ impl FrontEnd {
             }
             None => (crash_at, None),
         };
-        chaos.retries.push(RetryEntry {
-            at: SimTime::from_micros(retry_at),
-            task: task.clone(),
-            attempts: attempts + 1,
-            avoid,
-        });
+        chaos.retries.schedule(
+            SimTime::from_micros(retry_at),
+            RetryEntry {
+                task: task.clone(),
+                attempts: attempts + 1,
+                avoid,
+            },
+        );
     }
 
     /// Land stage: respects the machine's arrival floor (crash downtime,

@@ -4,7 +4,8 @@
 //! **delayed completion reports**. When the front end books an invocation
 //! it knows (from its own FCFS model plus the chaos layer's kernel-side
 //! straggle inflation) when the true completion will land; the report —
-//! machine, response time — is queued on a min-heap and only folded into
+//! machine, response time — is queued on an
+//! [`EventQueue`](faas_simcore::EventQueue) and only folded into
 //! [`HealthTracker`] once the arrival clock passes it. The router
 //! therefore reacts to stragglers *late*, exactly like a real control
 //! plane digesting completion callbacks, and never peeks across the
@@ -27,7 +28,8 @@
 //!   so a fleet-wide slowdown cannot storm the queues with copies of
 //!   itself. The estimated loser is handed a kernel deadline at the
 //!   winner's booked completion and cancelled mid-flight; its wasted
-//!   occupancy is billed through [`HedgeCostAccumulator`].
+//!   occupancy is billed through a
+//!   [`CostAccumulator`](lambda_pricing::CostAccumulator).
 //! * **Retry backoff** ([`BackoffConfig`](crate::BackoffConfig), on the
 //!   chaos config) — crash re-dispatch waits out an exponential, jittered
 //!   delay and avoids the machine it just died on.
@@ -39,11 +41,10 @@
 //! suite in `tests/health_differential.rs` pins.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use faas_metrics::{HealthStats, MachineHealth, QuantileSketch};
-use faas_simcore::{IndexedMinHeap, SimDuration};
-use lambda_pricing::{HedgeCostAccumulator, PriceModel};
+use faas_simcore::{EventQueue, IndexedMinHeap, SimDuration, SimTime};
+use lambda_pricing::{CostAccumulator, PriceModel};
 
 /// Quantile-sketch accuracy for the hedge trigger's response-time tail.
 const HEDGE_SKETCH_EPSILON: f64 = 0.01;
@@ -282,36 +283,18 @@ impl MachineState {
     }
 }
 
-/// One queued completion report, ordered by `(report_at_us, seq)` so the
-/// fold digests reports in a deterministic arrival order.
+/// One queued completion report. The report queue orders reports by
+/// delivery instant, then booking order, so the fold digests them in a
+/// deterministic arrival order.
 #[derive(Debug)]
 struct Report {
-    report_at_us: u64,
-    seq: u64,
     machine: usize,
     response_us: u64,
     probe: bool,
 }
 
-impl PartialEq for Report {
-    fn eq(&self, other: &Self) -> bool {
-        (self.report_at_us, self.seq) == (other.report_at_us, other.seq)
-    }
-}
-impl Eq for Report {}
-impl PartialOrd for Report {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Report {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.report_at_us, self.seq).cmp(&(other.report_at_us, other.seq))
-    }
-}
-
 /// The front-end-resident health fold: EWMAs, the ejection state
-/// machine, the report heap and the hedge trigger. One instance lives on
+/// machine, the report queue and the hedge trigger. One instance lives on
 /// the [`FrontEnd`](crate::frontend::FrontEnd) next to the chaos fold.
 ///
 /// Everything the ejection check needs per report is maintained
@@ -326,8 +309,7 @@ impl Ord for Report {
 pub(crate) struct HealthTracker {
     cfg: HealthConfig,
     machines: Vec<MachineState>,
-    reports: BinaryHeap<Reverse<Report>>,
-    seq: u64,
+    reports: EventQueue<Report>,
     /// The front end's active prefix `[0, active)` — the slice every
     /// fleet-wide decision ranges over.
     active: usize,
@@ -380,7 +362,7 @@ pub(crate) struct HealthTracker {
     /// Dispatches whose completion reports were booked — the denominator
     /// of the hedge budget.
     dispatches: u64,
-    hedge_cost: Option<HedgeCostAccumulator>,
+    hedge_cost: Option<CostAccumulator>,
     stats: HealthStats,
 }
 
@@ -388,8 +370,7 @@ impl HealthTracker {
     pub(crate) fn new(cfg: HealthConfig, machines: usize, active: usize) -> Self {
         HealthTracker {
             machines: vec![MachineState::new(); machines],
-            reports: BinaryHeap::new(),
-            seq: 0,
+            reports: EventQueue::new(),
             active: active.min(machines),
             excluded_count: 0,
             excluded_active: 0,
@@ -407,10 +388,7 @@ impl HealthTracker {
             tail_pending: Vec::new(),
             tail_hist: vec![0; 65],
             dispatches: 0,
-            hedge_cost: cfg
-                .hedge
-                .and_then(|h| h.price)
-                .map(HedgeCostAccumulator::new),
+            hedge_cost: cfg.hedge.and_then(|h| h.price).map(CostAccumulator::new),
             stats: HealthStats::default(),
             cfg,
         }
@@ -540,14 +518,14 @@ impl HealthTracker {
         response_us: u64,
         probe: bool,
     ) {
-        self.reports.push(Reverse(Report {
-            report_at_us,
-            seq: self.seq,
-            machine,
-            response_us,
-            probe,
-        }));
-        self.seq += 1;
+        self.reports.schedule(
+            SimTime::from_micros(report_at_us),
+            Report {
+                machine,
+                response_us,
+                probe,
+            },
+        );
         self.dispatches += 1;
     }
 
@@ -555,15 +533,15 @@ impl HealthTracker {
     pub(crate) fn advance_to(&mut self, now_us: u64) {
         while self
             .reports
-            .peek()
-            .is_some_and(|Reverse(r)| r.report_at_us <= now_us)
+            .peek_time()
+            .is_some_and(|at| at.as_micros() <= now_us)
         {
-            let Reverse(r) = self.reports.pop().expect("peeked above");
-            self.fold_report(&r);
+            let (at, r) = self.reports.pop().expect("peeked above");
+            self.fold_report(at.as_micros(), &r);
         }
     }
 
-    fn fold_report(&mut self, r: &Report) {
+    fn fold_report(&mut self, report_at_us: u64, r: &Report) {
         if let Some(sketch) = &mut self.sketch {
             sketch.record(r.response_us);
             self.sketch_samples += 1;
@@ -593,14 +571,14 @@ impl HealthTracker {
             // while the report was in flight, the sample still counts
             // but the re-admission does not happen.
             if let Phase::Probing { since_us } = self.machines[r.machine].phase {
-                self.machines[r.machine].straggled_us += r.report_at_us.saturating_sub(since_us);
+                self.machines[r.machine].straggled_us += report_at_us.saturating_sub(since_us);
                 self.set_phase(r.machine, Phase::Healthy);
                 self.stats.readmissions += 1;
             }
             return;
         }
         if matches!(self.machines[r.machine].phase, Phase::Healthy) {
-            self.consider_ejection(r.machine, r.report_at_us);
+            self.consider_ejection(r.machine, report_at_us);
         }
     }
 
@@ -856,7 +834,7 @@ impl HealthTracker {
             self.stats.hedges_lost += 1;
         }
         if let Some(cost) = &mut self.hedge_cost {
-            cost.record(loser_busy, mem_mib);
+            cost.record_duration(loser_busy, mem_mib);
         }
     }
 

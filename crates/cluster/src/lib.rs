@@ -68,7 +68,7 @@ mod stream;
 
 pub use chaos::{
     AutoscaleConfig, Autoscaler, BackoffConfig, ChaosConfig, CrashConfig, Fault, FaultEvent,
-    FaultPlan, FaultPlanConfig, RetryEntry, RetryQueue, ScaleDecision, StormConfig, StraggleConfig,
+    FaultPlan, FaultPlanConfig, RetryEntry, ScaleDecision, StormConfig, StraggleConfig,
 };
 pub use dispatch::{Dispatch, DispatchCtx};
 pub use frontend::{Assignment, FrontEnd};

@@ -11,8 +11,9 @@
 //!    front end's in-flight estimate, then a per-function deterministic
 //!    token bucket (integer micro-token arithmetic on the simulated
 //!    clock). Refused work is *recorded*, never simulated: it costs the
-//!    provider its would-have-been bill ([`lambda_pricing`'s
-//!    `ShedCostAccumulator`]) but no machine ever sees it.
+//!    provider its would-have-been bill (a
+//!    [`CostAccumulator`](lambda_pricing::CostAccumulator) ledger) but no
+//!    machine ever sees it.
 //! 2. **Circuit-breaker gate** — a function whose breaker is open is shed
 //!    without consulting the dispatch policy; after
 //!    [`BreakerConfig::cooldown`] the next arrival is admitted as a
@@ -42,15 +43,13 @@
 //! ([`OverloadConfig::default`]) sheds nothing, stamps nothing and adds
 //! no kernel events: runs are bitwise identical to the bare policy
 //! (pinned by the no-op differential suite).
-//!
-//! [`lambda_pricing`'s `ShedCostAccumulator`]: lambda_pricing::ShedCostAccumulator
 
 use std::collections::{HashMap, VecDeque};
 
 use faas_kernel::TaskSpec;
 use faas_metrics::OverloadStats;
 use faas_simcore::{MinHeap4, SimDuration, SimTime};
-use lambda_pricing::{PriceModel, ShedCostAccumulator};
+use lambda_pricing::{CostAccumulator, PriceModel};
 
 /// Per-function token-bucket rate limit (admission layer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,13 +218,13 @@ pub(crate) struct Overload {
     /// Per-function estimated completion instants (µs) of admitted
     /// in-flight invocations; maintained only under a concurrency cap.
     in_flight: HashMap<u64, MinHeap4<u64>>,
-    shed_cost: Option<ShedCostAccumulator>,
+    shed_cost: Option<CostAccumulator>,
     stats: OverloadStats,
 }
 
 impl Overload {
     pub(crate) fn new(cfg: OverloadConfig) -> Self {
-        let shed_cost = cfg.price.map(ShedCostAccumulator::new);
+        let shed_cost = cfg.price.map(CostAccumulator::new);
         Overload {
             cfg,
             buckets: HashMap::new(),
@@ -239,7 +238,7 @@ impl Overload {
     /// Folds one shed invocation's forfeited revenue into the ledger.
     fn price_shed(&mut self, spec: &TaskSpec) {
         if let Some(acc) = &mut self.shed_cost {
-            acc.record(spec.work + spec.io_wait, spec.mem_mib);
+            acc.record_duration(spec.work + spec.io_wait, spec.mem_mib);
         }
     }
 
@@ -367,7 +366,7 @@ impl Overload {
         s.lost_revenue_usd = self
             .shed_cost
             .as_ref()
-            .map_or(0.0, ShedCostAccumulator::total_usd);
+            .map_or(0.0, CostAccumulator::total_usd);
         s
     }
 }

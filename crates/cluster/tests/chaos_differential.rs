@@ -33,11 +33,11 @@ use faas_cluster::dispatch::{
 use faas_cluster::{
     chunk_workload, workload_from_trace, AutoscaleConfig, Autoscaler, ChaosConfig, Cluster,
     ClusterConfig, ClusterTask, ColdStartConfig, Dispatch, FaultPlan, FaultPlanConfig,
-    OverloadConfig, RetryEntry, RetryQueue, ScaleDecision, StreamOptions,
+    OverloadConfig, RetryEntry, ScaleDecision, StreamOptions,
 };
 use faas_kernel::{InterferenceConfig, MachineConfig, Scheduler, TaskSpec};
 use faas_policies::Fifo;
-use faas_simcore::{check, SimDuration, SimTime};
+use faas_simcore::{check, EventQueue, SimDuration, SimTime};
 use hybrid_scheduler::{HybridConfig, HybridScheduler};
 use lambda_pricing::PriceModel;
 
@@ -481,17 +481,19 @@ fn fault_plan_is_shard_invariant_and_prefix_stable() {
 fn retry_queue_is_instant_then_fifo_ordered() {
     check::run("retry-queue-order", 128, |g| {
         let ats = g.vec_u64(0, 50, 1, 40);
-        let mut queue = RetryQueue::new();
+        let mut queue = EventQueue::new();
         for (i, &at) in ats.iter().enumerate() {
-            queue.push(RetryEntry {
-                at: SimTime::from_micros(at),
-                task: ClusterTask {
-                    spec: TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(1), 128),
-                    function: i as u64,
+            queue.schedule(
+                SimTime::from_micros(at),
+                RetryEntry {
+                    task: ClusterTask {
+                        spec: TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(1), 128),
+                        function: i as u64,
+                    },
+                    attempts: 1,
+                    avoid: None,
                 },
-                attempts: 1,
-                avoid: None,
-            });
+            );
         }
         let mut expected: Vec<(u64, u64)> = ats
             .iter()
@@ -500,8 +502,8 @@ fn retry_queue_is_instant_then_fifo_ordered() {
             .collect();
         expected.sort_by_key(|&(at, _)| at); // stable: FIFO on equal instants
         let mut popped = Vec::new();
-        while let Some(entry) = queue.pop() {
-            popped.push((entry.at.as_micros(), entry.task.function));
+        while let Some((at, entry)) = queue.pop() {
+            popped.push((at.as_micros(), entry.task.function));
         }
         assert_eq!(popped, expected, "pop order must be (instant, FIFO)");
     });

@@ -373,7 +373,7 @@ impl Machine {
                 let gap = rng.exponential(icfg.mean_interval.as_secs_f64());
                 let gap = storm_scaled(&cfg.storms, SimTime::ZERO, gap);
                 let at = SimTime::ZERO + SimDuration::from_secs_f64(gap);
-                events.schedule_untracked(at, Event::InterferenceStart(CoreId(c as u16)));
+                events.schedule(at, Event::InterferenceStart(CoreId(c as u16)));
             }
         }
         let util = UtilizationLedger::new(cfg.cores, cfg.util_bucket);
@@ -414,8 +414,7 @@ impl Machine {
     pub fn arm_tick(&mut self, every: SimDuration) {
         assert!(!every.is_zero(), "tick interval must be positive");
         self.tick_every = Some(every);
-        self.events
-            .schedule_untracked(self.now + every, Event::Tick);
+        self.events.schedule(self.now + every, Event::Tick);
     }
 
     // ---- queries -----------------------------------------------------
@@ -789,13 +788,11 @@ impl Machine {
         match slice {
             Some(s) if s < remaining => {
                 self.events
-                    .schedule_untracked(work_start + s, Event::SliceExpire { core, generation });
+                    .schedule(work_start + s, Event::SliceExpire { core, generation });
             }
             _ => {
-                self.events.schedule_untracked(
-                    work_start + remaining,
-                    Event::Complete { core, generation },
-                );
+                self.events
+                    .schedule(work_start + remaining, Event::Complete { core, generation });
             }
         }
         // A task dispatched past its deadline is killed on the spot: the
@@ -805,7 +802,7 @@ impl Machine {
         // `TaskFinished`.
         if let Some(deadline) = self.task_ref(task).spec().deadline {
             if deadline <= now {
-                self.events.schedule_untracked(now, Event::Cancel(task));
+                self.events.schedule(now, Event::Cancel(task));
             }
         }
         self.log(KernelMessage::Dispatch { task, core, slice });
@@ -829,7 +826,7 @@ impl Machine {
             CoreState::Running(t) => t,
             _ => return Err(SchedError::NothingRunning(core)),
         };
-        self.stop_running(core, task, false);
+        self.stop_running(core, task);
         self.log(KernelMessage::TaskPreempt {
             task,
             core,
@@ -888,7 +885,7 @@ impl Machine {
                 }
                 if let Some(deadline) = self.task_ref(task).spec().deadline {
                     self.events
-                        .schedule_untracked(deadline.max(self.now), Event::Cancel(task));
+                        .schedule(deadline.max(self.now), Event::Cancel(task));
                 }
                 self.log(KernelMessage::TaskNew { task });
                 PolicyCall::TaskNew(task)
@@ -912,7 +909,7 @@ impl Machine {
                         // until the wait returns.
                         self.release_to_io(core, task);
                         self.events
-                            .schedule_untracked(self.now + io_wait, Event::IoComplete(task));
+                            .schedule(self.now + io_wait, Event::IoComplete(task));
                         PolicyCall::Internal
                     }
                 }
@@ -973,7 +970,7 @@ impl Machine {
                         CoreState::Running(t) => t,
                         _ => unreachable!("live slice expiry on non-running core"),
                     };
-                    self.stop_running(core, task, false);
+                    self.stop_running(core, task);
                     self.log(KernelMessage::SliceExpired { task, core });
                     PolicyCall::SliceExpired(task, core)
                 }
@@ -981,7 +978,7 @@ impl Machine {
             Event::InterferenceStart(core) => {
                 let preempted = match self.cores[core.index()].state {
                     CoreState::Running(t) => {
-                        self.stop_running(core, t, true);
+                        self.stop_running(core, t);
                         self.log(KernelMessage::TaskPreempt {
                             task: t,
                             core,
@@ -1005,10 +1002,8 @@ impl Machine {
                     c.last_task = None; // the intruder pollutes the cache
                     let generation = c.generation;
                     let dur = self.rng.jitter(icfg.duration, 0.5);
-                    self.events.schedule_untracked(
-                        self.now + dur,
-                        Event::InterferenceEnd { core, generation },
-                    );
+                    self.events
+                        .schedule(self.now + dur, Event::InterferenceEnd { core, generation });
                     self.log(KernelMessage::InterferenceStart { core });
                 }
                 match preempted {
@@ -1034,7 +1029,7 @@ impl Machine {
                     .expect("interference event without config");
                 let gap = self.rng.exponential(icfg.mean_interval.as_secs_f64());
                 let gap = storm_scaled(&self.cfg.storms, self.now, gap);
-                self.events.schedule_untracked(
+                self.events.schedule(
                     self.now + SimDuration::from_secs_f64(gap),
                     Event::InterferenceStart(core),
                 );
@@ -1042,32 +1037,37 @@ impl Machine {
             }
             Event::Tick => {
                 let every = self.tick_every.expect("tick event without interval");
-                self.events
-                    .schedule_untracked(self.now + every, Event::Tick);
+                self.events.schedule(self.now + every, Event::Tick);
                 PolicyCall::Tick
             }
         };
         Ok(Some(call))
     }
 
-    /// Ends the current run segment of `task` on `core` without finishing
-    /// it: accounts progress, bumps preemption counters, frees the core.
-    fn stop_running(&mut self, core: CoreId, task: TaskId, by_interference: bool) {
+    /// Ends the run segment on `core`: bills its busy interval, frees the
+    /// core and bumps its generation (invalidating in-flight
+    /// Complete/SliceExpire). Returns how long the task ran since
+    /// `work_start`.
+    fn end_segment(&mut self, core: CoreId) -> SimDuration {
         let now = self.now;
-        let (ran, since) = {
-            let c = &mut self.cores[core.index()];
-            let ran = now.saturating_since(c.work_start);
-            let since = c
-                .busy_since
-                .take()
-                .expect("running core without busy_since");
-            c.state = CoreState::Idle;
-            c.generation += 1; // invalidate in-flight Complete/SliceExpire
-            c.preemptions += 1;
-            (ran, since)
-        };
+        let c = &mut self.cores[core.index()];
+        let ran = now.saturating_since(c.work_start);
+        let since = c
+            .busy_since
+            .take()
+            .expect("running core without busy_since");
+        c.state = CoreState::Idle;
+        c.generation += 1;
         self.mark_idle(core);
         self.util.record_busy(core.index(), since, now);
+        ran
+    }
+
+    /// Ends the current run segment of `task` on `core` without finishing
+    /// it: accounts progress, bumps preemption counters, frees the core.
+    fn stop_running(&mut self, core: CoreId, task: TaskId) {
+        let ran = self.end_segment(core);
+        self.cores[core.index()].preemptions += 1;
         self.waiting += 1;
         let t = self.task_mut(task);
         let ran = ran.min(t.remaining);
@@ -1076,25 +1076,12 @@ impl Machine {
         t.preemptions += 1;
         t.state = TaskState::Preempted;
         t.on_core = None;
-        let _ = by_interference;
     }
 
     /// Finishes the CPU work of `task` on `core` and moves it to the
     /// off-CPU blocked state (external call in flight).
     fn release_to_io(&mut self, core: CoreId, task: TaskId) {
-        let now = self.now;
-        let since = {
-            let c = &mut self.cores[core.index()];
-            let since = c
-                .busy_since
-                .take()
-                .expect("running core without busy_since");
-            c.state = CoreState::Idle;
-            c.generation += 1;
-            since
-        };
-        self.mark_idle(core);
-        self.util.record_busy(core.index(), since, now);
+        self.end_segment(core);
         let t = self.task_mut(task);
         t.cpu_time += t.remaining;
         t.remaining = SimDuration::ZERO;
@@ -1104,19 +1091,8 @@ impl Machine {
 
     /// Completes `task` on `core`.
     fn finish_running(&mut self, core: CoreId, task: TaskId) {
+        self.end_segment(core);
         let now = self.now;
-        let since = {
-            let c = &mut self.cores[core.index()];
-            let since = c
-                .busy_since
-                .take()
-                .expect("running core without busy_since");
-            c.state = CoreState::Idle;
-            c.generation += 1;
-            since
-        };
-        self.mark_idle(core);
-        self.util.record_busy(core.index(), since, now);
         let t = self.task_mut(task);
         t.cpu_time += t.remaining;
         t.remaining = SimDuration::ZERO;
@@ -1129,24 +1105,10 @@ impl Machine {
     }
 
     /// Cancels `task` mid-run on `core`: accounts the progress it made,
-    /// frees the core (invalidating in-flight Complete/SliceExpire via the
-    /// generation bump), and moves the task to the terminal `Cancelled`
+    /// frees the core, and moves the task to the terminal `Cancelled`
     /// state with no completion instant.
     fn cancel_running(&mut self, core: CoreId, task: TaskId) {
-        let now = self.now;
-        let (ran, since) = {
-            let c = &mut self.cores[core.index()];
-            let ran = now.saturating_since(c.work_start);
-            let since = c
-                .busy_since
-                .take()
-                .expect("running core without busy_since");
-            c.state = CoreState::Idle;
-            c.generation += 1;
-            (ran, since)
-        };
-        self.mark_idle(core);
-        self.util.record_busy(core.index(), since, now);
+        let ran = self.end_segment(core);
         let t = self.task_mut(task);
         let ran = ran.min(t.remaining);
         t.remaining -= ran;

@@ -130,13 +130,21 @@ impl PriceModel {
     }
 }
 
-/// Online cost accumulator for streaming runs: bills records one at a
-/// time as they retire instead of pricing a materialized record vector.
+/// Online cost accumulator: bills invocations one at a time as they
+/// retire instead of pricing a materialized record vector.
 ///
 /// The running total is a plain left-to-right `f64` sum — the *same* fold
 /// [`PriceModel::workload_cost`] performs — so a streaming run that
 /// retires records in record order produces a bitwise-identical total to
 /// the materializing path (pinned by the cluster differential suite).
+///
+/// Work that never leaves a [`TaskRecord`] — an invocation shed by the
+/// router, a crash-doomed or abandoned attempt, the losing side of a
+/// hedge — is billed through [`record_duration`](Self::record_duration)
+/// from the spec's would-have-been duration (CPU work + billed I/O
+/// wait). Each of those ledgers is a left-to-right fold in the order the
+/// serial front end charged it, so it is byte-identical at any fan width
+/// or trace chunking.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostAccumulator {
     model: PriceModel,
@@ -156,7 +164,13 @@ impl CostAccumulator {
 
     /// Bills one finished invocation.
     pub fn record(&mut self, record: &TaskRecord) {
-        self.total_usd += self.model.cost_of(record);
+        self.record_duration(record.execution_time(), record.mem_mib);
+    }
+
+    /// Bills one invocation that occupied (or would have occupied) the
+    /// platform for `duration` at `mem_mib`.
+    pub fn record_duration(&mut self, duration: SimDuration, mem_mib: u32) {
+        self.total_usd += self.model.cost_of_duration(duration, mem_mib);
         self.count += 1;
     }
 
@@ -171,184 +185,6 @@ impl CostAccumulator {
     }
 
     /// The tariff this accumulator bills under.
-    pub fn model(&self) -> &PriceModel {
-        &self.model
-    }
-}
-
-/// Online accumulator for the revenue *lost* to overload shedding: each
-/// shed invocation is billed as if it had run to completion (billable
-/// execution duration at its own memory size), because that is exactly
-/// the bill the provider forfeits by refusing it.
-///
-/// Shed work never produces a [`TaskRecord`] — the router refuses it
-/// before any machine sees it — so this accumulator takes the would-have-
-/// been duration (`work + io_wait`) straight from the spec. Like
-/// [`CostAccumulator`], the total is a left-to-right `f64` fold in the
-/// order the sheds happened (arrival order at a serial front end), so it
-/// is byte-identical at any fan width or trace chunking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShedCostAccumulator {
-    model: PriceModel,
-    total_usd: f64,
-    count: u64,
-}
-
-impl ShedCostAccumulator {
-    /// An empty accumulator pricing forfeited work under `model`.
-    pub fn new(model: PriceModel) -> Self {
-        ShedCostAccumulator {
-            model,
-            total_usd: 0.0,
-            count: 0,
-        }
-    }
-
-    /// Prices one shed invocation that would have occupied the platform
-    /// for `duration` (CPU work + billed I/O wait) at `mem_mib`.
-    pub fn record(&mut self, duration: SimDuration, mem_mib: u32) {
-        self.total_usd += self.model.cost_of_duration(duration, mem_mib);
-        self.count += 1;
-    }
-
-    /// Running total of forfeited revenue in USD.
-    pub fn total_usd(&self) -> f64 {
-        self.total_usd
-    }
-
-    /// Number of sheds priced.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The tariff this accumulator prices under.
-    pub fn model(&self) -> &PriceModel {
-        &self.model
-    }
-}
-
-/// Online accumulator for the dollar cost of churn under chaos: work
-/// wasted on crash-doomed dispatch attempts (the attempt ran — and is
-/// re-billed on retry — but produced nothing) and the forfeited value
-/// of invocations abandoned after exhausting their retry budget.
-///
-/// Neither leaves a [`TaskRecord`]: a doomed attempt dies with its
-/// machine and an abandoned invocation never reaches one again, so both
-/// are priced straight from the spec's would-have-been duration, like
-/// [`ShedCostAccumulator`]. The total is a left-to-right `f64` fold in
-/// the order the front end charged them, so it is byte-identical at any
-/// fan width or trace chunking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChurnCostAccumulator {
-    model: PriceModel,
-    retry_usd: f64,
-    abandoned_usd: f64,
-    retries: u64,
-    abandoned: u64,
-}
-
-impl ChurnCostAccumulator {
-    /// An empty accumulator pricing churn under `model`.
-    pub fn new(model: PriceModel) -> Self {
-        ChurnCostAccumulator {
-            model,
-            retry_usd: 0.0,
-            abandoned_usd: 0.0,
-            retries: 0,
-            abandoned: 0,
-        }
-    }
-
-    /// Prices one crash-doomed attempt that occupied its machine for
-    /// `duration` (CPU work + billed I/O wait) at `mem_mib` before the
-    /// crash threw the work away.
-    pub fn record_retry(&mut self, duration: SimDuration, mem_mib: u32) {
-        self.retry_usd += self.model.cost_of_duration(duration, mem_mib);
-        self.retries += 1;
-    }
-
-    /// Prices one invocation abandoned after its retry budget ran out —
-    /// the revenue its completed run would have produced.
-    pub fn record_abandoned(&mut self, duration: SimDuration, mem_mib: u32) {
-        self.abandoned_usd += self.model.cost_of_duration(duration, mem_mib);
-        self.abandoned += 1;
-    }
-
-    /// Running total of churn in USD (wasted attempts + abandonments).
-    pub fn total_usd(&self) -> f64 {
-        self.retry_usd + self.abandoned_usd
-    }
-
-    /// USD wasted on crash-doomed attempts alone.
-    pub fn retry_usd(&self) -> f64 {
-        self.retry_usd
-    }
-
-    /// USD forfeited on abandoned invocations alone.
-    pub fn abandoned_usd(&self) -> f64 {
-        self.abandoned_usd
-    }
-
-    /// Number of doomed attempts priced.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Number of abandonments priced.
-    pub fn abandoned(&self) -> u64 {
-        self.abandoned
-    }
-
-    /// The tariff this accumulator prices under.
-    pub fn model(&self) -> &PriceModel {
-        &self.model
-    }
-}
-
-/// Online accumulator for the dollar cost of **hedged requests**: the
-/// losing side of every speculative double-booking the health layer
-/// makes. The loser's attempt really occupied its machine until the
-/// kernel cancelled it at the winner's estimated completion, but a
-/// cancelled task leaves no [`TaskRecord`] and is never billed by
-/// [`CostAccumulator`] — this ledger prices that wasted occupancy from
-/// the spec's would-have-been duration, like [`ShedCostAccumulator`].
-/// The total is a left-to-right `f64` fold in the order the front end
-/// hedged, so it is byte-identical at any fan width or trace chunking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HedgeCostAccumulator {
-    model: PriceModel,
-    total_usd: f64,
-    count: u64,
-}
-
-impl HedgeCostAccumulator {
-    /// An empty accumulator pricing hedge waste under `model`.
-    pub fn new(model: PriceModel) -> Self {
-        HedgeCostAccumulator {
-            model,
-            total_usd: 0.0,
-            count: 0,
-        }
-    }
-
-    /// Prices one losing hedge attempt that would have occupied its
-    /// machine for `duration` (CPU work + billed I/O wait) at `mem_mib`.
-    pub fn record(&mut self, duration: SimDuration, mem_mib: u32) {
-        self.total_usd += self.model.cost_of_duration(duration, mem_mib);
-        self.count += 1;
-    }
-
-    /// Running total of hedge waste in USD.
-    pub fn total_usd(&self) -> f64 {
-        self.total_usd
-    }
-
-    /// Number of losing attempts priced.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The tariff this accumulator prices under.
     pub fn model(&self) -> &PriceModel {
         &self.model
     }
@@ -492,9 +328,9 @@ mod tests {
         // A shed invocation costs exactly what the same duration would
         // have billed had it run — same tariff, same rounding.
         let m = PriceModel::aws_lambda_2024();
-        let mut shed = ShedCostAccumulator::new(m);
-        shed.record(SimDuration::from_millis(100), 128);
-        shed.record(SimDuration::from_millis(250), 1_024);
+        let mut shed = CostAccumulator::new(m);
+        shed.record_duration(SimDuration::from_millis(100), 128);
+        shed.record_duration(SimDuration::from_millis(250), 1_024);
         let ran = m.cost_of_duration(SimDuration::from_millis(100), 128)
             + m.cost_of_duration(SimDuration::from_millis(250), 1_024);
         assert_eq!(shed.total_usd().to_bits(), ran.to_bits());
@@ -505,18 +341,22 @@ mod tests {
     #[test]
     fn churn_accumulator_keeps_retry_and_abandon_ledgers_apart() {
         let m = PriceModel::duration_only();
-        let mut churn = ChurnCostAccumulator::new(m);
-        churn.record_retry(SimDuration::from_millis(100), 128);
-        churn.record_retry(SimDuration::from_millis(100), 128);
-        churn.record_abandoned(SimDuration::from_millis(400), 256);
+        let mut retry_cost = CostAccumulator::new(m);
+        let mut abandoned_cost = CostAccumulator::new(m);
+        retry_cost.record_duration(SimDuration::from_millis(100), 128);
+        retry_cost.record_duration(SimDuration::from_millis(100), 128);
+        abandoned_cost.record_duration(SimDuration::from_millis(400), 256);
         let retry = 2.0 * m.cost_of_duration(SimDuration::from_millis(100), 128);
         let gone = m.cost_of_duration(SimDuration::from_millis(400), 256);
-        assert_eq!(churn.retries(), 2);
-        assert_eq!(churn.abandoned(), 1);
-        assert_eq!(churn.retry_usd().to_bits(), retry.to_bits());
-        assert_eq!(churn.abandoned_usd().to_bits(), gone.to_bits());
-        assert_eq!(churn.total_usd().to_bits(), (retry + gone).to_bits());
-        assert_eq!(churn.model(), &m);
+        assert_eq!(retry_cost.count(), 2);
+        assert_eq!(abandoned_cost.count(), 1);
+        assert_eq!(retry_cost.total_usd().to_bits(), retry.to_bits());
+        assert_eq!(abandoned_cost.total_usd().to_bits(), gone.to_bits());
+        assert_eq!(
+            (retry_cost.total_usd() + abandoned_cost.total_usd()).to_bits(),
+            (retry + gone).to_bits()
+        );
+        assert_eq!(retry_cost.model(), &m);
     }
 
     #[test]
@@ -525,9 +365,9 @@ mod tests {
         // billed had it completed — same tariff, same rounding, same
         // left-to-right fold order.
         let m = PriceModel::aws_lambda_2024();
-        let mut hedge = HedgeCostAccumulator::new(m);
-        hedge.record(SimDuration::from_millis(100), 128);
-        hedge.record(SimDuration::from_millis(250), 1_024);
+        let mut hedge = CostAccumulator::new(m);
+        hedge.record_duration(SimDuration::from_millis(100), 128);
+        hedge.record_duration(SimDuration::from_millis(250), 1_024);
         let ran = m.cost_of_duration(SimDuration::from_millis(100), 128)
             + m.cost_of_duration(SimDuration::from_millis(250), 1_024);
         assert_eq!(hedge.total_usd().to_bits(), ran.to_bits());

@@ -6,10 +6,8 @@
 //! it maintains a slot → heap-position index, so a slot's key can be
 //! re-aimed or withdrawn in O(log₄ n) without scanning — the operation the
 //! dispatch tier needs when one machine's outstanding count or free
-//! instant changes while every other machine stays put. This is the same
-//! trick the kernel's [`EventQueue`](crate::EventQueue) plays for event
-//! cancellation, specialized to external stable slots instead of
-//! internally minted ids.
+//! instant changes while every other machine stays put. Keys that are
+//! only ever pushed and popped belong in the plain heap instead.
 //!
 //! Determinism: comparisons use the key alone and every operation is a
 //! pure function of the call history. Callers that need a deterministic

@@ -8,9 +8,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock;
 //! * [`EventQueue`] — a future-event list with deterministic tie-breaking
-//!   and in-place cancellation (an index-aware 4-ary heap);
+//!   (a [`MinHeap4`] keyed on instant, then insertion order);
 //! * [`MinHeap4`] — the dense 4-ary min-heap backing the scheduler
-//!   runqueues;
+//!   runqueues and the event queue;
 //! * [`IndexedMinHeap`] — the slot-addressed variant (O(log n) re-key /
 //!   removal by stable slot) backing the cluster dispatch tier;
 //! * [`SimRng`] — a seeded random generator with the samplers used by the
@@ -55,7 +55,7 @@ pub mod par;
 mod rng;
 mod time;
 
-pub use events::{EventId, EventQueue};
+pub use events::EventQueue;
 pub use heap::MinHeap4;
 pub use idxheap::IndexedMinHeap;
 pub use rng::SimRng;

@@ -19,30 +19,18 @@ fn pop_order_is_monotone() {
     });
 }
 
-/// Every non-cancelled event is delivered exactly once.
+/// Every scheduled event is delivered exactly once.
 #[test]
 fn delivery_is_exactly_once() {
     check::run("delivery_is_exactly_once", 256, |g| {
         let times = g.vec_u64(0, 1_000, 1, 100);
-        let cancel_mask = g.vec_bool(1, 100);
         let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i, q.schedule(SimTime::from_micros(*t), i)))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in &ids {
-            if *cancel_mask.get(*i).unwrap_or(&false) {
-                assert!(q.cancel(*id));
-            } else {
-                expected.push(*i);
-            }
+        for (i, t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_micros(*t), i);
         }
         let mut got: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         got.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(got, expected);
+        assert_eq!(got, (0..times.len()).collect::<Vec<_>>());
     });
 }
 
@@ -61,36 +49,28 @@ fn fifo_within_instant() {
     });
 }
 
-/// Differential model check of the indexed-heap queue: under chaotic
-/// schedule/cancel/pop/peek interleavings, the queue must agree with a
-/// brute-force reference model of the documented contract — pops ordered
-/// by (time, insertion sequence), cancel true exactly when the event is
-/// still pending, `len`/`peek_time` consistent throughout.
+/// Differential model check of the queue: under chaotic schedule/pop/
+/// peek interleavings, the queue must agree with a brute-force reference
+/// model of the documented contract — pops ordered by (time, insertion
+/// sequence), `len`/`peek_time` consistent throughout.
 #[test]
 fn event_queue_matches_reference_model() {
     check::run("event_queue_matches_reference_model", 192, |g| {
         let steps = g.usize_in(1, 120);
         let mut q = EventQueue::new();
         // The model: per scheduled event, its (time, seq) key while still
-        // pending (`None` once popped or cancelled), indexed by schedule
-        // order. Payloads are the schedule indices.
+        // pending (`None` once popped), indexed by schedule order.
+        // Payloads are the schedule indices.
         let mut pending: Vec<Option<(SimTime, u64)>> = Vec::new();
-        let mut ids = Vec::new();
         let mut seq = 0u64;
         for _ in 0..steps {
-            match g.usize_in(0, 4) {
+            match g.usize_in(0, 3) {
                 // Schedule (twice as likely, so queues actually grow).
                 0 | 1 => {
                     let at = SimTime::from_micros(g.u64_in(0, 1_000));
-                    ids.push(q.schedule(at, pending.len()));
+                    q.schedule(at, pending.len());
                     pending.push(Some((at, seq)));
                     seq += 1;
-                }
-                // Cancel a random already-issued id (possibly dead).
-                2 if !ids.is_empty() => {
-                    let i = g.usize_in(0, ids.len());
-                    let expect = pending[i].take().is_some();
-                    assert_eq!(q.cancel(ids[i]), expect, "cancel({i})");
                 }
                 // Pop must deliver the model's (time, seq)-minimum.
                 _ => {
@@ -161,11 +141,11 @@ fn min_heap4_matches_btreeset_model() {
     });
 }
 
-/// Untracked and tracked scheduling share one deterministic order, and
-/// `clear` starts a fresh FIFO epoch without leaking stale entries.
+/// `clear` starts a fresh FIFO epoch: events scheduled after it pop in
+/// (time, insertion) order and no stale entry leaks through.
 #[test]
-fn untracked_and_clear_preserve_order() {
-    check::run("untracked_and_clear_preserve_order", 128, |g| {
+fn clear_preserves_order() {
+    check::run("clear_preserves_order", 128, |g| {
         let mut q = EventQueue::new();
         // A throwaway epoch that `clear` must fully erase.
         for i in 0..g.usize_in(0, 20) {
@@ -173,19 +153,15 @@ fn untracked_and_clear_preserve_order() {
         }
         q.clear();
         let n = g.usize_in(1, 60);
-        let mut expected: Vec<(SimTime, u64, usize)> = Vec::new();
+        let mut expected: Vec<(SimTime, usize)> = Vec::new();
         for i in 0..n {
             let at = SimTime::from_micros(g.u64_in(0, 50));
-            if g.boolean() {
-                q.schedule_untracked(at, i);
-            } else {
-                q.schedule(at, i);
-            }
-            expected.push((at, i as u64, i));
+            q.schedule(at, i);
+            expected.push((at, i));
         }
         expected.sort();
         let got: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        let want: Vec<usize> = expected.into_iter().map(|(_, _, i)| i).collect();
+        let want: Vec<usize> = expected.into_iter().map(|(_, i)| i).collect();
         assert_eq!(got, want);
     });
 }
