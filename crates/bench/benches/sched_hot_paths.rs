@@ -6,8 +6,9 @@
 //! reports events/sec — the per-event cost of the whole loop (kernel
 //! bookkeeping + idle-core offers + policy decision), at 4 cores and, in
 //! `core_scaling`, at 4, 50 and 100 cores under the same load per core,
-//! and, in `light_load`, on a lightly loaded 50-core hybrid whose long
-//! functions run alone on their CFS cores.
+//! in `light_load`, on a lightly loaded 50-core hybrid whose long
+//! functions run alone on their CFS cores, and, in `saturated`, on 50
+//! cores whose CFS queues stay long.
 //! Results are written to `BENCH_sched.json` at the workspace root: the
 //! committed baseline future PRs diff against. Set `BENCH_QUICK` for the
 //! CI smoke run.
@@ -44,6 +45,15 @@ fn specs(n: usize) -> Vec<TaskSpec> {
             )
         })
         .collect()
+}
+
+/// Runs `specs` to completion on a `cores`-core machine with the default
+/// cost model and returns the kernel event count.
+fn run_machine<P: Scheduler>(cores: usize, specs: &[TaskSpec], policy: P) -> u64 {
+    let cfg = MachineConfig::new(cores).with_cost(CostModel::default());
+    let report = MachineRun::new(cfg, specs, policy).run_slim().unwrap();
+    black_box(report.finished_at);
+    report.events_processed
 }
 
 fn run_sim<P: Scheduler>(cores: usize, n: usize, policy: P) -> u64 {
@@ -98,12 +108,6 @@ fn bench_policies(c: &mut Bench) {
 fn bench_core_scaling(c: &mut Bench) {
     let mut g = c.benchmark_group("core_scaling");
     g.sample_size(10);
-    fn run<P: Scheduler>(cores: usize, specs: &[TaskSpec], policy: P) -> u64 {
-        let cfg = MachineConfig::new(cores).with_cost(CostModel::default());
-        let report = MachineRun::new(cfg, specs, policy).run_slim().unwrap();
-        black_box(report.finished_at);
-        report.events_processed
-    }
     for cores in [4usize, 50, 100] {
         let specs: Vec<TaskSpec> = specs(125 * cores)
             .into_iter()
@@ -122,10 +126,10 @@ fn bench_core_scaling(c: &mut Bench) {
         macro_rules! scaling_bench {
             ($policy:literal, $make:expr) => {
                 // One untimed run fixes the deterministic event count.
-                let events = run(cores, &specs, $make);
+                let events = run_machine(cores, &specs, $make);
                 g.throughput(events);
                 g.bench_function(format!("{}_{cores}c", $policy), |b| {
-                    b.iter(|| run(cores, &specs, $make))
+                    b.iter(|| run_machine(cores, &specs, $make))
                 });
             };
         }
@@ -162,15 +166,48 @@ fn bench_light_load(c: &mut Bench) {
             HybridConfig::split(25, 25)
                 .with_time_limit(TimeLimitPolicy::Fixed(SimDuration::from_millis(100))),
         );
-        let cfg = MachineConfig::new(50).with_cost(CostModel::default());
-        let report = MachineRun::new(cfg, &specs, hybrid).run_slim().unwrap();
-        black_box(report.finished_at);
-        report.events_processed
+        run_machine(50, &specs, hybrid)
     };
     // One untimed run fixes the deterministic event count.
     let events = run();
     g.throughput(events);
     g.bench_function("hybrid_50c", |b| b.iter(run));
+    g.finish();
+}
+
+/// The regime the paper's Table I spends its CFS time in: a burst of
+/// 5,000 arrivals of the `specs` work mix in the first 250 ms on 50
+/// cores, about 5.8 s of work per core. The CFS queues stay long, so most
+/// events are slice expiries that hand the core to another queued task:
+/// 46,173 of 62,470 under CFS. The hybrid splits its cores 25+25 with the
+/// 100 ms limit of the `core_scaling` rows, so the 400 ms tasks crowd its
+/// CFS side: 15,213 of its 26,545 events are such hand-offs.
+fn bench_saturated(c: &mut Bench) {
+    let mut g = c.benchmark_group("saturated");
+    g.sample_size(10);
+    let specs: Vec<TaskSpec> = specs(5_000)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut spec)| {
+            spec.arrival = SimTime::from_micros(i as u64 * 50);
+            spec
+        })
+        .collect();
+    let hybrid = || {
+        HybridScheduler::new(
+            HybridConfig::split(25, 25)
+                .with_time_limit(TimeLimitPolicy::Fixed(SimDuration::from_millis(100))),
+        )
+    };
+    // One untimed run per row fixes the deterministic event count.
+    g.throughput(run_machine(50, &specs, faas_policies::Cfs::with_cores(50)));
+    g.bench_function("cfs_50c", |b| {
+        b.iter(|| run_machine(50, &specs, faas_policies::Cfs::with_cores(50)))
+    });
+    g.throughput(run_machine(50, &specs, hybrid()));
+    g.bench_function("hybrid_50c", |b| {
+        b.iter(|| run_machine(50, &specs, hybrid()))
+    });
     g.finish();
 }
 
@@ -519,6 +556,7 @@ fn main() {
     bench_policies(&mut c);
     bench_core_scaling(&mut c);
     bench_light_load(&mut c);
+    bench_saturated(&mut c);
     bench_cluster(&mut c);
     bench_cluster_xl(&mut c);
     bench_frontend_scale(&mut c);

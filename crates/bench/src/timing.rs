@@ -22,7 +22,8 @@
 //!   so CI can diff a committed baseline like `BENCH_sched.json`.
 //!
 //! Command-line arguments that do not start with `-` act as substring
-//! filters on benchmark names, matching `cargo bench <filter>` usage.
+//! filters on `group/name` benchmark ids, matching `cargo bench <filter>`
+//! usage: a filter selects a single row or a whole group.
 //! Setting the `BENCH_QUICK` environment variable caps sampling for CI
 //! smoke runs (3 samples, 1 warmup).
 
@@ -183,8 +184,12 @@ impl Bench {
         std::fs::write(path, out)
     }
 
-    fn matches(&self, name: &str) -> bool {
-        self.filters.is_empty() || self.filters.iter().any(|f| name.contains(f))
+    fn matches(&self, group: &str, name: &str) -> bool {
+        if self.filters.is_empty() {
+            return true;
+        }
+        let id = format!("{group}/{name}");
+        self.filters.iter().any(|f| id.contains(f.as_str()))
     }
 
     fn run_one<F>(
@@ -197,7 +202,7 @@ impl Bench {
     ) where
         F: FnMut(&mut Bencher),
     {
-        if !self.matches(name) {
+        if !self.matches(group, name) {
             return;
         }
         let (samples, warmup) = if self.quick {
@@ -398,6 +403,24 @@ mod tests {
             b.iter(|| ran = true);
         });
         assert!(ran);
+    }
+
+    #[test]
+    fn filters_match_the_group_too() {
+        let mut bench = Bench {
+            filters: vec!["picked".into()],
+            ..bench(1)
+        };
+        let mut calls = 0u32;
+        let mut g = bench.benchmark_group("picked");
+        g.bench_function("a", |b| b.iter(|| calls += 1));
+        g.bench_function("b", |b| b.iter(|| calls += 1));
+        g.finish();
+        let mut g = bench.benchmark_group("other");
+        g.bench_function("c", |b| b.iter(|| calls += 1));
+        g.finish();
+        let names: Vec<&str> = bench.results().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
     }
 
     #[test]

@@ -99,6 +99,13 @@ fn baseline_has_schema_and_expected_rows() {
     // bench-guard quick run catches a regression of that path.
     let name = "\"group\": \"light_load\", \"name\": \"hybrid_50c\"";
     assert!(text.contains(name), "baseline missing row: {name}");
+    // The saturated rows: long CFS queues, so most events are slice
+    // expiries that hand the core to another queued task. The bench-guard
+    // quick run catches a regression of that path.
+    for policy in ["cfs", "hybrid"] {
+        let name = format!("\"group\": \"saturated\", \"name\": \"{policy}_50c\"");
+        assert!(text.contains(&name), "baseline missing row: {name}");
+    }
     // Every row must carry a real group label; `"group": ""` means a
     // bench was registered outside a benchmark_group again.
     assert!(

@@ -39,14 +39,17 @@ use crate::task::{Task, TaskId, TaskSpec};
 ///
 /// A policy may dispatch from inside any callback, not only from
 /// [`Scheduler::on_core_idle`]. The CFS run queues use this on a slice
-/// expiry: when the expired task is the only waiting task
-/// ([`Machine::num_waiting`] is 1), they renew its slice on the core it
-/// just left. That is exact, not a heuristic: with one task waiting, the
-/// offers would find every lower-numbered idle core with nothing to run
-/// and nothing to steal, then dispatch that core, and then stop. Skipping
-/// them leaves every event, message and counter unchanged. An
-/// interference preemption must not take this path, because the host
-/// still holds the core.
+/// expiry: they dispatch the core the task just left at once when the
+/// expired task is the only waiting task ([`Machine::num_waiting`] is 1)
+/// or that core is the only idle core ([`Machine::num_idle_cores`] is
+/// 1). That is exact, not a heuristic. With one task waiting, the offers
+/// would find every lower-numbered idle core with nothing to run and
+/// nothing to steal, then dispatch that core, and then stop. With one
+/// core idle, the offers would reach only that core, which would run its
+/// own queue head and leave no idle core to offer. Skipping the offers
+/// leaves every event, message and counter unchanged. An interference
+/// preemption must not take this path, because the host still holds the
+/// core.
 pub trait Scheduler {
     /// Human-readable policy name (used in reports and figures).
     fn name(&self) -> &str;

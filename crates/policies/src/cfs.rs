@@ -16,7 +16,7 @@
 //! scheduler's long-task group, whose member cores join and leave.
 
 use faas_kernel::{CoreId, CoreState, Machine, Scheduler, TaskId};
-use faas_simcore::{MinHeap4, SimDuration};
+use faas_simcore::{SimDuration, SortedDeque};
 
 /// Tunables of the simulated CFS (Linux-like defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,15 +48,15 @@ impl Default for CfsParams {
 
 /// A run-queue key: effective vruntime (µs) with the task id tie-break.
 type RqKey = (i64, TaskId);
-type RunQueue = MinHeap4<RqKey>;
+type RunQueue = SortedDeque<RqKey>;
 
 #[derive(Debug, Default)]
 struct CoreRq {
-    /// Runnable tasks keyed by effective vruntime (µs) with id tie-break.
-    /// A dense 4-ary heap: picking the next task is a cache-local
-    /// `pop_min` with no node allocation or pointer chasing, and the
-    /// (vruntime, id) keys are unique, so every min/max pick is fully
-    /// determined.
+    /// Runnable tasks keyed by effective vruntime (µs) with id tie-break,
+    /// in ascending order. The next task is the front and the steal
+    /// victim the back, both O(1); a requeued task usually lands behind
+    /// every queued key, an append. The (vruntime, id) keys are unique,
+    /// so every min/max pick is fully determined.
     queue: RunQueue,
     /// Monotone floor for new placements; reset when the core leaves.
     min_vruntime: i64,
@@ -80,11 +80,17 @@ struct CoreRq {
 /// are deterministic — a `HashMap` here once made whole simulations
 /// nondeterministic across runs.
 ///
+/// Each member's queue is a [`SortedDeque`]: dispatch pops the front,
+/// steal and balance take the back, and a saturated core's requeue is
+/// nearly always an append, so a slice rotation costs O(1) in queue work.
+///
 /// A slice expiry goes through [`expire_slice`](Self::expire_slice),
-/// which renews a lone task's slice in place. A lightly loaded machine
-/// whose long tasks run alone on their cores spends most of its events
-/// there; renewing in place spares it one declined idle-core offer per
-/// lower-numbered idle core per expiry, with byte-identical output.
+/// which dispatches the expiring core in place when the idle-core offers
+/// could only have led there: when the expired task is the machine's only
+/// waiting task (a lightly loaded machine whose long tasks run alone on
+/// their cores), or when the core is the machine's only idle core (a
+/// saturated machine). Both spare `MachineRun`'s offers, with
+/// byte-identical output.
 #[derive(Debug)]
 pub struct CfsRunQueues {
     rqs: Vec<CoreRq>,
@@ -201,20 +207,26 @@ impl CfsRunQueues {
     }
 
     /// A slice of `task` expired on member `core`, which is now idle:
-    /// requeues the task and, when it is the machine's only waiting task,
-    /// renews its slice on `core` at once.
+    /// requeues the task and, when it is the machine's only waiting task
+    /// or `core` is the machine's only idle core, dispatches `core` at
+    /// once.
     ///
-    /// The renewal is exactly what `MachineRun`'s idle-core offers would
-    /// do. With one task waiting, every other queue is empty, so no
-    /// crowded queue exists and no sibling can steal it; a composing
-    /// policy's other groups hold nothing either. Every lower-numbered
-    /// idle core would decline, then `core` would dispatch its queue
-    /// head, and the offers would stop with nothing left waiting. Doing
-    /// it here skips those declined offers and leaves every event,
-    /// message, counter and `min_vruntime` unchanged.
+    /// The dispatch is exactly what `MachineRun`'s idle-core offers would
+    /// do, and doing it here leaves every event, message, counter and
+    /// `min_vruntime` unchanged:
+    ///
+    /// - With one task waiting, every other queue is empty, so no crowded
+    ///   queue exists and no sibling can steal it; a composing policy's
+    ///   other groups hold nothing either. Every lower-numbered idle core
+    ///   would decline, then `core` would dispatch its queue head, and
+    ///   the offers would stop with nothing left waiting.
+    /// - With `core` the only idle core, the offers would reach only
+    ///   `core`. Its queue holds at least the requeued task, so it would
+    ///   dispatch its own head without stealing, leaving no idle core to
+    ///   offer; a composing policy's other groups have none either.
     pub fn expire_slice(&mut self, m: &mut Machine, core: CoreId, task: TaskId) {
         self.requeue(m, core, task);
-        if m.num_waiting() == 1 {
+        if m.num_waiting() == 1 || m.num_idle_cores() == 1 {
             self.dispatch(m, core);
         }
     }

@@ -17,7 +17,7 @@
 //!   paper's closest related work).
 //! * [`Mlfq`] — multi-level feedback queue with priority boost \[37\].
 //!
-//! [`CfsRunQueues`] is the CFS mechanism itself (per-core vruntime heaps
+//! [`CfsRunQueues`] is the CFS mechanism itself (per-core vruntime queues
 //! whose member cores can join and leave, slices, steal and balance).
 //! [`Cfs`] runs it over every core; the hybrid FIFO+CFS scheduler — the
 //! paper's contribution, in the `hybrid-scheduler` crate — runs it over

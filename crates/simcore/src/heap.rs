@@ -1,19 +1,17 @@
 //! A dense 4-ary min-heap.
 //!
-//! [`MinHeap4`] backs the scheduler runqueues and the future-event list
-//! ([`EventQueue`](crate::EventQueue)): a flat `Vec<K>` ordered as
-//! an implicit 4-ary heap — no per-node allocation (unlike `BTreeSet`),
-//! no pointer chasing, and each node's children sit adjacent in memory.
-//! `push`/[`MinHeap4::pop_min`] are O(log₄ n); [`MinHeap4::take_max`] is a
-//! deliberate O(n) scan for the *rare* path (work stealing picks the
-//! largest key), which on a dense vector of scheduler-queue size is faster
-//! than maintaining a second ordering.
+//! [`MinHeap4`] backs the future-event list ([`EventQueue`](crate::EventQueue))
+//! and the front end's per-machine heaps: a flat `Vec<K>` ordered as an
+//! implicit 4-ary heap — no per-node allocation (unlike `BTreeSet`), no
+//! pointer chasing, and each node's children sit adjacent in memory.
+//! `push`/[`MinHeap4::pop_min`] are O(log₄ n). The CFS run queues, which
+//! also take the largest key, use [`SortedDeque`](crate::SortedDeque)
+//! instead.
 //!
 //! Determinism: all operations are pure functions of the insertion
-//! history. With **unique** keys (the runqueues key by `(vruntime, task)`,
-//! which is unique per task), `pop_min` returns exactly the minimum and
-//! `take_max` exactly the maximum — byte-for-byte the picks a sorted
-//! `BTreeSet` would make via `iter().next()` / `iter().next_back()`.
+//! history. With **unique** keys (the event queue keys by instant, then
+//! insertion order), `pop_min` returns exactly the minimum — the pick a
+//! sorted `BTreeSet` would make via `iter().next()`.
 //!
 //! # Examples
 //!
@@ -25,9 +23,8 @@
 //! h.push((10, 'a'));
 //! h.push((20, 'b'));
 //! assert_eq!(h.peek_min(), Some(&(10, 'a')));
-//! assert_eq!(h.take_max(), Some((30, 'c')));
 //! assert_eq!(h.pop_min(), Some((10, 'a')));
-//! assert_eq!(h.len(), 1);
+//! assert_eq!(h.len(), 2);
 //! ```
 
 /// Children per node; four adjacent children halve the depth of a binary
@@ -90,41 +87,9 @@ impl<K: Ord> MinHeap4<K> {
         Some(min)
     }
 
-    /// Removes and returns the **largest** key — the steal/balance victim
-    /// pick. O(n) scan over the dense vector (the maximum of a min-heap
-    /// lives in a leaf, but scanning everything is branch-light and the
-    /// operation is off the per-event hot path).
-    pub fn take_max(&mut self) -> Option<K> {
-        if self.items.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for i in 1..self.items.len() {
-            if self.items[i] > self.items[best] {
-                best = i;
-            }
-        }
-        let max = self.items.swap_remove(best);
-        if best < self.items.len() {
-            // The swapped-in tail key can only be smaller than the removed
-            // maximum, so it may need to move toward the leaves or the
-            // root depending on its new neighborhood.
-            self.sift_up(best);
-            self.sift_down(best);
-        }
-        Some(max)
-    }
-
     /// Iterates the keys in unspecified (but deterministic) order.
     pub fn iter(&self) -> std::slice::Iter<'_, K> {
         self.items.iter()
-    }
-
-    /// Consumes the heap, returning all keys in ascending order.
-    pub fn into_sorted_vec(self) -> Vec<K> {
-        let mut v = self.items;
-        v.sort_unstable();
-        v
     }
 
     fn sift_up(&mut self, mut pos: usize) {
@@ -145,17 +110,27 @@ impl<K: Ord> MinHeap4<K> {
             if first >= len {
                 break;
             }
-            // Scanning the children as one slice drops the per-child
-            // bounds checks; indexing each child cost the event queue
-            // about a fifth of its pop-and-reschedule time.
-            let children = &self.items[first..(first + ARITY).min(len)];
-            let mut best = 0;
-            for (i, c) in children.iter().enumerate().skip(1) {
-                if *c < children[best] {
-                    best = i;
+            let best = if first + ARITY <= len {
+                // A full family: a two-round tournament, `c[1] < c[0]` and
+                // `c[3] < c[2]`, then the two winners. Each comparison
+                // selects an index instead of steering a scan, and a tie
+                // keeps the lower index, as a left-to-right scan would.
+                let c = &self.items[first..first + ARITY];
+                let left = usize::from(c[1] < c[0]);
+                let right = 2 + usize::from(c[3] < c[2]);
+                first + if c[right] < c[left] { right } else { left }
+            } else {
+                // The last family is partial: scan it as one slice, which
+                // drops the per-child bounds checks.
+                let children = &self.items[first..];
+                let mut best = 0;
+                for (i, c) in children.iter().enumerate().skip(1) {
+                    if *c < children[best] {
+                        best = i;
+                    }
                 }
-            }
-            let best = first + best;
+                first + best
+            };
             if self.items[pos] <= self.items[best] {
                 break;
             }
@@ -188,53 +163,6 @@ mod tests {
             got.push(x);
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn take_max_mirrors_btreeset_next_back() {
-        use std::collections::BTreeSet;
-        let keys = [42, 7, 99, 3, 56, 21, 88, 14];
-        let mut h = MinHeap4::new();
-        let mut model: BTreeSet<i32> = BTreeSet::new();
-        for k in keys {
-            h.push(k);
-            model.insert(k);
-        }
-        while let Some(&top) = model.iter().next_back() {
-            model.remove(&top);
-            assert_eq!(h.take_max(), Some(top));
-        }
-        assert!(h.is_empty());
-        assert_eq!(h.take_max(), None);
-    }
-
-    #[test]
-    fn mixed_min_max_removals_stay_ordered() {
-        let mut h = MinHeap4::new();
-        for i in 0..64 {
-            h.push((i * 37) % 101);
-        }
-        let mut remaining = 64;
-        while remaining > 0 {
-            let min = *h.peek_min().unwrap();
-            if remaining % 3 == 0 {
-                let max = h.take_max().unwrap();
-                assert!(h.iter().all(|&k| k <= max));
-            } else {
-                assert_eq!(h.pop_min(), Some(min));
-                assert!(h.iter().all(|&k| k >= min));
-            }
-            remaining -= 1;
-        }
-    }
-
-    #[test]
-    fn into_sorted_vec_is_ascending() {
-        let mut h = MinHeap4::new();
-        for x in [3, 1, 2] {
-            h.push(x);
-        }
-        assert_eq!(h.into_sorted_vec(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -4,13 +4,15 @@
 //! `serverless-hybrid-sched` workspace.
 //!
 //! This crate deliberately knows nothing about CPUs, tasks or schedulers —
-//! it provides exactly four things:
+//! it provides exactly these things:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock;
 //! * [`EventQueue`] — a future-event list with deterministic tie-breaking
 //!   (a [`MinHeap4`] keyed on instant, then insertion order);
-//! * [`MinHeap4`] — the dense 4-ary min-heap backing the scheduler
-//!   runqueues and the event queue;
+//! * [`MinHeap4`] — the dense 4-ary min-heap backing the event queue and
+//!   the front end's heaps;
+//! * [`SortedDeque`] — the ascending `VecDeque` backing the CFS run
+//!   queues (O(1) at either end, appends for keys not below the back);
 //! * [`IndexedMinHeap`] — the slot-addressed variant (O(log n) re-key /
 //!   removal by stable slot) backing the cluster dispatch tier;
 //! * [`SimRng`] — a seeded random generator with the samplers used by the
@@ -53,10 +55,12 @@ mod heap;
 mod idxheap;
 pub mod par;
 mod rng;
+mod sorted;
 mod time;
 
 pub use events::EventQueue;
 pub use heap::MinHeap4;
 pub use idxheap::IndexedMinHeap;
 pub use rng::SimRng;
+pub use sorted::SortedDeque;
 pub use time::{SimDuration, SimTime};

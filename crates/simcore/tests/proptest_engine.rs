@@ -1,6 +1,6 @@
 //! Property-based tests for the discrete-event engine.
 
-use faas_simcore::{check, EventQueue, MinHeap4, SimDuration, SimTime};
+use faas_simcore::{check, EventQueue, MinHeap4, SimDuration, SimTime, SortedDeque};
 
 /// Popped timestamps are non-decreasing for arbitrary schedules.
 #[test]
@@ -96,10 +96,8 @@ fn event_queue_matches_reference_model() {
     });
 }
 
-/// Differential model check of the runqueue heap: `push`/`pop_min`/
-/// `take_max` over unique keys must mirror a `BTreeSet`'s
-/// `iter().next()` / `iter().next_back()` picks exactly (the old
-/// runqueue implementation).
+/// Differential model check of the 4-ary heap: `push`/`pop_min` over
+/// unique keys must mirror a `BTreeSet`'s `iter().next()` picks exactly.
 #[test]
 fn min_heap4_matches_btreeset_model() {
     use std::collections::BTreeSet;
@@ -109,36 +107,78 @@ fn min_heap4_matches_btreeset_model() {
         let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
         let mut uniq = 0u64;
         for _ in 0..steps {
-            match g.usize_in(0, 4) {
-                0 | 1 => {
-                    // Unique keys, as the runqueues guarantee via the
-                    // task-id tie-break.
-                    let key = (g.u64_in(0, 50), uniq);
-                    uniq += 1;
-                    h.push(key);
-                    model.insert(key);
-                }
-                2 => {
-                    let expect = model.iter().next().copied();
-                    if let Some(k) = expect {
-                        model.remove(&k);
-                    }
-                    assert_eq!(h.pop_min(), expect, "pop_min diverged");
-                }
-                _ => {
-                    let expect = model.iter().next_back().copied();
-                    if let Some(k) = expect {
-                        model.remove(&k);
-                    }
-                    assert_eq!(h.take_max(), expect, "take_max diverged");
-                }
+            if g.usize_in(0, 3) < 2 {
+                // Unique keys, as the event queue guarantees via its
+                // insertion-order tie-break.
+                let key = (g.u64_in(0, 50), uniq);
+                uniq += 1;
+                h.push(key);
+                model.insert(key);
+            } else {
+                assert_eq!(h.pop_min(), model.pop_first(), "pop_min diverged");
             }
             assert_eq!(h.len(), model.len(), "len diverged");
-            assert_eq!(h.peek_min(), model.iter().next(), "peek diverged");
+            assert_eq!(h.peek_min(), model.first(), "peek diverged");
         }
-        let sorted: Vec<_> = model.iter().copied().collect();
-        assert_eq!(h.into_sorted_vec(), sorted, "final drain diverged");
+        let drained: Vec<_> = std::iter::from_fn(|| h.pop_min()).collect();
+        let sorted: Vec<_> = model.into_iter().collect();
+        assert_eq!(drained, sorted, "final drain diverged");
     });
+}
+
+/// Differential model check of the run-queue deque: `push`/`pop_min`/
+/// `take_max` over unique keys must mirror a `BTreeSet`'s
+/// `iter().next()` / `iter().next_back()` picks exactly. Pushed keys are
+/// drawn at random, behind the back (the append path) or ahead of the
+/// front (front inserts), and the run checks that both paths were hit.
+#[test]
+fn sorted_deque_matches_btreeset_model() {
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+    let (appends, front_inserts) = (Cell::new(0u32), Cell::new(0u32));
+    check::run("sorted_deque_matches_btreeset_model", 192, |g| {
+        let steps = g.usize_in(1, 150);
+        let mut q: SortedDeque<(u64, u64)> = SortedDeque::new();
+        let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut uniq = 0u64;
+        for _ in 0..steps {
+            let op = g.usize_in(0, 6);
+            if op < 4 {
+                // Unique keys, as the run queues guarantee via the task-id
+                // tie-break; `uniq` grows, so a key at the back's vruntime
+                // sorts after it.
+                let vr = match (g.usize_in(0, 3), model.first(), model.last()) {
+                    (0, _, Some(back)) => back.0 + g.u64_in(0, 3),
+                    (1, Some(front), _) => front.0.saturating_sub(g.u64_in(1, 4)),
+                    _ => g.u64_in(0, 1_000),
+                };
+                let key = (vr, uniq);
+                uniq += 1;
+                if model.last().is_none_or(|back| key > *back) {
+                    appends.set(appends.get() + 1);
+                } else if model.first().is_some_and(|front| key < *front) {
+                    front_inserts.set(front_inserts.get() + 1);
+                }
+                model.insert(key);
+                q.push(key);
+            } else if op == 4 {
+                assert_eq!(q.pop_min(), model.pop_first(), "pop_min diverged");
+            } else {
+                assert_eq!(q.take_max(), model.pop_last(), "take_max diverged");
+            }
+            assert_eq!(q.len(), model.len(), "len diverged");
+            assert_eq!(q.peek_min(), model.first(), "peek diverged");
+        }
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop_min()).collect();
+        let sorted: Vec<_> = model.into_iter().collect();
+        assert_eq!(drained, sorted, "final drain diverged");
+    });
+    assert!(appends.get() > 1_000, "{} appends", appends.get());
+    assert!(
+        front_inserts.get() > 1_000,
+        "{} front inserts",
+        front_inserts.get()
+    );
 }
 
 /// `clear` starts a fresh FIFO epoch: events scheduled after it pop in

@@ -1,26 +1,41 @@
-//! Bitwise pin for the lone-slice renewal in the CFS run queues.
+//! Bitwise pins for the in-place slice dispatches in the CFS run queues.
 //!
-//! When a CFS slice expires and its task is the machine's only waiting
-//! task, `CfsRunQueues` dispatches the core again on the spot instead of
-//! leaving that to `MachineRun`'s idle-core offers. That shortcut is exact
-//! only because every other idle core would have declined the task. This
-//! suite runs a lightly loaded 50-core machine, where the long functions
-//! run alone on their CFS cores and nearly every expiry takes the
-//! shortcut, under the paper's 25+25 hybrid and under plain CFS. Host
-//! interference, off-CPU waits and deadlines are on, so the expiries
-//! interleave with interference preemptions, I/O returns and cancels.
+//! When a CFS slice expires, `CfsRunQueues` may dispatch the core again on
+//! the spot instead of leaving that to `MachineRun`'s idle-core offers.
+//! It does so in two regimes, and this suite pins both:
+//!
+//! - **Lone renewal.** The expired task is the machine's only waiting
+//!   task. The shortcut is exact only because every other idle core would
+//!   have declined the task. A lightly loaded 50-core machine, where the
+//!   long functions run alone on their CFS cores, takes it on nearly
+//!   every expiry.
+//! - **Saturated hand-off.** The expiring core is the machine's only idle
+//!   core. The offers would have reached only that core, which would have
+//!   run its own queue head, usually another task. The same work on an
+//!   8-core machine keeps the CFS queues long: under plain CFS most
+//!   expiries hand the core to another task, and the 4+4 hybrid's CFS
+//!   side does so thousands of times.
+//!
+//! Each regime runs under plain CFS and under a hybrid split (the paper's
+//! 25+25 on 50 cores, 4+4 on 8). Host interference, off-CPU waits and
+//! deadlines are on, so the expiries interleave with interference
+//! preemptions, I/O returns and cancels.
 //!
 //! Each run is pinned to an FNV digest of every task record, the core
 //! stats, the kernel event count and the whole kernel message log. The
-//! digests were captured from the tree before the renewal existed, when
-//! every expiry went through `MachineRun`'s offers.
+//! digests were captured from the tree before the shortcut they pin
+//! existed, when every such expiry went through `MachineRun`'s offers.
 
 use serverless_hybrid_sched::kernel::{
     CoreId, KernelMessage, MachineRun, SimError, SlimReport, TaskId,
 };
 use serverless_hybrid_sched::prelude::*;
 
+/// The light-load machine: the paper's 50-core enclave.
 const CORES: usize = 50;
+/// The saturated machine: the same work on 8 cores keeps every CFS queue
+/// long.
+const SATURATED_CORES: usize = 8;
 
 /// FNV-1a 64-bit over the little-endian bytes of `words`.
 fn fnv1a(words: &[u64]) -> u64 {
@@ -56,8 +71,8 @@ fn specs() -> Vec<TaskSpec> {
         .collect()
 }
 
-fn machine() -> MachineConfig {
-    MachineConfig::new(CORES)
+fn machine(cores: usize) -> MachineConfig {
+    MachineConfig::new(cores)
         .with_interference(InterferenceConfig {
             mean_interval: SimDuration::from_secs(2),
             duration: SimDuration::from_millis(5),
@@ -66,8 +81,8 @@ fn machine() -> MachineConfig {
         .with_message_log()
 }
 
-fn run(policy: impl Scheduler) -> Result<SlimReport, SimError> {
-    MachineRun::new(machine(), specs(), policy).run_slim()
+fn run(cores: usize, policy: impl Scheduler) -> Result<SlimReport, SimError> {
+    MachineRun::new(machine(cores), specs(), policy).run_slim()
 }
 
 /// Stands for an absent field.
@@ -122,28 +137,39 @@ fn digest(r: &SlimReport) -> u64 {
     fnv1a(&words)
 }
 
-/// Slice expiries whose very next message re-dispatches the same task on
-/// the same core at the same instant: the pattern the renewal produces.
-fn same_core_renewals(r: &SlimReport) -> usize {
-    r.messages
-        .windows(2)
-        .filter(|w| match (w[0].1, w[1].1) {
+/// Slice expiries whose very next message dispatches on the same core at
+/// the same instant, as `(renewals, hand-offs)`: a renewal runs the
+/// expired task again, a hand-off runs a different task.
+fn same_core_dispatches(r: &SlimReport) -> (usize, usize) {
+    let (mut renewals, mut handoffs) = (0, 0);
+    for w in r.messages.windows(2) {
+        if let (
+            (at, KernelMessage::SliceExpired { task, core }),
             (
-                KernelMessage::SliceExpired { task, core },
+                next_at,
                 KernelMessage::Dispatch {
                     task: t, core: c, ..
                 },
-            ) => w[0].0 == w[1].0 && (task, core) == (t, c),
-            _ => false,
-        })
-        .count()
+            ),
+        ) = (w[0], w[1])
+        {
+            if at == next_at && core == c {
+                if task == t {
+                    renewals += 1;
+                } else {
+                    handoffs += 1;
+                }
+            }
+        }
+    }
+    (renewals, handoffs)
 }
 
 /// Checks one run against its digest, after making sure it exercised
 /// what the pin is for: renewals, interference preemptions, deadline
 /// cancels and off-CPU waits.
 fn assert_pinned(name: &str, r: &SlimReport, expected: u64) {
-    let renewals = same_core_renewals(r);
+    let (renewals, _) = same_core_dispatches(r);
     assert!(renewals > 1_000, "{name}: only {renewals} renewals");
     let interference_preempts = r
         .messages
@@ -172,18 +198,43 @@ fn assert_pinned(name: &str, r: &SlimReport, expected: u64) {
     assert_eq!(
         digest(r),
         expected,
-        "{name}: output changed vs. the pre-renewal baseline"
+        "{name}: output changed vs. the pinned baseline"
     );
 }
 
 #[test]
 fn hybrid_25_25_lone_expiries_pinned() {
-    let r = run(HybridScheduler::new(HybridConfig::paper_25_25())).expect("hybrid run completes");
+    let r = run(CORES, HybridScheduler::new(HybridConfig::paper_25_25()))
+        .expect("hybrid run completes");
     assert_pinned("hybrid", &r, 0x0f22_dfc9_1e31_3fda);
 }
 
 #[test]
 fn cfs_50_lone_expiries_pinned() {
-    let r = run(Cfs::with_cores(CORES)).expect("cfs run completes");
+    let r = run(CORES, Cfs::with_cores(CORES)).expect("cfs run completes");
     assert_pinned("cfs", &r, 0x9401_4fc4_d72d_7f48);
+}
+
+/// Checks a saturated run's pin after making sure more than
+/// `min_handoffs` of its expiries handed the core to another queued task.
+fn assert_saturated_pinned(name: &str, r: &SlimReport, min_handoffs: usize, expected: u64) {
+    let (_, handoffs) = same_core_dispatches(r);
+    assert!(handoffs > min_handoffs, "{name}: only {handoffs} hand-offs");
+    assert_pinned(name, r, expected);
+}
+
+#[test]
+fn cfs_8_saturated_handoffs_pinned() {
+    let r = run(SATURATED_CORES, Cfs::with_cores(SATURATED_CORES)).expect("cfs run completes");
+    assert_saturated_pinned("cfs-8", &r, 100_000, 0x0818_e4a9_ff21_5507);
+}
+
+#[test]
+fn hybrid_4_4_saturated_handoffs_pinned() {
+    let r = run(
+        SATURATED_CORES,
+        HybridScheduler::new(HybridConfig::split(4, 4)),
+    )
+    .expect("hybrid run completes");
+    assert_saturated_pinned("hybrid-4-4", &r, 1_000, 0xf3f9_5dc1_ebb9_ccab);
 }
