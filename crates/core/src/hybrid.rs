@@ -10,10 +10,15 @@
 //! utilization high (§IV-B): the limit tracks a percentile of the last 100
 //! task durations, and a rightsizing controller moves cores between the
 //! groups when their utilization diverges.
+//!
+//! At most instants only one group has work waiting, so the scheduler
+//! keeps the machine's offer mask ([`Machine::offer_mask_mut`]) at the
+//! cores an offer could act on: the FIFO group while the FIFO queue holds
+//! a task, plus the CFS members [`CfsRunQueues::offer_cores`] names.
 
 use std::collections::VecDeque;
 
-use faas_kernel::{CoreId, CoreState, Machine, Scheduler, TaskId};
+use faas_kernel::{CoreId, CoreSet, CoreState, Machine, Scheduler, TaskId};
 use faas_policies::CfsRunQueues;
 use faas_simcore::{SimDuration, SimTime};
 
@@ -71,6 +76,8 @@ pub struct HybridScheduler {
     cfg: HybridConfig,
     group_of: Vec<Group>,
     fifo_cores: Vec<CoreId>,
+    /// `fifo_cores` as a set, for the offer mask.
+    fifo_set: CoreSet,
     cfs_cores: Vec<CoreId>,
     fifo_queue: VecDeque<TaskId>,
     cfs: CfsRunQueues,
@@ -92,6 +99,7 @@ impl HybridScheduler {
         let total = cfg.total_cores();
         let mut group_of = Vec::with_capacity(total);
         let mut fifo_cores = Vec::new();
+        let mut fifo_set = CoreSet::empty(total);
         let mut cfs_cores = Vec::new();
         let mut cfs = CfsRunQueues::new(total, cfg.sched_latency, cfg.min_granularity);
         for i in 0..total {
@@ -99,6 +107,7 @@ impl HybridScheduler {
             if i < cfg.fifo_cores {
                 group_of.push(Group::Fifo);
                 fifo_cores.push(id);
+                fifo_set.insert(id);
             } else {
                 group_of.push(Group::Cfs);
                 cfs_cores.push(id);
@@ -121,6 +130,7 @@ impl HybridScheduler {
         HybridScheduler {
             group_of,
             fifo_cores,
+            fifo_set,
             cfs_cores,
             fifo_queue: VecDeque::new(),
             cfs,
@@ -243,6 +253,20 @@ impl HybridScheduler {
         }
     }
 
+    /// Sets the machine's offer mask to the cores an idle-core offer could
+    /// act on: the CFS members [`CfsRunQueues::offer_cores`] names, plus
+    /// the FIFO group while the FIFO queue holds a task. An offer to any
+    /// other core finds an empty FIFO queue, or an empty CFS queue with
+    /// no crowded queue to steal from, and changes nothing. Called after
+    /// every callback that can change the queues.
+    fn publish_offer_mask(&self, m: &mut Machine) {
+        let mask = m.offer_mask_mut();
+        mask.copy_from(self.cfs.offer_cores());
+        if !self.fifo_queue.is_empty() {
+            mask.union_with(&self.fifo_set);
+        }
+    }
+
     fn update_limit(&mut self, now: SimTime) {
         if let TimeLimitPolicy::Adaptive { percentile, .. } = self.cfg.time_limit {
             if self.window.len() >= self.cfg.min_samples {
@@ -299,6 +323,7 @@ impl HybridScheduler {
                 // Step 4: policy transition.
                 self.group_of[core.index()] = Group::Fifo;
                 self.fifo_cores.push(core);
+                self.fifo_set.insert(core);
                 steps.push(MigrationStep::PolicyTransition(direction));
                 // Step 5: unlock — the idle sweep will feed it FIFO work.
                 steps.push(MigrationStep::Unlock(core));
@@ -326,6 +351,7 @@ impl HybridScheduler {
                 };
                 steps.push(MigrationStep::PreemptRunning(preempted));
                 self.fifo_cores.retain(|c| *c != core);
+                self.fifo_set.remove(core);
                 self.group_of[core.index()] = Group::Cfs;
                 self.cfs_cores.push(core);
                 self.cfs.add_core(core);
@@ -384,10 +410,11 @@ impl Scheduler for HybridScheduler {
             let target = self.next_cfs_target();
             self.cfs.enqueue_new(m, target, task);
             self.background_routed += 1;
-            return;
+        } else {
+            // §IV-A: tasks are first directed to the global FIFO queue.
+            self.fifo_queue.push_back(task);
         }
-        // §IV-A: tasks are first directed to the global FIFO queue.
-        self.fifo_queue.push_back(task);
+        self.publish_offer_mask(m);
     }
 
     fn on_slice_expired(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
@@ -396,6 +423,7 @@ impl Scheduler for HybridScheduler {
             Group::Fifo => self.migrate_task_to_cfs(m, task),
             Group::Cfs => self.cfs.expire_slice(m, core, task),
         }
+        self.publish_offer_mask(m);
     }
 
     fn on_interference_preempt(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
@@ -405,6 +433,7 @@ impl Scheduler for HybridScheduler {
             Group::Fifo => self.fifo_queue.push_front(task),
             Group::Cfs => self.cfs.requeue(m, core, task),
         }
+        self.publish_offer_mask(m);
     }
 
     fn on_task_finished(&mut self, m: &mut Machine, task: TaskId, _core: CoreId) {
@@ -421,6 +450,7 @@ impl Scheduler for HybridScheduler {
             Group::Fifo => self.dispatch_fifo(m, core),
             Group::Cfs => self.cfs.dispatch(m, core),
         }
+        self.publish_offer_mask(m);
     }
 
     fn on_tick(&mut self, m: &mut Machine) {
@@ -439,6 +469,7 @@ impl Scheduler for HybridScheduler {
         );
         if let Some(direction) = decision {
             self.migrate_core(m, direction);
+            self.publish_offer_mask(m);
         }
     }
 }

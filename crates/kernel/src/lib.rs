@@ -4,7 +4,9 @@
 //! schedules on: CPU cores, CPU-bound tasks, context-switch costs, and a
 //! ghOSt-style split between a *kernel side* ([`Machine`]) that owns ground
 //! truth and *user-space agents* ([`Scheduler`]) that make placement
-//! decisions via two verbs: [`Machine::dispatch`] and [`Machine::preempt`].
+//! decisions via two verbs, [`Machine::dispatch`] and [`Machine::preempt`],
+//! and may narrow the idle cores they are offered with a third,
+//! [`Machine::offer_mask_mut`].
 //!
 //! ## Why a simulator?
 //!
@@ -65,6 +67,7 @@ mod util;
 
 pub use crate::core::{CoreId, CoreState, CoreStats};
 pub use cost::CostModel;
+pub use idle::CoreSet;
 pub use machine::{
     InterferenceConfig, Machine, MachineConfig, PolicyCall, SchedError, SimError, StormWindow,
 };

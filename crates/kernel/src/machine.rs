@@ -14,7 +14,7 @@ use faas_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::core::{Core, CoreId, CoreState, CoreStats};
 use crate::cost::CostModel;
-use crate::idle::IdleSet;
+use crate::idle::CoreSet;
 use crate::message::KernelMessage;
 use crate::task::{Task, TaskId, TaskSpec, TaskState};
 use crate::util::UtilizationLedger;
@@ -304,7 +304,12 @@ pub struct Machine {
     tick_every: Option<SimDuration>,
     /// Incrementally maintained set of idle cores (updated on every core
     /// state transition; replaces the per-event O(cores) scan).
-    idle: IdleSet,
+    idle: CoreSet,
+    /// `idle.len()`, kept alongside so the count is one load.
+    num_idle: usize,
+    /// The cores the driver may offer: every core until the policy
+    /// narrows it ([`Machine::offer_mask_mut`]).
+    offer_mask: CoreSet,
     /// Monotonic count of busy→idle transitions. The driver compares it
     /// across one pass of idle-core offers to see whether the pass freed
     /// a core that needs a follow-up pass.
@@ -391,7 +396,9 @@ impl Machine {
             now: SimTime::ZERO,
             last_progress: SimTime::ZERO,
             tick_every: None,
-            idle: IdleSet::all_idle(cfg.cores),
+            idle: CoreSet::full(cfg.cores),
+            num_idle: cfg.cores,
+            offer_mask: CoreSet::full(cfg.cores),
             idle_transitions: 0,
             waiting: 0,
             events_processed: 0,
@@ -509,7 +516,7 @@ impl Machine {
 
     /// Number of currently idle cores (O(1)).
     pub fn num_idle_cores(&self) -> usize {
-        self.idle.len()
+        self.num_idle
     }
 
     /// Number of arrived tasks a policy can dispatch — those `Queued` or
@@ -519,17 +526,15 @@ impl Machine {
         self.waiting
     }
 
-    /// The lowest-numbered idle core, if any (one bit scan). The driver's
-    /// allocation- and buffer-free path for the common "exactly one core
-    /// just went idle" sweep.
-    pub fn first_idle_core(&self) -> Option<CoreId> {
-        self.idle.first()
+    /// The idle set itself, for the driver's word-by-word scan.
+    pub(crate) fn idle_set(&self) -> &CoreSet {
+        &self.idle
     }
 
-    /// Appends the idle cores to `buf` in ascending id order without
-    /// allocating (the snapshot the simulation driver sweeps over).
-    pub fn fill_idle_cores(&self, buf: &mut Vec<CoreId>) {
-        self.idle.fill(buf);
+    /// The cores the driver may offer while they are idle and some task
+    /// waits (see [`Machine::offer_mask_mut`]).
+    pub(crate) fn offer_mask(&self) -> &CoreSet {
+        &self.offer_mask
     }
 
     /// The task running on `core` and the length of its current run
@@ -713,6 +718,19 @@ impl Machine {
 
     // ---- scheduling verbs (the agent ABI) -----------------------------
 
+    /// The offer mask, for the policy to narrow: `MachineRun` offers an
+    /// idle core only while it is in the mask. It holds every core until
+    /// a policy changes it. A policy may leave a core out only while an
+    /// offer to it would change nothing (see the [`Scheduler`] contract);
+    /// the driver re-reads the mask after every offer, so a policy that
+    /// narrows it keeps it current from every callback that changes its
+    /// queues, `on_core_idle` included.
+    ///
+    /// [`Scheduler`]: crate::Scheduler
+    pub fn offer_mask_mut(&mut self) -> &mut CoreSet {
+        &mut self.offer_mask
+    }
+
     /// Commits `task` to run on `core`, optionally bounded by a time slice.
     ///
     /// With `slice = None` the task runs to completion (FIFO-style). With
@@ -772,7 +790,7 @@ impl Machine {
             c.ctx_switches += 1;
         }
         let generation = c.generation;
-        self.idle.remove(core);
+        self.mark_busy(core);
         self.waiting -= 1;
 
         let now = self.now;
@@ -994,7 +1012,7 @@ impl Machine {
                         .cfg
                         .interference
                         .expect("interference event without config");
-                    self.idle.remove(core);
+                    self.mark_busy(core);
                     let c = &mut self.cores[core.index()];
                     c.state = CoreState::Interference;
                     c.generation += 1;
@@ -1136,8 +1154,18 @@ impl Machine {
     /// change counter the driver's follow-up offer passes key off.
     #[inline]
     fn mark_idle(&mut self, core: CoreId) {
+        debug_assert!(!self.idle.contains(core), "core {core} already idle");
         self.idle.insert(core);
+        self.num_idle += 1;
         self.idle_transitions += 1;
+    }
+
+    /// Records an idle→busy transition.
+    #[inline]
+    fn mark_busy(&mut self, core: CoreId) {
+        debug_assert!(self.idle.contains(core), "core {core} already busy");
+        self.idle.remove(core);
+        self.num_idle -= 1;
     }
 
     /// Monotonic count of busy→idle transitions (unchanged across an offer

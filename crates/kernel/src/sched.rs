@@ -4,7 +4,8 @@
 //! the kernel delivers messages (task arrival, slice expiry, …) and the
 //! agent reacts by invoking the scheduling verbs on the [`Machine`].
 //! [`MachineRun`] is the per-machine driver — it binds one machine to one
-//! agent and owns the event loop plus the idle-core offers.
+//! agent and owns the event loop plus the idle-core offers, counting
+//! the offers it makes.
 //! [`Simulation`] is its name for a single-machine run; the cluster layer
 //! drives many `MachineRun`s side by side.
 
@@ -12,7 +13,8 @@ use std::borrow::Cow;
 
 use faas_simcore::{SimDuration, SimTime};
 
-use crate::core::{CoreId, CoreState, CoreStats};
+use crate::core::{CoreId, CoreStats};
+use crate::idle::CoreSet;
 use crate::machine::{Machine, MachineConfig, PolicyCall, SimError};
 use crate::message::KernelMessage;
 use crate::task::{Task, TaskId, TaskSpec};
@@ -24,18 +26,35 @@ use crate::task::{Task, TaskId, TaskSpec};
 /// * every callback runs with exclusive access to the [`Machine`];
 /// * after every kernel event, while some task waits
 ///   ([`Machine::num_waiting`] > 0), [`Scheduler::on_core_idle`] is
-///   invoked once for each idle core, in core-id order, so a policy only
-///   needs to react locally. A core freed during the offers is offered
-///   in a follow-up pass; no core is offered twice for one event;
+///   invoked once for each idle core in the offer mask
+///   ([`Machine::offer_mask_mut`]), in core-id order, so a policy only
+///   needs to react locally. The driver re-reads the mask after every
+///   offer. A core freed during the offers is offered in a follow-up
+///   pass; no core is offered twice for one event;
 /// * offers stop as soon as no task waits, even in the middle of a pass,
 ///   so an event's cost does not grow with the number of idle cores. A
 ///   policy must not rely on offers with nothing waiting (periodic work
 ///   belongs in [`Scheduler::on_tick`]). Every in-tree policy does
-///   nothing on such an offer, which keeps its outcome identical to that
-///   of a driver offering every idle core after every event;
+///   nothing on such an offer;
 /// * a task handed over in `on_slice_expired` / `on_interference_preempt`
 ///   is in the `Preempted` state and is *owned by the policy* until it is
 ///   dispatched again — the kernel will never move it.
+///
+/// The offer mask holds every core until the policy narrows it, which
+/// spares the offers to idle cores the policy has no work for (the
+/// hybrid's FIFO group while only CFS work waits, say). Two rules keep
+/// the narrowing exact:
+///
+/// * a policy may leave a core out of the mask only while an offer to it
+///   would change nothing: the policy would dispatch nothing and leave
+///   its own state untouched;
+/// * a core the driver skips because the mask leaves it out counts as
+///   offered for that event, so a follow-up pass never reaches it, even
+///   if the mask has grown since.
+///
+/// Under both rules, and with nothing done on offers while nothing
+/// waits, a policy's outcome is identical to that of a driver offering
+/// every idle core after every event.
 ///
 /// A policy may dispatch from inside any callback, not only from
 /// [`Scheduler::on_core_idle`]. The CFS run queues use this on a slice
@@ -47,7 +66,8 @@ use crate::task::{Task, TaskId, TaskSpec};
 /// nothing to steal, then dispatch that core, and then stop. With one
 /// core idle, the offers would reach only that core, which would run its
 /// own queue head and leave no idle core to offer. Skipping the offers
-/// leaves every event, message and counter unchanged. An interference
+/// leaves every event, message and kernel counter unchanged; only the
+/// driver's offer count ([`MachineRun::offers`]) falls. An interference
 /// preemption must not take this path, because the host still holds the
 /// core.
 pub trait Scheduler {
@@ -101,6 +121,11 @@ pub struct SimReport {
     pub finished_at: SimTime,
     /// The machine in its final state (utilization ledger, message log).
     pub machine: Machine,
+    /// Idle-core offers the driver made (see [`MachineRun::offers`]).
+    pub offers: u64,
+    /// Offers after which the offered core was still idle (see
+    /// [`MachineRun::declined_offers`]).
+    pub declined_offers: u64,
 }
 
 impl SimReport {
@@ -146,6 +171,11 @@ pub struct SlimReport {
     pub max_in_flight: u64,
     /// Tasks cancelled past their deadline (see [`Machine::num_cancelled`]).
     pub cancelled: u64,
+    /// Idle-core offers the driver made (see [`MachineRun::offers`]).
+    pub offers: u64,
+    /// Offers after which the offered core was still idle (see
+    /// [`MachineRun::declined_offers`]).
+    pub declined_offers: u64,
 }
 
 impl SlimReport {
@@ -168,16 +198,27 @@ impl SlimReport {
 /// the arrival stream), each advanced to completion with [`step`].
 /// [`Simulation`] is the same type, named for a single-machine run.
 ///
+/// After each event, while a task waits, [`step`] offers the cores that
+/// are both idle and in the policy's offer mask
+/// ([`Machine::offer_mask_mut`]). It scans the two sets 64 cores at a
+/// time, so idle cores outside the mask cost nothing, and it counts the
+/// offers it makes and those the policy declines ([`offers`],
+/// [`declined_offers`]). The counts repeat exactly for a given input, so
+/// tests can pin them where wall-clock timings would blur.
+///
 /// [`step`]: MachineRun::step
+/// [`offers`]: MachineRun::offers
+/// [`declined_offers`]: MachineRun::declined_offers
 pub struct MachineRun<P> {
     machine: Machine,
     policy: P,
-    /// Reusable snapshot of the idle cores (no per-event allocation).
-    sweep_buf: Vec<CoreId>,
-    /// Per-core stamp of the last step a core was offered to the policy,
-    /// bounding each core to one `on_core_idle` call per event.
-    swept_at: Vec<u64>,
-    step: u64,
+    /// Cores offered, or skipped as outside the mask, during the current
+    /// event: each core gets at most one offer per event.
+    offered: CoreSet,
+    /// The idle set at the start of the current offer pass.
+    pass_idle: CoreSet,
+    offers: u64,
+    declined_offers: u64,
 }
 
 impl<P: Scheduler> MachineRun<P> {
@@ -193,9 +234,10 @@ impl<P: Scheduler> MachineRun<P> {
         MachineRun {
             machine,
             policy,
-            sweep_buf: Vec::with_capacity(cores),
-            swept_at: vec![0; cores],
-            step: 0,
+            offered: CoreSet::empty(cores),
+            pass_idle: CoreSet::empty(cores),
+            offers: 0,
+            declined_offers: 0,
         }
     }
 
@@ -207,6 +249,17 @@ impl<P: Scheduler> MachineRun<P> {
     /// Read access to the policy mid-run.
     pub fn policy(&self) -> &P {
         &self.policy
+    }
+
+    /// Idle-core offers made so far: calls of [`Scheduler::on_core_idle`].
+    pub fn offers(&self) -> u64 {
+        self.offers
+    }
+
+    /// Offers so far after which the offered core was still idle: the
+    /// policy had nothing to run there.
+    pub fn declined_offers(&self) -> u64 {
+        self.declined_offers
     }
 
     /// Feeds more task specs mid-run (the chunked cluster feed; see
@@ -256,8 +309,8 @@ impl<P: Scheduler> MachineRun<P> {
     }
 
     /// Advances by one kernel event, delivering messages to the policy and
-    /// offering idle cores while a task waits. Returns `false` when the run
-    /// is complete.
+    /// offering the idle cores in the offer mask while a task waits.
+    /// Returns `false` when the run is complete.
     ///
     /// # Errors
     ///
@@ -267,7 +320,6 @@ impl<P: Scheduler> MachineRun<P> {
             Some(c) => c,
             None => return Ok(false),
         };
-        self.step += 1;
         let m = &mut self.machine;
         match call {
             PolicyCall::TaskNew(t) => self.policy.on_task_new(m, t),
@@ -277,54 +329,64 @@ impl<P: Scheduler> MachineRun<P> {
             PolicyCall::Tick => self.policy.on_tick(m),
             PolicyCall::Internal => {}
         }
-        // Idle-core offers, only while a task waits: with nothing waiting
-        // no policy has work to place (see the `Scheduler` contract), so
-        // the cost of an event does not grow with the number of idle cores.
-        // The offers walk the idle bitset into a reusable buffer (no
-        // allocation, no O(all cores) scan). Cores freed by preempts made
-        // during a pass are picked up in follow-up passes, each core
-        // offered at most once per event.
-        'offers: while self.machine.num_waiting() > 0 {
-            let idle_now = self.machine.num_idle_cores();
-            if idle_now == 0 {
-                break;
-            }
-            let pass_transitions = self.machine.idle_transitions();
-            let mut pass_offered = false;
-            if idle_now == 1 {
-                // Fast path for the loaded steady state: exactly one core
-                // just went idle — offer it straight off the bitset, no
-                // snapshot buffer walk.
-                let core = self.machine.first_idle_core().expect("one idle core");
-                if self.swept_at[core.index()] != self.step {
-                    self.swept_at[core.index()] = self.step;
-                    pass_offered = true;
-                    self.policy.on_core_idle(&mut self.machine, core);
-                }
-            } else {
-                self.sweep_buf.clear();
-                self.machine.fill_idle_cores(&mut self.sweep_buf);
-                for i in 0..self.sweep_buf.len() {
-                    if self.machine.num_waiting() == 0 {
-                        break 'offers;
-                    }
-                    let core = self.sweep_buf[i];
-                    if self.machine.core_state(core) == CoreState::Idle
-                        && self.swept_at[core.index()] != self.step
-                    {
-                        self.swept_at[core.index()] = self.step;
-                        pass_offered = true;
-                        self.policy.on_core_idle(&mut self.machine, core);
-                    }
-                }
-            }
-            // Another pass only if a core was freed during this one (each
-            // core is still offered at most once per event).
-            if !pass_offered || self.machine.idle_transitions() == pass_transitions {
-                break;
-            }
+        // Offers only while a task waits: with nothing waiting no policy
+        // has work to place (see the `Scheduler` contract), so the cost of
+        // an event does not grow with the number of idle cores.
+        if self.machine.num_waiting() > 0 && self.machine.num_idle_cores() > 0 {
+            self.offer_idle_cores();
         }
         Ok(true)
+    }
+
+    /// Offers the idle cores in the offer mask, in core-id order, until
+    /// no task waits. Each pass walks the idle set as it stood when the
+    /// pass began, one 64-core word at a time, re-reading the live idle
+    /// set and the mask after every offer. Idle cores the mask leaves out
+    /// are skipped by the word, and count as offered (see the `Scheduler`
+    /// contract); a core that stopped being idle before the scan reached
+    /// it is not marked, so it is offered in a follow-up pass if the pass
+    /// frees it again. A follow-up pass runs only if a core was freed
+    /// during the last one, and offers each core at most once per event.
+    fn offer_idle_cores(&mut self) {
+        self.offered.clear();
+        loop {
+            let pass_transitions = self.machine.idle_transitions();
+            self.pass_idle.copy_from(self.machine.idle_set());
+            let mut pass_offered = false;
+            for w in 0..self.pass_idle.num_words() {
+                // Bits above the core this pass last offered in word `w`.
+                let mut ahead = u64::MAX;
+                loop {
+                    let idle = self.pass_idle.word(w)
+                        & self.machine.idle_set().word(w)
+                        & !self.offered.word(w)
+                        & ahead;
+                    let due = idle & self.machine.offer_mask().word(w);
+                    if due == 0 {
+                        *self.offered.word_mut(w) |= idle;
+                        break;
+                    }
+                    if self.machine.num_waiting() == 0 {
+                        return;
+                    }
+                    let bit = due & due.wrapping_neg();
+                    let upto = bit | (bit - 1);
+                    *self.offered.word_mut(w) |= idle & upto;
+                    ahead = !upto;
+                    let core = CoreId::from_index(w * 64 + bit.trailing_zeros() as usize);
+                    pass_offered = true;
+                    self.offers += 1;
+                    self.policy.on_core_idle(&mut self.machine, core);
+                    if self.machine.idle_set().word(w) & bit != 0 {
+                        self.declined_offers += 1;
+                    }
+                }
+            }
+            // Another pass only if a core was freed during this one.
+            if !pass_offered || self.machine.idle_transitions() == pass_transitions {
+                return;
+            }
+        }
     }
 
     /// Runs to completion, returning the full report (keeps the machine).
@@ -344,6 +406,8 @@ impl<P: Scheduler> MachineRun<P> {
             core_stats,
             finished_at,
             machine: self.machine,
+            offers: self.offers,
+            declined_offers: self.declined_offers,
         })
     }
 
@@ -374,6 +438,8 @@ impl<P: Scheduler> MachineRun<P> {
             messages,
             max_in_flight,
             cancelled,
+            offers: self.offers,
+            declined_offers: self.declined_offers,
         })
     }
 
@@ -451,6 +517,85 @@ mod tests {
             if let Some(t) = self.queue.pop_front() {
                 m.dispatch(core, t, None).unwrap();
             }
+        }
+    }
+
+    /// A global-queue FIFO that runs tasks only on the cores in
+    /// `allowed`, and leaves every other core out of the offer mask.
+    struct Pinned {
+        queue: VecDeque<TaskId>,
+        allowed: CoreSet,
+        /// `on_core_idle` calls, and those for a core outside `allowed`.
+        calls: u64,
+        calls_outside: u64,
+    }
+
+    impl Scheduler for Pinned {
+        fn name(&self) -> &str {
+            "pinned"
+        }
+        fn on_task_new(&mut self, m: &mut Machine, task: TaskId) {
+            self.queue.push_back(task);
+            m.offer_mask_mut().copy_from(&self.allowed);
+        }
+        fn on_slice_expired(&mut self, _m: &mut Machine, task: TaskId, _core: CoreId) {
+            self.queue.push_back(task);
+        }
+        fn on_core_idle(&mut self, m: &mut Machine, core: CoreId) {
+            self.calls += 1;
+            if !self.allowed.contains(core) {
+                self.calls_outside += 1;
+                return;
+            }
+            if let Some(t) = self.queue.pop_front() {
+                m.dispatch(core, t, None).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn cores_outside_the_offer_mask_are_never_offered() {
+        // 130 cores, so the idle set and the mask span three words. Tasks
+        // may run on four cores only, on both sides of the first word
+        // boundary and in the last, partly used word.
+        let cores = 130;
+        let mut allowed = CoreSet::empty(cores);
+        for c in [3, 63, 64, 129] {
+            allowed.insert(CoreId::from_index(c));
+        }
+        let specs: Vec<TaskSpec> = (0..40)
+            .map(|i| {
+                TaskSpec::function(
+                    SimTime::from_millis(i % 5),
+                    SimDuration::from_millis(10 + i % 7),
+                    128,
+                )
+            })
+            .collect();
+        let cfg = MachineConfig::new(cores).with_cost(crate::CostModel::free());
+        let policy = Pinned {
+            queue: VecDeque::new(),
+            allowed: allowed.clone(),
+            calls: 0,
+            calls_outside: 0,
+        };
+        let mut run = MachineRun::new(cfg, specs, policy);
+        while run.step().unwrap() {}
+        assert_eq!(run.policy().calls_outside, 0, "a core outside the mask");
+        // Every offer went to an allowed core with a task waiting, and
+        // started it there: one offer per task.
+        assert_eq!(run.offers(), run.policy().calls);
+        assert_eq!(run.offers(), 40);
+        assert_eq!(run.declined_offers(), 0);
+        let m = run.machine();
+        assert_eq!(m.num_finished(), 40);
+        for c in (0..cores).map(CoreId::from_index) {
+            let switches = m.core_stats(c).ctx_switches;
+            assert_eq!(
+                switches > 0,
+                allowed.contains(c),
+                "core {c} ran {switches} tasks"
+            );
         }
     }
 

@@ -10,12 +10,14 @@
 //!
 //! With equal weights, a task's vruntime advance equals its on-CPU time, so
 //! we derive the effective vruntime as `offset + cpu_time`, where the
-//! offset is fixed at enqueue time (placement at `min_vruntime`).
+//! offset is fixed at enqueue time (placement at `min_vruntime`). A queued
+//! task's offset is implicit in its run-queue key (its CPU time does not
+//! move while it waits); the running task's offset is kept by its core.
 //!
 //! The run queues ([`CfsRunQueues`]) are shared with the hybrid
 //! scheduler's long-task group, whose member cores join and leave.
 
-use faas_kernel::{CoreId, CoreState, Machine, Scheduler, TaskId};
+use faas_kernel::{CoreId, CoreSet, CoreState, Machine, Scheduler, TaskId};
 use faas_simcore::{SimDuration, SortedDeque};
 
 /// Tunables of the simulated CFS (Linux-like defaults).
@@ -60,9 +62,10 @@ struct CoreRq {
     queue: RunQueue,
     /// Monotone floor for new placements; reset when the core leaves.
     min_vruntime: i64,
-    /// Whether the core belongs to the group. A non-member's queue is
-    /// always empty.
-    member: bool,
+    /// vruntime offset of the task this core last dispatched, which runs
+    /// there or has just stopped there: its effective vruntime is this
+    /// plus its CPU time.
+    running_offset: i64,
 }
 
 /// The CFS mechanism: per-core vruntime run queues over cores
@@ -91,13 +94,21 @@ struct CoreRq {
 /// their cores), or when the core is the machine's only idle core (a
 /// saturated machine). Both spare `MachineRun`'s offers, with
 /// byte-identical output.
+///
+/// The members, and the members whose queue holds a task, are kept as
+/// [`CoreSet`]s, so [`offer_cores`](Self::offer_cores) names the cores an
+/// idle-core offer could act on without a scan, for a policy's offer mask.
+///
+/// Nothing is kept per task beyond the queued entries themselves, so a
+/// streaming run whose task ids keep rising holds memory for its cores
+/// and its queued tasks only.
 #[derive(Debug)]
 pub struct CfsRunQueues {
     rqs: Vec<CoreRq>,
-    /// vruntime offset per task: effective vr = offset + cpu_time.
-    /// Indexed by `TaskId::index()` (the kernel assigns ids densely);
-    /// absent entries read as 0.
-    offsets: Vec<i64>,
+    /// Member cores. A non-member's queue is always empty.
+    members: CoreSet,
+    /// Members whose queue holds at least one task.
+    queued: CoreSet,
     sched_latency: SimDuration,
     min_granularity: SimDuration,
     /// Smallest runnable count at which the slice formula bottoms out at
@@ -123,7 +134,8 @@ impl CfsRunQueues {
         );
         CfsRunQueues {
             rqs: (0..cores).map(|_| CoreRq::default()).collect(),
-            offsets: Vec::new(),
+            members: CoreSet::empty(cores),
+            queued: CoreSet::empty(cores),
             sched_latency,
             min_granularity,
             slice_floor_nr: sched_latency
@@ -140,13 +152,15 @@ impl CfsRunQueues {
 
     /// Makes `core` a member with an empty queue (no-op if it is one).
     pub fn add_core(&mut self, core: CoreId) {
-        self.rqs[core.index()].member = true;
+        self.members.insert(core);
     }
 
     /// Removes `core` from the members, returning its queued tasks in
     /// vruntime order.
     pub fn remove_core(&mut self, core: CoreId) -> Vec<TaskId> {
         let rq = std::mem::take(&mut self.rqs[core.index()]);
+        self.members.remove(core);
+        self.queued.remove(core);
         if rq.queue.len() >= 2 {
             self.crowded -= 1;
         }
@@ -159,7 +173,19 @@ impl CfsRunQueues {
 
     /// Whether `core` is a member.
     pub fn has_core(&self, core: CoreId) -> bool {
-        self.rqs[core.index()].member
+        self.members.contains(core)
+    }
+
+    /// The members an idle-core offer could act on: every member while
+    /// some queue holds two or more tasks (an empty queue may steal from
+    /// it), otherwise the members whose queue holds a task. An offer to
+    /// any other member finds nothing to run and nothing to steal.
+    pub fn offer_cores(&self) -> &CoreSet {
+        if self.crowded > 0 {
+            &self.members
+        } else {
+            &self.queued
+        }
     }
 
     /// Runnable tasks queued on `core` (excluding the running one).
@@ -172,10 +198,11 @@ impl CfsRunQueues {
         self.rqs.iter().map(|rq| rq.queue.len()).sum()
     }
 
-    /// A task's effective vruntime (µs).
-    pub fn vruntime(&self, m: &Machine, task: TaskId) -> i64 {
-        self.offsets.get(task.index()).copied().unwrap_or(0)
-            + m.task(task).cpu_time().as_micros() as i64
+    /// The effective vruntime (µs) of `task`, which this type last
+    /// dispatched on member `core` and which runs there or has just
+    /// stopped there.
+    fn running_vruntime(&self, m: &Machine, core: CoreId, task: TaskId) -> i64 {
+        self.rqs[core.index()].running_offset + m.task(task).cpu_time().as_micros() as i64
     }
 
     /// Enqueues a task entering member `core` fresh, placed at the core's
@@ -186,23 +213,24 @@ impl CfsRunQueues {
 
     /// Like [`enqueue_new`](Self::enqueue_new), but placed `credit` below
     /// `min_vruntime` — the sleeper-fairness credit real CFS grants
-    /// wakeups, which is what arms its wakeup-preemption check.
+    /// wakeups, which is what arms its wakeup-preemption check. Returns
+    /// the task's effective vruntime (µs).
     pub fn enqueue_with_credit(
         &mut self,
         m: &Machine,
         core: CoreId,
         task: TaskId,
         credit: SimDuration,
-    ) {
-        self.place(m, core.index(), task, credit.as_micros() as i64);
+    ) -> i64 {
+        self.place(m, core.index(), task, credit.as_micros() as i64)
     }
 
-    /// Re-enqueues a task that already belongs to member `core` after a
-    /// preemption (wakeup or host interference; slice expiries go
-    /// through [`expire_slice`](Self::expire_slice)); its vruntime
-    /// advanced by the CPU time it consumed.
+    /// Re-enqueues the task that this type last dispatched on member
+    /// `core` after a preemption there (wakeup or host interference;
+    /// slice expiries go through [`expire_slice`](Self::expire_slice));
+    /// its vruntime advanced by the CPU time it consumed.
     pub fn requeue(&mut self, m: &Machine, core: CoreId, task: TaskId) {
-        let vr = self.vruntime(m, task);
+        let vr = self.running_vruntime(m, core, task);
         self.push(core.index(), (vr, task));
     }
 
@@ -243,6 +271,7 @@ impl CfsRunQueues {
         let key = self.take(idx, RunQueue::pop_min).expect("non-empty queue");
         let rq = &mut self.rqs[idx];
         rq.min_vruntime = rq.min_vruntime.max(key.0);
+        rq.running_offset = key.0 - m.task(key.1).cpu_time().as_micros() as i64;
         let queued = rq.queue.len();
         let slice = self.slice_for(queued);
         m.dispatch(core, key.1, Some(slice))
@@ -271,54 +300,73 @@ impl CfsRunQueues {
         }
     }
 
-    /// Asserts the incremental crowded-queue count against a scan of
-    /// every queue. O(cores): a test oracle, not for the event loop.
+    /// Asserts the incremental crowded-queue count and the set of
+    /// members with a queued task against a scan of every queue.
+    /// O(cores): a test oracle, not for the event loop.
     pub fn check_crowded(&self) {
         let scan = self.rqs.iter().filter(|rq| rq.queue.len() >= 2).count();
         assert_eq!(
             self.crowded, scan,
             "crowded-queue count diverged from the scan"
         );
+        let queued: Vec<CoreId> = (0..self.rqs.len())
+            .map(CoreId::from_index)
+            .filter(|&c| self.queue_len(c) > 0)
+            .collect();
+        assert_eq!(
+            self.queued.iter().collect::<Vec<_>>(),
+            queued,
+            "queued-core set diverged from the scan"
+        );
+        assert!(
+            queued.iter().all(|&c| self.members.contains(c)),
+            "a non-member holds a queued task"
+        );
     }
 
     /// `(core, queue length)` of every member in ascending core order.
     fn member_lens(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.rqs
+        self.members
             .iter()
-            .enumerate()
-            .filter(|(_, rq)| rq.member)
-            .map(|(c, rq)| (c, rq.queue.len()))
+            .map(|c| (c.index(), self.rqs[c.index()].queue.len()))
     }
 
-    /// Places `task` on `core` at `min_vruntime - credit_us`.
-    fn place(&mut self, m: &Machine, core: usize, task: TaskId, credit_us: i64) {
-        let cpu = m.task(task).cpu_time().as_micros() as i64;
-        let offset = self.rqs[core].min_vruntime - credit_us - cpu;
-        if self.offsets.len() <= task.index() {
-            self.offsets.resize(task.index() + 1, 0);
-        }
-        self.offsets[task.index()] = offset;
-        self.push(core, (offset + cpu, task));
+    /// Places `task` on `core` at `min_vruntime - credit_us`, returning
+    /// that vruntime.
+    fn place(&mut self, m: &Machine, core: usize, task: TaskId, credit_us: i64) -> i64 {
+        let vr = self.rqs[core].min_vruntime - credit_us;
+        debug_assert!(
+            m.task(task).state() != faas_kernel::TaskState::Running,
+            "placing a running task"
+        );
+        self.push(core, (vr, task));
+        vr
     }
 
     /// Pushes `key` onto member `core`'s queue, keeping the crowded-queue
-    /// count.
+    /// count and the queued-core set.
     fn push(&mut self, core: usize, key: RqKey) {
-        let rq = &mut self.rqs[core];
-        debug_assert!(rq.member, "enqueue on a non-member core");
-        rq.queue.push(key);
-        if rq.queue.len() == 2 {
-            self.crowded += 1;
+        let id = CoreId::from_index(core);
+        debug_assert!(self.members.contains(id), "enqueue on a non-member core");
+        let queue = &mut self.rqs[core].queue;
+        queue.push(key);
+        match queue.len() {
+            1 => self.queued.insert(id),
+            2 => self.crowded += 1,
+            _ => {}
         }
     }
 
     /// Takes one key off `core`'s queue with `pick` (`pop_min` or
-    /// `take_max`), keeping the crowded-queue count.
+    /// `take_max`), keeping the crowded-queue count and the queued-core
+    /// set.
     fn take(&mut self, core: usize, pick: fn(&mut RunQueue) -> Option<RqKey>) -> Option<RqKey> {
         let queue = &mut self.rqs[core].queue;
         let key = pick(queue)?;
-        if queue.len() == 1 {
-            self.crowded -= 1;
+        match queue.len() {
+            0 => self.queued.remove(CoreId::from_index(core)),
+            1 => self.crowded -= 1,
+            _ => {}
         }
         Some(key)
     }
@@ -396,9 +444,7 @@ impl Cfs {
     pub fn with_params(cores: usize, params: CfsParams) -> Self {
         assert!(cores > 0, "need at least one core");
         let mut rqs = CfsRunQueues::new(cores, params.sched_latency, params.min_granularity);
-        for c in 0..cores {
-            rqs.add_core(CoreId::from_index(c));
-        }
+        rqs.members = CoreSet::full(cores);
         Cfs { params, rqs }
     }
 
@@ -437,7 +483,8 @@ impl Scheduler for Cfs {
         let core = self.least_loaded_core(m);
         // New tasks get the sleeper credit: placed half a latency period
         // below min_vruntime (bounded unfairness, like the kernel).
-        self.rqs
+        let vr = self
+            .rqs
             .enqueue_with_credit(m, core, task, self.params.sched_latency / 2);
         if !self.params.wakeup_preemption {
             return;
@@ -446,7 +493,7 @@ impl Scheduler for Cfs {
         // vruntime is far enough ahead of the newcomer, kick it off now;
         // the idle sweep re-picks the smallest vruntime (the newcomer).
         if let Some((running, _)) = m.running_on(core) {
-            let lead = self.rqs.vruntime(m, running) - self.rqs.vruntime(m, task);
+            let lead = self.rqs.running_vruntime(m, core, running) - vr;
             if lead >= self.params.wakeup_granularity.as_micros() as i64 {
                 let evicted = m.preempt(core).expect("core was running");
                 self.rqs.requeue(m, core, evicted);

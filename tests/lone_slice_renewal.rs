@@ -25,6 +25,8 @@
 //! stats, the kernel event count and the whole kernel message log. The
 //! digests were captured from the tree before the shortcut they pin
 //! existed, when every such expiry went through `MachineRun`'s offers.
+//! The saturated shapes also pin how many idle-core offers the driver
+//! makes, and how many the policy declines.
 
 use serverless_hybrid_sched::kernel::{
     CoreId, KernelMessage, MachineRun, SimError, SlimReport, TaskId,
@@ -237,4 +239,27 @@ fn hybrid_4_4_saturated_handoffs_pinned() {
     )
     .expect("hybrid run completes");
     assert_saturated_pinned("hybrid-4-4", &r, 1_000, 0xf3f9_5dc1_ebb9_ccab);
+}
+
+/// The idle-core offers `MachineRun` makes on the two saturated shapes,
+/// and the offers after which the core stayed idle, pinned exactly: the
+/// counts repeat for a given input, so offer creep fails here instead of
+/// hiding in host noise. `Cfs` keeps the full offer mask. The hybrid's
+/// mask leaves out its FIFO cores while the FIFO queue is empty and its
+/// CFS cores with nothing to run or steal, so none of its offers is
+/// declined.
+#[test]
+fn saturated_offer_counts_pinned() {
+    let cfs = run(SATURATED_CORES, Cfs::with_cores(SATURATED_CORES)).expect("cfs run completes");
+    assert_eq!((cfs.offers, cfs.declined_offers), (5_312, 855), "cfs-8");
+    let hybrid = run(
+        SATURATED_CORES,
+        HybridScheduler::new(HybridConfig::split(4, 4)),
+    )
+    .expect("hybrid run completes");
+    assert_eq!(
+        (hybrid.offers, hybrid.declined_offers),
+        (19_428, 0),
+        "hybrid-4-4"
+    );
 }

@@ -1,15 +1,19 @@
 //! Offer-rule differential over every in-tree policy.
 //!
-//! `MachineRun` offers idle cores only while a task waits and stops the
-//! moment none does, which makes an event's cost independent of how many
-//! cores sit idle. That is only sound because every in-tree policy leaves
-//! its state untouched when offered a core with nothing waiting. This
-//! suite pins the claim: for every policy, at 1 to 50 cores, with host
-//! interference, off-CPU waits, deadlines and placement hints, the kernel
-//! message log and every task record equal those of the brute-force
-//! driver that offers every idle core after every event. Along the way it
-//! checks the kernel's waiting count against a brute-force count after
-//! every event.
+//! `MachineRun` offers idle cores only while a task waits, stops the
+//! moment none does, and offers only the cores in the policy's offer
+//! mask, which makes an event's cost independent of how many cores sit
+//! idle. That is only sound because every in-tree policy leaves its state
+//! untouched when offered a core with nothing waiting, and because a
+//! policy that narrows the mask (the hybrid) leaves out only cores whose
+//! offer would change nothing. This suite pins the claim: for every
+//! policy, at 1 to 130 cores, with host interference, off-CPU waits,
+//! deadlines and placement hints, the kernel message log and every task
+//! record equal those of the brute-force driver that offers every idle
+//! core after every event. Machines above 64 cores run the multi-word
+//! mask and scan, and there the armed hybrid's rightsizing moves cores
+//! across the 64-core word boundary. Along the way the suite checks the
+//! kernel's waiting count against a brute-force count after every event.
 
 #[path = "../crates/kernel/tests/support/brute_force.rs"]
 mod brute_force;
@@ -19,6 +23,8 @@ use faas_kernel::{
     Simulation, TaskId, TaskSpec, TaskState,
 };
 use faas_policies::{Cfs, Edf, Fifo, Mlfq, MlfqParams, Sfs};
+use std::cell::Cell;
+
 use faas_simcore::check::{self, Gen};
 use faas_simcore::{SimDuration, SimTime};
 use hybrid_scheduler::{
@@ -36,10 +42,11 @@ struct Case {
 }
 
 fn arb_case(g: &mut Gen) -> Case {
-    let cores = match g.u64_in(0, 3) {
+    let cores = match g.u64_in(0, 4) {
         0 => g.usize_in(1, 5),
         1 => g.usize_in(5, 50),
-        _ => 50,
+        2 => 50,
+        _ => g.usize_in(65, 131),
     };
     let n = g.usize_in(1, 2 * cores + 40);
     let span_ms = g.u64_in(1, 3_000);
@@ -93,9 +100,18 @@ fn paper_split(cores: usize) -> HybridConfig {
     }
 }
 
-/// The paper split with every optional mechanism armed.
+/// Every optional mechanism armed, on the paper split up to 64 cores.
+/// Above that the FIFO group ends two cores past the 64-core word
+/// boundary, so rightsizing's FIFO→CFS moves, which take the highest FIFO
+/// core first, carry cores across it and leave both groups spanning it.
 fn armed_hybrid(cores: usize) -> HybridConfig {
-    paper_split(cores)
+    let split = if cores > 64 {
+        let fifo = (cores - 1).min(66);
+        HybridConfig::split(fifo, cores - fifo)
+    } else {
+        paper_split(cores)
+    };
+    split
         .with_time_limit(TimeLimitPolicy::Adaptive {
             percentile: 0.9,
             initial: ms(50),
@@ -112,8 +128,8 @@ fn armed_hybrid(cores: usize) -> HybridConfig {
 
 /// Runs `case` under the kernel driver, checking the waiting count after
 /// every event, and under the brute-force driver, then compares the two
-/// machines.
-fn assert_equivalent<P: Scheduler>(case: &Case, make: impl Fn() -> P) {
+/// machines. Returns the driven run, for its policy's state.
+fn assert_equivalent<P: Scheduler>(case: &Case, make: impl Fn() -> P) -> Simulation<P> {
     let total = case.specs.len();
     let mut sim = Simulation::new(case.cfg.clone(), case.specs.clone(), make());
     let name = sim.policy().name().to_owned();
@@ -187,10 +203,14 @@ fn assert_equivalent<P: Scheduler>(case: &Case, make: impl Fn() -> P) {
             "{name}: core {c}"
         );
     }
+    sim
 }
 
 #[test]
 fn offer_rule_matches_brute_force_driver_for_every_policy() {
+    // Rightsizing moves of a core at or above 64 on machines past one
+    // mask word, across all cases.
+    let high_moves = Cell::new(0);
     check::run("offer_rule_matches_brute_force_driver", 24, |g| {
         let case = arb_case(g);
         let cores = case.cores;
@@ -204,7 +224,13 @@ fn offer_rule_matches_brute_force_driver_for_every_policy() {
         assert_equivalent(&case, || Fifo::shinjuku(ms(2)));
         if cores >= 2 {
             assert_equivalent(&case, || HybridScheduler::new(paper_split(cores)));
-            assert_equivalent(&case, || HybridScheduler::new(armed_hybrid(cores)));
+            let armed = assert_equivalent(&case, || HybridScheduler::new(armed_hybrid(cores)));
+            let moves = armed.policy().migrations().iter();
+            high_moves.set(high_moves.get() + moves.filter(|r| r.core.index() >= 64).count());
         }
     });
+    assert!(
+        high_moves.get() > 0,
+        "no case moved a core across the 64-core word boundary"
+    );
 }
