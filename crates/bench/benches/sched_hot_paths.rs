@@ -426,8 +426,12 @@ fn bench_cluster_xl(c: &mut Bench) {
 /// per-invocation cost the indexed-heap front end bounds at O(log M):
 /// before PR 10 every row here scaled linearly with M (full-fleet scans
 /// for least-wait/least-outstanding/warmth, per-arrival drain walks),
-/// which the 1024-machine rows make visible at a glance. events/sec is
-/// invocations routed per second of front-end time.
+/// which the 1024-machine rows make visible at a glance. The health
+/// rows' faults rarely land inside the 2 s stream and their ejection
+/// threshold is never met, so the `dispatch_ejecting` rows arm a
+/// threshold low enough to keep machines ejected for most of the stream:
+/// they watch the restricted-candidate path. events/sec is invocations
+/// routed per second of front-end time.
 fn bench_frontend_scale(c: &mut Bench) {
     let mut g = c.benchmark_group("frontend_scale");
     g.sample_size(10);
@@ -485,6 +489,24 @@ fn bench_frontend_scale(c: &mut Bench) {
                     )
                     .with_hedge(HedgeConfig::default().with_min_samples(64)),
             );
+        let ejecting = bare.clone().with_health(
+            HealthConfig::default().with_ejection(
+                EjectionConfig::default()
+                    .with_threshold(1.2)
+                    .with_probation(SimDuration::from_secs(1))
+                    .with_min_samples(4),
+            ),
+        );
+        // Checked once, outside the timed loop: the row is only worth
+        // its place while it ejects and dispatches around the ejected.
+        let mut fe = FrontEnd::new(&ejecting);
+        fe.dispatch_chunk(&tasks, &mut KeepAliveDispatch);
+        let (ejections, restricted) =
+            (fe.health_stats().0.ejections, fe.fold_counters().restricted);
+        assert!(
+            ejections > 0 && restricted > 0,
+            "dispatch_ejecting_{machines}m must eject ({ejections}) and restrict ({restricted})"
+        );
         g.throughput(invocations as u64);
         g.bench_function(format!("dispatch_bare_{machines}m"), |b| {
             b.iter(|| run_fold(&bare, &tasks))
@@ -494,6 +516,9 @@ fn bench_frontend_scale(c: &mut Bench) {
         });
         g.bench_function(format!("dispatch_health_{machines}m"), |b| {
             b.iter(|| run_fold(&health, &tasks))
+        });
+        g.bench_function(format!("dispatch_ejecting_{machines}m"), |b| {
+            b.iter(|| run_fold(&ejecting, &tasks))
         });
     }
     g.finish();

@@ -82,6 +82,10 @@ fn baseline_has_schema_and_expected_rows() {
         "\"name\": \"dispatch_bare_16m\"",
         "\"name\": \"dispatch_overload_256m\"",
         "\"name\": \"dispatch_health_1024m\"",
+        // Rows that eject, so the restricted-candidate path is watched.
+        "\"name\": \"dispatch_ejecting_16m\"",
+        "\"name\": \"dispatch_ejecting_256m\"",
+        "\"name\": \"dispatch_ejecting_1024m\"",
     ] {
         assert!(text.contains(name), "baseline missing row: {name}");
     }

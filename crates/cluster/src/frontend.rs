@@ -11,11 +11,9 @@
 //! lets the M machine runs fan across threads with byte-identical output
 //! at any fan width.
 
-use std::collections::HashMap;
-
 use faas_kernel::TaskSpec;
 use faas_metrics::{ChaosStats, HealthStats, MachineHealth, OverloadStats};
-use faas_simcore::{EventQueue, IndexedMinHeap, MinHeap4, SimDuration, SimRng, SimTime};
+use faas_simcore::{EventQueue, FxHashMap, IndexedMinHeap, MinHeap4, SimDuration, SimRng, SimTime};
 use lambda_pricing::CostAccumulator;
 
 use crate::chaos::{Autoscaler, BackoffConfig, ChaosConfig, Fault, RetryEntry, ScaleDecision};
@@ -84,11 +82,17 @@ pub struct DispatchCtx<'a> {
     pub duration: SimDuration,
     front: &'a FrontEnd,
     /// Restricted candidate list (health ejections, retry crash-site
-    /// avoidance): the policy's machine indices become indices into this
-    /// list. `None` — the common case — is the identity mapping over the
-    /// active prefix, so a run without exclusions is bit-identical to
-    /// one without the health layer.
+    /// avoidance), ascending: the policy's machine indices become indices
+    /// into this list. `None` — the common case — is the identity mapping
+    /// over the active prefix, so a run without exclusions is
+    /// bit-identical to one without the health layer.
     cand: Option<&'a [usize]>,
+    /// `true` when the front end's dispatch heaps hold exactly the
+    /// machines this placement may choose from, so the least-load picks
+    /// answer from them; `false` on the two per-dispatch paths (a retry
+    /// avoiding its crash site, every active machine excluded), which
+    /// scan.
+    heaps: bool,
 }
 
 impl DispatchCtx<'_> {
@@ -96,6 +100,16 @@ impl DispatchCtx<'_> {
     #[inline]
     fn phys(&self, machine: usize) -> usize {
         self.cand.map_or(machine, |c| c[machine])
+    }
+
+    /// Maps a physical machine drawn from the dispatch heaps back to its
+    /// candidate index: a binary search, the list being ascending.
+    #[inline]
+    fn index_of(&self, machine: usize) -> usize {
+        self.cand.map_or(machine, |c| {
+            c.binary_search(&machine)
+                .expect("the dispatch heaps hold only candidates")
+        })
     }
 
     /// Number of machines this placement may choose from. Without an
@@ -137,18 +151,20 @@ impl DispatchCtx<'_> {
     }
 
     /// The machine with the smallest [`DispatchCtx::est_wait`] (lowest
-    /// index on ties). Unrestricted dispatches answer from the front
-    /// end's wait heaps in O(1): the idle heap is keyed by machine
-    /// index, so the winner among zero-wait machines is the lowest
-    /// index — exactly the scan's first-seen tie-break — and the busy
-    /// heap bakes the same tie-break into its `(free_min, machine)` key.
+    /// index on ties). Dispatches over the candidate set answer from the
+    /// front end's wait heaps, which hold exactly that set, in O(1) (plus
+    /// an O(log M) index lookup when the set is restricted): the idle
+    /// heap is keyed by machine index, so the winner among zero-wait
+    /// machines is the lowest index — exactly the scan's first-seen
+    /// tie-break, the candidate list being ascending — and the busy heap
+    /// bakes the same tie-break into its `(free_min, machine)` key.
     pub fn least_wait(&self) -> usize {
-        if self.cand.is_none() {
+        if self.heaps {
             if let Some((m, _)) = self.front.idle_heap.peek_min() {
-                return m;
+                return self.index_of(m);
             }
             if let Some((m, _)) = self.front.busy_heap.peek_min() {
-                return m;
+                return self.index_of(m);
             }
         }
         self.least_wait_of(0..self.machines())
@@ -206,13 +222,14 @@ impl DispatchCtx<'_> {
 
     /// The machine with the fewest outstanding invocations (lowest index
     /// on ties) — the shared building block of the load-aware policies.
-    /// Unrestricted dispatches answer from the front end's outstanding
-    /// heap in O(1); its `(count, machine)` key reproduces the scan's
-    /// first-seen tie-break exactly.
+    /// Dispatches over the candidate set answer from the front end's
+    /// outstanding heap like [`DispatchCtx::least_wait`]; its
+    /// `(count, machine)` key reproduces the scan's first-seen tie-break
+    /// exactly.
     pub fn least_outstanding(&self) -> usize {
-        if self.cand.is_none() {
+        if self.heaps {
             if let Some((m, _)) = self.front.out_heap.peek_min() {
-                return m;
+                return self.index_of(m);
             }
         }
         self.least_outstanding_of(0..self.machines())
@@ -240,27 +257,23 @@ impl DispatchCtx<'_> {
     /// The machines that could plausibly serve this invocation warm,
     /// ascending, filtered to the ones actually holding an **idle,
     /// unexpired** instance of the function. Ascending order makes
-    /// downstream first-seen tie-breaks match a full fleet scan.
-    /// Unrestricted dispatches walk the front end's warm-site index
-    /// (machines with a non-empty instance pool for this function)
-    /// instead of the whole fleet; restricted ones fall back to
-    /// scanning the candidate list.
+    /// downstream first-seen tie-breaks match a full fleet scan. Walks
+    /// the front end's warm-site index (machines with a non-empty
+    /// instance pool for this function, ascending) filtered to this
+    /// placement's candidates, instead of the whole candidate list.
     pub fn warm_candidates(&self) -> impl Iterator<Item = usize> + '_ {
-        let (sites, scan) = match self.cand {
-            None => (
-                self.front
-                    .warm_sites
-                    .get(&self.function)
-                    .map_or(&[][..], Vec::as_slice),
-                0..0,
-            ),
-            Some(c) => (&[][..], 0..c.len()),
-        };
-        sites
+        self.front
+            .warm_sites
+            .get(&self.function)
+            .map_or(&[][..], Vec::as_slice)
             .iter()
-            .map(|&m| m as usize)
-            .filter(|&m| m < self.front.active)
-            .chain(scan)
+            .filter_map(move |&m| {
+                let m = m as usize;
+                match self.cand {
+                    None => (m < self.front.active).then_some(m),
+                    Some(c) => c.binary_search(&m).ok(),
+                }
+            })
             .filter(|&m| self.is_warm(m))
     }
 }
@@ -284,7 +297,7 @@ pub struct FrontEnd {
     /// idle. Concurrent same-function invocations therefore each need
     /// their own instance — a burst of N overlapping calls pays up to N
     /// boots, like a real per-request-instance FaaS platform, not one.
-    pools: HashMap<(u32, u64), MinHeap4<u64>>,
+    pools: FxHashMap<(u32, u64), MinHeap4<u64>>,
     cold: Option<crate::ColdStartConfig>,
     /// Overload-middleware state (`None` without middleware). Lives here
     /// — not in [`Assignment`] — so buckets, breaker windows and shed
@@ -321,27 +334,73 @@ pub struct FrontEnd {
     /// arrival; entries whose machine has since crashed or been reset
     /// carry a stale epoch and are skipped at pop time.
     completions: MinHeap4<(u64, u32, u32)>,
-    /// Active machines keyed by `(outstanding, machine)`: the
-    /// least-outstanding pick is a peek, with the scan's lowest-index
-    /// tie-break baked into the key.
+    /// Candidates (see [`FrontEnd::is_candidate`]) keyed by
+    /// `(outstanding, machine)`: the least-outstanding pick is a peek,
+    /// with the scan's lowest-index tie-break baked into the key.
     out_heap: IndexedMinHeap<(u32, u32)>,
-    /// Active machines whose FCFS head is still in the future, keyed by
+    /// Candidates whose FCFS head is still in the future, keyed by
     /// `(free_min_us, machine)`.
     busy_heap: IndexedMinHeap<(u64, u32)>,
-    /// Active machines with a free core at the fold clock, keyed by
-    /// machine index — the least-wait winner among zero-wait machines
-    /// is the lowest index, exactly the scan's first-seen tie-break.
+    /// Candidates with a free core at the fold clock, keyed by machine
+    /// index — the least-wait winner among zero-wait machines is the
+    /// lowest index, exactly the scan's first-seen tie-break.
     idle_heap: IndexedMinHeap<u32>,
     /// Σ outstanding over the active prefix — the autoscaler's load
     /// signal, maintained incrementally instead of re-summed per tick.
     active_outstanding: u64,
-    /// Reusable buffer for the exclusion candidate list, so the dispatch
-    /// hot path allocates nothing in steady state.
+    /// The candidate set as an ascending list — what a policy indexes
+    /// while some active machine is excluded. Rebuilt only when
+    /// candidacy or the active prefix changes (see
+    /// [`FrontEnd::sync_candidates`]).
+    cand_list: Vec<usize>,
+    /// The active prefix `cand_list` was built for.
+    cand_active: usize,
+    /// Reusable buffer for a candidate list built for one dispatch (a
+    /// retry avoiding its crash site), so the dispatch hot path
+    /// allocates nothing in steady state.
     cand_scratch: Vec<usize>,
     /// `function → machines with a non-empty instance pool`, ascending.
     /// The locality policy's warm scan visits only plausible sites
     /// instead of the whole fleet; pool expiry is still checked exactly.
-    warm_sites: HashMap<u64, Vec<u32>>,
+    warm_sites: FxHashMap<u64, Vec<u32>>,
+    /// Deterministic work counts (see [`FoldCounters`]).
+    counters: FoldCounters,
+}
+
+/// Deterministic work counts of the front-end fold: which candidate path
+/// each policy pick took, and how often the fold paid a pass over the
+/// whole active prefix. They repeat exactly for a given input and
+/// configuration, so a test can pin them where wall-clock timings would
+/// drown in host noise.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FoldCounters {
+    /// Policy picks over the cached candidate list (some active machine
+    /// excluded), answered from the dispatch heaps.
+    pub restricted: u64,
+    /// Policy picks whose candidate list was built for that one dispatch
+    /// and scanned: a retry avoiding its crash site, or every active
+    /// machine excluded.
+    pub built: u64,
+    /// Rebuilds of the cached candidate list.
+    pub rebuilds: u64,
+    /// Scans of the whole active prefix for SLO-epoch resolution.
+    pub epoch_scans: u64,
+}
+
+/// The machines a policy pick chooses from, and what answers its
+/// least-load queries.
+#[derive(Clone, Copy)]
+enum View {
+    /// The whole active prefix, which is exactly the candidate set: the
+    /// dispatch heaps answer.
+    Full,
+    /// The cached candidate list: the dispatch heaps answer.
+    Cached,
+    /// `cand_scratch`, built for this pick: scans answer.
+    Built,
+    /// The whole active prefix although it holds excluded machines
+    /// (placing somewhere beats placing nowhere): scans answer.
+    Fallback,
 }
 
 /// Front-end-resident state of the fault-injection layer, pre-split from
@@ -370,6 +429,9 @@ struct ChaosFold {
     slo_us: Option<u64>,
     /// Crash instants whose SLO-recovery epoch is still open.
     pending_epochs: Vec<u64>,
+    /// The machine whose estimated wait last exceeded the SLO: while it
+    /// still does, no epoch can close (see `FrontEnd::resolve_epochs`).
+    slo_witness: Option<usize>,
     /// Dollar ledgers of doomed attempts and of abandonments, in that
     /// order.
     churn: Option<(CostAccumulator, CostAccumulator)>,
@@ -423,6 +485,7 @@ impl ChaosFold {
             max_retries: cfg.and_then(|c| c.max_retries),
             slo_us: cfg.and_then(|c| c.slo).map(|s| s.as_micros()),
             pending_epochs: Vec::new(),
+            slo_witness: None,
             churn: cfg
                 .and_then(|c| c.price)
                 .map(|p| (CostAccumulator::new(p), CostAccumulator::new(p))),
@@ -474,7 +537,7 @@ impl FrontEnd {
                 .collect(),
             cores: cfg.machine.cores,
             last_arrival: SimTime::ZERO,
-            pools: HashMap::new(),
+            pools: FxHashMap::default(),
             cold: cfg.cold_start,
             overload: cfg.overload.clone().map(Overload::new),
             active,
@@ -491,11 +554,14 @@ impl FrontEnd {
             busy_heap: IndexedMinHeap::new(),
             idle_heap: IndexedMinHeap::new(),
             active_outstanding: 0,
+            cand_list: (0..active).collect(),
+            cand_active: active,
             cand_scratch: Vec::new(),
-            warm_sites: HashMap::new(),
+            warm_sites: FxHashMap::default(),
+            counters: FoldCounters::default(),
         };
-        // Every active machine starts idle (all cores free at t = 0)
-        // with nothing outstanding.
+        // Every active machine starts a candidate, idle (all cores free
+        // at t = 0) with nothing outstanding.
         for m in 0..fe.active {
             fe.out_heap.set(m, (0, m as u32));
             fe.idle_heap.set(m, m as u32);
@@ -506,6 +572,11 @@ impl FrontEnd {
     /// Number of machines currently taking new work.
     pub fn active_machines(&self) -> usize {
         self.active
+    }
+
+    /// The fold's work counts so far (see [`FoldCounters`]).
+    pub fn fold_counters(&self) -> FoldCounters {
+        self.counters
     }
 
     /// The chaos ledger so far — crash/retry/scale counters plus the
@@ -593,48 +664,6 @@ impl FrontEnd {
         self.pools
             .get(&(machine as u32, function))
             .is_some_and(|pool| pool.iter().any(|&b| b <= now_us && now_us < b + ka))
-    }
-
-    /// Claims an idle warm instance of `function` on `machine` (the one
-    /// closest to expiry, deterministically), returning `false` — a cold
-    /// start — when every instance is busy or expired. Expired instances
-    /// are pruned here.
-    fn claim_instance(&mut self, machine: usize, function: u64, now_us: u64) -> bool {
-        let Some(c) = self.cold else { return true };
-        let ka = c.keep_alive.as_micros();
-        let pool = self.pools.entry((machine as u32, function)).or_default();
-        while pool.peek_min().is_some_and(|&b| b + ka <= now_us) {
-            pool.pop_min();
-        }
-        let hit = if pool.peek_min().is_some_and(|&b| b <= now_us) {
-            pool.pop_min();
-            true
-        } else {
-            false
-        };
-        if pool.peek_min().is_none() {
-            self.site_remove(function, machine);
-        }
-        hit
-    }
-
-    /// Records `machine` as a warm site for `function` (its pool just
-    /// became non-empty). Idempotent; keeps the site list ascending.
-    fn site_add(&mut self, function: u64, machine: usize) {
-        let sites = self.warm_sites.entry(function).or_default();
-        let m = machine as u32;
-        if let Err(pos) = sites.binary_search(&m) {
-            sites.insert(pos, m);
-        }
-    }
-
-    /// Drops `machine` from `function`'s warm-site list (pool emptied).
-    fn site_remove(&mut self, function: u64, machine: usize) {
-        if let Some(sites) = self.warm_sites.get_mut(&function) {
-            if let Ok(pos) = sites.binary_search(&(machine as u32)) {
-                sites.remove(pos);
-            }
-        }
     }
 
     /// Runs the dispatch pass over `tasks` (must be sorted by arrival;
@@ -729,12 +758,13 @@ impl FrontEnd {
         {
             let (_, m, epoch) = self.completions.pop_min().expect("peeked above");
             let m = m as usize;
-            let load = &mut self.loads[m];
-            if load.epoch == epoch {
-                load.outstanding -= 1;
+            if self.loads[m].epoch == epoch {
+                self.loads[m].outstanding -= 1;
                 if m < self.active {
                     self.active_outstanding -= 1;
-                    self.out_heap.set(m, (load.outstanding, m as u32));
+                }
+                if self.is_candidate(m) {
+                    self.out_heap.set(m, (self.loads[m].outstanding, m as u32));
                 }
             }
         }
@@ -809,9 +839,9 @@ impl FrontEnd {
         load.outstanding = 0;
         if machine < self.active {
             self.active_outstanding -= u64::from(lost);
-            self.out_heap.set(machine, (0, machine as u32));
         }
-        self.refresh_wait(machine, self.clock_us);
+        self.refile(machine);
+        // Neither pass depends on the maps' iteration order.
         self.pools.retain(|&(m, _), _| m as usize != machine);
         for sites in self.warm_sites.values_mut() {
             if let Ok(pos) = sites.binary_search(&(machine as u32)) {
@@ -820,13 +850,33 @@ impl FrontEnd {
         }
     }
 
-    /// Re-files `machine` in the wait heaps after its FCFS head moved
-    /// (dispatch booking, machine reset). `now_us` must be the fold clock
-    /// the idle/busy partition is defined against.
-    fn refresh_wait(&mut self, machine: usize, now_us: u64) {
-        if machine >= self.active {
-            return;
+    /// The one membership predicate of the dispatch heaps: `machine` is
+    /// in the active prefix and not excluded by the health layer. Every
+    /// heap writer tests it.
+    #[inline]
+    fn is_candidate(&self, machine: usize) -> bool {
+        machine < self.active && !self.health.as_ref().is_some_and(|h| h.excluded(machine))
+    }
+
+    /// Re-files `machine` in all three dispatch heaps from its current
+    /// outstanding count and FCFS head against the fold clock if it is a
+    /// candidate, or takes it out of them if it is not.
+    fn refile(&mut self, machine: usize) {
+        if self.is_candidate(machine) {
+            let outstanding = self.loads[machine].outstanding;
+            self.out_heap.set(machine, (outstanding, machine as u32));
+            self.refresh_wait(machine, self.clock_us);
+        } else {
+            self.out_heap.remove(machine);
+            self.busy_heap.remove(machine);
+            self.idle_heap.remove(machine);
         }
+    }
+
+    /// Re-files a candidate `machine` in the wait heaps after its FCFS
+    /// head moved (dispatch booking, machine reset, readmission). `now_us`
+    /// must be the fold clock the idle/busy partition is defined against.
+    fn refresh_wait(&mut self, machine: usize, now_us: u64) {
         let free = *self.loads[machine]
             .free_cores
             .peek_min()
@@ -876,9 +926,7 @@ impl FrontEnd {
                 self.active -= 1;
                 let idx = self.active;
                 self.active_outstanding -= u64::from(self.loads[idx].outstanding);
-                self.out_heap.remove(idx);
-                self.busy_heap.remove(idx);
-                self.idle_heap.remove(idx);
+                self.refile(idx);
                 if let Some(h) = &mut self.health {
                     h.set_active(self.active);
                 }
@@ -891,17 +939,32 @@ impl FrontEnd {
     /// Closes every open SLO-recovery epoch once the worst estimated wait
     /// across the active fleet is back under the SLO. Sampled at dispatch
     /// instants — the only clock the serial fold has.
+    ///
+    /// While the witness — the machine whose wait last exceeded the SLO —
+    /// still waits past it, so does the worst machine, and the scan of
+    /// the active prefix is skipped. The scan runs only once the witness
+    /// is back under the SLO (or gone), and names the worst machine as
+    /// the next witness, so the decision is exactly `max wait > slo`.
     fn resolve_epochs(&mut self, now_us: u64) {
         let Some(slo) = self.chaos.slo_us else { return };
         if self.chaos.pending_epochs.is_empty() {
             return;
         }
         let now = SimTime::from_micros(now_us);
-        let worst = (0..self.active)
-            .map(|m| self.est_wait(m, now).as_micros())
-            .max()
-            .unwrap_or(0);
-        if worst > slo {
+        let wait = |m: usize| self.est_wait(m, now).as_micros();
+        if self
+            .chaos
+            .slo_witness
+            .is_some_and(|w| w < self.active && wait(w) > slo)
+        {
+            return;
+        }
+        let witness = (0..self.active)
+            .max_by_key(|&m| wait(m))
+            .filter(|&m| wait(m) > slo);
+        self.counters.epoch_scans += 1;
+        self.chaos.slo_witness = witness;
+        if witness.is_some() {
             return;
         }
         for at in self.chaos.pending_epochs.drain(..) {
@@ -929,28 +992,96 @@ impl FrontEnd {
             .map(|w| w.2)
     }
 
-    /// Fills the reusable candidate scratch for this dispatch: active
-    /// machines minus the health layer's ejections and the retry's crash
-    /// site. Returns `false` — the common case, scratch untouched — when
-    /// there are no exclusions: the policy then sees the identity
-    /// mapping and every draw it makes is bit-identical to a run without
-    /// the health layer. If exclusions would cover the whole fleet they
-    /// are dropped entirely (placing somewhere beats placing nowhere).
-    fn fill_candidate_set(&mut self, avoid: Option<usize>) -> bool {
-        let tracked = self
-            .health
-            .as_ref()
-            .is_some_and(HealthTracker::has_exclusions);
-        if !tracked && avoid.is_none() {
-            return false;
+    /// Applies what changed candidacy since the last pick: each machine
+    /// whose health phase flipped (ejection, readmission, a doomed probe)
+    /// is re-filed or taken out of the dispatch heaps, and the cached
+    /// candidate list is rebuilt if any flipped or the active prefix
+    /// moved. Runs before every pick, the only reader of the heaps;
+    /// between picks a flipped machine may sit stale in them, which every
+    /// heap writer tolerates by testing [`FrontEnd::is_candidate`].
+    fn sync_candidates(&mut self) {
+        let mut changed = self.cand_active != self.active;
+        while let Some(m) = self.health.as_mut().and_then(HealthTracker::pop_flip) {
+            changed = true;
+            self.refile(m);
         }
-        self.cand_scratch.clear();
-        for m in 0..self.active {
-            if avoid != Some(m) && !self.health.as_ref().is_some_and(|h| h.excluded(m)) {
-                self.cand_scratch.push(m);
+        if !changed {
+            return;
+        }
+        self.counters.rebuilds += 1;
+        self.cand_active = self.active;
+        self.cand_list.clear();
+        let health = &self.health;
+        self.cand_list
+            .extend((0..self.active).filter(|&m| !health.as_ref().is_some_and(|h| h.excluded(m))));
+        #[cfg(debug_assertions)]
+        self.check_candidates();
+    }
+
+    /// Debug-build audit after every candidacy change: the cached list is
+    /// a fresh filter of the active prefix, and the heaps hold exactly
+    /// its machines — each at its current outstanding count, and idle or
+    /// busy by its FCFS head against the fold clock.
+    #[cfg(debug_assertions)]
+    fn check_candidates(&self) {
+        let fresh: Vec<usize> = (0..self.active).filter(|&m| self.is_candidate(m)).collect();
+        assert_eq!(self.cand_list, fresh, "cached candidate list is stale");
+        assert_eq!(
+            self.out_heap.len(),
+            fresh.len(),
+            "out heap holds non-candidates"
+        );
+        assert_eq!(
+            self.idle_heap.len() + self.busy_heap.len(),
+            fresh.len(),
+            "wait heaps hold non-candidates"
+        );
+        for &m in &fresh {
+            let load = &self.loads[m];
+            assert_eq!(self.out_heap.get(m), Some(&(load.outstanding, m as u32)));
+            let free = *load.free_cores.peek_min().expect("machine has cores");
+            if free <= self.clock_us {
+                assert!(
+                    self.idle_heap.contains(m),
+                    "idle candidate {m} not filed idle"
+                );
+            } else {
+                assert_eq!(self.busy_heap.get(m), Some(&(free, m as u32)));
             }
         }
-        !self.cand_scratch.is_empty() && self.cand_scratch.len() != self.active
+    }
+
+    /// Chooses the candidate view for one policy pick. A pick without a
+    /// crash site to avoid sees the cached candidate set — the identity
+    /// over the active prefix while nothing there is excluded — and the
+    /// heaps answer for it. A retry avoiding a candidate builds the set
+    /// minus its crash site for this pick alone; if every active machine
+    /// is excluded, exclusions are dropped entirely (placing somewhere
+    /// beats placing nowhere). Both rare paths are answered by scans.
+    fn candidate_view(&mut self, avoid: Option<usize>) -> View {
+        let full = self.cand_list.len() == self.active;
+        match avoid.filter(|&a| self.is_candidate(a)) {
+            None if full => View::Full,
+            None if !self.cand_list.is_empty() => {
+                self.counters.restricted += 1;
+                View::Cached
+            }
+            None => {
+                self.counters.built += 1;
+                View::Fallback
+            }
+            Some(a) => {
+                self.counters.built += 1;
+                self.cand_scratch.clear();
+                self.cand_scratch
+                    .extend(self.cand_list.iter().copied().filter(|&m| m != a));
+                match (self.cand_scratch.is_empty(), full) {
+                    (false, _) => View::Built,
+                    (true, true) => View::Full,
+                    (true, false) => View::Fallback,
+                }
+            }
+        }
     }
 
     /// Routes one invocation (a fresh arrival or a re-dispatch on its
@@ -1015,17 +1146,24 @@ impl FrontEnd {
         avoid: Option<usize>,
         policy: &mut D,
     ) -> (usize, bool) {
+        self.sync_candidates();
         let probe = self.health.as_mut().and_then(|h| h.probe_target(now_us));
         let machine = if let Some(pm) = probe {
             pm
         } else {
-            let use_cand = self.fill_candidate_set(avoid);
+            let (cand, heaps) = match self.candidate_view(avoid) {
+                View::Full => (None, true),
+                View::Cached => (Some(self.cand_list.as_slice()), true),
+                View::Built => (Some(self.cand_scratch.as_slice()), false),
+                View::Fallback => (None, false),
+            };
             let ctx = DispatchCtx {
                 now: SimTime::from_micros(now_us),
                 function: task.function,
                 duration: task.spec.work + task.spec.io_wait,
                 front: self,
-                cand: use_cand.then_some(self.cand_scratch.as_slice()),
+                cand,
+                heaps,
             };
             let picked = policy.pick(&ctx);
             assert!(
@@ -1094,25 +1232,46 @@ impl FrontEnd {
         now_us: u64,
         out: &mut Assignment,
     ) -> Booking {
-        let warm = self.claim_instance(machine, function, now_us);
-        if let Some(c) = self.cold.filter(|_| !warm) {
-            spec.work += c.boot_work;
-            out.cold_starts += 1;
-        }
         let load = &mut self.loads[machine];
-        let completion = load.push_work(now_us, spec.work.as_micros(), spec.io_wait.as_micros());
+        let completion = match self.cold {
+            None => load.push_work(now_us, spec.work.as_micros(), spec.io_wait.as_micros()),
+            Some(c) => {
+                // One pool lookup prunes expired instances, claims the idle
+                // one closest to expiry (a cold start if none is idle) and
+                // re-pools the instance. A pool exists only while non-empty
+                // outside this stage, so an empty one here is new, and only
+                // then does the machine join the function's warm sites.
+                let ka = c.keep_alive.as_micros();
+                let pool = self.pools.entry((machine as u32, function)).or_default();
+                let new_site = pool.is_empty();
+                while pool.peek_min().is_some_and(|&b| b + ka <= now_us) {
+                    pool.pop_min();
+                }
+                if pool.peek_min().is_some_and(|&b| b <= now_us) {
+                    pool.pop_min();
+                } else {
+                    spec.work += c.boot_work;
+                    out.cold_starts += 1;
+                }
+                let completion =
+                    load.push_work(now_us, spec.work.as_micros(), spec.io_wait.as_micros());
+                pool.push(completion);
+                if new_site {
+                    let sites = self.warm_sites.entry(function).or_default();
+                    if let Err(pos) = sites.binary_search(&(machine as u32)) {
+                        sites.insert(pos, machine as u32);
+                    }
+                }
+                completion
+            }
+        };
+        let outstanding = load.outstanding;
         self.completions
             .push((completion, machine as u32, load.epoch));
-        self.out_heap
-            .set(machine, (load.outstanding, machine as u32));
         self.active_outstanding += 1;
-        self.refresh_wait(machine, now_us);
-        if self.cold.is_some() {
-            self.pools
-                .entry((machine as u32, function))
-                .or_default()
-                .push(completion);
-            self.site_add(function, machine);
+        if self.is_candidate(machine) {
+            self.out_heap.set(machine, (outstanding, machine as u32));
+            self.refresh_wait(machine, now_us);
         }
         Booking {
             machine,

@@ -299,12 +299,14 @@ struct Report {
 ///
 /// Everything the ejection check needs per report is maintained
 /// incrementally (see `DESIGN.md` "Front-end hot path"): the fleet median
-/// as a dual [`IndexedMinHeap`] order statistic, the exclusion counts as
-/// plain integers updated on phase transitions, the probe queue as an
-/// expiry heap + ready heap pair, and the hedge tail as a cached quantile
-/// invalidated only when a report folds into the sketch. The tracker owns
-/// its view of the active prefix ([`set_active`](Self::set_active)) so no
-/// per-call scan ever re-derives it.
+/// as a dual [`IndexedMinHeap`] order statistic, the active exclusion
+/// count as a plain integer updated on phase transitions (each candidacy
+/// flip is also queued for the front end's dispatch heaps), the probe
+/// queue as an expiry heap + ready heap pair, and the hedge tail as a
+/// cached quantile invalidated only when a report folds into the sketch.
+/// The tracker owns its view of the active prefix
+/// ([`set_active`](Self::set_active)) so no per-call scan ever re-derives
+/// it.
 #[derive(Debug)]
 pub(crate) struct HealthTracker {
     cfg: HealthConfig,
@@ -313,10 +315,11 @@ pub(crate) struct HealthTracker {
     /// The front end's active prefix `[0, active)` — the slice every
     /// fleet-wide decision ranges over.
     active: usize,
-    /// Machines at any index currently outside the candidate set (any
-    /// phase but `Healthy`) — the fast-path guard for candidate
-    /// filtering.
-    excluded_count: usize,
+    /// Machines whose candidacy flipped (`Healthy` ↔ any excluded
+    /// phase) since the front end last drained them with
+    /// [`pop_flip`](Self::pop_flip): the change notices that keep its
+    /// dispatch heaps on exactly the candidate set.
+    flips: Vec<u32>,
     /// Machines in `[0, active)` outside the candidate set: the O(1)
     /// numerator of [`can_eject`](Self::can_eject) and the guard on
     /// [`probe_target`](Self::probe_target).
@@ -372,7 +375,7 @@ impl HealthTracker {
             machines: vec![MachineState::new(); machines],
             reports: EventQueue::new(),
             active: active.min(machines),
-            excluded_count: 0,
+            flips: Vec::new(),
             excluded_active: 0,
             median_lo: IndexedMinHeap::new(),
             median_hi: IndexedMinHeap::new(),
@@ -424,23 +427,22 @@ impl HealthTracker {
         }
     }
 
-    /// Sets `machine`'s phase, keeping both exclusion counters and the
-    /// probe heaps coherent. Every phase assignment funnels through here
-    /// (including `Ejected` → `Ejected` probation extensions, which only
-    /// re-key the expiry heap).
+    /// Sets `machine`'s phase, keeping the exclusion counter, the flip
+    /// notices and the probe heaps coherent. Every phase assignment
+    /// funnels through here (including `Ejected` → `Ejected` probation
+    /// extensions, which only re-key the expiry heap).
     fn set_phase(&mut self, machine: usize, phase: Phase) {
         let was_healthy = matches!(self.machines[machine].phase, Phase::Healthy);
         let is_healthy = matches!(phase, Phase::Healthy);
         self.machines[machine].phase = phase;
-        if was_healthy && !is_healthy {
-            self.excluded_count += 1;
+        if was_healthy != is_healthy {
+            self.flips.push(machine as u32);
             if machine < self.active {
-                self.excluded_active += 1;
-            }
-        } else if !was_healthy && is_healthy {
-            self.excluded_count -= 1;
-            if machine < self.active {
-                self.excluded_active -= 1;
+                if is_healthy {
+                    self.excluded_active -= 1;
+                } else {
+                    self.excluded_active += 1;
+                }
             }
         }
         if machine < self.active {
@@ -695,9 +697,12 @@ impl HealthTracker {
         );
     }
 
-    /// `true` if any machine is outside the candidate set.
-    pub(crate) fn has_exclusions(&self) -> bool {
-        self.excluded_count > 0
+    /// Takes one machine whose candidacy flipped since the last call
+    /// (in no particular order; a machine that flipped twice may come
+    /// twice). Its current phase, read through
+    /// [`excluded`](Self::excluded), is what counts.
+    pub(crate) fn pop_flip(&mut self) -> Option<usize> {
+        self.flips.pop().map(|m| m as usize)
     }
 
     /// `true` if `machine` must not receive ordinary work.
@@ -974,7 +979,8 @@ mod tests {
                 if i % 4 == 3 { 5_000 } else { 10 },
             );
         }
-        assert!(!t.has_exclusions());
+        assert!((0..4).all(|m| !t.excluded(m)));
+        assert_eq!(t.pop_flip(), None, "no candidacy ever flipped");
         assert!(t.probe_target(ms(1_000)).is_none());
         assert!(!t.should_hedge(3, ms(100_000)));
         let (stats, _) = t.snapshot(ms(1_000));
@@ -1190,7 +1196,7 @@ mod tests {
     #[test]
     fn property_incremental_structures_match_brute_force() {
         check::run(
-            "median/probe/exclusion == brute force under chaos",
+            "median/probe/exclusion/flips == brute force under chaos",
             48,
             |g| {
                 let machines = g.usize_in(2, 17);
@@ -1205,6 +1211,7 @@ mod tests {
                     );
                 let mut t = HealthTracker::new(cfg, machines, machines);
                 let mut now = 0u64;
+                let mut was_excluded = vec![false; machines];
                 for _ in 0..g.usize_in(1, 200) {
                     now += g.u64_in(0, 50_000);
                     match g.u64_in(0, 6) {
@@ -1238,6 +1245,16 @@ mod tests {
                     }
                     assert_eq!(t.excluded_active, oracle_excluded_active(&t));
                     assert_eq!(t.probe_target(now), oracle_probe(&t, now));
+                    // Every candidacy change comes with a flip notice.
+                    let mut flipped = vec![false; machines];
+                    while let Some(m) = t.pop_flip() {
+                        flipped[m] = true;
+                    }
+                    for (m, was) in was_excluded.iter_mut().enumerate() {
+                        let is = t.excluded(m);
+                        assert!(is == *was || flipped[m], "machine {m} flipped unannounced");
+                        *was = is;
+                    }
                 }
             },
         );

@@ -71,7 +71,7 @@ pub use chaos::{
     FaultPlan, FaultPlanConfig, RetryEntry, ScaleDecision, StormConfig, StraggleConfig,
 };
 pub use dispatch::{Dispatch, DispatchCtx};
-pub use frontend::{Assignment, FrontEnd};
+pub use frontend::{Assignment, FoldCounters, FrontEnd};
 pub use health::{EjectionConfig, HealthConfig, HedgeConfig};
 pub use middleware::{BreakerConfig, OverloadConfig, RateLimitConfig};
 pub use stream::{

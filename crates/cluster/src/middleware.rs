@@ -44,11 +44,11 @@
 //! no kernel events: runs are bitwise identical to the bare policy
 //! (pinned by the no-op differential suite).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use faas_kernel::TaskSpec;
 use faas_metrics::OverloadStats;
-use faas_simcore::{MinHeap4, SimDuration, SimTime};
+use faas_simcore::{FxHashMap, MinHeap4, SimDuration, SimTime};
 use lambda_pricing::{CostAccumulator, PriceModel};
 
 /// Per-function token-bucket rate limit (admission layer).
@@ -213,11 +213,13 @@ pub(crate) enum Admission {
 #[derive(Debug)]
 pub(crate) struct Overload {
     cfg: OverloadConfig,
-    buckets: HashMap<u64, TokenBucket>,
-    breakers: HashMap<u64, Breaker>,
+    // Per-function state, keyed by function id under the fast hasher;
+    // no pass over these maps depends on their iteration order.
+    buckets: FxHashMap<u64, TokenBucket>,
+    breakers: FxHashMap<u64, Breaker>,
     /// Per-function estimated completion instants (µs) of admitted
     /// in-flight invocations; maintained only under a concurrency cap.
-    in_flight: HashMap<u64, MinHeap4<u64>>,
+    in_flight: FxHashMap<u64, MinHeap4<u64>>,
     shed_cost: Option<CostAccumulator>,
     stats: OverloadStats,
 }
@@ -227,9 +229,9 @@ impl Overload {
         let shed_cost = cfg.price.map(CostAccumulator::new);
         Overload {
             cfg,
-            buckets: HashMap::new(),
-            breakers: HashMap::new(),
-            in_flight: HashMap::new(),
+            buckets: FxHashMap::default(),
+            breakers: FxHashMap::default(),
+            in_flight: FxHashMap::default(),
             shed_cost,
             stats: OverloadStats::default(),
         }

@@ -8,15 +8,20 @@
 //! be byte-identical to the linear scans. The scans survive as
 //! [`DispatchCtx::least_outstanding_of`] / [`DispatchCtx::least_wait_of`],
 //! so this suite can run both implementations over the same randomized
-//! streams — fleets, task mixes, chunkings, crashes, stragglers,
-//! autoscaling and the full health feedback loop all drawn by the
-//! `check` harness — and demand full-`Assignment` equality.
+//! streams — fleets, task mixes, chunkings, crashes, stragglers, backoff
+//! retries avoiding their crash site, autoscaling and the full health
+//! feedback loop all drawn by the `check` harness — and demand
+//! full-`Assignment` equality. The heaps hold only the candidate set
+//! (active, not ejected), so dispatches while machines are ejected take
+//! the heap path too; the fold's work counters show that they did.
+
+use std::cell::Cell;
 
 use faas_cluster::dispatch::{KeepAliveDispatch, LeastOutstanding};
 use faas_cluster::{
-    Assignment, AutoscaleConfig, ChaosConfig, ClusterConfig, ClusterTask, ColdStartConfig,
-    Dispatch, DispatchCtx, EjectionConfig, FaultPlan, FaultPlanConfig, FrontEnd, HealthConfig,
-    HedgeConfig,
+    Assignment, AutoscaleConfig, BackoffConfig, ChaosConfig, ClusterConfig, ClusterTask,
+    ColdStartConfig, Dispatch, DispatchCtx, EjectionConfig, FaultPlan, FaultPlanConfig,
+    FoldCounters, FrontEnd, HealthConfig, HedgeConfig,
 };
 use faas_kernel::{MachineConfig, TaskSpec};
 use faas_simcore::check::{self, Gen};
@@ -83,6 +88,10 @@ impl Dispatch for ScanKeepAlive {
     }
 }
 
+/// Everything observable about one fold, plus its work counters and
+/// ejection count.
+type Folded = (Vec<Vec<TaskSpec>>, u64, String, FoldCounters, u64);
+
 /// Runs one full front-end fold (chunked at `chunk`, then `finish`) and
 /// returns everything observable about it.
 fn fold(
@@ -90,7 +99,7 @@ fn fold(
     tasks: &[ClusterTask],
     policy: &mut dyn Dispatch,
     chunk: usize,
-) -> (Vec<Vec<TaskSpec>>, u64, String) {
+) -> Folded {
     let mut fe = FrontEnd::new(cfg);
     let mut per_machine: Vec<Vec<TaskSpec>> = vec![Vec::new(); cfg.machines];
     let mut cold_starts = 0;
@@ -107,11 +116,19 @@ fn fold(
     let tail = fe.finish(policy);
     merge(tail, &mut per_machine, &mut cold_starts);
     let stats = format!("{:?} {:?}", fe.chaos_stats(), fe.health_stats());
-    (per_machine, cold_starts, stats)
+    let ejections = fe.health_stats().0.ejections;
+    (
+        per_machine,
+        cold_starts,
+        stats,
+        fe.fold_counters(),
+        ejections,
+    )
 }
 
 /// Asserts a heap-backed policy and its scan oracle produce bitwise the
-/// same assignment and the same ledgers on the same stream.
+/// same assignment and the same ledgers on the same stream. Returns the
+/// heap run's work counters and ejection count.
 fn assert_same_fold(
     cfg: &ClusterConfig,
     tasks: &[ClusterTask],
@@ -119,14 +136,15 @@ fn assert_same_fold(
     scan: &mut dyn Dispatch,
     chunk: usize,
     label: &str,
-) {
-    let (pm_h, cold_h, stats_h) = fold(cfg, tasks, heap, chunk);
-    let (pm_s, cold_s, stats_s) = fold(cfg, tasks, scan, chunk);
+) -> (FoldCounters, u64) {
+    let (pm_h, cold_h, stats_h, counters, ejections) = fold(cfg, tasks, heap, chunk);
+    let (pm_s, cold_s, stats_s, ..) = fold(cfg, tasks, scan, chunk);
     assert_eq!(cold_h, cold_s, "{label}: cold-start counts diverge");
     assert_eq!(stats_h, stats_s, "{label}: chaos/health ledgers diverge");
     for (m, (h, s)) in pm_h.iter().zip(&pm_s).enumerate() {
         assert_eq!(h, s, "{label}: machine {m} spec feed diverges");
     }
+    (counters, ejections)
 }
 
 /// A random sorted arrival stream: bursty interarrivals, a small hot
@@ -203,6 +221,12 @@ fn heap_picks_match_scan_oracle_on_plain_fleets() {
 
 #[test]
 fn heap_picks_match_scan_oracle_under_chaos_autoscale_health() {
+    // Summed over every case and heap policy: the run must eject, answer
+    // restricted picks from the heaps, and build per-dispatch lists for
+    // retries avoiding their crash site, or it proves nothing about them.
+    let ejections = Cell::new(0);
+    let restricted = Cell::new(0);
+    let built = Cell::new(0);
     check::run("heap dispatch == scan oracle (full stack)", 32, |g| {
         let mut cfg = gen_fleet(g);
         // Always give the keep-alive pair something to be warm about.
@@ -212,18 +236,30 @@ fn heap_picks_match_scan_oracle_under_chaos_autoscale_health() {
         let machines = cfg.machines;
         if g.boolean() {
             let plan = FaultPlanConfig::new(g.u64_in(0, u64::MAX - 1), 1)
+                // Streams last well under a second of the plan's minute:
+                // rates this high put crashes and stragglers inside them.
                 .with_crashes(
-                    g.f64_in(0.5, 6.0),
+                    g.f64_in(60.0, 6_000.0),
                     SimDuration::from_millis(g.u64_in(10, 2_000)),
                 )
                 .with_stragglers(
-                    g.f64_in(0.5, 4.0),
+                    g.f64_in(60.0, 3_000.0),
                     SimDuration::from_millis(g.u64_in(50, 3_000)),
                     g.f64_in(1.5, 8.0),
                 );
-            cfg = cfg.with_chaos(
-                ChaosConfig::new(FaultPlan::generate(&plan, machines)).with_max_retries(3),
-            );
+            let mut chaos =
+                ChaosConfig::new(FaultPlan::generate(&plan, machines)).with_max_retries(3);
+            if g.boolean() {
+                chaos = chaos.with_backoff(
+                    BackoffConfig::new(g.u64_in(0, u64::MAX - 1))
+                        .with_delays(
+                            SimDuration::from_millis(g.u64_in(1, 200)),
+                            SimDuration::from_millis(g.u64_in(200, 5_000)),
+                        )
+                        .with_jitter(g.f64_in(0.0, 0.5)),
+                );
+            }
+            cfg = cfg.with_chaos(chaos);
         }
         if machines > 1 && g.boolean() {
             cfg = cfg.with_autoscale(AutoscaleConfig {
@@ -255,21 +291,45 @@ fn heap_picks_match_scan_oracle_under_chaos_autoscale_health() {
         let n = g.usize_in(30, 161);
         let tasks = gen_tasks(g, n);
         let chunk = g.usize_in(1, tasks.len() + 1);
-        assert_same_fold(
-            &cfg,
-            &tasks,
-            &mut LeastOutstanding,
-            &mut ScanLeastOutstanding,
-            chunk,
-            "least-outstanding under stack",
-        );
-        assert_same_fold(
-            &cfg,
-            &tasks,
-            &mut KeepAliveDispatch,
-            &mut ScanKeepAlive,
-            chunk,
-            "keep-alive under stack",
-        );
+        let runs = [
+            assert_same_fold(
+                &cfg,
+                &tasks,
+                &mut LeastOutstanding,
+                &mut ScanLeastOutstanding,
+                chunk,
+                "least-outstanding under stack",
+            ),
+            assert_same_fold(
+                &cfg,
+                &tasks,
+                &mut HeapLeastWait,
+                &mut ScanLeastWait,
+                chunk,
+                "least-wait under stack",
+            ),
+            assert_same_fold(
+                &cfg,
+                &tasks,
+                &mut KeepAliveDispatch,
+                &mut ScanKeepAlive,
+                chunk,
+                "keep-alive under stack",
+            ),
+        ];
+        for (counters, ejected) in runs {
+            ejections.set(ejections.get() + ejected);
+            restricted.set(restricted.get() + counters.restricted);
+            built.set(built.get() + counters.built);
+        }
     });
+    assert!(ejections.get() > 0, "no case ejected a machine");
+    assert!(
+        restricted.get() > 0,
+        "no restricted dispatch took the heap path"
+    );
+    assert!(
+        built.get() > 0,
+        "no pick built its candidate list on the spot"
+    );
 }

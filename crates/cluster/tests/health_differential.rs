@@ -33,12 +33,12 @@
 
 use azure_trace::{AzureTrace, TraceConfig};
 use faas_cluster::dispatch::{
-    KeepAliveDispatch, LeastOutstanding, PowerOfTwoChoices, RandomDispatch,
+    KeepAliveDispatch, LeastOutstanding, PowerOfTwoChoices, RandomDispatch, RoundRobinDispatch,
 };
 use faas_cluster::{
     chunk_workload, workload_from_trace, BackoffConfig, ChaosConfig, Cluster, ClusterConfig,
     ClusterTask, ColdStartConfig, Dispatch, EjectionConfig, Fault, FaultPlan, FaultPlanConfig,
-    FrontEnd, HealthConfig, HedgeConfig, OverloadConfig, StreamOptions,
+    FoldCounters, FrontEnd, HealthConfig, HedgeConfig, OverloadConfig, StreamOptions,
 };
 use faas_kernel::{InterferenceConfig, MachineConfig, Scheduler};
 use faas_policies::Fifo;
@@ -640,4 +640,139 @@ fn attempt_ledger_closes_with_doomed_hedge_copies() {
             );
         }
     }
+}
+
+/// FNV-1a 64-bit over formatted text, fed piecewise so a whole fold's
+/// spec feeds hash without building one string.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Runs the serial front-end fold alone (no kernels) over `tasks` and
+/// digests everything it decides: every machine's spec feed in order,
+/// the cold-start count and the overload, chaos and health ledgers.
+/// Returns the digest and the health ledger.
+fn fold_digest(
+    cfg: &ClusterConfig,
+    tasks: &[ClusterTask],
+    policy: &mut dyn Dispatch,
+) -> (u64, faas_metrics::HealthStats) {
+    use std::fmt::Write;
+    let mut front = FrontEnd::new(cfg);
+    let body = front.dispatch_chunk(tasks, policy);
+    let tail = front.finish(policy);
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    for a in [&body, &tail] {
+        for (m, specs) in a.per_machine.iter().enumerate() {
+            write!(h, "m{m}:").expect("hashing cannot fail");
+            for s in specs {
+                write!(h, "{s:?};").expect("hashing cannot fail");
+            }
+        }
+        write!(h, "cold {};", a.cold_starts).expect("hashing cannot fail");
+    }
+    let (health, columns) = front.health_stats();
+    write!(
+        h,
+        "{:?} {:?} {health:?} {columns:?}",
+        front.overload_stats(),
+        front.chaos_stats()
+    )
+    .expect("hashing cannot fail");
+    (h.0, health)
+}
+
+/// Byte-identity pins of the full control-plane fold (crashes,
+/// stragglers, backoff retries avoiding their crash site, ejection,
+/// hedging, cold starts, the admission cap and the deadline) under every
+/// stock policy. Random, round-robin and p2c index the candidate list by
+/// position and have no scan twin in `frontend_scan_oracle.rs`, so only
+/// these digests notice a candidate list that differs from the one the
+/// fold builds by filtering the active prefix per dispatch. Captured
+/// from that per-dispatch-build tree.
+#[test]
+fn control_plane_fold_digests_pinned() {
+    let machines = 16;
+    let cfg = control_plane_fleet(machines);
+    let tasks = workload_from_trace(&AzureTrace::generate(&TraceConfig::w2().rps_scaled(4)), 1);
+    let cases: [(&str, Box<dyn Dispatch>, u64); 5] = [
+        (
+            "random",
+            Box::new(RandomDispatch::new(0xC105)),
+            0xd9e8_90da_73cb_710d,
+        ),
+        (
+            "round-robin",
+            Box::new(RoundRobinDispatch::new()),
+            0xb4af_44b4_23db_de9e,
+        ),
+        (
+            "p2c",
+            Box::new(PowerOfTwoChoices::new(0xD15C)),
+            0x8b96_0d59_f687_1cb5,
+        ),
+        (
+            "least-outstanding",
+            Box::new(LeastOutstanding),
+            0x7db2_1ecf_7cb0_b56d,
+        ),
+        (
+            "keep-alive",
+            Box::new(KeepAliveDispatch),
+            0xefaa_1b2a_06ba_36da,
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (name, mut policy, want) in cases {
+        let (digest, health) = fold_digest(&cfg, &tasks, &mut policy);
+        assert!(
+            health.ejections > 0 && health.backoff_retries > 0,
+            "{name}: the fold never ejected or backed off: {health:?}"
+        );
+        if digest != want {
+            mismatches.push(format!("{name}: {digest:#018x} (pinned {want:#018x})"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "control-plane fold output changed: {mismatches:?}"
+    );
+}
+
+/// The fold's work counters on the same shape under `LeastOutstanding`
+/// (the benchmark's `control-plane` policy), pinned exactly: a change
+/// that brings back per-dispatch candidate builds or epoch scans moves
+/// them, however noisy the host's timings.
+#[test]
+fn control_plane_fold_counters_pinned() {
+    let cfg = control_plane_fleet(16);
+    let tasks = workload_from_trace(&AzureTrace::generate(&TraceConfig::w2().rps_scaled(4)), 1);
+    let mut front = FrontEnd::new(&cfg);
+    front.dispatch_chunk(&tasks, &mut LeastOutstanding);
+    front.finish(&mut LeastOutstanding);
+    let c = front.fold_counters();
+    assert_eq!(
+        c,
+        FoldCounters {
+            restricted: 48_850,
+            built: 26,
+            rebuilds: 290,
+            epoch_scans: 13,
+        },
+        "{} arrivals, {:?}",
+        tasks.len(),
+        front.health_stats().0
+    );
+    assert!(
+        c.rebuilds * 10 < c.restricted,
+        "the candidate list is rebuilt per dispatch again: {c:?}"
+    );
 }

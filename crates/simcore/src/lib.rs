@@ -15,6 +15,8 @@
 //!   queues (O(1) at either end, appends for keys not below the back);
 //! * [`IndexedMinHeap`] — the slot-addressed variant (O(log n) re-key /
 //!   removal by stable slot) backing the cluster dispatch tier;
+//! * [`FxHashMap`] — a `HashMap` under a fast unkeyed hasher for the
+//!   dispatch tier's small integer keys;
 //! * [`SimRng`] — a seeded random generator with the samplers used by the
 //!   Azure-like trace synthesizer;
 //! * [`check`] — a miniature property-test harness (the workspace's
@@ -51,6 +53,7 @@
 
 pub mod check;
 mod events;
+mod fxhash;
 mod heap;
 mod idxheap;
 pub mod par;
@@ -59,6 +62,7 @@ mod sorted;
 mod time;
 
 pub use events::EventQueue;
+pub use fxhash::{FxHashMap, FxHasher};
 pub use heap::MinHeap4;
 pub use idxheap::IndexedMinHeap;
 pub use rng::SimRng;
