@@ -471,10 +471,12 @@ fn bench_frontend_scale(c: &mut Bench) {
                     cooldown: SimDuration::from_secs(1),
                 }),
         );
+        // The stream lasts 2.05 s of the plan's minute: the rates are high
+        // enough that crashes and straggler windows land inside it.
         let plan = FaultPlan::generate(
             &FaultPlanConfig::new(0x0F2E_57A7, 1)
-                .with_crashes(6.0, SimDuration::from_millis(500))
-                .with_stragglers(4.0, SimDuration::from_secs(5), 2.0),
+                .with_crashes(120.0, SimDuration::from_millis(500))
+                .with_stragglers(300.0, SimDuration::from_secs(5), 2.0),
             machines,
         );
         let health = bare
@@ -497,8 +499,19 @@ fn bench_frontend_scale(c: &mut Bench) {
                     .with_min_samples(4),
             ),
         );
-        // Checked once, outside the timed loop: the row is only worth
-        // its place while it ejects and dispatches around the ejected.
+        // Checked once, outside the timed loop: each row is only worth
+        // its place while it does the work its name promises. The health
+        // row crashes machines and straggles tasks during dispatch; the
+        // ejecting row ejects and dispatches around the ejected.
+        let mut fe = FrontEnd::new(&health);
+        fe.dispatch_chunk(&tasks, &mut KeepAliveDispatch);
+        let chaos = fe.chaos_stats();
+        assert!(
+            chaos.crashes > 0 && chaos.straggled_tasks > 0,
+            "dispatch_health_{machines}m must crash ({}) and straggle ({})",
+            chaos.crashes,
+            chaos.straggled_tasks
+        );
         let mut fe = FrontEnd::new(&ejecting);
         fe.dispatch_chunk(&tasks, &mut KeepAliveDispatch);
         let (ejections, restricted) =

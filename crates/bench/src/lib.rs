@@ -29,9 +29,7 @@ pub use plot::ascii_chart;
 use std::io::{self, Write};
 
 use azure_trace::{AzureTrace, TraceConfig};
-use faas_kernel::{
-    InterferenceConfig, MachineConfig, Scheduler, SimReport, Simulation, SlimReport, TaskSpec,
-};
+use faas_kernel::{InterferenceConfig, MachineConfig, Scheduler, Simulation, SlimReport, TaskSpec};
 use faas_metrics::{records_from_tasks, DurationCdf, Metric, RunSummary, TaskRecord};
 
 /// The paper's enclave size: 50 cores of the Xeon testbed (§V-C).
@@ -50,7 +48,10 @@ pub fn quiet_machine() -> MachineConfig {
 }
 
 /// Runs `policy` over `specs` on `machine`, returning the report and the
-/// per-task records.
+/// per-task records. The machine (event arena, arrival calendar,
+/// utilization ledger) is dropped at the end of the run, so a big fan
+/// holds one trace plus per-task records, not one machine per in-flight
+/// job.
 ///
 /// `specs` is an owned `Vec<TaskSpec>` (moved) or a borrowed
 /// `&[TaskSpec]`, so multi-policy sweeps synthesize the trace once and
@@ -60,27 +61,6 @@ pub fn quiet_machine() -> MachineConfig {
 ///
 /// Panics if the simulation deadlocks (a policy bug).
 pub fn run_policy<'s, P: Scheduler>(
-    machine: MachineConfig,
-    specs: impl Into<std::borrow::Cow<'s, [TaskSpec]>>,
-    policy: P,
-) -> (SimReport, Vec<TaskRecord>) {
-    let report = Simulation::new(machine, specs, policy)
-        .run()
-        .expect("simulation completes");
-    let records = records_from_tasks(&report.tasks);
-    (report, records)
-}
-
-/// [`run_policy`] through the memory-lean [`SlimReport`] path: the
-/// machine (event arena, arrival calendar, utilization ledger) is dropped
-/// at the end of the run instead of riding along — what the big fans use
-/// so peak memory is one trace plus per-task records, not one machine per
-/// in-flight job.
-///
-/// # Panics
-///
-/// Panics if the simulation deadlocks (a policy bug).
-pub fn run_policy_slim<'s, P: Scheduler>(
     machine: MachineConfig,
     specs: impl Into<std::borrow::Cow<'s, [TaskSpec]>>,
     policy: P,

@@ -11,7 +11,7 @@ use lambda_pricing::{cost_ratio, PriceModel};
 use microvm_sim::{run_fleet, BootKind, FirecrackerConfig};
 
 use crate::scenario::{ScenarioCtx, ScenarioResult};
-use crate::{paper_machine, par, run_policy_slim, w2_trace, wfc_trace, PAPER_CORES};
+use crate::{paper_machine, par, run_policy, w2_trace, wfc_trace, PAPER_CORES};
 
 use faas_policies::{Cfs, Fifo};
 
@@ -44,12 +44,12 @@ pub(crate) fn ablation_cost(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     for (_, cost) in variants {
         jobs.push(Box::new(move || {
             let machine = MachineConfig::new(PAPER_CORES).with_cost(cost);
-            let (_, fifo) = run_policy_slim(machine, specs, Fifo::new());
+            let (_, fifo) = run_policy(machine, specs, Fifo::new());
             model.workload_cost(&fifo)
         }));
         jobs.push(Box::new(move || {
             let machine = MachineConfig::new(PAPER_CORES).with_cost(cost);
-            let (_, cfs) = run_policy_slim(machine, specs, Cfs::with_cores(PAPER_CORES));
+            let (_, cfs) = run_policy(machine, specs, Cfs::with_cores(PAPER_CORES));
             model.workload_cost(&cfs)
         }));
     }
@@ -131,7 +131,7 @@ pub(crate) fn ablation_design(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     ] {
         jobs.push(Box::new(move || {
             let cfg = HybridConfig::paper_25_25().with_cfs_placement(placement);
-            let (_, records) = run_policy_slim(paper_machine(), specs, HybridScheduler::new(cfg));
+            let (_, records) = run_policy(paper_machine(), specs, HybridScheduler::new(cfg));
             let s = MetricSummary::compute(&records, Metric::Execution);
             format!(
                 "{name}\t{:.3}\t{:.3}\t{:.4}",
@@ -157,7 +157,7 @@ pub(crate) fn ablation_design(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
                     initial: SimDuration::from_millis(1_633),
                 })
             };
-            let (_, records) = run_policy_slim(paper_machine(), specs, HybridScheduler::new(cfg));
+            let (_, records) = run_policy(paper_machine(), specs, HybridScheduler::new(cfg));
             let s = MetricSummary::compute(&records, Metric::Execution);
             format!(
                 "{window_size}\t{:.3}\t{:.4}",

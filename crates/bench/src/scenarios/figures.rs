@@ -17,7 +17,7 @@ use lambda_pricing::{cost_ratio, PriceModel};
 
 use crate::scenario::{ScenarioCtx, ScenarioResult};
 use crate::{
-    paper_machine, par, run_policy_slim, w2_trace, write_cdf, write_cdf_chart, write_summary_row,
+    paper_machine, par, run_policy, w2_trace, write_cdf, write_cdf_chart, write_summary_row,
     PAPER_CORES,
 };
 
@@ -36,7 +36,7 @@ fn fan_records(jobs: Vec<RecJob<'_>>) -> Vec<Vec<TaskRecord>> {
 pub(crate) fn intro(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let spec = TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(1), 1_024)
         .with_io_wait(SimDuration::from_secs(60));
-    let (_, records) = run_policy_slim(MachineConfig::new(1), vec![spec], Fifo::new());
+    let (_, records) = run_policy(MachineConfig::new(1), vec![spec], Fifo::new());
     let r = records[0];
     let model = PriceModel::duration_only();
     let billed = model.cost_of(&r);
@@ -67,8 +67,8 @@ pub(crate) fn fig01(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     )?;
     let specs = trace.to_task_specs();
     let jobs: Vec<RecJob> = vec![
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Fifo::new()).1),
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Cfs::with_cores(50)).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Fifo::new()).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Cfs::with_cores(50)).1),
     ];
     let mut results = fan_records(jobs).into_iter();
     let (fifo, cfs) = (results.next().unwrap(), results.next().unwrap());
@@ -119,8 +119,8 @@ pub(crate) fn fig04(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let trace = w2_trace();
     let specs = trace.to_task_specs();
     let jobs: Vec<RecJob> = vec![
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Fifo::new()).1),
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Cfs::with_cores(50)).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Fifo::new()).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Cfs::with_cores(50)).1),
     ];
     let mut results = fan_records(jobs).into_iter();
     let (fifo, cfs) = (results.next().unwrap(), results.next().unwrap());
@@ -136,9 +136,9 @@ pub(crate) fn fig05(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let trace = w2_trace();
     let specs = trace.to_task_specs();
     let jobs: Vec<RecJob> = vec![
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Fifo::new()).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Fifo::new()).1),
         Box::new(|| {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 &specs,
                 Fifo::with_limit(SimDuration::from_millis(100)),
@@ -160,9 +160,9 @@ pub(crate) fn fig06(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let trace = w2_trace();
     let specs = trace.to_task_specs();
     let jobs: Vec<RecJob> = vec![
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Fifo::new()).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Fifo::new()).1),
         Box::new(|| {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 &specs,
                 HybridScheduler::new(HybridConfig::paper_25_25()),
@@ -246,14 +246,13 @@ pub(crate) fn fig11(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
         .map(|&(fifo, cfs)| {
             Box::new(move || {
                 let cfg = HybridConfig::split(fifo, cfs);
-                let (_, records) =
-                    run_policy_slim(paper_machine(), specs, HybridScheduler::new(cfg));
+                let (_, records) = run_policy(paper_machine(), specs, HybridScheduler::new(cfg));
                 (format!("hybrid({fifo},{cfs})"), records)
             }) as Job
         })
         .collect();
     jobs.push(Box::new(move || {
-        let (_, records) = run_policy_slim(paper_machine(), specs, Cfs::with_cores(50));
+        let (_, records) = run_policy(paper_machine(), specs, Cfs::with_cores(50));
         ("cfs(50)".to_string(), records)
     }));
     let mut means = Vec::new();
@@ -279,14 +278,14 @@ pub(crate) fn fig12(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let specs = trace.to_task_specs();
     let jobs: Vec<RecJob> = vec![
         Box::new(|| {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 &specs,
                 HybridScheduler::new(HybridConfig::paper_25_25()),
             )
             .1
         }),
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Cfs::with_cores(50)).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Cfs::with_cores(50)).1),
     ];
     let mut results = fan_records(jobs).into_iter();
     let (hybrid, cfs) = (results.next().unwrap(), results.next().unwrap());
@@ -311,14 +310,14 @@ pub(crate) fn fig13(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let specs = trace.to_task_specs();
     let jobs: Vec<Box<dyn FnOnce() -> SlimReport + Send + '_>> = vec![
         Box::new(|| {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 &specs,
                 HybridScheduler::new(HybridConfig::paper_25_25()),
             )
             .0
         }),
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Cfs::with_cores(50)).0),
+        Box::new(|| run_policy(paper_machine(), &specs, Cfs::with_cores(50)).0),
     ];
     let mut reports = par::run_all(jobs).into_iter();
     let (hyb_report, cfs_report) = (reports.next().unwrap(), reports.next().unwrap());
@@ -363,7 +362,7 @@ pub(crate) fn fig15(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
             percentile: pct,
             initial: SimDuration::from_millis(1_633),
         });
-        let (_, records) = run_policy_slim(paper_machine(), &specs, HybridScheduler::new(cfg));
+        let (_, records) = run_policy(paper_machine(), &specs, HybridScheduler::new(cfg));
         (format!("ts=p{:.0}", pct * 100.0), records)
     });
     let mut rows = Vec::new();
@@ -389,7 +388,7 @@ pub(crate) fn fig18(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let specs = trace.to_task_specs();
     let jobs: Vec<RecJob> = vec![
         Box::new(|| {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 &specs,
                 HybridScheduler::new(HybridConfig::paper_25_25()),
@@ -398,7 +397,7 @@ pub(crate) fn fig18(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
         }),
         Box::new(|| {
             let rcfg = HybridConfig::paper_25_25().with_rightsizing(RightsizingConfig::default());
-            run_policy_slim(paper_machine(), &specs, HybridScheduler::new(rcfg)).1
+            run_policy(paper_machine(), &specs, HybridScheduler::new(rcfg)).1
         }),
     ];
     let mut results = fan_records(jobs).into_iter();
@@ -416,15 +415,15 @@ pub(crate) fn fig20(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let specs = trace.to_task_specs();
     let jobs: Vec<RecJob> = vec![
         Box::new(|| {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 &specs,
                 HybridScheduler::new(HybridConfig::paper_25_25()),
             )
             .1
         }),
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Fifo::new()).1),
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Cfs::with_cores(50)).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Fifo::new()).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Cfs::with_cores(50)).1),
     ];
     let mut results = fan_records(jobs).into_iter();
     let (hybrid, fifo, cfs) = (
@@ -463,7 +462,7 @@ pub(crate) fn fig23(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     jobs.push((
         "hybrid",
         Box::new(move || {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 s,
                 HybridScheduler::new(HybridConfig::paper_25_25()),
@@ -473,16 +472,16 @@ pub(crate) fn fig23(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     ));
     jobs.push((
         "fifo",
-        Box::new(move || run_policy_slim(paper_machine(), s, Fifo::new()).1),
+        Box::new(move || run_policy(paper_machine(), s, Fifo::new()).1),
     ));
     jobs.push((
         "cfs",
-        Box::new(move || run_policy_slim(paper_machine(), s, Cfs::with_cores(PAPER_CORES)).1),
+        Box::new(move || run_policy(paper_machine(), s, Cfs::with_cores(PAPER_CORES)).1),
     ));
     jobs.push((
         "fifo_100ms",
         Box::new(move || {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 s,
                 Fifo::with_limit(SimDuration::from_millis(100)),
@@ -493,7 +492,7 @@ pub(crate) fn fig23(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     jobs.push((
         "round_robin",
         Box::new(move || {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 s,
                 Fifo::round_robin(SimDuration::from_millis(10)),
@@ -503,12 +502,12 @@ pub(crate) fn fig23(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     ));
     jobs.push((
         "edf",
-        Box::new(move || run_policy_slim(paper_machine(), s, Edf::new()).1),
+        Box::new(move || run_policy(paper_machine(), s, Edf::new()).1),
     ));
     jobs.push((
         "shinjuku",
         Box::new(move || {
-            run_policy_slim(
+            run_policy(
                 shinjuku_machine,
                 s,
                 Fifo::shinjuku(SimDuration::from_millis(1)),
@@ -518,13 +517,11 @@ pub(crate) fn fig23(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     ));
     jobs.push((
         "sfs",
-        Box::new(move || {
-            run_policy_slim(paper_machine(), s, Sfs::new(SimDuration::from_millis(50))).1
-        }),
+        Box::new(move || run_policy(paper_machine(), s, Sfs::new(SimDuration::from_millis(50))).1),
     ));
     jobs.push((
         "mlfq",
-        Box::new(move || run_policy_slim(paper_machine(), s, Mlfq::new(MlfqParams::default())).1),
+        Box::new(move || run_policy(paper_machine(), s, Mlfq::new(MlfqParams::default())).1),
     ));
     let (names, runs): (Vec<&str>, Vec<Job>) = jobs.into_iter().unzip();
     for (name, records) in names.into_iter().zip(par::run_all(runs)) {

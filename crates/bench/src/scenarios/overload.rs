@@ -142,7 +142,7 @@ pub(crate) fn overload(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
             o.shed_breaker,
             o.breaker_trips,
             o.kernel_cancelled,
-            report.max_live_tasks(),
+            report.max_in_flight(),
             s.response.p99.as_secs_f64(),
             lo.as_secs_f64(),
             hi.as_secs_f64(),

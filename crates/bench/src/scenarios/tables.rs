@@ -7,7 +7,7 @@ use hybrid_scheduler::{HybridConfig, HybridScheduler, TimeLimitPolicy};
 use lambda_pricing::PriceModel;
 
 use crate::scenario::{ScenarioCtx, ScenarioResult};
-use crate::{paper_machine, par, run_policy_slim, w2_trace, write_summary_row};
+use crate::{paper_machine, par, run_policy, w2_trace, write_summary_row};
 
 /// Table I: p99 response/execution/turnaround and overall cost for FIFO,
 /// CFS and the hybrid scheduler on W2.
@@ -26,10 +26,10 @@ pub(crate) fn table1(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     )?;
     let specs = trace.to_task_specs();
     let jobs: Vec<Box<dyn FnOnce() -> Vec<TaskRecord> + Send + '_>> = vec![
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Fifo::new()).1),
-        Box::new(|| run_policy_slim(paper_machine(), &specs, Cfs::with_cores(50)).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Fifo::new()).1),
+        Box::new(|| run_policy(paper_machine(), &specs, Cfs::with_cores(50)).1),
         Box::new(|| {
-            run_policy_slim(
+            run_policy(
                 paper_machine(),
                 &specs,
                 HybridScheduler::new(HybridConfig::paper_25_25()),
@@ -52,7 +52,7 @@ pub(crate) fn deviation1(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let trace = w2_trace();
     let cfg = HybridConfig::paper_25_25()
         .with_time_limit(TimeLimitPolicy::Fixed(SimDuration::from_millis(500)));
-    let (_, r) = run_policy_slim(
+    let (_, r) = run_policy(
         paper_machine(),
         trace.to_task_specs(),
         HybridScheduler::new(cfg),

@@ -9,21 +9,22 @@ use faas_simcore::{SimDuration, SimTime};
 use hybrid_scheduler::{Group, HybridConfig, HybridScheduler, RightsizingConfig, TimeLimitPolicy};
 
 use crate::scenario::{ScenarioCtx, ScenarioResult};
-use crate::{paper_machine, run_policy, w10_trace, w2_trace};
+use crate::{paper_machine, w10_trace, w2_trace};
 
 /// Fig. 14: average CPU utilization of the FIFO group vs the CFS group
 /// over time (hybrid 25/25, W2).
 pub(crate) fn fig14(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let trace = w2_trace();
-    let (report, _) = run_policy(
+    let mut sim = Simulation::new(
         paper_machine(),
         trace.to_task_specs(),
         HybridScheduler::new(HybridConfig::paper_25_25()),
     );
+    while sim.step().expect("simulation completes") {}
     let fifo_cores: Vec<CoreId> = (0..25).map(CoreId::from_index).collect();
     let cfs_cores: Vec<CoreId> = (25..50).map(CoreId::from_index).collect();
-    let fifo = group_utilization_series(report.machine.utilization(), &fifo_cores);
-    let cfs = group_utilization_series(report.machine.utilization(), &cfs_cores);
+    let fifo = group_utilization_series(sim.machine().utilization(), &fifo_cores);
+    let cfs = group_utilization_series(sim.machine().utilization(), &cfs_cores);
     writeln!(ctx.out, "# Fig. 14 | group utilization over time")?;
     writeln!(ctx.out, "t_s\tfifo_util\tcfs_util")?;
     for ((t, f), (_, c)) in fifo.iter().zip(&cfs) {

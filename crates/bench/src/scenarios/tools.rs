@@ -14,7 +14,7 @@ use hybrid_scheduler::{HybridConfig, HybridScheduler};
 use lambda_pricing::PriceModel;
 
 use crate::scenario::{ScenarioCtx, ScenarioError, ScenarioResult};
-use crate::{par, run_policy_slim, write_cdf_chart, write_summary_row};
+use crate::{par, run_policy, write_cdf_chart, write_summary_row};
 
 /// Generates the paper's workload files (Fig. 9 step ①): CSV rows of
 /// `(inter-arrival time, fibonacci N, duration, memory)` for W2, W10 and
@@ -84,20 +84,20 @@ pub(crate) fn compare(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     let mut jobs: Vec<(&str, Job)> = Vec::new();
     jobs.push((
         "hybrid",
-        Box::new(move || run_policy_slim(machine(), s, HybridScheduler::new(hybrid_cfg)).1),
+        Box::new(move || run_policy(machine(), s, HybridScheduler::new(hybrid_cfg)).1),
     ));
     jobs.push((
         "fifo",
-        Box::new(move || run_policy_slim(machine(), s, Fifo::new()).1),
+        Box::new(move || run_policy(machine(), s, Fifo::new()).1),
     ));
     jobs.push((
         "cfs",
-        Box::new(move || run_policy_slim(machine(), s, Cfs::with_cores(cores)).1),
+        Box::new(move || run_policy(machine(), s, Cfs::with_cores(cores)).1),
     ));
     jobs.push((
         "fifo+100ms",
         Box::new(move || {
-            run_policy_slim(
+            run_policy(
                 machine(),
                 s,
                 Fifo::with_limit(SimDuration::from_millis(100)),
@@ -108,7 +108,7 @@ pub(crate) fn compare(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     jobs.push((
         "round-robin",
         Box::new(move || {
-            run_policy_slim(
+            run_policy(
                 machine(),
                 s,
                 Fifo::round_robin(SimDuration::from_millis(10)),
@@ -118,21 +118,19 @@ pub(crate) fn compare(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
     ));
     jobs.push((
         "edf",
-        Box::new(move || run_policy_slim(machine(), s, Edf::new()).1),
+        Box::new(move || run_policy(machine(), s, Edf::new()).1),
     ));
     jobs.push((
         "shinjuku",
-        Box::new(move || {
-            run_policy_slim(machine(), s, Fifo::shinjuku(SimDuration::from_millis(1))).1
-        }),
+        Box::new(move || run_policy(machine(), s, Fifo::shinjuku(SimDuration::from_millis(1))).1),
     ));
     jobs.push((
         "sfs",
-        Box::new(move || run_policy_slim(machine(), s, Sfs::new(SimDuration::from_millis(50))).1),
+        Box::new(move || run_policy(machine(), s, Sfs::new(SimDuration::from_millis(50))).1),
     ));
     jobs.push((
         "mlfq",
-        Box::new(move || run_policy_slim(machine(), s, Mlfq::new(MlfqParams::default())).1),
+        Box::new(move || run_policy(machine(), s, Mlfq::new(MlfqParams::default())).1),
     ));
     let (names, runs): (Vec<&str>, Vec<Job>) = jobs.into_iter().unzip();
     let results: Vec<(&str, Vec<TaskRecord>)> = names.into_iter().zip(par::run_all(runs)).collect();

@@ -1,6 +1,6 @@
 //! Determinism pins for the heavy-policy figures.
 //!
-//! Four byte-identical-output contracts are pinned here permanently:
+//! Five byte-identical-output contracts are pinned here permanently:
 //!
 //! * PR 4 swapped the simulation's two hottest data structures (the event
 //!   queue and the CFS run queues) for index-addressed dense equivalents.
@@ -22,6 +22,11 @@
 //!   `cluster-xl-512` digest (512 streamed hybrid nodes at
 //!   `SCALE_DIV=4096`, where most kernel events are such expiries) was
 //!   captured from the tree before both.
+//! * A machine run was later reduced to one report type (`SlimReport`),
+//!   dropping the report that kept the whole `Machine`. The fig14 digest
+//!   (the one scenario that read that machine's utilization ledger) and
+//!   the fig21 digest (the microVM fleet) were captured from the tree
+//!   before that change.
 //!
 //! The same output must also be byte-identical at any `BENCH_THREADS`
 //! setting (the sweep fan-out must not affect results).
@@ -107,6 +112,20 @@ fn fig11_fig12_bytes_pinned_to_pre_swap_and_thread_invariant() {
             "{id} output changed vs. the pre-staging baseline"
         );
     }
+
+    // Digests recorded from the tree before a machine run had one report
+    // type: fig14 read the utilization ledger of the machine its report
+    // kept, and fig21 ran its microVM fleet through that report.
+    assert_eq!(
+        fnv1a(&run_scenario("fig14")),
+        0x6ffa_cc39_ca60_0998,
+        "fig14 output changed vs. the two-report baseline"
+    );
+    assert_eq!(
+        fnv1a(&run_scenario("fig21")),
+        0x9693_cea0_f94b_a19c,
+        "fig21 output changed vs. the two-report baseline"
+    );
 
     // Digest recorded from the tree before a lone CFS slice was renewed
     // inside the run queue (every expiry went through `MachineRun`'s

@@ -569,11 +569,6 @@ impl FrontEnd {
         fe
     }
 
-    /// Number of machines currently taking new work.
-    pub fn active_machines(&self) -> usize {
-        self.active
-    }
-
     /// The fold's work counts so far (see [`FoldCounters`]).
     pub fn fold_counters(&self) -> FoldCounters {
         self.counters

@@ -249,7 +249,7 @@ impl ClusterConfig {
 pub struct ClusterReport {
     /// Dispatch policy name the run used.
     pub dispatch: String,
-    /// Per-machine slim reports, in machine order.
+    /// Per-machine run reports, in machine order.
     pub machines: Vec<SlimReport>,
     /// Per-machine completed-task records, in machine order.
     pub records: Vec<Vec<TaskRecord>>,
@@ -297,7 +297,7 @@ impl ClusterReport {
     /// Peak in-flight backlog: the largest arrived-minus-finished count
     /// any machine's kernel observed — the bounded-memory axis the
     /// admission layers exist to hold down. Max across machines.
-    pub fn max_live_tasks(&self) -> u64 {
+    pub fn max_in_flight(&self) -> u64 {
         self.machines
             .iter()
             .map(|m| m.max_in_flight)

@@ -181,7 +181,7 @@ pub struct StreamMachineReport {
     pub max_live_tasks: usize,
     /// Peak in-flight backlog (arrived − finished) the machine's kernel
     /// observed — the same metric as
-    /// [`ClusterReport::max_live_tasks`](crate::ClusterReport::max_live_tasks).
+    /// [`ClusterReport::max_in_flight`](crate::ClusterReport::max_in_flight).
     pub max_in_flight: u64,
     /// Invocations killed mid-flight by kernel deadline cancellation
     /// (dispatched, partially run, never billed).
@@ -265,9 +265,9 @@ impl StreamClusterReport {
     }
 
     /// Peak in-flight backlog across the fleet (kernel-measured; same
-    /// metric as [`ClusterReport::max_live_tasks`]).
+    /// metric as [`ClusterReport::max_in_flight`]).
     ///
-    /// [`ClusterReport::max_live_tasks`]: crate::ClusterReport::max_live_tasks
+    /// [`ClusterReport::max_in_flight`]: crate::ClusterReport::max_in_flight
     pub fn max_in_flight(&self) -> u64 {
         self.machines
             .iter()

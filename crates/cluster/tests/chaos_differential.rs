@@ -130,8 +130,8 @@ where
         assert_eq!(bare.records, noop.records, "{what}: records diverged");
         assert_eq!(bare.cold_starts, noop.cold_starts, "{what}: cold starts");
         assert_eq!(
-            bare.max_live_tasks(),
-            noop.max_live_tasks(),
+            bare.max_in_flight(),
+            noop.max_in_flight(),
             "{what}: backlog"
         );
         for (i, (b, n)) in bare.machines.iter().zip(&noop.machines).enumerate() {
@@ -607,14 +607,14 @@ fn admission_caps_bound_backlog_through_redispatch_floods() {
     .run(&tasks, 2)
     .expect("capped run completes");
     assert!(
-        bare.max_live_tasks() > 400,
+        bare.max_in_flight() > 400,
         "bare backlog should blow up: {}",
-        bare.max_live_tasks()
+        bare.max_in_flight()
     );
     assert!(
-        capped.max_live_tasks() <= 20,
+        capped.max_in_flight() <= 20,
         "capped backlog must stay near the cap through the flood: {}",
-        capped.max_live_tasks()
+        capped.max_in_flight()
     );
     assert!(capped.overload.shed_concurrency > 0);
 }

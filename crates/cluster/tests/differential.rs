@@ -35,10 +35,10 @@ fn legacy_run<P: Scheduler>(
 ) -> (Vec<TaskRecord>, Vec<(SimTime, KernelMessage)>) {
     let specs: Vec<_> = tasks.iter().map(|t| t.spec.clone()).collect();
     let report = Simulation::new(cluster_cfg.machine_config(0), &specs, policy)
-        .run()
+        .run_slim()
         .unwrap();
     let records = records_from_tasks(&report.tasks);
-    (records, report.machine.messages().to_vec())
+    (records, report.messages)
 }
 
 #[test]

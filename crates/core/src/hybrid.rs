@@ -64,7 +64,7 @@ pub enum Group {
 ///     specs,
 ///     HybridScheduler::new(cfg),
 /// )
-/// .run()?;
+/// .run_slim()?;
 /// // Short tasks ran uninterrupted…
 /// assert!(report.tasks[1..].iter().all(|t| t.preemptions() == 0));
 /// // …while the 1 s task was preempted off the FIFO group exactly once.
@@ -193,16 +193,6 @@ impl HybridScheduler {
     /// Group membership of a core.
     pub fn group_of(&self, core: CoreId) -> Group {
         self.group_of[core.index()]
-    }
-
-    /// Length of the global FIFO queue.
-    pub fn fifo_queue_len(&self) -> usize {
-        self.fifo_queue.len()
-    }
-
-    /// Total tasks queued across all CFS-side run queues.
-    pub fn cfs_queue_len(&self) -> usize {
-        self.cfs.total_queued()
     }
 
     // ---- internals -----------------------------------------------------
@@ -478,16 +468,16 @@ impl Scheduler for HybridScheduler {
 mod tests {
     use super::*;
     use crate::config::{CfsPlacement, RightsizingConfig};
-    use faas_kernel::{CostModel, MachineConfig, SimReport, Simulation, TaskSpec};
+    use faas_kernel::{CostModel, MachineConfig, Simulation, SlimReport, TaskSpec};
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
     }
 
-    fn run(cfg: HybridConfig, specs: Vec<TaskSpec>) -> SimReport {
+    fn run(cfg: HybridConfig, specs: Vec<TaskSpec>) -> SlimReport {
         let mcfg = MachineConfig::new(cfg.total_cores()).with_cost(CostModel::free());
         Simulation::new(mcfg, specs, HybridScheduler::new(cfg))
-            .run()
+            .run_slim()
             .unwrap()
     }
 
@@ -525,7 +515,7 @@ mod tests {
         let cfg = HybridConfig::split(2, 2).with_time_limit(TimeLimitPolicy::Fixed(ms(100)));
         let mcfg = MachineConfig::new(4).with_cost(CostModel::free());
         let sim = Simulation::new(mcfg, mixed_specs(10, 3), HybridScheduler::new(cfg));
-        let report = sim.run().unwrap();
+        let report = sim.run_slim().unwrap();
         // Each 800 ms task consumed 100 ms on FIFO, then finished on CFS.
         for t in &report.tasks[..3] {
             assert!(t.preemptions() >= 1);
@@ -678,7 +668,7 @@ mod tests {
             .collect();
         let mcfg = MachineConfig::new(3).with_cost(CostModel::free());
         let report = Simulation::new(mcfg, specs, HybridScheduler::new(cfg))
-            .run()
+            .run_slim()
             .unwrap();
         assert!(report.tasks.iter().all(|t| t.completion().is_some()));
     }
@@ -797,16 +787,16 @@ mod tests {
             specs(),
             HybridScheduler::new(hybrid_cfg),
         )
-        .run()
+        .run_slim()
         .unwrap();
         let cfs = Simulation::new(
             MachineConfig::new(4).with_cost(cost),
             specs(),
             Cfs::with_cores(4),
         )
-        .run()
+        .run_slim()
         .unwrap();
-        let mean_exec = |r: &SimReport| {
+        let mean_exec = |r: &SlimReport| {
             r.tasks
                 .iter()
                 .map(|t| t.execution_time().unwrap().as_micros())

@@ -33,7 +33,7 @@
 //!     specs,
 //!     HybridScheduler::new(cfg),
 //! )
-//! .run()?;
+//! .run_slim()?;
 //! assert!(report.tasks.iter().all(|t| t.completion().is_some()));
 //! # Ok::<(), faas_kernel::SimError>(())
 //! ```

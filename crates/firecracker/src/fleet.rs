@@ -244,7 +244,7 @@ mod tests {
             specs,
             Fifo::new(),
         )
-        .run()
+        .run_slim()
         .unwrap();
         let records = vm_records(&plan, &report.tasks);
         assert_eq!(records.len(), 3);

@@ -36,7 +36,7 @@ pub use fleet::{expand_to_specs, vm_records};
 pub use plan::{BootKind, FirecrackerConfig, LaunchOutcome, LaunchPlan, PlannedVm};
 
 use azure_trace::AzureTrace;
-use faas_kernel::{MachineConfig, Scheduler, SimError, SimReport, Simulation};
+use faas_kernel::{MachineConfig, Scheduler, SimError, Simulation, SlimReport};
 use faas_metrics::TaskRecord;
 
 /// Result of a whole-fleet run.
@@ -47,7 +47,7 @@ pub struct FleetOutcome {
     /// One aggregated record per successfully completed VM.
     pub vm_records: Vec<TaskRecord>,
     /// The underlying kernel report (per-thread records, core stats).
-    pub report: SimReport,
+    pub report: SlimReport,
 }
 
 /// Plans, expands and simulates a microVM fleet under `policy` on a
@@ -64,7 +64,7 @@ pub fn run_fleet<P: Scheduler>(
 ) -> Result<FleetOutcome, SimError> {
     let plan = LaunchPlan::admit(trace.invocations(), cfg);
     let (specs, _) = expand_to_specs(&plan, cfg);
-    let report = Simulation::new(MachineConfig::new(cores), specs, policy).run()?;
+    let report = Simulation::new(MachineConfig::new(cores), specs, policy).run_slim()?;
     let vm_records = vm_records(&plan, &report.tasks);
     Ok(FleetOutcome {
         plan,

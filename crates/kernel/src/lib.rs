@@ -48,7 +48,7 @@
 //!     TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(10), 256),
 //! ];
 //! let report = Simulation::new(MachineConfig::new(2), specs, Fifo(VecDeque::new()))
-//!     .run()
+//!     .run_slim()
 //!     .unwrap();
 //! assert!(report.tasks.iter().all(|t| t.completion().is_some()));
 //! ```
@@ -72,6 +72,6 @@ pub use machine::{
     InterferenceConfig, Machine, MachineConfig, PolicyCall, SchedError, SimError, StormWindow,
 };
 pub use message::KernelMessage;
-pub use sched::{MachineRun, Scheduler, SimReport, Simulation, SlimReport};
+pub use sched::{MachineRun, Scheduler, Simulation, SlimReport};
 pub use task::{PlacementHint, Task, TaskId, TaskSpec, TaskState};
 pub use util::UtilizationLedger;

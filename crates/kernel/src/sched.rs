@@ -108,45 +108,15 @@ pub trait Scheduler {
     }
 }
 
-/// Outcome of a completed simulation run.
-#[derive(Debug)]
-pub struct SimReport {
-    /// Policy name the run used.
-    pub policy: String,
-    /// Final task records (same order as the input specs).
-    pub tasks: Vec<Task>,
-    /// Per-core statistics.
-    pub core_stats: Vec<CoreStats>,
-    /// Virtual instant the last task finished.
-    pub finished_at: SimTime,
-    /// The machine in its final state (utilization ledger, message log).
-    pub machine: Machine,
-    /// Idle-core offers the driver made (see [`MachineRun::offers`]).
-    pub offers: u64,
-    /// Offers after which the offered core was still idle (see
-    /// [`MachineRun::declined_offers`]).
-    pub declined_offers: u64,
-}
-
-impl SimReport {
-    /// Total CPU time consumed by all tasks (excludes switch overhead).
-    pub fn total_cpu_time(&self) -> SimDuration {
-        self.tasks.iter().map(Task::cpu_time).sum()
-    }
-
-    /// Total preemptions across all cores.
-    pub fn total_preemptions(&self) -> u64 {
-        self.core_stats.iter().map(|s| s.preemptions).sum()
-    }
-}
-
-/// A memory-lean run outcome: everything a sweep or a cluster merge needs
-/// (task records, core stats, the message log when enabled) **without**
-/// the [`Machine`] itself — the event-queue arena, arrival calendar and
-/// utilization ledger are dropped at the end of the run. Big fans (one
-/// report per case or per cluster machine held concurrently) use this to
-/// keep peak memory proportional to the task count alone; timelines that
-/// need the utilization ledger keep using [`SimReport`].
+/// Outcome of a machine run to completion ([`MachineRun::run_slim`]):
+/// the task records, core stats, kernel counters and the message log when
+/// enabled, **without** the [`Machine`] itself — the event-queue arena,
+/// arrival calendar and utilization ledger are dropped at the end of the
+/// run. Big fans (one report per case or per cluster machine held
+/// concurrently) thereby keep peak memory proportional to the task count
+/// alone. A caller that needs the machine's final state (the utilization
+/// ledger of a timeline, say) drives the run with [`MachineRun::step`] or
+/// [`MachineRun::run_to_end`] and reads [`MachineRun::machine`].
 #[derive(Debug)]
 pub struct SlimReport {
     /// Policy name the run used.
@@ -291,8 +261,8 @@ impl<P: Scheduler> MachineRun<P> {
         }
     }
 
-    /// Runs until every task fed so far has finished (the final drain of a
-    /// streaming run).
+    /// Runs until every task fed so far has finished: the final drain of a
+    /// streaming run, and the loop of [`MachineRun::run_slim`].
     ///
     /// # Errors
     ///
@@ -389,37 +359,16 @@ impl<P: Scheduler> MachineRun<P> {
         }
     }
 
-    /// Runs to completion, returning the full report (keeps the machine).
+    /// Runs to completion and returns the [`SlimReport`]; the machine
+    /// (event-queue arena, calendar, utilization ledger) is dropped here
+    /// instead of riding along.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] if the policy strands tasks or
     /// [`SimError::Stalled`] if progress halts for the configured timeout.
-    pub fn run(mut self) -> Result<SimReport, SimError> {
-        while self.step()? {}
-        let finished_at = self.machine.now();
-        let core_stats = self.core_stats();
-        let tasks = self.machine.tasks().to_vec();
-        Ok(SimReport {
-            policy: self.policy.name().to_owned(),
-            tasks,
-            core_stats,
-            finished_at,
-            machine: self.machine,
-            offers: self.offers,
-            declined_offers: self.declined_offers,
-        })
-    }
-
-    /// Runs to completion, returning the memory-lean [`SlimReport`] — the
-    /// machine (event-queue arena, calendar, utilization ledger) is
-    /// dropped here instead of riding along.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`MachineRun::run`].
     pub fn run_slim(mut self) -> Result<SlimReport, SimError> {
-        while self.step()? {}
+        self.run_to_end()?;
         let finished_at = self.machine.now();
         let core_stats = self.core_stats();
         let policy = self.policy.name().to_owned();
@@ -455,7 +404,7 @@ impl<P: Scheduler> MachineRun<P> {
 
 /// A single-machine simulation: the [`MachineRun`] driver the cluster
 /// layer replicates per machine, run on its own to completion with
-/// [`MachineRun::run`] or [`MachineRun::run_slim`].
+/// [`MachineRun::run_slim`].
 ///
 /// # Examples
 ///
@@ -486,7 +435,7 @@ impl<P: Scheduler> MachineRun<P> {
 ///     .map(|i| TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(10 * (i + 1)), 128))
 ///     .collect();
 /// let report = Simulation::new(MachineConfig::new(1), specs, MiniFifo(VecDeque::new()))
-///     .run()
+///     .run_slim()
 ///     .unwrap();
 /// assert_eq!(report.tasks.len(), 3);
 /// assert!(report.tasks.iter().all(|t| t.completion().is_some()));
@@ -599,7 +548,7 @@ mod tests {
         }
     }
 
-    fn run_fifo(cores: usize, specs: Vec<TaskSpec>) -> SimReport {
+    fn run_fifo(cores: usize, specs: Vec<TaskSpec>) -> SlimReport {
         let cfg = MachineConfig::new(cores).with_cost(crate::CostModel::free());
         Simulation::new(
             cfg,
@@ -608,7 +557,7 @@ mod tests {
                 queue: VecDeque::new(),
             },
         )
-        .run()
+        .run_slim()
         .unwrap()
     }
 
@@ -678,7 +627,7 @@ mod tests {
                 queue: VecDeque::new(),
             },
         )
-        .run()
+        .run_slim()
         .unwrap();
         let borrowed = Simulation::new(
             cfg(),
@@ -687,7 +636,7 @@ mod tests {
                 queue: VecDeque::new(),
             },
         )
-        .run()
+        .run_slim()
         .unwrap();
         let shared: std::sync::Arc<[TaskSpec]> = specs.into();
         let arced = Simulation::new(
@@ -697,10 +646,10 @@ mod tests {
                 queue: VecDeque::new(),
             },
         )
-        .run()
+        .run_slim()
         .unwrap();
         let completions =
-            |r: &SimReport| -> Vec<_> { r.tasks.iter().map(|t| t.completion()).collect() };
+            |r: &SlimReport| -> Vec<_> { r.tasks.iter().map(|t| t.completion()).collect() };
         assert_eq!(completions(&owned), completions(&borrowed));
         assert_eq!(completions(&owned), completions(&arced));
     }
@@ -771,45 +720,5 @@ mod tests {
             batch.events_processed
         );
         assert_eq!(streamed.machine().num_finished(), batch.tasks.len());
-    }
-
-    #[test]
-    fn slim_report_matches_full_report() {
-        let specs: Vec<TaskSpec> = (0..4)
-            .map(|_| TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(10), 128))
-            .collect();
-        let cfg = MachineConfig::new(2)
-            .with_cost(crate::CostModel::free())
-            .with_message_log();
-        let full = Simulation::new(
-            cfg.clone(),
-            &specs,
-            TestFifo {
-                queue: VecDeque::new(),
-            },
-        )
-        .run()
-        .unwrap();
-        let slim = Simulation::new(
-            cfg,
-            &specs,
-            TestFifo {
-                queue: VecDeque::new(),
-            },
-        )
-        .run_slim()
-        .unwrap();
-        assert_eq!(slim.policy, full.policy);
-        assert_eq!(slim.finished_at, full.finished_at);
-        assert_eq!(slim.core_stats, full.core_stats);
-        assert_eq!(slim.total_cpu_time(), full.total_cpu_time());
-        assert_eq!(slim.total_preemptions(), full.total_preemptions());
-        assert_eq!(slim.tasks.len(), full.tasks.len());
-        for (a, b) in slim.tasks.iter().zip(&full.tasks) {
-            assert_eq!(a.completion(), b.completion());
-            assert_eq!(a.cpu_time(), b.cpu_time());
-        }
-        assert_eq!(slim.messages, full.machine.messages());
-        assert!(!slim.messages.is_empty(), "log was enabled");
     }
 }

@@ -108,7 +108,7 @@ fn kernel_accounting_survives_chaos() {
         let total = specs.len();
         let works: Vec<SimDuration> = specs.iter().map(|s| s.work).collect();
         let report = Simulation::new(cfg, specs, Chaos::new(seed, preempt_bias))
-            .run()
+            .run_slim()
             .expect("chaos must not deadlock the kernel");
         assert_eq!(report.tasks.len(), total);
         for (task, work) in report.tasks.iter().zip(&works) {
@@ -138,9 +138,9 @@ fn message_protocol_is_well_formed() {
         let cfg = MachineConfig::new(2).with_message_log();
         let total = specs.len();
         let report = Simulation::new(cfg, specs, Chaos::new(seed, true))
-            .run()
+            .run_slim()
             .expect("completes");
-        let log = report.machine.messages();
+        let log = &report.messages;
         let mut news = vec![0u32; total];
         let mut deads = vec![0u32; total];
         let mut dispatches = vec![0u32; total];
@@ -346,19 +346,20 @@ fn offer_rule_equals_brute_force_driver() {
         // Chaos is deterministic given its seed, so both drivers see the
         // same policy; any divergence comes from the offer rule.
         let driven = Simulation::new(make_cfg(), specs.clone(), Chaos::new(seed, preempt_bias))
-            .run()
+            .run_slim()
             .expect("driver completes");
         let brute =
             brute_force::run_brute_force(make_cfg(), specs, &mut Chaos::new(seed, preempt_bias));
         assert_eq!(
-            driven.machine.messages(),
+            driven.messages,
             brute.messages(),
             "kernel message streams diverged"
         );
-        assert_eq!(driven.machine.now(), brute.now());
-        for i in 0..brute.num_tasks() {
+        assert_eq!(driven.finished_at, brute.now());
+        assert_eq!(driven.tasks.len(), brute.num_tasks());
+        for (i, a) in driven.tasks.iter().enumerate() {
             let id = TaskId::from_index(i);
-            let (a, b) = (driven.machine.task(id), brute.task(id));
+            let b = brute.task(id);
             assert_eq!(a.completion(), b.completion(), "task {id} completion");
             assert_eq!(a.cpu_time(), b.cpu_time(), "task {id} cpu time");
             assert_eq!(a.preemptions(), b.preemptions(), "task {id} preemptions");
@@ -381,7 +382,7 @@ fn interference_storm_is_survivable() {
             .with_seed(seed);
         let total = specs.len();
         let report = Simulation::new(cfg, specs, Chaos::new(seed ^ 0xABCD, false))
-            .run()
+            .run_slim()
             .expect("completes");
         assert_eq!(
             report

@@ -13,8 +13,7 @@
 //! * [`DurationCdf`] — the CDF curves of Figs. 4/5/6/11/12/21;
 //! * [`group_utilization_series`] / [`step_series`] — the utilization and
 //!   adaptive-limit timelines of Figs. 14/16/17/19;
-//! * [`jain_fairness`] / [`slowdowns`] / [`LogHistogram`] — fairness and
-//!   distribution statistics (Fig. 13's log-scale preemption counts);
+//! * [`jain_fairness`] / [`slowdowns`] — fairness statistics;
 //! * [`merge_records`] / [`ClusterSummary`] — cross-machine aggregation
 //!   for the cluster layer (merged CDFs/percentiles in machine order);
 //! * [`QuantileSketch`] / [`StreamRunStats`] / [`StreamClusterSummary`] —
@@ -75,7 +74,7 @@ pub use merge::{merge_records, ClusterSummary};
 pub use overload::OverloadStats;
 pub use record::{records_from_tasks, TaskRecord, UnfinishedTaskError};
 pub use sketch::QuantileSketch;
-pub use stats::{jain_fairness, mean_stddev, slowdowns, LogHistogram};
+pub use stats::{jain_fairness, slowdowns};
 pub use stream::{StreamClusterSummary, StreamRunStats, StreamStats, DEFAULT_STREAM_EPSILON};
 pub use summary::{Metric, MetricSummary, RunSummary};
 pub use timeline::{group_utilization_series, mean_utilization, step_series};

@@ -156,7 +156,7 @@ mod tests {
             512,
         )];
         let report = Simulation::new(MachineConfig::new(1), specs, Greedy)
-            .run()
+            .run_slim()
             .unwrap();
         let recs = records_from_tasks(&report.tasks);
         assert_eq!(recs.len(), 1);

@@ -94,17 +94,6 @@ impl Clone for QuantileSketch {
             scratch: Vec::new(),
         }
     }
-
-    /// Reuses the destination's existing `tuples`/`buffer` capacity
-    /// (`Vec::clone_from`), so cloning into a warm sketch is
-    /// allocation-free — the hedge-threshold cache in `faas-cluster`
-    /// refreshes its query scratch through this path on the hot fold.
-    fn clone_from(&mut self, src: &Self) {
-        self.epsilon = src.epsilon;
-        self.tuples.clone_from(&src.tuples);
-        self.buffer.clone_from(&src.buffer);
-        self.count = src.count;
-    }
 }
 
 impl QuantileSketch {
@@ -217,26 +206,6 @@ impl QuantileSketch {
             }
         }
         tuples.truncate(w);
-    }
-
-    /// Folds any buffered values into the summary now, in place.
-    ///
-    /// Observably a no-op: [`quantile`](Self::quantile), `==`,
-    /// [`digest`](Self::digest) and friends are all defined on the
-    /// *flushed* state, and this performs exactly the flush those
-    /// accessors would simulate on a clone. What changes is the cost of
-    /// the next read: a compacted sketch answers queries by borrowing its
-    /// tuple list instead of cloning-and-flushing. The cluster's hedge
-    /// threshold cache calls this on its query scratch after
-    /// `clone_from`, making repeated tail lookups allocation-free.
-    ///
-    /// It is **not** transparent to values recorded afterwards: flushing
-    /// moves the buffer-batch boundary, and GK tuple evolution depends on
-    /// batching. Callers that must keep a sketch's future evolution
-    /// bit-stable (the cluster differential suites pin this) leave the
-    /// live sketch untouched and compact a query copy instead.
-    pub fn compact(&mut self) {
-        self.flush();
     }
 
     /// Flushed tuples for read-only queries: clones only when buffered
@@ -778,14 +747,14 @@ mod tests {
 
     #[test]
     fn property_compact_is_observably_a_noop() {
-        check::run("compact preserves digest/eq/quantiles", 48, |g| {
+        check::run("flush preserves digest/eq/quantiles", 48, |g| {
             let eps = g.f64_in(0.005, 0.1);
             let mut sk = QuantileSketch::new(eps);
             for v in g.vec_u64(0, 10_000, 0, 2_000) {
                 sk.record(v);
             }
             let reference = sk.clone();
-            sk.compact();
+            sk.flush();
             assert_eq!(sk.digest(), reference.digest());
             assert_eq!(sk, reference);
             assert_eq!(sk.count(), reference.count());
@@ -795,34 +764,12 @@ mod tests {
             for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
                 assert_eq!(sk.quantile(q), reference.quantile(q));
             }
-            // Idempotent. (Note: compact is a no-op for *reads* only —
-            // it moves the flush-batch boundary, so a compacted and an
-            // uncompacted sketch can diverge on values recorded *after*
-            // the compact. Callers that need bit-stable evolution keep
-            // the live sketch untouched and compact a query copy.)
-            sk.compact();
+            // Idempotent. (Note: a flush is a no-op for *reads* only —
+            // it moves the flush-batch boundary, so a flushed and an
+            // unflushed sketch can diverge on values recorded *after*
+            // the flush.)
+            sk.flush();
             assert_eq!(sk.digest(), reference.digest());
-        });
-    }
-
-    #[test]
-    fn property_clone_from_matches_clone() {
-        check::run("clone_from into a warm sketch == clone", 32, |g| {
-            let mut warm = QuantileSketch::new(0.02);
-            for v in g.vec_u64(0, 50_000, 0, 3_000) {
-                warm.record(v);
-            }
-            warm.compact();
-            let mut src = QuantileSketch::new(g.f64_in(0.005, 0.1));
-            for v in g.vec_u64(0, 10_000, 0, 2_000) {
-                src.record(v);
-            }
-            warm.clone_from(&src);
-            assert_eq!(warm.digest(), src.digest());
-            assert_eq!(warm, src);
-            // The copy is independent of the source afterwards.
-            warm.record(3);
-            assert_eq!(warm.count(), src.count() + 1);
         });
     }
 

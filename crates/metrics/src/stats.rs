@@ -1,43 +1,7 @@
-//! Additional distribution statistics used by the analysis binaries and
-//! fairness assertions: moments, Jain's fairness index, slowdown, and
-//! log-scaled histograms (the paper plots preemption counts on a log
-//! axis, Fig. 13).
-
-use faas_simcore::SimDuration;
+//! Fairness statistics used by the analysis binaries and fairness
+//! assertions: Jain's fairness index and per-task slowdown.
 
 use crate::record::TaskRecord;
-
-/// Mean and (population) standard deviation of a set of durations.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-///
-/// # Examples
-///
-/// ```
-/// use faas_metrics::mean_stddev;
-/// use faas_simcore::SimDuration;
-///
-/// let values: Vec<SimDuration> = (1..=3).map(SimDuration::from_millis).collect();
-/// let (mean, sd) = mean_stddev(&values);
-/// assert_eq!(mean, SimDuration::from_millis(2));
-/// assert!((sd.as_secs_f64() - 0.000_816).abs() < 1e-5);
-/// ```
-pub fn mean_stddev(values: &[SimDuration]) -> (SimDuration, SimDuration) {
-    assert!(!values.is_empty(), "need at least one value");
-    let n = values.len() as f64;
-    let mean = values.iter().map(|d| d.as_secs_f64()).sum::<f64>() / n;
-    let var = values
-        .iter()
-        .map(|d| (d.as_secs_f64() - mean).powi(2))
-        .sum::<f64>()
-        / n;
-    (
-        SimDuration::from_secs_f64(mean),
-        SimDuration::from_secs_f64(var.sqrt()),
-    )
-}
 
 /// Jain's fairness index over non-negative values: 1.0 = perfectly equal,
 /// `1/n` = maximally unfair. Useful for checking CFS's fairness claim —
@@ -67,88 +31,10 @@ pub fn slowdowns(records: &[TaskRecord]) -> Vec<f64> {
     records.iter().map(TaskRecord::stretch).collect()
 }
 
-/// A base-2 log histogram over `u64` counts (bucket `i` holds values in
-/// `[2^i, 2^(i+1))`, bucket 0 additionally holds 0 and 1).
-///
-/// # Examples
-///
-/// ```
-/// use faas_metrics::LogHistogram;
-///
-/// let mut h = LogHistogram::new();
-/// for v in [0u64, 1, 2, 3, 10, 1000] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.total(), 6);
-/// assert_eq!(h.bucket_count(0), 2); // 0 and 1
-/// assert_eq!(h.bucket_count(1), 2); // 2 and 3
-/// assert_eq!(h.bucket_count(3), 1); // 10
-/// assert_eq!(h.bucket_count(9), 1); // 1000
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct LogHistogram {
-    buckets: Vec<u64>,
-    total: u64,
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        LogHistogram::default()
-    }
-
-    /// Builds a histogram from an iterator of values.
-    pub fn from_values<I: IntoIterator<Item = u64>>(values: I) -> Self {
-        let mut h = LogHistogram::new();
-        for v in values {
-            h.record(v);
-        }
-        h
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        if v <= 1 {
-            0
-        } else {
-            63 - v.leading_zeros() as usize
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, v: u64) {
-        let b = Self::bucket_of(v);
-        if self.buckets.len() <= b {
-            self.buckets.resize(b + 1, 0);
-        }
-        self.buckets[b] += 1;
-        self.total += 1;
-    }
-
-    /// Number of recorded values.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bucket `i` (`[2^i, 2^(i+1))`; bucket 0 includes 0).
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// `(bucket_floor, count)` rows for non-empty buckets, in order.
-    pub fn rows(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (if i == 0 { 0 } else { 1u64 << i }, *c))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faas_simcore::SimTime;
+    use faas_simcore::{SimDuration, SimTime};
 
     fn record(exec_ms: u64, cpu_ms: u64) -> TaskRecord {
         TaskRecord {
@@ -159,20 +45,6 @@ mod tests {
             preemptions: 0,
             mem_mib: 128,
         }
-    }
-
-    #[test]
-    fn mean_stddev_basics() {
-        let (m, sd) = mean_stddev(&[SimDuration::from_millis(4)]);
-        assert_eq!(m, SimDuration::from_millis(4));
-        assert_eq!(sd, SimDuration::ZERO);
-        let values: Vec<SimDuration> = [2u64, 4, 4, 4, 5, 5, 7, 9]
-            .iter()
-            .map(|&v| SimDuration::from_millis(v))
-            .collect();
-        let (m, sd) = mean_stddev(&values);
-        assert_eq!(m, SimDuration::from_millis(5));
-        assert_eq!(sd, SimDuration::from_millis(2));
     }
 
     #[test]
@@ -191,20 +63,6 @@ mod tests {
         assert!((s[1] - 3.0).abs() < 1e-12);
         // Equal slowdowns are perfectly fair; these are not.
         assert!(jain_fairness(&s) < 1.0);
-    }
-
-    #[test]
-    fn log_histogram_buckets() {
-        let h = LogHistogram::from_values([0, 1, 1, 2, 4, 5, 6, 7, 8, 1 << 20]);
-        assert_eq!(h.total(), 10);
-        assert_eq!(h.bucket_count(0), 3);
-        assert_eq!(h.bucket_count(1), 1);
-        assert_eq!(h.bucket_count(2), 4);
-        assert_eq!(h.bucket_count(3), 1);
-        assert_eq!(h.bucket_count(20), 1);
-        let rows = h.rows();
-        assert_eq!(rows.first(), Some(&(0, 3)));
-        assert_eq!(rows.last(), Some(&(1 << 20, 1)));
     }
 
     #[test]

@@ -193,11 +193,6 @@ impl CfsRunQueues {
         self.rqs[core.index()].queue.len()
     }
 
-    /// Total queued tasks across all cores.
-    pub fn total_queued(&self) -> usize {
-        self.rqs.iter().map(|rq| rq.queue.len()).sum()
-    }
-
     /// The effective vruntime (µs) of `task`, which this type last
     /// dispatched on member `core` and which runs there or has just
     /// stopped there.
@@ -418,7 +413,7 @@ impl CfsRunQueues {
 /// let specs: Vec<TaskSpec> = (0..20)
 ///     .map(|_| TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(100), 128))
 ///     .collect();
-/// let report = Simulation::new(MachineConfig::new(1), specs, Cfs::with_cores(1)).run()?;
+/// let report = Simulation::new(MachineConfig::new(1), specs, Cfs::with_cores(1)).run_slim()?;
 /// let exec = report.tasks[0].execution_time().unwrap();
 /// assert!(exec >= SimDuration::from_millis(500), "time slicing stretches execution");
 /// # Ok::<(), faas_kernel::SimError>(())
@@ -523,15 +518,15 @@ impl Scheduler for Cfs {
 mod tests {
     use super::*;
     use faas_kernel::{
-        CostModel, InterferenceConfig, KernelMessage, MachineConfig, SimReport, Simulation,
+        CostModel, InterferenceConfig, KernelMessage, MachineConfig, Simulation, SlimReport,
         TaskSpec,
     };
     use faas_simcore::{check, SimTime};
 
-    fn run(cores: usize, specs: Vec<TaskSpec>) -> SimReport {
+    fn run(cores: usize, specs: Vec<TaskSpec>) -> SlimReport {
         let cfg = MachineConfig::new(cores).with_cost(CostModel::free());
         Simulation::new(cfg, specs, Cfs::with_cores(cores))
-            .run()
+            .run_slim()
             .unwrap()
     }
 
@@ -622,7 +617,7 @@ mod tests {
         ];
         let cfg = MachineConfig::new(1).with_cost(CostModel::free());
         let report = Simulation::new(cfg, specs, Cfs::with_cores(1))
-            .run()
+            .run_slim()
             .unwrap();
         assert!(
             report.tasks[1].response_time().unwrap() <= SimDuration::from_millis(1),
@@ -643,7 +638,7 @@ mod tests {
         };
         let cfg = MachineConfig::new(1).with_cost(CostModel::free());
         let report = Simulation::new(cfg, specs, Cfs::with_params(1, params))
-            .run()
+            .run_slim()
             .unwrap();
         // Without the wakeup path the newcomer waits for the slice timer.
         assert!(
@@ -707,9 +702,9 @@ mod tests {
             .with_message_log();
         let specs = uniform(1, 600);
         let report = Simulation::new(cfg, specs, Cfs::with_cores(2))
-            .run()
+            .run_slim()
             .unwrap();
-        let log = report.machine.messages();
+        let log = &report.messages;
         let home = match log[1].1 {
             KernelMessage::Dispatch { core, .. } => core,
             ref other => panic!("expected the first dispatch, got {other:?}"),
@@ -829,7 +824,7 @@ mod tests {
 
     fn run_mismatched(machine_cores: usize, policy_cores: usize) {
         let cfg = MachineConfig::new(machine_cores).with_cost(CostModel::free());
-        let _ = Simulation::new(cfg, uniform(8, 10), Cfs::with_cores(policy_cores)).run();
+        let _ = Simulation::new(cfg, uniform(8, 10), Cfs::with_cores(policy_cores)).run_slim();
     }
 
     #[test]

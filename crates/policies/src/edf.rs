@@ -29,7 +29,7 @@ use faas_simcore::SimTime;
 ///     TaskSpec::function(SimTime::from_millis(10), SimDuration::from_millis(20), 128)
 ///         .with_expected(SimDuration::from_millis(20)),
 /// ];
-/// let report = Simulation::new(MachineConfig::new(1), specs, Edf::new()).run()?;
+/// let report = Simulation::new(MachineConfig::new(1), specs, Edf::new()).run_slim()?;
 /// assert!(report.tasks[1].completion() < report.tasks[0].completion());
 /// # Ok::<(), faas_kernel::SimError>(())
 /// ```
@@ -132,7 +132,7 @@ mod tests {
                 .with_expected(SimDuration::from_millis(90)),
         ];
         let cfg = MachineConfig::new(1).with_cost(CostModel::free());
-        let report = Simulation::new(cfg, specs, Edf::new()).run().unwrap();
+        let report = Simulation::new(cfg, specs, Edf::new()).run_slim().unwrap();
         // Task 2 (deadline 92 ms) beats task 1 (deadline 10 s).
         assert!(report.tasks[2].completion().unwrap() < report.tasks[1].completion().unwrap());
     }
@@ -146,7 +146,7 @@ mod tests {
                 .with_expected(SimDuration::from_millis(15)),
         ];
         let cfg = MachineConfig::new(1).with_cost(CostModel::free());
-        let report = Simulation::new(cfg, specs, Edf::new()).run().unwrap();
+        let report = Simulation::new(cfg, specs, Edf::new()).run_slim().unwrap();
         assert!(
             report.tasks[0].preemptions() >= 1,
             "long task must be preempted"
@@ -164,7 +164,7 @@ mod tests {
             TaskSpec::function(SimTime::from_millis(1), SimDuration::from_millis(10), 128),
         ];
         let cfg = MachineConfig::new(1).with_cost(CostModel::free());
-        let report = Simulation::new(cfg, specs, Edf::new()).run().unwrap();
+        let report = Simulation::new(cfg, specs, Edf::new()).run_slim().unwrap();
         assert!(report.tasks[0].completion().unwrap() < report.tasks[1].completion().unwrap());
     }
 }

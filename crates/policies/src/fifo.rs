@@ -45,7 +45,7 @@ use faas_simcore::SimDuration;
 ///     TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(30), 128),
 ///     TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(10), 128),
 /// ];
-/// let report = Simulation::new(MachineConfig::new(1), specs, Fifo::new()).run()?;
+/// let report = Simulation::new(MachineConfig::new(1), specs, Fifo::new()).run_slim()?;
 /// // Arrival order wins: the 30 ms task finishes first despite being longer.
 /// assert!(report.tasks[0].completion() < report.tasks[1].completion());
 /// # Ok::<(), faas_kernel::SimError>(())
@@ -146,7 +146,7 @@ impl Scheduler for Fifo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faas_kernel::{CostModel, MachineConfig, SimReport, Simulation, TaskSpec};
+    use faas_kernel::{CostModel, MachineConfig, Simulation, SlimReport, TaskSpec};
     use faas_simcore::SimTime;
 
     fn ms(v: u64) -> SimDuration {
@@ -159,9 +159,9 @@ mod tests {
             .collect()
     }
 
-    fn run_free(cores: usize, specs: Vec<TaskSpec>, policy: Fifo) -> SimReport {
+    fn run_free(cores: usize, specs: Vec<TaskSpec>, policy: Fifo) -> SlimReport {
         let cfg = MachineConfig::new(cores).with_cost(CostModel::free());
-        Simulation::new(cfg, specs, policy).run().unwrap()
+        Simulation::new(cfg, specs, policy).run_slim().unwrap()
     }
 
     /// The worst response time among `tasks`.
@@ -238,7 +238,7 @@ mod tests {
     fn zero_preemptions_across_cores() {
         let cfg = MachineConfig::new(4).with_cost(CostModel::default());
         let report = Simulation::new(cfg, uniform_specs(40, 10), Fifo::new())
-            .run()
+            .run_slim()
             .unwrap();
         assert_eq!(report.total_preemptions(), 0);
     }
@@ -320,7 +320,7 @@ mod tests {
         let specs = vec![TaskSpec::function(SimTime::ZERO, ms(500), 128)];
         let cfg = MachineConfig::new(1).with_cost(CostModel::from_micros(10, 1_000));
         let report = Simulation::new(cfg, specs, Fifo::shinjuku(ms(1)))
-            .run()
+            .run_slim()
             .unwrap();
         assert_eq!(
             report.tasks[0].completion().unwrap().as_micros(),

@@ -47,7 +47,7 @@ impl Default for MlfqParams {
 ///     TaskSpec::function(SimTime::from_millis(50), SimDuration::from_millis(5), 128),
 /// ];
 /// let report =
-///     Simulation::new(MachineConfig::new(1), specs, Mlfq::new(MlfqParams::default())).run()?;
+///     Simulation::new(MachineConfig::new(1), specs, Mlfq::new(MlfqParams::default())).run_slim()?;
 /// // The interactive-looking task jumps the demoted hog.
 /// assert!(report.tasks[1].completion() < report.tasks[0].completion());
 /// # Ok::<(), faas_kernel::SimError>(())
@@ -160,10 +160,10 @@ mod tests {
     use faas_kernel::{CostModel, MachineConfig, Simulation, TaskSpec};
     use faas_simcore::SimTime;
 
-    fn run(specs: Vec<TaskSpec>, params: MlfqParams) -> faas_kernel::SimReport {
+    fn run(specs: Vec<TaskSpec>, params: MlfqParams) -> faas_kernel::SlimReport {
         let cfg = MachineConfig::new(1).with_cost(CostModel::free());
         Simulation::new(cfg, specs, Mlfq::new(params))
-            .run()
+            .run_slim()
             .unwrap()
     }
 

@@ -36,7 +36,7 @@ use faas_simcore::SimDuration;
 /// ];
 /// let report =
 ///     Simulation::new(MachineConfig::new(1), specs, Sfs::new(SimDuration::from_millis(50)))
-///         .run()?;
+///         .run_slim()?;
 /// assert!(report.tasks[1].completion() < report.tasks[0].completion());
 /// # Ok::<(), faas_kernel::SimError>(())
 /// ```
@@ -118,7 +118,7 @@ mod tests {
         ];
         let cfg = MachineConfig::new(1).with_cost(CostModel::free());
         let report = Simulation::new(cfg, specs, Sfs::new(quantum()))
-            .run()
+            .run_slim()
             .unwrap();
         assert!(report.tasks[1].completion().unwrap() < report.tasks[0].completion().unwrap());
     }
@@ -139,7 +139,7 @@ mod tests {
         }
         let cfg = MachineConfig::new(2).with_cost(CostModel::free());
         let report = Simulation::new(cfg, specs, Sfs::new(quantum()))
-            .run()
+            .run_slim()
             .unwrap();
         for t in &report.tasks[4..] {
             assert!(
@@ -157,7 +157,7 @@ mod tests {
             .collect();
         let cfg = MachineConfig::new(1).with_cost(CostModel::free());
         let report = Simulation::new(cfg, specs, Sfs::new(quantum()))
-            .run()
+            .run_slim()
             .unwrap();
         let completions: Vec<u64> = report
             .tasks

@@ -12,8 +12,7 @@
 //!
 //! This module holds the grouping half of that contract: splitting `n`
 //! units into contiguous shard ranges and fanning the ranges across
-//! scoped OS threads (no external crates), concatenating results in unit
-//! order.
+//! [`faas_simcore::par`] workers, concatenating results in unit order.
 //!
 //! [`SPEC_BLOCK`]: crate::SPEC_BLOCK
 //!
@@ -33,6 +32,8 @@
 //! ```
 
 use std::ops::Range;
+
+use faas_simcore::par::par_map_with;
 
 /// Splits `units` logical units into at most `shards` contiguous,
 /// near-even, non-empty ranges covering `0..units` in order.
@@ -66,28 +67,18 @@ pub fn shard_ranges(units: usize, shards: usize) -> Vec<Range<usize>> {
 ///
 /// # Panics
 ///
-/// Re-raises a panic from any worker thread.
+/// Re-raises the panic of the lowest-index shard that panicked, with its
+/// own payload (see [`par_map_with`]).
 pub fn run_sharded<R, F>(units: usize, shards: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> Vec<R> + Sync,
 {
     let ranges = shard_ranges(units, shards);
-    if ranges.len() <= 1 {
-        return ranges.into_iter().flat_map(&f).collect();
-    }
-    let mut parts: Vec<Vec<R>> = Vec::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| s.spawn(|| f(range)))
-            .collect();
-        parts = handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect();
-    });
-    parts.into_iter().flatten().collect()
+    par_map_with(ranges.len(), ranges, |_, range| f(range))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 #[cfg(test)]
@@ -134,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shard worker panicked")]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let _: Vec<u32> = run_sharded(8, 4, |r| {
             if r.contains(&5) {

@@ -17,7 +17,7 @@ const CORES: usize = 5;
 
 fn run_records(trace: &AzureTrace, policy: impl Scheduler) -> Vec<TaskRecord> {
     let report = Simulation::new(MachineConfig::new(CORES), trace.to_task_specs(), policy)
-        .run()
+        .run_slim()
         .expect("simulation completes");
     records_from_tasks(&report.tasks)
 }

@@ -25,7 +25,7 @@ fn main() {
     // 3. Run the simulation.
     let machine = MachineConfig::new(cfg.total_cores());
     let report = Simulation::new(machine, trace.to_task_specs(), HybridScheduler::new(cfg))
-        .run()
+        .run_slim()
         .expect("simulation completes");
 
     // 4. Inspect the paper's three metrics and the bill.

@@ -34,7 +34,7 @@
 //!     trace.to_task_specs(),
 //!     HybridScheduler::new(cfg),
 //! )
-//! .run()
+//! .run_slim()
 //! .unwrap();
 //! let records = records_from_tasks(&report.tasks);
 //! let usd = PriceModel::duration_only().workload_cost(&records);
@@ -59,7 +59,7 @@ pub use microvm_sim as firecracker;
 pub mod prelude {
     pub use crate::hybrid::{HybridConfig, HybridScheduler, RightsizingConfig, TimeLimitPolicy};
     pub use crate::kernel::{
-        CostModel, InterferenceConfig, Machine, MachineConfig, Scheduler, SimReport, Simulation,
+        CostModel, InterferenceConfig, Machine, MachineConfig, Scheduler, Simulation, SlimReport,
         TaskSpec,
     };
     pub use crate::metrics::{records_from_tasks, DurationCdf, Metric, RunSummary, TaskRecord};

@@ -14,9 +14,9 @@ fn machine() -> MachineConfig {
     MachineConfig::new(CORES).with_interference(InterferenceConfig::default())
 }
 
-fn run(policy: impl Scheduler) -> (SimReport, Vec<TaskRecord>) {
+fn run(policy: impl Scheduler) -> (SlimReport, Vec<TaskRecord>) {
     let report = Simulation::new(machine(), trace().to_task_specs(), policy)
-        .run()
+        .run_slim()
         .expect("completes");
     let records = records_from_tasks(&report.tasks);
     (report, records)
@@ -141,7 +141,7 @@ fn figure_15_larger_percentile_limits_give_better_execution() {
             trace().to_task_specs(),
             HybridScheduler::new(cfg),
         )
-        .run()
+        .run_slim()
         .expect("completes");
         let records = records_from_tasks(&report.tasks);
         means.push(RunSummary::compute(&records).execution.mean);
@@ -162,7 +162,7 @@ fn figure_11_extreme_split_shows_long_tail() {
             trace().to_task_specs(),
             HybridScheduler::new(HybridConfig::split(3, 2)),
         )
-        .run()
+        .run_slim()
         .expect("completes");
         RunSummary::compute(&records_from_tasks(&report.tasks))
             .execution
@@ -174,7 +174,7 @@ fn figure_11_extreme_split_shows_long_tail() {
             trace().to_task_specs(),
             HybridScheduler::new(HybridConfig::split(4, 1)),
         )
-        .run()
+        .run_slim()
         .expect("completes");
         RunSummary::compute(&records_from_tasks(&report.tasks))
             .execution

@@ -89,7 +89,7 @@ fn check_invariants(wl: &Wl, policy: Boxed) {
     let name = policy.name().to_owned();
     let cfg = MachineConfig::new(wl.cores);
     let report = Simulation::new(cfg, wl.specs.clone(), policy)
-        .run()
+        .run_slim()
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     let mut by_completion: Vec<(SimTime, SimTime)> = Vec::new();
     for (task, spec) in report.tasks.iter().zip(&wl.specs) {
@@ -158,7 +158,7 @@ fn hybrid_upholds_invariants() {
             wl.specs.clone(),
             HybridScheduler::new(cfg),
         )
-        .run()
+        .run_slim()
         .unwrap_or_else(|e| panic!("hybrid: {e}"));
         for (task, spec) in report.tasks.iter().zip(&wl.specs) {
             assert!(task.completion().is_some(), "hybrid stranded a task");
@@ -226,7 +226,7 @@ fn hybrid_with_rightsizing_upholds_invariants() {
             wl.specs.clone(),
             HybridScheduler::new(cfg),
         )
-        .run()
+        .run_slim()
         .unwrap_or_else(|e| panic!("hybrid+rightsizing: {e}"));
         assert!(report.tasks.iter().all(|t| t.completion().is_some()));
     });

@@ -26,7 +26,7 @@ fn csv_roundtrip_preserves_simulation_results() {
             })
             .collect();
         Simulation::new(MachineConfig::new(4), specs, Fifo::new())
-            .run()
+            .run_slim()
             .expect("completes")
             .finished_at
     };
@@ -67,7 +67,7 @@ fn prelude_end_to_end_smoke() {
         trace.to_task_specs(),
         HybridScheduler::new(cfg),
     )
-    .run()
+    .run_slim()
     .expect("hybrid simulation completes");
     let records = records_from_tasks(&report.tasks);
     assert_eq!(records.len(), n, "one metrics record per invocation");
@@ -90,7 +90,7 @@ fn same_seed_same_bill() {
             trace.to_task_specs(),
             HybridScheduler::new(HybridConfig::split(2, 2)),
         )
-        .run()
+        .run_slim()
         .expect("completes");
         PriceModel::duration_only().workload_cost(&records_from_tasks(&report.tasks))
     };
