@@ -244,13 +244,11 @@ fn bench_cluster(c: &mut Bench) {
     };
     let run_cluster = |dispatch: Box<dyn Dispatch>,
                        cold: Option<ColdStartConfig>,
-                       overload: Option<OverloadConfig>| {
-        let mut cfg = ClusterConfig::new(4, MachineConfig::new(4).with_cost(CostModel::default()));
+                       overload: OverloadConfig| {
+        let mut cfg = ClusterConfig::new(4, MachineConfig::new(4).with_cost(CostModel::default()))
+            .with_overload(overload);
         if let Some(cold) = cold {
             cfg = cfg.with_cold_start(cold);
-        }
-        if let Some(overload) = overload {
-            cfg = cfg.with_overload(overload);
         }
         let report = Cluster::new(cfg, dispatch, |_| faas_policies::Fifo::new())
             .run(&tasks, 1)
@@ -274,18 +272,23 @@ fn bench_cluster(c: &mut Bench) {
             });
         };
     }
-    cluster_bench!("least_outstanding", LeastOutstanding, None, None);
+    cluster_bench!(
+        "least_outstanding",
+        LeastOutstanding,
+        None,
+        OverloadConfig::default()
+    );
     cluster_bench!(
         "keep_alive_cold_starts",
         KeepAliveDispatch,
         Some(ColdStartConfig::firecracker()),
-        None
+        OverloadConfig::default()
     );
     cluster_bench!(
         "least_outstanding_overload_stack",
         LeastOutstanding,
         None,
-        Some(overload_stack())
+        overload_stack()
     );
     // The chaos row: same fleet shape under a seeded fault plan (crashes
     // dooming in-flight work into the re-dispatch queue, straggler

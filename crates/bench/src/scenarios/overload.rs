@@ -31,10 +31,10 @@ use crate::scenario::{ScenarioCtx, ScenarioResult};
 use crate::{paper_machine, par, w2_cluster_trace, w2_cluster_trace_cfg};
 
 /// The middleware configurations both scenarios cross, in presentation
-/// order. `bare` is the unwrapped policy; every other stack prices its
-/// shed work with the duration-only model so the forfeited-revenue
-/// column is populated.
-fn stacks() -> Vec<(&'static str, Option<OverloadConfig>)> {
+/// order. `bare` is the default stack, which admits everything; every
+/// other stack prices its shed work with the duration-only model so the
+/// forfeited-revenue column is populated.
+fn stacks() -> Vec<(&'static str, OverloadConfig)> {
     let price = PriceModel::duration_only();
     let deadline = SimDuration::from_secs(5);
     let breaker = BreakerConfig {
@@ -43,53 +43,43 @@ fn stacks() -> Vec<(&'static str, Option<OverloadConfig>)> {
         cooldown: SimDuration::from_secs(5),
     };
     vec![
-        ("bare", None),
+        ("bare", OverloadConfig::default()),
         (
             "admission",
-            Some(
-                OverloadConfig::default()
-                    .with_concurrency_limit(32)
-                    .with_rate_limit(20, 40)
-                    .with_price(price),
-            ),
+            OverloadConfig::default()
+                .with_concurrency_limit(32)
+                .with_rate_limit(20, 40)
+                .with_price(price),
         ),
         (
             "timeout-5s",
-            Some(
-                OverloadConfig::default()
-                    .with_deadline(deadline)
-                    .with_price(price),
-            ),
+            OverloadConfig::default()
+                .with_deadline(deadline)
+                .with_price(price),
         ),
         (
             "timeout-5s-cancel",
-            Some(
-                OverloadConfig::default()
-                    .with_deadline(deadline)
-                    .with_kernel_cancel()
-                    .with_price(price),
-            ),
+            OverloadConfig::default()
+                .with_deadline(deadline)
+                .with_kernel_cancel()
+                .with_price(price),
         ),
         (
             "timeout+breaker",
-            Some(
-                OverloadConfig::default()
-                    .with_deadline(deadline)
-                    .with_breaker(breaker)
-                    .with_price(price),
-            ),
+            OverloadConfig::default()
+                .with_deadline(deadline)
+                .with_breaker(breaker)
+                .with_price(price),
         ),
         (
             "full-stack",
-            Some(
-                OverloadConfig::default()
-                    .with_concurrency_limit(32)
-                    .with_rate_limit(20, 40)
-                    .with_deadline(deadline)
-                    .with_kernel_cancel()
-                    .with_breaker(breaker)
-                    .with_price(price),
-            ),
+            OverloadConfig::default()
+                .with_concurrency_limit(32)
+                .with_rate_limit(20, 40)
+                .with_deadline(deadline)
+                .with_kernel_cancel()
+                .with_breaker(breaker)
+                .with_price(price),
         ),
     ]
 }
@@ -98,13 +88,10 @@ const HEADER: &str = "stack\tcompleted\tshed_conc\tshed_rate\tshed_timeout\tshed
                       trips\tcancelled\tmax_live_tasks\tp99_response_s\t\
                       machine_p99_resp_spread_s\tcost_usd\tlost_revenue_usd";
 
-fn fleet_config(machines: usize, stack: Option<OverloadConfig>) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(machines, paper_machine())
-        .with_cold_start(ColdStartConfig::firecracker());
-    if let Some(stack) = stack {
-        cfg = cfg.with_overload(stack);
-    }
-    cfg
+fn fleet_config(machines: usize, stack: OverloadConfig) -> ClusterConfig {
+    ClusterConfig::new(machines, paper_machine())
+        .with_cold_start(ColdStartConfig::firecracker())
+        .with_overload(stack)
 }
 
 /// overload: a 4-machine fleet at 2× its capacity (W2 × 8 RPS),

@@ -1,6 +1,6 @@
 //! Determinism pins for the heavy-policy figures.
 //!
-//! Five byte-identical-output contracts are pinned here permanently:
+//! Six byte-identical-output contracts are pinned here permanently:
 //!
 //! * PR 4 swapped the simulation's two hottest data structures (the event
 //!   queue and the CFS run queues) for index-addressed dense equivalents.
@@ -27,14 +27,22 @@
 //!   (the one scenario that read that machine's utilization ledger) and
 //!   the fig21 digest (the microVM fleet) were captured from the tree
 //!   before that change.
+//! * The front end's layers were later made always present, each with
+//!   one off-state, instead of optional. The `cluster01` digest (five
+//!   dispatch policies with no overload, chaos or health layer), the
+//!   `brownout` digest (the overload stack alone, streaming) and the
+//!   `autoscale` digest (scale-ups and scale-downs without a health
+//!   config, at `SCALE_DIV=8`: at 40 it never scales) were captured from
+//!   the tree before that change.
 //!
 //! The same output must also be byte-identical at any `BENCH_THREADS`
 //! setting (the sweep fan-out must not affect results).
 //!
-//! The digests cover downscaled runs (`SCALE_DIV=40`, and 4096 for the
-//! hour-long fleet) so the test stays fast. Everything in the pipeline
-//! is deterministic integer/float arithmetic with deterministic
-//! formatting, so the digests are stable across machines.
+//! The digests cover downscaled runs (`SCALE_DIV=40`, 8 for the
+//! autoscaler and 4096 for the hour-long fleet) so the test stays fast.
+//! Everything in the pipeline is deterministic integer/float arithmetic
+//! with deterministic formatting, so the digests are stable across
+//! machines.
 
 use faas_bench::scenario;
 
@@ -125,6 +133,26 @@ fn fig11_fig12_bytes_pinned_to_pre_swap_and_thread_invariant() {
         fnv1a(&run_scenario("fig21")),
         0x9693_cea0_f94b_a19c,
         "fig21 output changed vs. the two-report baseline"
+    );
+
+    // Digests recorded from the tree before the front end's layers were
+    // always present: runs with every layer, or all but the overload
+    // stack, switched off.
+    assert_eq!(
+        fnv1a(&run_scenario("cluster01")),
+        0x9a55_af7d_88f4_ef4d,
+        "cluster01 output changed vs. the optional-layer baseline"
+    );
+    assert_eq!(
+        fnv1a(&run_scenario("brownout")),
+        0x71e8_4225_2092_af7d,
+        "brownout output changed vs. the optional-layer baseline"
+    );
+    std::env::set_var("SCALE_DIV", "8");
+    assert_eq!(
+        fnv1a(&run_scenario("autoscale")),
+        0xc0af_e0ae_b5a3_40b4,
+        "autoscale output changed vs. the optional-layer baseline"
     );
 
     // Digest recorded from the tree before a lone CFS slice was renewed

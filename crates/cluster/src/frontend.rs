@@ -281,6 +281,11 @@ impl DispatchCtx<'_> {
 /// The serial dispatch pass: walks the arrival stream in timestamp order,
 /// asks the policy for a machine per invocation, applies the cold-start
 /// model and maintains the load estimates.
+///
+/// Every invocation passes through the same ordered stages, and every
+/// layer behind them (overload stack, fault layer, health tracker) is
+/// always present: a layer its [`ClusterConfig`] leaves off passes the
+/// invocation through unchanged.
 pub struct FrontEnd {
     loads: Vec<MachineLoad>,
     /// Cores per machine (exposed via [`DispatchCtx::cores`]).
@@ -299,12 +304,12 @@ pub struct FrontEnd {
     /// boots, like a real per-request-instance FaaS platform, not one.
     pools: FxHashMap<(u32, u64), MinHeap4<u64>>,
     cold: Option<crate::ColdStartConfig>,
-    /// Overload-middleware state (`None` without middleware). Lives here
-    /// — not in [`Assignment`] — so buckets, breaker windows and shed
-    /// counters fold across [`FrontEnd::dispatch_chunk`] calls exactly
-    /// like the load estimates do, making every middleware decision
-    /// independent of how the stream was chunked.
-    overload: Option<Overload>,
+    /// Overload-middleware state (admits everything under the default
+    /// config). Lives here — not in [`Assignment`] — so buckets, breaker
+    /// windows and shed counters fold across [`FrontEnd::dispatch_chunk`]
+    /// calls exactly like the load estimates do, making every middleware
+    /// decision independent of how the stream was chunked.
+    overload: Overload,
     /// Machines `0..active` take new work; the rest are either drained
     /// spares (autoscaler) or not yet booted. Equals `loads.len()` without
     /// an autoscaler.
@@ -313,7 +318,7 @@ pub struct FrontEnd {
     /// can receive a spec — pushed forward by crash downtime and scale-up
     /// boot lag. Only ever max-monotone, so per-machine feeds stay sorted.
     available_at: Vec<u64>,
-    /// Fault-injection state (empty without a [`ChaosConfig`]). Like the
+    /// Fault-injection state (empty under an empty fault plan). Like the
     /// middleware, it folds serially across chunks, which is what keeps
     /// chaos bitwise-invariant to fan width and chunking.
     chaos: ChaosFold,
@@ -321,11 +326,11 @@ pub struct FrontEnd {
     scaler: Option<Autoscaler>,
     /// Crash/retry/scale ledger (all-zero without chaos or autoscaling).
     stats: ChaosStats,
-    /// Node-health feedback state (`None` without a
+    /// Node-health feedback state (tracks nothing without a
     /// [`HealthConfig`](crate::HealthConfig)). Another serial fold:
     /// completion reports, ejection decisions and hedge triggers all
     /// digest in arrival order, chunk- and fan-invariant.
-    health: Option<HealthTracker>,
+    health: HealthTracker,
     /// High-water mark of the fold's arrival clock (µs) — the "as of"
     /// instant for the health snapshot's open ejection spans.
     clock_us: u64,
@@ -412,14 +417,18 @@ struct ChaosFold {
     cursor: usize,
     /// Per-machine crash instants for the dispatch-time doom check, each
     /// with its own cursor (per-machine probe instants are monotone).
-    /// This and the straggler lists are empty without a chaos config, so
-    /// a chaos-free dispatch reads no per-machine fault state.
+    /// This and the straggler lists are empty under an empty fault plan,
+    /// so a fault-free dispatch reads no per-machine fault state.
     crash_at: Vec<Vec<u64>>,
     crash_cur: Vec<usize>,
     /// Per-machine straggler windows `(start_us, end_us, slowdown)`,
     /// start-sorted, with advancing cursors.
     straggle: Vec<Vec<(u64, u64, f64)>>,
     straggle_cur: Vec<usize>,
+    /// Every straggler window's start (µs), time-sorted. The ledger's
+    /// `stragglers` count is the cursor into it: the windows the fold's
+    /// clock has reached.
+    straggle_starts: Vec<u64>,
     /// Crashed invocations awaiting re-dispatch, keyed by retry instant
     /// (FIFO on ties, so replay order is deterministic).
     retries: EventQueue<RetryEntry>,
@@ -446,22 +455,23 @@ struct ChaosFold {
 
 impl ChaosFold {
     /// Splits `cfg`'s fault plan into the hot-path shapes, counting its
-    /// straggler and storm events into `stats`. Without a config the fold
-    /// is empty: nothing dooms, straggles or queues for retry, which is
-    /// bitwise the bare front end (pinned by `chaos_differential.rs`).
-    fn new(cfg: Option<&ChaosConfig>, machines: usize, stats: &mut ChaosStats) -> Self {
-        let per_machine = cfg.map_or(0, |_| machines);
+    /// storm events into `stats`. Under an empty plan the fold allocates
+    /// no per-machine fault lists: nothing dooms, straggles or queues for
+    /// retry (pinned by `chaos_differential.rs`).
+    fn new(cfg: &ChaosConfig, machines: usize, stats: &mut ChaosStats) -> Self {
+        let per_machine = if cfg.plan.is_empty() { 0 } else { machines };
         let mut crashes = Vec::new();
         let mut crash_at = vec![Vec::new(); per_machine];
         let mut straggle = vec![Vec::new(); per_machine];
-        for e in cfg.map_or(&[][..], |c| c.plan.events()) {
+        let mut straggle_starts = Vec::new();
+        for e in cfg.plan.events() {
             match e.fault {
                 Fault::Crash { down } => {
                     crashes.push((e.at.as_micros(), e.machine, down.as_micros()));
                     crash_at[e.machine].push(e.at.as_micros());
                 }
                 Fault::Straggle { duration, slowdown } => {
-                    stats.stragglers += 1;
+                    straggle_starts.push(e.at.as_micros());
                     straggle[e.machine].push((
                         e.at.as_micros(),
                         (e.at + duration).as_micros(),
@@ -481,15 +491,16 @@ impl ChaosFold {
             crash_cur: vec![0; per_machine],
             straggle,
             straggle_cur: vec![0; per_machine],
+            straggle_starts,
             retries: EventQueue::new(),
-            max_retries: cfg.and_then(|c| c.max_retries),
-            slo_us: cfg.and_then(|c| c.slo).map(|s| s.as_micros()),
+            max_retries: cfg.max_retries,
+            slo_us: cfg.slo.map(|s| s.as_micros()),
             pending_epochs: Vec::new(),
             slo_witness: None,
             churn: cfg
-                .and_then(|c| c.price)
+                .price
                 .map(|p| (CostAccumulator::new(p), CostAccumulator::new(p))),
-            backoff: cfg.and_then(|c| c.backoff).map(|b| (b, b.stream())),
+            backoff: cfg.backoff.map(|b| (b, b.stream())),
             backoff_retries: 0,
             backoff_delay_us: 0,
         }
@@ -523,7 +534,7 @@ impl FrontEnd {
     /// A front end over the fleet described by `cfg`.
     pub fn new(cfg: &ClusterConfig) -> Self {
         let mut stats = ChaosStats::default();
-        let chaos = ChaosFold::new(cfg.chaos.as_ref(), cfg.machines, &mut stats);
+        let chaos = ChaosFold::new(&cfg.chaos, cfg.machines, &mut stats);
         let scaler = cfg.autoscale.map(|a| Autoscaler::new(a, cfg.machines));
         let active = scaler
             .as_ref()
@@ -539,15 +550,13 @@ impl FrontEnd {
             last_arrival: SimTime::ZERO,
             pools: FxHashMap::default(),
             cold: cfg.cold_start,
-            overload: cfg.overload.clone().map(Overload::new),
+            overload: Overload::new(cfg.overload.clone()),
             active,
             available_at: vec![0; cfg.machines],
             chaos,
             scaler,
             stats,
-            health: cfg
-                .health
-                .map(|h| HealthTracker::new(h, cfg.machines, active)),
+            health: HealthTracker::new(cfg.health, cfg.machines, active),
             clock_us: 0,
             completions: MinHeap4::new(),
             out_heap: IndexedMinHeap::new(),
@@ -576,7 +585,8 @@ impl FrontEnd {
 
     /// The chaos ledger so far — crash/retry/scale counters plus the
     /// dollar churn total. All-zero without a fault plan or autoscaler.
-    /// `unrecovered` is only final after [`FrontEnd::finish`].
+    /// `stragglers` and `unrecovered` are only final after
+    /// [`FrontEnd::finish`].
     pub fn chaos_stats(&self) -> ChaosStats {
         let mut stats = self.stats;
         if let Some((retry, abandoned)) = &self.chaos.churn {
@@ -587,14 +597,10 @@ impl FrontEnd {
 
     /// The node-health ledger so far — ejection/probe/hedge counters
     /// (plus the chaos layer's backoff totals) and the per-machine health
-    /// columns. All-zero/empty without a health tracker; machines still
+    /// columns. All-zero/empty without a health config; machines still
     /// ejected have their open span counted up to the fold's clock.
     pub fn health_stats(&self) -> (HealthStats, Vec<MachineHealth>) {
-        let (mut stats, machines) = self
-            .health
-            .as_ref()
-            .map(|h| h.snapshot(self.clock_us))
-            .unwrap_or_default();
+        let (mut stats, machines) = self.health.snapshot(self.clock_us);
         stats.backoff_retries = self.chaos.backoff_retries;
         stats.backoff_delay_total = SimDuration::from_micros(self.chaos.backoff_delay_us);
         (stats, machines)
@@ -605,9 +611,7 @@ impl FrontEnd {
     /// cancellations happen inside the machines, beyond the router's
     /// information boundary, and are filled in at report assembly.
     pub fn overload_stats(&self) -> OverloadStats {
-        self.overload
-            .as_ref()
-            .map_or_else(OverloadStats::default, Overload::stats)
+        self.overload.stats()
     }
 
     /// Estimated queueing delay before a dispatch to `machine` at `now`
@@ -706,18 +710,17 @@ impl FrontEnd {
             self.last_arrival = SimTime::from_micros(now_us);
             self.resolve_epochs(now_us);
         }
-        // Trailing crashes past the last dispatch still count (and can
-        // open epochs that now have no chance to close).
-        self.advance_crashes(u64::MAX);
+        // Trailing crashes and straggler windows past the last dispatch
+        // still count (and crashes can open epochs that now have no
+        // chance to close).
+        self.advance_faults(u64::MAX);
         self.stats.unrecovered += self.chaos.pending_epochs.len() as u64;
         self.chaos.pending_epochs.clear();
         // Completion reports still in flight fold now: the final
         // telemetry describes every completion the router booked, even
         // the ones landing after the last arrival. (Nothing dispatches
         // after this, so late ejections change counters, not decisions.)
-        if let Some(h) = &mut self.health {
-            h.advance_to(u64::MAX);
-        }
+        self.health.advance_to(u64::MAX);
         out
     }
 
@@ -728,12 +731,12 @@ impl FrontEnd {
         }
     }
 
-    /// Brings the fold up to `now_us`: applies every crash due by now,
-    /// drains the completion estimates, then re-dispatches every retry
-    /// that has come due. Retries dispatch *at* `now_us` — they ride the
-    /// arrival clock rather than their own enqueue instant, so the
-    /// per-machine spec feeds stay sorted no matter how the stream is
-    /// chunked.
+    /// Brings the fold up to `now_us`: applies every crash due by now
+    /// (and counts the straggler windows begun), drains the completion
+    /// estimates, then re-dispatches every retry that has come due.
+    /// Retries dispatch *at* `now_us` — they ride the arrival clock rather
+    /// than their own enqueue instant, so the per-machine spec feeds stay
+    /// sorted no matter how the stream is chunked.
     fn advance_to<D: Dispatch + ?Sized>(
         &mut self,
         now_us: u64,
@@ -741,7 +744,7 @@ impl FrontEnd {
         out: &mut Assignment,
     ) {
         self.clock_us = self.clock_us.max(now_us);
-        self.advance_crashes(now_us);
+        self.advance_faults(now_us);
         // Booked completions due by now drain from the global heap —
         // O(log) per completion rather than O(machines) per arrival.
         // Entries from a pre-crash / pre-reset epoch describe voided
@@ -775,9 +778,7 @@ impl FrontEnd {
         // Completion reports due by now reach the tracker before any
         // retry or arrival dispatches at this instant — delayed feedback,
         // folded in deterministic report order.
-        if let Some(h) = &mut self.health {
-            h.advance_to(now_us);
-        }
+        self.health.advance_to(now_us);
         while let Some(entry) = self.due_retry(now_us) {
             self.dispatch_one(
                 &entry.task,
@@ -790,8 +791,9 @@ impl FrontEnd {
         }
     }
 
-    /// Applies every scheduled crash at or before `now_us`.
-    fn advance_crashes(&mut self, now_us: u64) {
+    /// Applies every scheduled crash at or before `now_us`, and counts
+    /// every straggler window begun by then.
+    fn advance_faults(&mut self, now_us: u64) {
         while let Some(&(at, machine, down)) = self.chaos.crashes.get(self.chaos.cursor) {
             if at > now_us {
                 break;
@@ -799,6 +801,8 @@ impl FrontEnd {
             self.chaos.cursor += 1;
             self.apply_crash(machine, at, down);
         }
+        let starts = &self.chaos.straggle_starts[self.stats.stragglers as usize..];
+        self.stats.stragglers += starts.partition_point(|&at| at <= now_us) as u64;
     }
 
     /// A machine dies: all in-flight work is lost (the doomed invocations
@@ -808,9 +812,7 @@ impl FrontEnd {
         let until = at_us + down_us;
         self.reset_machine(machine, until);
         self.stats.crashes += 1;
-        if let Some(h) = &mut self.health {
-            h.note_crash(machine, until, at_us);
-        }
+        self.health.note_crash(machine, until, at_us);
         if self.chaos.slo_us.is_some() && machine < self.active {
             self.chaos.pending_epochs.push(at_us);
         }
@@ -850,7 +852,7 @@ impl FrontEnd {
     /// heap writer tests it.
     #[inline]
     fn is_candidate(&self, machine: usize) -> bool {
-        machine < self.active && !self.health.as_ref().is_some_and(|h| h.excluded(machine))
+        machine < self.active && !self.health.excluded(machine)
     }
 
     /// Re-files `machine` in all three dispatch heaps from its current
@@ -911,9 +913,7 @@ impl FrontEnd {
                 self.active += 1;
                 self.active_outstanding += u64::from(self.loads[idx].outstanding);
                 self.reset_machine(idx, now_us + boot_us);
-                if let Some(h) = &mut self.health {
-                    h.set_active(self.active);
-                }
+                self.health.set_active(self.active);
                 self.stats.scale_ups += 1;
                 self.stats.peak_active = self.stats.peak_active.max(self.active as u64);
             }
@@ -922,9 +922,7 @@ impl FrontEnd {
                 let idx = self.active;
                 self.active_outstanding -= u64::from(self.loads[idx].outstanding);
                 self.refile(idx);
-                if let Some(h) = &mut self.health {
-                    h.set_active(self.active);
-                }
+                self.health.set_active(self.active);
                 self.stats.scale_downs += 1;
             }
             None => {}
@@ -996,7 +994,7 @@ impl FrontEnd {
     /// heap writer tolerates by testing [`FrontEnd::is_candidate`].
     fn sync_candidates(&mut self) {
         let mut changed = self.cand_active != self.active;
-        while let Some(m) = self.health.as_mut().and_then(HealthTracker::pop_flip) {
+        while let Some(m) = self.health.pop_flip() {
             changed = true;
             self.refile(m);
         }
@@ -1008,7 +1006,7 @@ impl FrontEnd {
         self.cand_list.clear();
         let health = &self.health;
         self.cand_list
-            .extend((0..self.active).filter(|&m| !health.as_ref().is_some_and(|h| h.excluded(m))));
+            .extend((0..self.active).filter(|&m| !health.excluded(m)));
         #[cfg(debug_assertions)]
         self.check_candidates();
     }
@@ -1099,9 +1097,8 @@ impl FrontEnd {
             return;
         };
         let mut primary = self.book(machine, task.function, spec, now_us, out);
-        if let Some(mw) = &mut self.overload {
-            mw.note_dispatch(task.function, primary.completion);
-        }
+        self.overload
+            .note_dispatch(task.function, primary.completion);
         if let Some(crash_at) = self.doom(&primary, now_us) {
             self.retry_doomed(task, &primary, crash_at, attempts, health_probe);
             return;
@@ -1120,12 +1117,9 @@ impl FrontEnd {
     /// estimate — it is recorded, not simulated. Returns `None` when shed,
     /// otherwise whether this invocation is the breaker's half-open probe.
     fn admission(&mut self, task: &ClusterTask, now_us: u64) -> Option<bool> {
-        match &mut self.overload {
-            None => Some(false),
-            Some(mw) => match mw.admit(task.function, now_us, &task.spec) {
-                Admission::Shed => None,
-                Admission::Admit { probe } => Some(probe),
-            },
+        match self.overload.admit(task.function, now_us, &task.spec) {
+            Admission::Shed => None,
+            Admission::Admit { probe } => Some(probe),
         }
     }
 
@@ -1142,7 +1136,7 @@ impl FrontEnd {
         policy: &mut D,
     ) -> (usize, bool) {
         self.sync_candidates();
-        let probe = self.health.as_mut().and_then(|h| h.probe_target(now_us));
+        let probe = self.health.probe_target(now_us);
         let machine = if let Some(pm) = probe {
             pm
         } else {
@@ -1191,24 +1185,22 @@ impl FrontEnd {
         health_probe: bool,
     ) -> Option<TaskSpec> {
         let now = SimTime::from_micros(now_us);
-        let deadline = self.overload.as_ref().and_then(|mw| mw.deadline_at(now));
         let duration = task.spec.work + task.spec.io_wait;
-        let late = deadline
+        let late = self
+            .overload
+            .deadline_at(now)
             .is_some_and(|d| self.est_completion(machine, task.function, now, duration) > d);
-        let mut spec = task.spec.clone();
-        if let Some(mw) = &mut self.overload {
-            if mw.verdict(task.function, breaker_probe, late, now_us, &task.spec) {
-                if let Some(h) = &mut self.health {
-                    h.note_timeout(machine);
-                }
-                return None;
-            }
-            mw.stamp(&mut spec, now);
+        if self
+            .overload
+            .verdict(task.function, breaker_probe, late, now_us, &task.spec)
+        {
+            self.health.note_timeout(machine);
+            return None;
         }
+        let mut spec = task.spec.clone();
+        self.overload.stamp(&mut spec, now);
         if health_probe {
-            if let Some(h) = &mut self.health {
-                h.mark_probing(machine);
-            }
+            self.health.mark_probing(machine);
         }
         Some(spec)
     }
@@ -1305,9 +1297,7 @@ impl FrontEnd {
         health_probe: bool,
     ) {
         if health_probe {
-            if let Some(h) = &mut self.health {
-                h.probe_doomed(doomed.machine, crash_at);
-            }
+            self.health.probe_doomed(doomed.machine, crash_at);
         }
         let chaos = &mut self.chaos;
         if let Some((retry, _)) = &mut chaos.churn {
@@ -1371,18 +1361,16 @@ impl FrontEnd {
         now_us: u64,
         out: &mut Assignment,
     ) -> Option<Booking> {
-        let h = self.health.as_mut()?;
-        if !h.should_hedge(primary.machine, primary.completion.saturating_sub(now_us)) {
+        let booked_response = primary.completion.saturating_sub(now_us);
+        if !self.health.should_hedge(primary.machine, booked_response) {
             return None;
         }
-        let target = h.hedge_target(primary.machine)?;
+        let target = self.health.hedge_target(primary.machine)?;
         let mut copy = self.book(target, task.function, task.spec.clone(), now_us, out);
         let mem = task.spec.mem_mib;
         if let Some(crash_at) = self.doom(&copy, now_us) {
             let busy = SimDuration::from_micros(crash_at.saturating_sub(now_us));
-            if let Some(h) = &mut self.health {
-                h.record_doomed_copy(busy, mem);
-            }
+            self.health.record_doomed_copy(busy, mem);
             return None;
         }
         self.land(&mut copy, now_us);
@@ -1399,9 +1387,8 @@ impl FrontEnd {
                 .completion
                 .saturating_sub(copy.spec.arrival.as_micros())
         };
-        if let Some(h) = &mut self.health {
-            h.record_hedge(won, SimDuration::from_micros(busy), mem);
-        }
+        self.health
+            .record_hedge(won, SimDuration::from_micros(busy), mem);
         Some(copy)
     }
 
@@ -1417,14 +1404,13 @@ impl FrontEnd {
         health_probe: bool,
         out: &mut Assignment,
     ) {
-        if let Some(h) = &mut self.health {
-            let winner = copy
-                .as_ref()
-                .filter(|c| c.completion < primary.completion)
-                .unwrap_or(&primary);
-            let at = winner.completion + winner.extra_us;
-            h.push_report(winner.machine, at, at.saturating_sub(now_us), health_probe);
-        }
+        let winner = copy
+            .as_ref()
+            .filter(|c| c.completion < primary.completion)
+            .unwrap_or(&primary);
+        let at = winner.completion + winner.extra_us;
+        self.health
+            .push_report(winner.machine, at, at.saturating_sub(now_us), health_probe);
         if let Some(c) = copy {
             out.per_machine[c.machine].push(c.spec);
         }
@@ -1436,7 +1422,7 @@ impl FrontEnd {
 mod tests {
     use super::*;
     use crate::dispatch::{LeastOutstanding, Passthrough, RoundRobinDispatch};
-    use crate::ColdStartConfig;
+    use crate::{ColdStartConfig, FaultPlan, FaultPlanConfig};
     use faas_kernel::MachineConfig;
     use faas_simcore::SimDuration;
 
@@ -1534,6 +1520,31 @@ mod tests {
         for m in 0..3 {
             assert_eq!(a.per_machine[m].len(), 2);
         }
+    }
+
+    #[test]
+    fn straggler_windows_count_once_the_fold_reaches_them() {
+        let faults = FaultPlanConfig::new(0x57A6_0002, 1).with_stragglers(
+            4.0,
+            SimDuration::from_secs(5),
+            2.0,
+        );
+        let plan = FaultPlan::generate(&faults, 2);
+        let starts: Vec<SimTime> = plan.events().iter().map(|e| e.at).collect();
+        assert!(starts.len() >= 2 && starts[0] > SimTime::from_millis(10));
+        let mut fe = FrontEnd::new(&cfg(2, 1).with_chaos(ChaosConfig::new(plan)));
+        let mut rr = RoundRobinDispatch::new();
+        // The stream ends before the plan's first window.
+        let tasks: Vec<ClusterTask> = (0..10).map(|i| task(i, 1, 0)).collect();
+        fe.dispatch_chunk(&tasks, &mut rr);
+        assert_eq!(fe.chaos_stats().stragglers, 0, "no window has begun");
+        // An arrival at the second window's start has seen two begin.
+        let mut late = task(0, 1, 0);
+        late.spec.arrival = starts[1];
+        fe.dispatch_chunk(&[late], &mut rr);
+        assert_eq!(fe.chaos_stats().stragglers, 2);
+        fe.finish(&mut rr);
+        assert_eq!(fe.chaos_stats().stragglers, starts.len() as u64);
     }
 
     #[test]

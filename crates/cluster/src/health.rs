@@ -37,8 +37,9 @@
 //! All state lives in the serial front-end fold, so a health-enabled run
 //! is byte-identical at any fan width or chunk size — and a run with
 //! [`HealthConfig::default`] (tracking on, actions off) is **bitwise
-//! identical** to one with no tracker at all, which the differential
-//! suite in `tests/health_differential.rs` pins.
+//! identical** to one without a health config, whose tracker tracks
+//! nothing, which the differential suite in
+//! `tests/health_differential.rs` pins.
 
 use std::cmp::Reverse;
 
@@ -189,7 +190,7 @@ impl HedgeConfig {
 /// The default is **passive**: the tracker folds completion reports into
 /// per-machine EWMAs (visible in the cluster summaries) but never ejects,
 /// probes, or hedges — dispatch decisions, and therefore the whole run,
-/// stay bitwise identical to a tracker-free cluster.
+/// stay bitwise identical to a cluster without a health config.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
     /// EWMA smoothing factor in `(0, 1]`; higher weighs fresh reports
@@ -310,6 +311,11 @@ struct Report {
 #[derive(Debug)]
 pub(crate) struct HealthTracker {
     cfg: HealthConfig,
+    /// `false` for a fleet without a [`HealthConfig`]: the tracker then
+    /// queues no completion report and its snapshot has no per-machine
+    /// columns. Every other method already acts on nothing under the
+    /// default config, so the front end calls them unconditionally.
+    tracking: bool,
     machines: Vec<MachineState>,
     reports: EventQueue<Report>,
     /// The front end's active prefix `[0, active)` — the slice every
@@ -370,7 +376,11 @@ pub(crate) struct HealthTracker {
 }
 
 impl HealthTracker {
-    pub(crate) fn new(cfg: HealthConfig, machines: usize, active: usize) -> Self {
+    /// A tracker over `machines` with the active prefix `[0, active)`;
+    /// `None` builds one that tracks nothing.
+    pub(crate) fn new(cfg: Option<HealthConfig>, machines: usize, active: usize) -> Self {
+        let tracking = cfg.is_some();
+        let cfg = cfg.unwrap_or_default();
         HealthTracker {
             machines: vec![MachineState::new(); machines],
             reports: EventQueue::new(),
@@ -394,6 +404,7 @@ impl HealthTracker {
             hedge_cost: cfg.hedge.and_then(|h| h.price).map(CostAccumulator::new),
             stats: HealthStats::default(),
             cfg,
+            tracking,
         }
     }
 
@@ -520,6 +531,9 @@ impl HealthTracker {
         response_us: u64,
         probe: bool,
     ) {
+        if !self.tracking {
+            return;
+        }
         self.reports.schedule(
             SimTime::from_micros(report_at_us),
             Report {
@@ -852,11 +866,15 @@ impl HealthTracker {
     }
 
     /// The ledger and per-machine columns as of `as_of_us` (machines
-    /// still ejected have their open span counted up to that instant).
+    /// still ejected have their open span counted up to that instant; no
+    /// columns when not tracking).
     pub(crate) fn snapshot(&self, as_of_us: u64) -> (HealthStats, Vec<MachineHealth>) {
         let mut stats = self.stats;
         if let Some(cost) = &self.hedge_cost {
             stats.hedge_cost_usd = cost.total_usd();
+        }
+        if !self.tracking {
+            return (stats, Vec::new());
         }
         let machines = self
             .machines
@@ -898,7 +916,7 @@ mod tests {
 
     #[test]
     fn ewma_tracks_reports_and_first_sample_seeds() {
-        let mut t = HealthTracker::new(HealthConfig::default().with_ewma_alpha(0.5), 2, 2);
+        let mut t = HealthTracker::new(Some(HealthConfig::default().with_ewma_alpha(0.5)), 2, 2);
         feed(&mut t, 0, 1, 100);
         let (_, m) = t.snapshot(ms(1));
         assert_eq!(
@@ -919,7 +937,7 @@ mod tests {
 
     #[test]
     fn reports_fold_only_when_due() {
-        let mut t = HealthTracker::new(HealthConfig::default(), 1, 1);
+        let mut t = HealthTracker::new(Some(HealthConfig::default()), 1, 1);
         t.push_report(0, ms(50), ms(10), false);
         t.advance_to(ms(40));
         assert_eq!(t.snapshot(ms(40)).1[0].samples, 0, "report not due yet");
@@ -936,8 +954,10 @@ mod tests {
         check::run("tail screen == refreshed est > tail", 48, |g| {
             let q = g.f64_in(0.5, 0.995);
             let mut t = HealthTracker::new(
-                HealthConfig::default()
-                    .with_hedge(HedgeConfig::default().with_quantile(q).with_min_samples(1)),
+                Some(
+                    HealthConfig::default()
+                        .with_hedge(HedgeConfig::default().with_quantile(q).with_min_samples(1)),
+                ),
                 2,
                 2,
             );
@@ -970,7 +990,7 @@ mod tests {
 
     #[test]
     fn passive_default_never_excludes_or_hedges() {
-        let mut t = HealthTracker::new(HealthConfig::default(), 4, 4);
+        let mut t = HealthTracker::new(Some(HealthConfig::default()), 4, 4);
         for i in 0..100u64 {
             feed(
                 &mut t,
@@ -988,6 +1008,26 @@ mod tests {
     }
 
     #[test]
+    fn untracked_tracker_queues_nothing_and_has_no_columns() {
+        let mut t = HealthTracker::new(None, 4, 4);
+        for i in 0..100u64 {
+            t.push_report((i % 4) as usize, ms(i + 1), ms(10), false);
+        }
+        assert!(t.reports.is_empty(), "no report queued");
+        t.note_crash(2, ms(200), ms(100));
+        t.note_timeout(1);
+        t.set_active(2);
+        t.advance_to(ms(1_000));
+        assert!((0..4).all(|m| !t.excluded(m)));
+        assert_eq!(t.pop_flip(), None);
+        assert!(t.probe_target(ms(1_000)).is_none());
+        assert!(!t.should_hedge(3, ms(100_000)));
+        let (stats, columns) = t.snapshot(ms(1_000));
+        assert!(stats.is_zero());
+        assert!(columns.is_empty(), "no per-machine columns");
+    }
+
+    #[test]
     fn outlier_ejects_probes_and_readmits() {
         let cfg = HealthConfig::default().with_ejection(
             EjectionConfig::default()
@@ -995,7 +1035,7 @@ mod tests {
                 .with_probation(SimDuration::from_secs(1))
                 .with_min_samples(4),
         );
-        let mut t = HealthTracker::new(cfg, 4, 4);
+        let mut t = HealthTracker::new(Some(cfg), 4, 4);
         // Machines 0-2 report 10 ms; machine 3 reports 1 s — a 100×
         // outlier once it has its 4 samples.
         for round in 0..4u64 {
@@ -1040,7 +1080,7 @@ mod tests {
                 .with_min_samples(1)
                 .with_bounds(0.5, 1),
         );
-        let mut t = HealthTracker::new(cfg, 2, 2);
+        let mut t = HealthTracker::new(Some(cfg), 2, 2);
         feed(&mut t, 0, 1, 10);
         feed(&mut t, 1, 2, 10_000);
         assert!(t.excluded(1));
@@ -1057,7 +1097,7 @@ mod tests {
     fn crash_ejects_immediately_and_doomed_probe_re_ejects() {
         let cfg = HealthConfig::default()
             .with_ejection(EjectionConfig::default().with_probation(SimDuration::from_secs(1)));
-        let mut t = HealthTracker::new(cfg, 4, 4);
+        let mut t = HealthTracker::new(Some(cfg), 4, 4);
         t.note_crash(2, ms(5_000), ms(4_000));
         assert!(t.excluded(2), "crash ejects without any samples");
         // Downtime ends at 5 s, probation at 6 s.
@@ -1082,7 +1122,7 @@ mod tests {
                 .with_quantile(0.9)
                 .with_min_samples(10),
         );
-        let mut t = HealthTracker::new(cfg, 4, 4);
+        let mut t = HealthTracker::new(Some(cfg), 4, 4);
         for i in 0..9u64 {
             feed(&mut t, (i % 3) as usize, i + 1, 10);
         }
@@ -1122,7 +1162,7 @@ mod tests {
                 .with_min_samples(4)
                 .with_max_fraction(0.25),
         );
-        let mut t = HealthTracker::new(cfg, 4, 4);
+        let mut t = HealthTracker::new(Some(cfg), 4, 4);
         for i in 0..8u64 {
             feed(&mut t, (i % 4) as usize, i + 1, 10);
         }
@@ -1149,7 +1189,7 @@ mod tests {
     fn hedge_cost_bills_the_loser() {
         let price = PriceModel::duration_only();
         let cfg = HealthConfig::default().with_hedge(HedgeConfig::default().with_price(price));
-        let mut t = HealthTracker::new(cfg, 2, 2);
+        let mut t = HealthTracker::new(Some(cfg), 2, 2);
         t.record_hedge(false, SimDuration::from_secs(1), 256);
         let (stats, _) = t.snapshot(0);
         let expected = price.cost_of_duration(SimDuration::from_secs(1), 256);
@@ -1209,7 +1249,7 @@ mod tests {
                             .with_min_samples(g.u64_in(1, 6))
                             .with_bounds(g.f64_in(0.1, 1.0), 1),
                     );
-                let mut t = HealthTracker::new(cfg, machines, machines);
+                let mut t = HealthTracker::new(Some(cfg), machines, machines);
                 let mut now = 0u64;
                 let mut was_excluded = vec![false; machines];
                 for _ in 0..g.usize_in(1, 200) {
@@ -1269,7 +1309,7 @@ mod tests {
                     .with_min_samples(1),
             );
             let q = cfg.hedge.expect("hedge configured").quantile;
-            let mut t = HealthTracker::new(cfg, 4, 4);
+            let mut t = HealthTracker::new(Some(cfg), 4, 4);
             let mut now = 0u64;
             for _ in 0..g.usize_in(1, 1_200) {
                 now += 1;

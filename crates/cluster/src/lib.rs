@@ -127,6 +127,11 @@ impl ColdStartConfig {
 }
 
 /// Shape of the simulated fleet.
+///
+/// Each front-end layer has one off-state: the default overload stack
+/// admits everything, and the empty fault plan injects nothing. Health
+/// stays optional because a fleet without a health config tracks nothing,
+/// while [`HealthConfig::default`] keeps per-machine telemetry.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of machines.
@@ -137,22 +142,20 @@ pub struct ClusterConfig {
     pub machine: MachineConfig,
     /// Cold-start model; `None` disables warmth tracking entirely.
     pub cold_start: Option<ColdStartConfig>,
-    /// Overload-middleware stack evaluated at dispatch time; `None` (and
-    /// the all-disabled [`OverloadConfig::default`]) accept everything,
-    /// bitwise identical to the bare dispatch policy.
-    pub overload: Option<OverloadConfig>,
-    /// Fault-injection layer; `None` (and a [`ChaosConfig`] carrying an
-    /// empty [`FaultPlan`]) is a strict no-op, bitwise identical to the
-    /// bare cluster.
-    pub chaos: Option<ChaosConfig>,
+    /// Overload-middleware stack evaluated at dispatch time; the
+    /// all-disabled [`OverloadConfig::default`] accepts everything.
+    pub overload: OverloadConfig,
+    /// Fault-injection layer; a [`ChaosConfig`] carrying an empty
+    /// [`FaultPlan`] (the default) injects nothing.
+    pub chaos: ChaosConfig,
     /// Elastic-fleet controller; `None` keeps all `machines` active for
     /// the whole run. With `Some`, `machines` becomes the fleet's *maximum*
     /// size and the active prefix grows/shrinks between
     /// `autoscale.min_machines` and `machines`.
     pub autoscale: Option<AutoscaleConfig>,
-    /// Node-health feedback loop; `None` (and the passive
-    /// [`HealthConfig::default`]) leaves every dispatch decision bitwise
-    /// identical to a tracker-free cluster.
+    /// Node-health feedback loop; `None` tracks nothing, and the passive
+    /// [`HealthConfig::default`] adds per-machine telemetry while leaving
+    /// every dispatch decision bitwise identical.
     pub health: Option<HealthConfig>,
 }
 
@@ -168,8 +171,8 @@ impl ClusterConfig {
             machines,
             machine,
             cold_start: None,
-            overload: None,
-            chaos: None,
+            overload: OverloadConfig::default(),
+            chaos: ChaosConfig::new(FaultPlan::empty(machines)),
             autoscale: None,
             health: None,
         }
@@ -183,7 +186,7 @@ impl ClusterConfig {
 
     /// Attaches an overload-middleware stack to the dispatch tier.
     pub fn with_overload(mut self, overload: OverloadConfig) -> Self {
-        self.overload = Some(overload);
+        self.overload = overload;
         self
     }
 
@@ -198,7 +201,7 @@ impl ClusterConfig {
             self.machines,
             "fault plan targets a different fleet size"
         );
-        self.chaos = Some(chaos);
+        self.chaos = chaos;
         self
     }
 
@@ -235,11 +238,10 @@ impl ClusterConfig {
         // Storm windows are the one fault that lives inside the kernel (it
         // modulates interference *frequency*); everything else folds at the
         // front end. An empty window list leaves every draw untouched.
-        match &self.chaos {
-            Some(chaos) if !chaos.plan.is_empty() => {
-                cfg.with_storms(chaos.plan.storm_windows(index))
-            }
-            _ => cfg,
+        if self.chaos.plan.is_empty() {
+            cfg
+        } else {
+            cfg.with_storms(self.chaos.plan.storm_windows(index))
         }
     }
 }
@@ -262,10 +264,10 @@ pub struct ClusterReport {
     /// a fault plan or autoscaler).
     pub chaos: ChaosStats,
     /// Ejection/probe/hedge/backoff ledger of the node-health layer
-    /// (all-zero without a health tracker or backoff).
+    /// (all-zero without a health config or backoff).
     pub health: HealthStats,
     /// Per-machine health columns in machine order (empty without a
-    /// health tracker).
+    /// health config).
     pub machine_health: Vec<MachineHealth>,
 }
 

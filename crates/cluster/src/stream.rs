@@ -208,7 +208,7 @@ pub struct StreamClusterReport {
     /// without a [`HealthConfig`](crate::HealthConfig)).
     pub health: HealthStats,
     /// Per-machine health telemetry, in machine order (empty without a
-    /// health tracker).
+    /// health config).
     pub machine_health: Vec<MachineHealth>,
 }
 

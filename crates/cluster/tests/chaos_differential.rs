@@ -1,11 +1,11 @@
 //! Differential pins of the chaos + elastic layer.
 //!
-//! * **Empty fault plan ≡ bare cluster, bitwise.** A [`ChaosConfig`]
-//!   carrying an empty [`FaultPlan`] (even with SLO tracking and a churn
-//!   tariff armed) must leave both run paths byte-identical to running
-//!   without chaos at all — same records, kernel event counts, cold
-//!   starts and cost bits — on the cluster01–03 scenario shapes at fan
-//!   widths 1, 2 and 4.
+//! * **Armed empty plan ≡ default config, bitwise.** A [`ChaosConfig`]
+//!   carrying an empty [`FaultPlan`] with a retry cap, SLO tracking and
+//!   a churn tariff armed must leave both run paths byte-identical to
+//!   the default config's empty plan — same records, kernel event
+//!   counts, cold starts and cost bits — on the cluster01–03 scenario
+//!   shapes at fan widths 1, 2 and 4.
 //! * **Crash-replay conservation.** Every dispatched invocation is
 //!   completed exactly once, shed by middleware, or abandoned after its
 //!   retry budget — no loss, no double-billing, at any fan width.

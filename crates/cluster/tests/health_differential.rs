@@ -1,11 +1,12 @@
 //! Differential pins of the node-health feedback loop.
 //!
-//! * **Passive tracker ≡ bare cluster, bitwise.** [`HealthConfig::default`]
-//!   folds completion reports into EWMAs but never ejects, probes or
-//!   hedges — both run paths must stay byte-identical to a cluster with
-//!   no tracker at all (records, event counts, cold starts, cost bits)
-//!   on the cluster01–03 shapes at fan widths 1, 2 and 4, while the
-//!   summaries still expose the per-machine EWMA columns.
+//! * **Passive tracker ≡ default config, bitwise.**
+//!   [`HealthConfig::default`] arms the tracker, which folds completion
+//!   reports into EWMAs but never ejects, probes or hedges — both run
+//!   paths must stay byte-identical to the default config, whose
+//!   tracker tracks nothing (records, event counts, cold starts, cost
+//!   bits), on the cluster01–03 shapes at fan widths 1, 2 and 4, while
+//!   the summaries still expose the per-machine EWMA columns.
 //! * **Ejection + hedging improve the tail.** Under a straggler-heavy
 //!   plan the full feedback loop must cut the p99 sojourn versus the
 //!   same chaos with no health layer — the claim the paper's robustness

@@ -1,11 +1,12 @@
 //! Differential pins of the overload-middleware stack.
 //!
-//! * **No-op stack ≡ bare policy, bitwise.** A middleware configuration
-//!   with no caps, an infinite deadline and the breaker disabled must
-//!   leave both run paths byte-identical to running without middleware:
-//!   same dispatch pick sequence, same records, same kernel event
-//!   counts, same accumulators — on the cluster01–03 scenario shapes at
-//!   fan widths 1, 2 and 4.
+//! * **Armed no-op stack ≡ default config, bitwise.** A middleware
+//!   configuration with no caps, an infinite deadline and the breaker
+//!   disabled, but a shed tariff armed, must leave both run paths
+//!   byte-identical to the default config's stack: same dispatch pick
+//!   sequence, same records, same kernel event counts, same
+//!   accumulators — on the cluster01–03 scenario shapes at fan widths
+//!   1, 2 and 4.
 //! * **Chunking invariance with the stack active.** A *binding* stack
 //!   (caps that actually shed) makes the same decisions whether the
 //!   workload arrives whole or chunked at any window — middleware state
@@ -41,8 +42,8 @@ fn scenario_workload(machines: usize) -> Vec<ClusterTask> {
     workload_from_trace(&AzureTrace::generate(&cfg), 1)
 }
 
-/// The no-op stack: every layer disabled (a price model alone gates
-/// nothing — with zero sheds it prices nothing).
+/// The no-op stack armed with a tariff: every layer disabled (a price
+/// model alone gates nothing — with zero sheds it prices nothing).
 fn noop_stack() -> OverloadConfig {
     OverloadConfig::default().with_price(PriceModel::duration_only())
 }

@@ -36,7 +36,7 @@ pub use fleet::{expand_to_specs, vm_records};
 pub use plan::{BootKind, FirecrackerConfig, LaunchOutcome, LaunchPlan, PlannedVm};
 
 use azure_trace::AzureTrace;
-use faas_kernel::{MachineConfig, Scheduler, SimError, Simulation, SlimReport};
+use faas_kernel::{MachineConfig, Scheduler, SimError, Simulation};
 use faas_metrics::TaskRecord;
 
 /// Result of a whole-fleet run.
@@ -46,8 +46,6 @@ pub struct FleetOutcome {
     pub plan: LaunchPlan,
     /// One aggregated record per successfully completed VM.
     pub vm_records: Vec<TaskRecord>,
-    /// The underlying kernel report (per-thread records, core stats).
-    pub report: SlimReport,
 }
 
 /// Plans, expands and simulates a microVM fleet under `policy` on a
@@ -66,11 +64,7 @@ pub fn run_fleet<P: Scheduler>(
     let (specs, _) = expand_to_specs(&plan, cfg);
     let report = Simulation::new(MachineConfig::new(cores), specs, policy).run_slim()?;
     let vm_records = vm_records(&plan, &report.tasks);
-    Ok(FleetOutcome {
-        plan,
-        vm_records,
-        report,
-    })
+    Ok(FleetOutcome { plan, vm_records })
 }
 
 #[cfg(test)]

@@ -19,6 +19,12 @@ use crate::message::KernelMessage;
 use crate::task::{Task, TaskId, TaskSpec, TaskState};
 use crate::util::UtilizationLedger;
 
+/// Bucket width of every machine's utilization ledger.
+const UTIL_BUCKET: SimDuration = SimDuration::from_secs(1);
+/// A run aborts with [`SimError::Stalled`] when no task finishes for this
+/// long while some remain unfinished.
+const STALL_TIMEOUT: SimDuration = SimDuration::from_secs(3_600);
+
 /// Host-OS interference model: the native kernel (timer ticks, kthreads,
 /// the CFS class ghOSt coexists with) periodically claims a core.
 ///
@@ -89,15 +95,10 @@ pub struct MachineConfig {
     pub interference: Option<InterferenceConfig>,
     /// Interference-storm windows (sorted or not; first match wins).
     pub storms: Vec<StormWindow>,
-    /// Bucket width of the utilization ledger.
-    pub util_bucket: SimDuration,
     /// Seed for the machine's internal randomness (interference timing).
     pub seed: u64,
     /// Record the kernel→agent message log (costs memory; great for tests).
     pub log_messages: bool,
-    /// Abort with [`SimError::Stalled`] if no task finishes for this long
-    /// while some remain unfinished.
-    pub stall_timeout: SimDuration,
 }
 
 impl MachineConfig {
@@ -109,10 +110,8 @@ impl MachineConfig {
             cost: CostModel::default(),
             interference: None,
             storms: Vec::new(),
-            util_bucket: SimDuration::from_secs(1),
             seed: 0xFAA5,
             log_messages: false,
-            stall_timeout: SimDuration::from_secs(3_600),
         }
     }
 
@@ -194,7 +193,7 @@ pub enum SimError {
         /// Number of unfinished tasks at the time of the deadlock.
         unfinished: usize,
     },
-    /// No task finished for `stall_timeout` of virtual time.
+    /// No task finished for an hour of virtual time.
     Stalled {
         /// Virtual instant at which the stall was declared.
         at: SimTime,
@@ -381,7 +380,7 @@ impl Machine {
                 events.schedule(at, Event::InterferenceStart(CoreId(c as u16)));
             }
         }
-        let util = UtilizationLedger::new(cfg.cores, cfg.util_bucket);
+        let util = UtilizationLedger::new(cfg.cores, UTIL_BUCKET);
         Machine {
             cores: (0..cfg.cores).map(|_| Core::new()).collect(),
             tasks,
@@ -863,8 +862,8 @@ impl Machine {
     /// # Errors
     ///
     /// [`SimError::Deadlock`] when the event queue drains with unfinished
-    /// tasks; [`SimError::Stalled`] when no task completes for
-    /// [`MachineConfig::stall_timeout`] of virtual time.
+    /// tasks; [`SimError::Stalled`] when no task completes for an hour
+    /// of virtual time.
     pub fn advance(&mut self) -> Result<Option<PolicyCall>, SimError> {
         if self.finished == self.tasks.len() {
             return Ok(None);
@@ -887,7 +886,7 @@ impl Machine {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         self.events_processed += 1;
-        if self.now.saturating_since(self.last_progress) > self.cfg.stall_timeout {
+        if self.now.saturating_since(self.last_progress) > STALL_TIMEOUT {
             return Err(SimError::Stalled {
                 at: self.now,
                 unfinished: self.tasks.len() - self.finished,

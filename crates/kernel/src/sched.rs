@@ -149,11 +149,6 @@ pub struct SlimReport {
 }
 
 impl SlimReport {
-    /// Total CPU time consumed by all tasks (excludes switch overhead).
-    pub fn total_cpu_time(&self) -> SimDuration {
-        self.tasks.iter().map(Task::cpu_time).sum()
-    }
-
     /// Total preemptions across all cores.
     pub fn total_preemptions(&self) -> u64 {
         self.core_stats.iter().map(|s| s.preemptions).sum()
@@ -607,7 +602,6 @@ mod tests {
             .map(|_| TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(20), 128))
             .collect();
         let report = run_fifo(1, specs);
-        assert_eq!(report.total_cpu_time(), SimDuration::from_millis(60));
         assert_eq!(report.total_preemptions(), 0);
         assert_eq!(report.policy, "test-fifo");
     }

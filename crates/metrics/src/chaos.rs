@@ -7,9 +7,8 @@
 //! is the ledger of what the chaos layer did and what it cost: fault
 //! events delivered, re-dispatch retries and abandonments, scaling
 //! actions, and SLO-recovery times after each crash epoch. It is
-//! attached to both [`crate::ClusterSummary`] and
-//! [`crate::StreamClusterSummary`], next to [`crate::OverloadStats`]'
-//! shed ledger.
+//! attached to the [`crate::FleetSummary`] of either run path, next to
+//! [`crate::OverloadStats`]' shed ledger.
 //!
 //! All counters are folded in arrival order by the serial front end, so
 //! they are byte-identical at any fan width and independent of how the
@@ -25,7 +24,9 @@ pub struct ChaosStats {
     /// Machine crashes delivered from the fault plan.
     pub crashes: u64,
     /// Straggler windows begun (a machine's effective core speed
-    /// degraded for an interval).
+    /// degraded for an interval): counted as the front end's clock
+    /// reaches each window's start, and the windows after the last
+    /// arrival when the front end finishes.
     pub stragglers: u64,
     /// Interference-storm windows compiled into machine configs.
     pub storms: u64,

@@ -13,7 +13,7 @@
 use faas_simcore::SimDuration;
 
 /// What the health-feedback layer ejected, probed, hedged and delayed.
-/// All-zero when the front end ran without a health tracker (or with one
+/// All-zero when the front end ran without a health config (or with one
 /// whose ejection/hedging/backoff features never fired).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthStats {

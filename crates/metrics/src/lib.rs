@@ -14,12 +14,15 @@
 //! * [`group_utilization_series`] / [`step_series`] — the utilization and
 //!   adaptive-limit timelines of Figs. 14/16/17/19;
 //! * [`jain_fairness`] / [`slowdowns`] — fairness statistics;
-//! * [`merge_records`] / [`ClusterSummary`] — cross-machine aggregation
-//!   for the cluster layer (merged CDFs/percentiles in machine order);
+//! * [`merge_records`] / [`FleetSummary`] — cross-machine aggregation
+//!   for the cluster layer (merged CDFs/percentiles in machine order,
+//!   plus the front-end layers' ledgers); [`ClusterSummary`] is the
+//!   fleet summary over exact [`RunSummary`]s;
 //! * [`QuantileSketch`] / [`StreamRunStats`] / [`StreamClusterSummary`] —
 //!   the streaming-cluster counterparts: mergeable ε-approximate
 //!   quantiles and online accumulators holding O(sketch) memory instead
-//!   of O(invocations) (see `DESIGN.md` "Streaming cluster runs");
+//!   of O(invocations), summarized by the same [`FleetSummary`] (see
+//!   `DESIGN.md` "Streaming cluster runs");
 //! * [`OverloadStats`] — the shed/timeout/breaker-trip ledger of the
 //!   dispatch-tier overload middleware (see `DESIGN.md` "Overload
 //!   middleware");
@@ -70,7 +73,7 @@ pub use cdf::DurationCdf;
 pub use chaos::ChaosStats;
 pub use export::{write_records_csv, write_series_csv};
 pub use health::{HealthStats, MachineHealth};
-pub use merge::{merge_records, ClusterSummary};
+pub use merge::{merge_records, ClusterSummary, FleetSummary};
 pub use overload::OverloadStats;
 pub use record::{records_from_tasks, TaskRecord, UnfinishedTaskError};
 pub use sketch::QuantileSketch;

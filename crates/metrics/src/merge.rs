@@ -7,6 +7,10 @@
 //! first, in their original task order), so cluster output is a pure
 //! function of the per-machine results no matter how the machine
 //! simulations were fanned across threads.
+//!
+//! [`FleetSummary`] is the one fleet-level summary, generic over the
+//! merged statistics: both run paths attach the same per-machine
+//! summaries and front-end ledgers to it.
 
 use crate::chaos::ChaosStats;
 use crate::health::{HealthStats, MachineHealth};
@@ -48,12 +52,16 @@ pub fn merge_records(per_machine: &[Vec<TaskRecord>]) -> Vec<TaskRecord> {
     out
 }
 
-/// Cluster-level summary: the merged [`RunSummary`] across all machines
-/// plus each machine's own summary (for balance/outlier inspection).
+/// Fleet-level summary: the merged statistics `M` across all machines,
+/// each machine's own summary (for balance/outlier inspection), and the
+/// ledgers of the front end's layers. [`ClusterSummary`] merges exact
+/// [`RunSummary`]s; [`StreamClusterSummary`](crate::StreamClusterSummary)
+/// merges streaming accumulators.
 #[derive(Debug, Clone)]
-pub struct ClusterSummary {
-    /// Summary over the concatenation of every machine's records.
-    pub merged: RunSummary,
+pub struct FleetSummary<M> {
+    /// Statistics over every machine's completed tasks, merged in machine
+    /// order.
+    pub merged: M,
     /// One summary per machine, in machine order; `None` for a machine
     /// that completed no tasks (possible under heavy downscaling).
     pub per_machine: Vec<Option<RunSummary>>,
@@ -64,28 +72,23 @@ pub struct ClusterSummary {
     /// All-zero when the front end ran without chaos.
     pub chaos: ChaosStats,
     /// What the node-health feedback layer ejected, probed and hedged.
-    /// All-zero when the front end ran without a health tracker.
+    /// All-zero when the front end ran without a health config.
     pub health: HealthStats,
     /// Per-machine health columns (EWMA, ejections, time spent
-    /// ejected), in machine order; empty without a health tracker.
+    /// ejected), in machine order; empty without a health config.
     pub machine_health: Vec<MachineHealth>,
 }
 
-impl ClusterSummary {
-    /// Computes the merged and per-machine summaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no machine completed any task (there is nothing to
-    /// summarize).
-    pub fn compute(per_machine: &[Vec<TaskRecord>]) -> Self {
-        let merged = RunSummary::compute(&merge_records(per_machine));
-        ClusterSummary {
+/// The materializing path's fleet summary: exact statistics computed
+/// from every machine's records.
+pub type ClusterSummary = FleetSummary<RunSummary>;
+
+impl<M> FleetSummary<M> {
+    /// A summary with every layer's ledger still empty.
+    pub(crate) fn new(merged: M, per_machine: Vec<Option<RunSummary>>) -> Self {
+        FleetSummary {
             merged,
-            per_machine: per_machine
-                .iter()
-                .map(|r| (!r.is_empty()).then(|| RunSummary::compute(r)))
-                .collect(),
+            per_machine,
             overload: OverloadStats::default(),
             chaos: ChaosStats::default(),
             health: HealthStats::default(),
@@ -93,8 +96,8 @@ impl ClusterSummary {
         }
     }
 
-    /// Attaches the overload middleware's shed ledger (the records passed
-    /// to [`ClusterSummary::compute`] only describe work that *ran*).
+    /// Attaches the overload middleware's shed ledger (the merged
+    /// statistics only describe work that *ran*).
     pub fn with_overload(mut self, overload: OverloadStats) -> Self {
         self.overload = overload;
         self
@@ -123,6 +126,24 @@ impl ClusterSummary {
         let min = p99s.clone().min().unwrap_or_default();
         let max = p99s.max().unwrap_or_default();
         (min, max)
+    }
+}
+
+impl ClusterSummary {
+    /// Computes the merged and per-machine summaries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no machine completed any task (there is nothing to
+    /// summarize).
+    pub fn compute(per_machine: &[Vec<TaskRecord>]) -> Self {
+        FleetSummary::new(
+            RunSummary::compute(&merge_records(per_machine)),
+            per_machine
+                .iter()
+                .map(|r| (!r.is_empty()).then(|| RunSummary::compute(r)))
+                .collect(),
+        )
     }
 }
 

@@ -4,9 +4,9 @@
 //! timeouts, circuit breakers — see `faas-cluster`'s `middleware`
 //! module). Shed invocations never reach a machine, so they produce no
 //! [`crate::TaskRecord`]; this struct is the ledger of what was refused
-//! and why, attached to both [`crate::ClusterSummary`] and
-//! [`crate::StreamClusterSummary`] so overload scenarios can report
-//! shed rates next to the latency percentiles of the work that ran.
+//! and why, attached to the [`crate::FleetSummary`] of either run path
+//! so overload scenarios can report shed rates next to the latency
+//! percentiles of the work that ran.
 //!
 //! All counters are plain integers incremented in arrival order by a
 //! serial front end, so they are byte-identical at any fan width and

@@ -13,9 +13,10 @@
 //!   provider scale needs and the exact summary never offered;
 //! * [`StreamRunStats`] — the three paper metrics per machine, fed one
 //!   [`TaskRecord`] at a time;
-//! * [`StreamClusterSummary`] — the `ClusterSummary` analogue: per-machine
-//!   stats merged **in machine order** into a fleet-wide summary holding
-//!   O(sketch) memory instead of O(invocations).
+//! * [`StreamClusterSummary`] — the [`crate::FleetSummary`] over these
+//!   accumulators: per-machine stats merged **in machine order** into a
+//!   fleet-wide summary holding O(sketch) memory instead of
+//!   O(invocations).
 //!
 //! Everything except quantiles matches the exact path bit-for-bit (the
 //! differential suite in `faas-cluster` pins this); quantiles carry their
@@ -43,6 +44,7 @@
 
 use faas_simcore::SimDuration;
 
+use crate::merge::FleetSummary;
 use crate::record::TaskRecord;
 use crate::sketch::QuantileSketch;
 use crate::summary::{Metric, MetricSummary, RunSummary};
@@ -238,26 +240,7 @@ impl StreamRunStats {
 /// accumulators merged in machine order, plus fixed-size per-machine
 /// summaries — O(machines × sketch) memory total, independent of the
 /// number of invocations simulated.
-#[derive(Debug, Clone)]
-pub struct StreamClusterSummary {
-    /// Accumulators merged over every machine, in machine order.
-    pub merged: StreamRunStats,
-    /// One rendered summary per machine, in machine order; `None` for a
-    /// machine that completed no tasks.
-    pub per_machine: Vec<Option<RunSummary>>,
-    /// What the dispatch-tier overload middleware refused or killed.
-    /// All-zero when the front end ran without middleware.
-    pub overload: crate::OverloadStats,
-    /// What the fault-injection layer crashed, retried, and scaled.
-    /// All-zero when the front end ran without chaos.
-    pub chaos: crate::ChaosStats,
-    /// What the node-health feedback layer ejected, probed and hedged.
-    /// All-zero when the front end ran without a health tracker.
-    pub health: crate::HealthStats,
-    /// Per-machine health columns (EWMA, ejections, time spent
-    /// ejected), in machine order; empty without a health tracker.
-    pub machine_health: Vec<crate::MachineHealth>,
-}
+pub type StreamClusterSummary = FleetSummary<StreamRunStats>;
 
 impl StreamClusterSummary {
     /// Merges per-machine accumulators (in slice order) into a cluster
@@ -277,58 +260,18 @@ impl StreamClusterSummary {
         for m in per_machine {
             merged.merge_from(m);
         }
-        StreamClusterSummary {
+        FleetSummary::new(
             merged,
-            per_machine: per_machine
+            per_machine
                 .iter()
                 .map(|m| (!m.is_empty()).then(|| m.to_summary()))
                 .collect(),
-            overload: crate::OverloadStats::default(),
-            chaos: crate::ChaosStats::default(),
-            health: crate::HealthStats::default(),
-            machine_health: Vec::new(),
-        }
-    }
-
-    /// Attaches the overload middleware's shed ledger (the accumulators
-    /// only saw work that *ran*).
-    pub fn with_overload(mut self, overload: crate::OverloadStats) -> Self {
-        self.overload = overload;
-        self
-    }
-
-    /// Attaches the chaos layer's fault/retry/autoscale ledger (crashed
-    /// attempts and abandoned invocations never reach an accumulator).
-    pub fn with_chaos(mut self, chaos: crate::ChaosStats) -> Self {
-        self.chaos = chaos;
-        self
-    }
-
-    /// Attaches the health layer's ejection/probe/hedge ledger and the
-    /// per-machine health columns (in machine order).
-    pub fn with_health(
-        mut self,
-        health: crate::HealthStats,
-        machines: Vec<crate::MachineHealth>,
-    ) -> Self {
-        self.health = health;
-        self.machine_health = machines;
-        self
+        )
     }
 
     /// Renders the fleet-wide summary (see [`StreamRunStats::to_summary`]).
     pub fn summary(&self) -> RunSummary {
         self.merged.to_summary()
-    }
-
-    /// The spread of per-machine p99 response times: `(min, max)` across
-    /// machines that completed tasks — same imbalance indicator as
-    /// [`crate::ClusterSummary::response_p99_spread`].
-    pub fn response_p99_spread(&self) -> (SimDuration, SimDuration) {
-        let p99s = self.per_machine.iter().flatten().map(|s| s.response.p99);
-        let min = p99s.clone().min().unwrap_or_default();
-        let max = p99s.max().unwrap_or_default();
-        (min, max)
     }
 
     /// Total summary-tuple footprint of the merged sketches (memory proxy

@@ -167,16 +167,6 @@ impl Gen {
         let n = self.usize_in(min_len, max_len);
         (0..n).map(|_| self.u64_in(lo, hi)).collect()
     }
-
-    /// A vector of coin flips whose length is uniform in `[min_len, max_len)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length range is empty.
-    pub fn vec_bool(&mut self, min_len: usize, max_len: usize) -> Vec<bool> {
-        let n = self.usize_in(min_len, max_len);
-        (0..n).map(|_| self.boolean()).collect()
-    }
 }
 
 /// Extracts a printable message from a panic payload.

@@ -3,9 +3,8 @@
 //! [`SimRng`] is a seeded xoshiro256** generator (state expanded from the
 //! 64-bit seed with SplitMix64, so the workspace needs no external crates)
 //! plus the inverse-transform samplers the trace generator needs
-//! (exponential, bounded Pareto, log-normal via Box–Muller on the
-//! underlying uniform) and a weighted discrete sampler. Everything is
-//! reproducible from the seed.
+//! (exponential, bounded Pareto) and a weighted discrete sampler.
+//! Everything is reproducible from the seed.
 
 use crate::time::SimDuration;
 
@@ -150,19 +149,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// A standard normal sample (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
-        let u1: f64 = 1.0 - self.uniform_f64();
-        let u2: f64 = self.uniform_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// A log-normal sample with the given parameters of the underlying
-    /// normal distribution.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.standard_normal()).exp()
-    }
-
     /// A Pareto sample with minimum `xm` and shape `alpha`, truncated at `cap`.
     ///
     /// Used for bursty per-minute invocation counts: heavy-tailed spikes on
@@ -214,14 +200,6 @@ impl SimRng {
             return base;
         }
         base.mul_f64(self.uniform_range(1.0 - frac, 1.0 + frac))
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.uniform_usize(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -310,27 +288,6 @@ mod tests {
             assert!(d >= SimDuration::from_millis(95) && d <= SimDuration::from_millis(105));
         }
         assert_eq!(rng.jitter(base, 0.0), base);
-    }
-
-    #[test]
-    fn normal_mean_and_var_are_standard() {
-        let mut rng = SimRng::seed_from(5);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from(13);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

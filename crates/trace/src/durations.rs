@@ -54,27 +54,6 @@ impl DurationDistribution {
         }
     }
 
-    /// A distribution with custom bucket weights (one per N in 36..=46).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` does not have 11 entries or sums to zero.
-    pub fn with_weights(calibration: FibCalibration, weights: Vec<f64>) -> Self {
-        assert_eq!(
-            weights.len(),
-            (FIB_MAX_N - FIB_MIN_N + 1) as usize,
-            "need 11 weights"
-        );
-        assert!(
-            weights.iter().sum::<f64>() > 0.0,
-            "weights must sum to a positive value"
-        );
-        DurationDistribution {
-            calibration,
-            weights,
-        }
-    }
-
     /// The calibration mapping buckets to durations.
     pub fn calibration(&self) -> &FibCalibration {
         &self.calibration
@@ -162,33 +141,9 @@ impl MemoryDistribution {
         }
     }
 
-    /// Custom tiers and weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ, tiers are empty, or weights sum to zero.
-    pub fn new(tiers_mib: Vec<u32>, weights: Vec<f64>) -> Self {
-        assert_eq!(
-            tiers_mib.len(),
-            weights.len(),
-            "tiers/weights length mismatch"
-        );
-        assert!(!tiers_mib.is_empty(), "need at least one tier");
-        assert!(
-            weights.iter().sum::<f64>() > 0.0,
-            "weights must sum to a positive value"
-        );
-        MemoryDistribution { tiers_mib, weights }
-    }
-
     /// The memory tiers in MiB.
     pub fn tiers(&self) -> &[u32] {
         &self.tiers_mib
-    }
-
-    /// Weight of each tier (same order as [`MemoryDistribution::tiers`]).
-    pub fn tier_weights(&self) -> &[f64] {
-        &self.weights
     }
 
     /// Samples a memory size in MiB.
@@ -282,11 +237,5 @@ mod tests {
         for _ in 0..1_000 {
             assert!(m.tiers().contains(&m.sample(&mut rng)));
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn wrong_weight_count_rejected() {
-        let _ = DurationDistribution::with_weights(FibCalibration::paper_default(), vec![1.0]);
     }
 }
