@@ -7,12 +7,14 @@
 //! bookkeeping + idle-core offers + policy decision), at 4 cores and, in
 //! `core_scaling`, at 4, 50 and 100 cores under the same load per core,
 //! in `light_load`, on a lightly loaded 50-core hybrid whose long
-//! functions run alone on their CFS cores, and, in `saturated`, on 50
-//! cores whose CFS queues stay long.
+//! functions run alone on their CFS cores, in `saturated`, on 50
+//! cores whose CFS queues stay long, and, in `table1_w2`, on the paper's
+//! Table I enclave at full scale.
 //! Results are written to `BENCH_sched.json` at the workspace root: the
 //! committed baseline future PRs diff against. Set `BENCH_QUICK` for the
 //! CI smoke run.
 
+use faas_bench::paper_machine;
 use faas_bench::timing::{black_box, Bench};
 
 use azure_trace::{AzureTrace, TraceConfig};
@@ -50,7 +52,16 @@ fn specs(n: usize) -> Vec<TaskSpec> {
 /// Runs `specs` to completion on a `cores`-core machine with the default
 /// cost model and returns the kernel event count.
 fn run_machine<P: Scheduler>(cores: usize, specs: &[TaskSpec], policy: P) -> u64 {
-    let cfg = MachineConfig::new(cores).with_cost(CostModel::default());
+    run_on(
+        MachineConfig::new(cores).with_cost(CostModel::default()),
+        specs,
+        policy,
+    )
+}
+
+/// Runs `specs` to completion on a machine built from `cfg` and returns
+/// the kernel event count.
+fn run_on<P: Scheduler>(cfg: MachineConfig, specs: &[TaskSpec], policy: P) -> u64 {
     let report = MachineRun::new(cfg, specs, policy).run_slim().unwrap();
     black_box(report.finished_at);
     report.events_processed
@@ -208,6 +219,33 @@ fn bench_saturated(c: &mut Bench) {
     g.bench_function("hybrid_50c", |b| {
         b.iter(|| run_machine(50, &specs, hybrid()))
     });
+    g.finish();
+}
+
+/// The paper's Table I at full scale, the shape of the benchmark's
+/// `enclave-w2` workload: the whole W2 trace (12,442 invocations over two
+/// minutes, 1.82x the enclave's capacity) on `paper_machine()`, 50 cores
+/// with host interference on. Under CFS, 3.40 M of its 3.44 M kernel
+/// events are slice expiries, nearly all re-dispatching the expiring core
+/// in place; the hybrid's 25+25 split runs 228,185 events. Three samples,
+/// as one CFS run takes about half a second.
+fn bench_table1_w2(c: &mut Bench) {
+    let mut g = c.benchmark_group("table1_w2");
+    g.sample_size(3);
+    let specs = AzureTrace::generate(&TraceConfig::w2()).to_task_specs();
+    let cfs = || run_on(paper_machine(), &specs, faas_policies::Cfs::with_cores(50));
+    let hybrid = || {
+        run_on(
+            paper_machine(),
+            &specs,
+            HybridScheduler::new(HybridConfig::paper_25_25()),
+        )
+    };
+    // One untimed run per row fixes the deterministic event count.
+    g.throughput(cfs());
+    g.bench_function("cfs_50c", |b| b.iter(cfs));
+    g.throughput(hybrid());
+    g.bench_function("hybrid_50c", |b| b.iter(hybrid));
     g.finish();
 }
 
@@ -557,6 +595,23 @@ fn bench_primitives(c: &mut Bench) {
             }
         })
     });
+    // The kernel's slice-timer pattern: 50 timers, one per busy core,
+    // each re-armed at the same delay as it fires (the CFS slice plus a
+    // context switch), among 50 far heap timers (one interference episode
+    // per core). Every re-arm appends to one delay lane.
+    let mut q = EventQueue::new();
+    for core in 0..50u64 {
+        q.schedule(SimTime::from_secs(1_000_000_000 + core), core);
+        q.schedule_after(SimTime::ZERO, SimDuration::from_micros(60 * core + 1), core);
+    }
+    g.bench_function("event_queue_rearm_50_lane_timers_1k", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                let (now, core) = q.pop().expect("50 timers pending");
+                q.schedule_after(now, SimDuration::from_micros(3_005), black_box(core));
+            }
+        })
+    });
     let mut h: faas_simcore::MinHeap4<(i64, u64)> = faas_simcore::MinHeap4::new();
     g.bench_function("minheap4_push_pop_1k", |b| {
         b.iter(|| {
@@ -598,6 +653,7 @@ fn main() {
     bench_core_scaling(&mut c);
     bench_light_load(&mut c);
     bench_saturated(&mut c);
+    bench_table1_w2(&mut c);
     bench_cluster(&mut c);
     bench_cluster_xl(&mut c);
     bench_frontend_scale(&mut c);

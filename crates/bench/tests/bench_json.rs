@@ -110,6 +110,15 @@ fn baseline_has_schema_and_expected_rows() {
         let name = format!("\"group\": \"saturated\", \"name\": \"{policy}_50c\"");
         assert!(text.contains(&name), "baseline missing row: {name}");
     }
+    // The paper's Table I at full scale, the benchmark's enclave shape,
+    // and the slice-timer pattern of its event queue: the bench-guard
+    // quick run catches a regression of the delay lanes.
+    for policy in ["cfs", "hybrid"] {
+        let name = format!("\"group\": \"table1_w2\", \"name\": \"{policy}_50c\"");
+        assert!(text.contains(&name), "baseline missing row: {name}");
+    }
+    let name = "\"group\": \"primitives\", \"name\": \"event_queue_rearm_50_lane_timers_1k\"";
+    assert!(text.contains(name), "baseline missing row: {name}");
     // Every row must carry a real group label; `"group": ""` means a
     // bench was registered outside a benchmark_group again.
     assert!(

@@ -1,6 +1,6 @@
 //! Determinism pins for the heavy-policy figures.
 //!
-//! Six byte-identical-output contracts are pinned here permanently:
+//! Seven byte-identical-output contracts are pinned here permanently:
 //!
 //! * PR 4 swapped the simulation's two hottest data structures (the event
 //!   queue and the CFS run queues) for index-addressed dense equivalents.
@@ -34,6 +34,10 @@
 //!   `autoscale` digest (scale-ups and scale-downs without a health
 //!   config, at `SCALE_DIV=8`: at 40 it never scales) were captured from
 //!   the tree before that change.
+//! * The kernel's slice timers and ticks later moved from the event
+//!   queue's heap into FIFO delay lanes. The `table1` digest (FIFO, CFS
+//!   and the hybrid on the paper's enclave) was captured from the tree
+//!   before that change.
 //!
 //! The same output must also be byte-identical at any `BENCH_THREADS`
 //! setting (the sweep fan-out must not affect results).
@@ -147,6 +151,15 @@ fn fig11_fig12_bytes_pinned_to_pre_swap_and_thread_invariant() {
         fnv1a(&run_scenario("brownout")),
         0x71e8_4225_2092_af7d,
         "brownout output changed vs. the optional-layer baseline"
+    );
+
+    // Digest recorded from the tree before the kernel's slice timers and
+    // ticks moved into the event queue's delay lanes: the paper's Table I,
+    // the shape the benchmark's enclave runs at full scale.
+    assert_eq!(
+        fnv1a(&run_scenario("table1")),
+        0x3328_f8a2_3da5_5b28,
+        "table1 output changed vs. the all-heap baseline"
     );
     std::env::set_var("SCALE_DIV", "8");
     assert_eq!(

@@ -241,12 +241,14 @@ pub enum PolicyCall {
     Internal,
 }
 
-/// A dynamic kernel event. Task arrivals are *not* heap events: they are
+/// A dynamic kernel event. Task arrivals are *not* queued events: they are
 /// known ahead of the clock (at construction, or when a streamed chunk is
 /// fed), so they live in a time-ordered calendar (`Machine::arrivals`)
-/// consumed from the front — the hot event heap then only ever holds the
-/// handful of in-flight per-core timers (completions, slice expiries,
-/// interference, ticks), keeping its depth tiny.
+/// consumed from the front — the event queue then only ever holds the
+/// handful of in-flight per-core timers. Slice expiries and ticks are
+/// armed a fixed delay ahead of the clock, so they go to the queue's
+/// delay lanes ([`EventQueue::schedule_after`]); completions,
+/// interference, cancels and I/O returns go to its heap.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     Arrival(TaskId),
@@ -420,7 +422,7 @@ impl Machine {
     pub fn arm_tick(&mut self, every: SimDuration) {
         assert!(!every.is_zero(), "tick interval must be positive");
         self.tick_every = Some(every);
-        self.events.schedule(self.now + every, Event::Tick);
+        self.events.schedule_after(self.now, every, Event::Tick);
     }
 
     // ---- queries -----------------------------------------------------
@@ -700,21 +702,6 @@ impl Machine {
         retired
     }
 
-    /// The instant of the next pending kernel event (arrival or heap), or
-    /// `None` when nothing is scheduled. Streaming drivers use this to run
-    /// up to a chunk horizon without consuming events beyond it.
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        let heap = self.events.peek_time();
-        if self.arrivals.is_empty() {
-            heap
-        } else {
-            Some(match heap {
-                Some(h) => self.next_arrival_at.min(h),
-                None => self.next_arrival_at,
-            })
-        }
-    }
-
     // ---- scheduling verbs (the agent ABI) -----------------------------
 
     /// The offer mask, for the policy to narrow: `MachineRun` offers an
@@ -752,75 +739,76 @@ impl Machine {
         task: TaskId,
         slice: Option<SimDuration>,
     ) -> Result<(), SchedError> {
-        if core.index() >= self.cores.len() {
+        let Some(c) = self.cores.get_mut(core.index()) else {
             return Err(SchedError::NoSuchCore(core));
-        }
-        if task.index() < self.task_base || task.index() - self.task_base >= self.tasks.len() {
-            // Below task_base: a retired (hence finished) task — gone.
+        };
+        // Below task_base: a retired (hence finished) task — gone.
+        let Some(t) =
+            (task.index().checked_sub(self.task_base)).and_then(|i| self.tasks.get_mut(i))
+        else {
             return Err(SchedError::NoSuchTask(task));
-        }
-        if self.cores[core.index()].state != CoreState::Idle {
+        };
+        if c.state != CoreState::Idle {
             return Err(SchedError::CoreBusy(core));
         }
-        let state = self.task_ref(task).state;
-        if !matches!(state, TaskState::Queued | TaskState::Preempted) {
+        if !matches!(t.state, TaskState::Queued | TaskState::Preempted) {
             return Err(SchedError::NotRunnable(task));
         }
 
-        let warm = self.cores[core.index()].last_task == Some(task);
+        let now = self.now;
+        let warm = c.last_task == Some(task);
         let switch_cost = if warm {
             SimDuration::ZERO
         } else {
             self.cfg.cost.ctx_switch
         };
-        if state == TaskState::Preempted && !warm {
+        if t.state == TaskState::Preempted && !warm {
             // Cold resume: pay the cache/TLB restore penalty as extra work.
-            let penalty = self.cfg.cost.restore_penalty;
-            self.task_mut(task).remaining += penalty;
+            t.remaining += self.cfg.cost.restore_penalty;
         }
 
-        let c = &mut self.cores[core.index()];
         c.state = CoreState::Running(task);
         c.generation += 1;
-        c.busy_since = Some(self.now);
-        c.work_start = self.now + switch_cost;
+        c.busy_since = Some(now);
+        c.work_start = now + switch_cost;
         c.last_task = Some(task);
         if !warm {
             c.ctx_switches += 1;
         }
         let generation = c.generation;
-        self.mark_busy(core);
-        self.waiting -= 1;
 
-        let now = self.now;
-        let t = self.task_mut(task);
         t.state = TaskState::Running;
         t.on_core = Some(core);
         if t.first_run.is_none() {
             t.first_run = Some(now);
         }
-
         let remaining = t.remaining;
-        let work_start = now + switch_cost;
-        match slice {
-            Some(s) if s < remaining => {
-                self.events
-                    .schedule(work_start + s, Event::SliceExpire { core, generation });
-            }
-            _ => {
-                self.events
-                    .schedule(work_start + remaining, Event::Complete { core, generation });
-            }
-        }
         // A task dispatched past its deadline is killed on the spot: the
         // cancel event that fired while it was queued was a no-op (the
-        // policy still owned it), so re-arm it for this very instant — it
-        // fires before any work happens, and the policy sees an ordinary
-        // `TaskFinished`.
-        if let Some(deadline) = self.task_ref(task).spec().deadline {
-            if deadline <= now {
-                self.events.schedule(now, Event::Cancel(task));
+        // policy still owned it), so it is re-armed below for this very
+        // instant — it fires before any work happens, and the policy sees
+        // an ordinary `TaskFinished`.
+        let past_deadline = t.spec().deadline.is_some_and(|d| d <= now);
+
+        self.mark_busy(core);
+        self.waiting -= 1;
+        match slice {
+            Some(s) if s < remaining => {
+                self.events.schedule_after(
+                    now,
+                    switch_cost + s,
+                    Event::SliceExpire { core, generation },
+                );
             }
+            _ => {
+                self.events.schedule(
+                    now + switch_cost + remaining,
+                    Event::Complete { core, generation },
+                );
+            }
+        }
+        if past_deadline {
+            self.events.schedule(now, Event::Cancel(task));
         }
         self.log(KernelMessage::Dispatch { task, core, slice });
         Ok(())
@@ -868,21 +856,62 @@ impl Machine {
         if self.finished == self.tasks.len() {
             return Ok(None);
         }
-        // Merge the static arrival calendar with the dynamic event heap;
-        // at equal instants the arrival fires first (it would have held
-        // the smaller insertion sequence in a unified heap).
-        let heap_t = self.events.peek_time().unwrap_or(SimTime::MAX);
-        let (at, ev) = if !self.arrivals.is_empty() && self.next_arrival_at <= heap_t {
-            let (at, task) = self.arrivals.pop_front().expect("checked non-empty");
-            self.next_arrival_at = self.arrivals.front().map_or(SimTime::MAX, |&(t, _)| t);
-            (at, Event::Arrival(task))
-        } else if let Some(popped) = self.events.pop() {
-            popped
+        let next = if self.arrivals.is_empty() {
+            self.events.pop()
         } else {
-            return Err(SimError::Deadlock {
-                unfinished: self.tasks.len() - self.finished,
-            });
+            Some(self.pop_until_arrival())
         };
+        match next {
+            Some((at, ev)) => self.fire(at, ev).map(Some),
+            None => Err(SimError::Deadlock {
+                unfinished: self.tasks.len() - self.finished,
+            }),
+        }
+    }
+
+    /// Like [`Machine::advance`], but fires only an event strictly before
+    /// `bound`: `Ok(None)` once every task has finished or nothing is
+    /// pending before `bound`, including when nothing is pending at all.
+    /// The bounded run of a streaming driver, with the bound check folded
+    /// into the same merge of arrivals and timers.
+    pub(crate) fn advance_before(
+        &mut self,
+        bound: SimTime,
+    ) -> Result<Option<PolicyCall>, SimError> {
+        if self.finished == self.tasks.len() {
+            return Ok(None);
+        }
+        // `next_arrival_at` is `SimTime::MAX` while no arrival is pending,
+        // so an arrival before the bound means one is pending.
+        let next = if self.next_arrival_at < bound {
+            Some(self.pop_until_arrival())
+        } else {
+            self.events.pop_before(bound)
+        };
+        match next {
+            Some((at, ev)) => self.fire(at, ev).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Takes the next event while an arrival is pending: the queue's
+    /// earliest event if it fires strictly before that arrival, else the
+    /// arrival. At equal instants the arrival fires first (it would have
+    /// held the smaller insertion sequence in a unified queue).
+    fn pop_until_arrival(&mut self) -> (SimTime, Event) {
+        if let Some(popped) = self.events.pop_before(self.next_arrival_at) {
+            return popped;
+        }
+        let (at, task) = self.arrivals.pop_front().expect("an arrival is pending");
+        self.next_arrival_at = self.arrivals.front().map_or(SimTime::MAX, |&(t, _)| t);
+        (at, Event::Arrival(task))
+    }
+
+    /// Moves the clock to `at` and applies `ev`, returning the policy
+    /// notification it yields. Inlined into both advance paths, so the
+    /// popped event stays in registers instead of crossing a call.
+    #[inline(always)]
+    fn fire(&mut self, at: SimTime, ev: Event) -> Result<PolicyCall, SimError> {
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
         self.events_processed += 1;
@@ -908,12 +937,12 @@ impl Machine {
                 PolicyCall::TaskNew(task)
             }
             Event::Complete { core, generation } => {
-                if self.cores[core.index()].generation != generation {
+                let c = &self.cores[core.index()];
+                if c.generation != generation {
                     PolicyCall::Internal
                 } else {
-                    let task = match self.cores[core.index()].state {
-                        CoreState::Running(t) => t,
-                        _ => unreachable!("live completion on non-running core"),
+                    let CoreState::Running(task) = c.state else {
+                        unreachable!("live completion on non-running core")
                     };
                     let io_wait = self.task_ref(task).spec().io_wait;
                     if io_wait.is_zero() {
@@ -980,12 +1009,12 @@ impl Machine {
                 }
             }
             Event::SliceExpire { core, generation } => {
-                if self.cores[core.index()].generation != generation {
+                let c = &self.cores[core.index()];
+                if c.generation != generation {
                     PolicyCall::Internal
                 } else {
-                    let task = match self.cores[core.index()].state {
-                        CoreState::Running(t) => t,
-                        _ => unreachable!("live slice expiry on non-running core"),
+                    let CoreState::Running(task) = c.state else {
+                        unreachable!("live slice expiry on non-running core")
                     };
                     self.stop_running(core, task);
                     self.log(KernelMessage::SliceExpired { task, core });
@@ -1054,18 +1083,18 @@ impl Machine {
             }
             Event::Tick => {
                 let every = self.tick_every.expect("tick event without interval");
-                self.events.schedule(self.now + every, Event::Tick);
+                self.events.schedule_after(self.now, every, Event::Tick);
                 PolicyCall::Tick
             }
         };
-        Ok(Some(call))
+        Ok(call)
     }
 
     /// Ends the run segment on `core`: bills its busy interval, frees the
-    /// core and bumps its generation (invalidating in-flight
-    /// Complete/SliceExpire). Returns how long the task ran since
-    /// `work_start`.
-    fn end_segment(&mut self, core: CoreId) -> SimDuration {
+    /// core, bumps its generation (invalidating in-flight
+    /// Complete/SliceExpire) and, if the task was `preempted`, the core's
+    /// preemption count. Returns how long the task ran since `work_start`.
+    fn end_segment(&mut self, core: CoreId, preempted: bool) -> SimDuration {
         let now = self.now;
         let c = &mut self.cores[core.index()];
         let ran = now.saturating_since(c.work_start);
@@ -1075,6 +1104,7 @@ impl Machine {
             .expect("running core without busy_since");
         c.state = CoreState::Idle;
         c.generation += 1;
+        c.preemptions += u64::from(preempted);
         self.mark_idle(core);
         self.util.record_busy(core.index(), since, now);
         ran
@@ -1083,8 +1113,7 @@ impl Machine {
     /// Ends the current run segment of `task` on `core` without finishing
     /// it: accounts progress, bumps preemption counters, frees the core.
     fn stop_running(&mut self, core: CoreId, task: TaskId) {
-        let ran = self.end_segment(core);
-        self.cores[core.index()].preemptions += 1;
+        let ran = self.end_segment(core, true);
         self.waiting += 1;
         let t = self.task_mut(task);
         let ran = ran.min(t.remaining);
@@ -1098,7 +1127,7 @@ impl Machine {
     /// Finishes the CPU work of `task` on `core` and moves it to the
     /// off-CPU blocked state (external call in flight).
     fn release_to_io(&mut self, core: CoreId, task: TaskId) {
-        self.end_segment(core);
+        self.end_segment(core, false);
         let t = self.task_mut(task);
         t.cpu_time += t.remaining;
         t.remaining = SimDuration::ZERO;
@@ -1108,7 +1137,7 @@ impl Machine {
 
     /// Completes `task` on `core`.
     fn finish_running(&mut self, core: CoreId, task: TaskId) {
-        self.end_segment(core);
+        self.end_segment(core, false);
         let now = self.now;
         let t = self.task_mut(task);
         t.cpu_time += t.remaining;
@@ -1125,7 +1154,7 @@ impl Machine {
     /// frees the core, and moves the task to the terminal `Cancelled`
     /// state with no completion instant.
     fn cancel_running(&mut self, core: CoreId, task: TaskId) {
-        let ran = self.end_segment(core);
+        let ran = self.end_segment(core, false);
         let t = self.task_mut(task);
         let ran = ran.min(t.remaining);
         t.remaining -= ran;
@@ -1504,16 +1533,15 @@ mod tests {
         m.dispatch(CoreId(0), TaskId(0), None).unwrap();
         m.advance().unwrap(); // finish at 10 ms
         assert_eq!(m.advance().unwrap(), None, "all fed tasks finished");
-        assert_eq!(m.next_event_at(), None);
         m.push_specs(vec![TaskSpec::function(
             SimTime::from_millis(50),
             SimDuration::from_millis(5),
             128,
         )]);
-        assert_eq!(m.next_event_at(), Some(SimTime::from_millis(50)));
         assert_eq!(m.num_tasks(), 2);
         // Ids continue densely after the already-fed task.
         assert_eq!(m.advance().unwrap(), Some(PolicyCall::TaskNew(TaskId(1))));
+        assert_eq!(m.now(), SimTime::from_millis(50));
         m.dispatch(CoreId(0), TaskId(1), None).unwrap();
         assert_eq!(
             m.advance().unwrap(),

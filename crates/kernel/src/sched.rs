@@ -244,16 +244,10 @@ impl<P: Scheduler> MachineRun<P> {
     ///
     /// Propagates [`SimError`] from the machine.
     pub fn run_until(&mut self, bound: SimTime) -> Result<(), SimError> {
-        loop {
-            match self.machine.next_event_at() {
-                Some(t) if t < bound => {
-                    if !self.step()? {
-                        return Ok(());
-                    }
-                }
-                _ => return Ok(()),
-            }
+        while let Some(call) = self.machine.advance_before(bound)? {
+            self.deliver(call);
         }
+        Ok(())
     }
 
     /// Runs until every task fed so far has finished: the final drain of a
@@ -281,10 +275,18 @@ impl<P: Scheduler> MachineRun<P> {
     ///
     /// Propagates [`SimError`] from the machine.
     pub fn step(&mut self) -> Result<bool, SimError> {
-        let call = match self.machine.advance()? {
-            Some(c) => c,
-            None => return Ok(false),
-        };
+        match self.machine.advance()? {
+            Some(call) => {
+                self.deliver(call);
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
+
+    /// Delivers one kernel notification to the policy, then offers the
+    /// idle cores in the offer mask while a task waits.
+    fn deliver(&mut self, call: PolicyCall) {
         let m = &mut self.machine;
         match call {
             PolicyCall::TaskNew(t) => self.policy.on_task_new(m, t),
@@ -300,7 +302,6 @@ impl<P: Scheduler> MachineRun<P> {
         if self.machine.num_waiting() > 0 && self.machine.num_idle_cores() > 0 {
             self.offer_idle_cores();
         }
-        Ok(true)
     }
 
     /// Offers the idle cores in the offer mask, in core-id order, until

@@ -193,11 +193,16 @@ impl CfsRunQueues {
         self.rqs[core.index()].queue.len()
     }
 
-    /// The effective vruntime (µs) of `task`, which this type last
-    /// dispatched on member `core` and which runs there or has just
-    /// stopped there.
-    fn running_vruntime(&self, m: &Machine, core: CoreId, task: TaskId) -> i64 {
-        self.rqs[core.index()].running_offset + m.task(task).cpu_time().as_micros() as i64
+    /// The CPU time (µs) of `task`, the term its vruntime advances by.
+    fn cpu_us(m: &Machine, task: TaskId) -> i64 {
+        m.task(task).cpu_time().as_micros() as i64
+    }
+
+    /// The effective vruntime (µs) of the task this type last dispatched
+    /// on member `core`, which runs there or has just stopped there, when
+    /// its CPU time is `cpu_us`.
+    fn running_vruntime(&self, core: CoreId, cpu_us: i64) -> i64 {
+        self.rqs[core.index()].running_offset + cpu_us
     }
 
     /// Enqueues a task entering member `core` fresh, placed at the core's
@@ -225,7 +230,7 @@ impl CfsRunQueues {
     /// slice expiries go through [`expire_slice`](Self::expire_slice));
     /// its vruntime advanced by the CPU time it consumed.
     pub fn requeue(&mut self, m: &Machine, core: CoreId, task: TaskId) {
-        let vr = self.running_vruntime(m, core, task);
+        let vr = self.running_vruntime(core, Self::cpu_us(m, task));
         self.push(core.index(), (vr, task));
     }
 
@@ -247,10 +252,22 @@ impl CfsRunQueues {
     ///   `core`. Its queue holds at least the requeued task, so it would
     ///   dispatch its own head without stealing, leaving no idle core to
     ///   offer; a composing policy's other groups have none either.
+    ///
+    /// The expired task's CPU time is read once: when the queue head is
+    /// that task again (a lone renewal), the dispatch reuses it.
     pub fn expire_slice(&mut self, m: &mut Machine, core: CoreId, task: TaskId) {
-        self.requeue(m, core, task);
+        let idx = core.index();
+        let cpu_us = Self::cpu_us(m, task);
+        self.push(idx, (self.running_vruntime(core, cpu_us), task));
         if m.num_waiting() == 1 || m.num_idle_cores() == 1 {
-            self.dispatch(m, core);
+            // The queue holds at least `task`, so there is nothing to steal.
+            let key = self.take(idx, RunQueue::pop_min).expect("non-empty queue");
+            let cpu_us = if key.1 == task {
+                cpu_us
+            } else {
+                Self::cpu_us(m, key.1)
+            };
+            self.run(m, core, key, cpu_us);
         }
     }
 
@@ -264,9 +281,15 @@ impl CfsRunQueues {
             return;
         }
         let key = self.take(idx, RunQueue::pop_min).expect("non-empty queue");
-        let rq = &mut self.rqs[idx];
+        self.run(m, core, key, Self::cpu_us(m, key.1));
+    }
+
+    /// Runs `key`, just taken off member `core`'s queue, on `core` with
+    /// the latency-target slice; `cpu_us` is the task's CPU time.
+    fn run(&mut self, m: &mut Machine, core: CoreId, key: RqKey, cpu_us: i64) {
+        let rq = &mut self.rqs[core.index()];
         rq.min_vruntime = rq.min_vruntime.max(key.0);
-        rq.running_offset = key.0 - m.task(key.1).cpu_time().as_micros() as i64;
+        rq.running_offset = key.0 - cpu_us;
         let queued = rq.queue.len();
         let slice = self.slice_for(queued);
         m.dispatch(core, key.1, Some(slice))
@@ -488,7 +511,8 @@ impl Scheduler for Cfs {
         // vruntime is far enough ahead of the newcomer, kick it off now;
         // the idle sweep re-picks the smallest vruntime (the newcomer).
         if let Some((running, _)) = m.running_on(core) {
-            let lead = self.rqs.running_vruntime(m, core, running) - vr;
+            let cpu_us = CfsRunQueues::cpu_us(m, running);
+            let lead = self.rqs.running_vruntime(core, cpu_us) - vr;
             if lead >= self.params.wakeup_granularity.as_micros() as i64 {
                 let evicted = m.preempt(core).expect("core was running");
                 self.rqs.requeue(m, core, evicted);

@@ -8,7 +8,12 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock;
 //! * [`EventQueue`] — a future-event list with deterministic tie-breaking
-//!   (a [`MinHeap4`] keyed on instant, then insertion order);
+//!   (instant, then insertion order): a [`MinHeap4`] for events scheduled
+//!   at an instant, plus FIFO delay lanes for timers armed a repeated
+//!   delay ahead of the caller's clock. [`EventQueue::schedule_after`]
+//!   requires that clock never to run backwards between calls (until
+//!   [`EventQueue::clear`]); that keeps each lane sorted, so the merged
+//!   pop order is exactly the all-heap order;
 //! * [`MinHeap4`] — the dense 4-ary min-heap backing the event queue and
 //!   the front end's heaps;
 //! * [`SortedDeque`] — the ascending `VecDeque` backing the CFS run

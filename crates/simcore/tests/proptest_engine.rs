@@ -49,51 +49,102 @@ fn fifo_within_instant() {
     });
 }
 
+/// Delays `schedule_after` draws from in the queue's model checks: more
+/// than the queue's eight delay lanes, so lanes fill, empty, get re-keyed
+/// to other delays, and overflow to the heap.
+const DELAYS_US: [u64; 12] = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144];
+
 /// Differential model check of the queue: under chaotic schedule/pop/
 /// peek interleavings, the queue must agree with a brute-force reference
 /// model of the documented contract — pops ordered by (time, insertion
-/// sequence), `len`/`peek_time` consistent throughout.
+/// sequence), `len`/`peek_time` consistent throughout — whether an event
+/// went through `schedule` (the heap) or `schedule_after` (a delay lane).
+///
+/// A clock advances to each popped instant, as a simulation's does, and
+/// `schedule_after` arms timers a delay ahead of it. `schedule` lands
+/// near the clock, so many events share an instant with others from
+/// both sources. Pops are plain or bounded (`pop_before`).
 #[test]
 fn event_queue_matches_reference_model() {
+    use std::cell::Cell;
+    // Timers armed while more delays were pending than the queue has
+    // lanes: some of those must have overflowed to the heap.
+    let overflowing = Cell::new(0u32);
     check::run("event_queue_matches_reference_model", 192, |g| {
-        let steps = g.usize_in(1, 120);
+        let steps = g.usize_in(1, 200);
         let mut q = EventQueue::new();
         // The model: per scheduled event, its (time, seq) key while still
-        // pending (`None` once popped), indexed by schedule order.
-        // Payloads are the schedule indices.
+        // pending (`None` once popped), indexed by schedule order, and
+        // the delay it was armed with (`None` for `schedule`). Payloads
+        // are the schedule indices.
         let mut pending: Vec<Option<(SimTime, u64)>> = Vec::new();
+        let mut armed: Vec<Option<u64>> = Vec::new();
+        let mut now = SimTime::ZERO;
         let mut seq = 0u64;
         for _ in 0..steps {
-            match g.usize_in(0, 3) {
-                // Schedule (twice as likely, so queues actually grow).
+            match g.usize_in(0, 6) {
+                // Schedule at an instant at or shortly after the clock.
                 0 | 1 => {
-                    let at = SimTime::from_micros(g.u64_in(0, 1_000));
+                    let at = now + SimDuration::from_micros(g.u64_in(0, 20));
                     q.schedule(at, pending.len());
                     pending.push(Some((at, seq)));
+                    armed.push(None);
                     seq += 1;
                 }
-                // Pop must deliver the model's (time, seq)-minimum.
-                _ => {
+                // Arm a timer a fixed delay ahead of the clock.
+                2 | 3 => {
+                    let d = DELAYS_US[g.usize_in(0, DELAYS_US.len())];
+                    let mut live: Vec<u64> = pending
+                        .iter()
+                        .zip(&armed)
+                        .filter_map(|(k, d)| k.and(*d))
+                        .filter(|&other| other != d)
+                        .collect();
+                    live.sort_unstable();
+                    live.dedup();
+                    if live.len() >= 8 {
+                        overflowing.set(overflowing.get() + 1);
+                    }
+                    q.schedule_after(now, SimDuration::from_micros(d), pending.len());
+                    pending.push(Some((now + SimDuration::from_micros(d), seq)));
+                    armed.push(Some(d));
+                    seq += 1;
+                }
+                // Pop, or pop before a limit near the clock: either must
+                // deliver the model's (time, seq)-minimum, or nothing.
+                op => {
                     let min = pending
                         .iter()
                         .enumerate()
                         .filter_map(|(i, k)| k.map(|key| (key, i)))
                         .min();
+                    let limit = (op == 5).then(|| now + SimDuration::from_micros(g.u64_in(0, 40)));
+                    let got = match limit {
+                        Some(limit) => q.pop_before(limit),
+                        None => q.pop(),
+                    };
                     match min {
-                        Some(((at, _), i)) => {
-                            assert_eq!(q.pop(), Some((at, i)), "pop");
+                        Some(((at, _), i)) if limit.is_none_or(|l| at < l) => {
+                            assert_eq!(got, Some((at, i)), "pop (limit {limit:?})");
                             pending[i] = None;
+                            now = at;
                         }
-                        None => assert_eq!(q.pop(), None, "pop on empty"),
+                        _ => assert_eq!(got, None, "pop (limit {limit:?}) with nothing due"),
                     }
                 }
             }
             let live = pending.iter().flatten().count();
             assert_eq!(q.len(), live, "len diverged");
+            assert_eq!(q.is_empty(), live == 0, "is_empty diverged");
             let min_t = pending.iter().flatten().map(|&(at, _)| at).min();
             assert_eq!(q.peek_time(), min_t, "peek_time diverged");
         }
     });
+    assert!(
+        overflowing.get() > 500,
+        "only {} timers armed past the lane count",
+        overflowing.get()
+    );
 }
 
 /// Differential model check of the 4-ary heap: `push`/`pop_min` over
@@ -182,21 +233,41 @@ fn sorted_deque_matches_btreeset_model() {
 }
 
 /// `clear` starts a fresh FIFO epoch: events scheduled after it pop in
-/// (time, insertion) order and no stale entry leaks through.
+/// (time, insertion) order and no stale entry leaks through, from the
+/// heap or from a delay lane. The new epoch's clock may start below the
+/// old one's.
 #[test]
 fn clear_preserves_order() {
     check::run("clear_preserves_order", 128, |g| {
         let mut q = EventQueue::new();
-        // A throwaway epoch that `clear` must fully erase.
+        // A throwaway epoch that `clear` must fully erase, its clock
+        // ahead of the next epoch's.
+        let mut now = SimTime::from_micros(100);
         for i in 0..g.usize_in(0, 20) {
-            q.schedule(SimTime::from_micros(g.u64_in(0, 100)), i);
+            if g.boolean() {
+                q.schedule(SimTime::from_micros(g.u64_in(100, 200)), i);
+            } else {
+                now += SimDuration::from_micros(g.u64_in(0, 3));
+                let d = DELAYS_US[g.usize_in(0, DELAYS_US.len())];
+                q.schedule_after(now, SimDuration::from_micros(d), i);
+            }
         }
         q.clear();
+        assert!(q.is_empty(), "clear left events behind");
         let n = g.usize_in(1, 60);
         let mut expected: Vec<(SimTime, usize)> = Vec::new();
+        now = SimTime::ZERO;
         for i in 0..n {
-            let at = SimTime::from_micros(g.u64_in(0, 50));
-            q.schedule(at, i);
+            let at = if g.boolean() {
+                let at = SimTime::from_micros(g.u64_in(0, 50));
+                q.schedule(at, i);
+                at
+            } else {
+                now += SimDuration::from_micros(g.u64_in(0, 3));
+                let d = SimDuration::from_micros(DELAYS_US[g.usize_in(0, DELAYS_US.len())]);
+                q.schedule_after(now, d, i);
+                now + d
+            };
             expected.push((at, i));
         }
         expected.sort();

@@ -27,11 +27,19 @@
 //! existed, when every such expiry went through `MachineRun`'s offers.
 //! The saturated shapes also pin how many idle-core offers the driver
 //! makes, and how many the policy declines.
+//!
+//! A third, tie-heavy shape keeps many cores in phase: integer-millisecond
+//! arrivals and work on a cost-free 8-core machine, under plain CFS and a
+//! 4+4 hybrid. Hundreds of its instants carry the slice expiries of two or
+//! more cores, so it pins the event queue's (time, insertion) order where
+//! equal instants are common. Its digests were captured from the tree
+//! before the kernel's slice timers moved into the queue's delay lanes.
 
 use serverless_hybrid_sched::kernel::{
     CoreId, KernelMessage, MachineRun, SimError, SlimReport, TaskId,
 };
 use serverless_hybrid_sched::prelude::*;
+use serverless_hybrid_sched::simcore::SimRng;
 
 /// The light-load machine: the paper's 50-core enclave.
 const CORES: usize = 50;
@@ -262,4 +270,94 @@ fn saturated_offer_counts_pinned() {
         (19_428, 0),
         "hybrid-4-4"
     );
+}
+
+/// The tie-heavy machine: 8 cores, no switch cost or restore penalty.
+fn tie_machine() -> MachineConfig {
+    MachineConfig::new(SATURATED_CORES)
+        .with_cost(CostModel::free())
+        .with_interference(InterferenceConfig::default())
+        .with_seed(0x5eed)
+        .with_message_log()
+}
+
+/// 200 invocations over about a minute, with integer-millisecond
+/// arrivals and work: every fourth runs 2–8 s, the rest 1–1,600 ms, 6.2
+/// cores of load on 8. With the switch free, every dispatch, slice and
+/// completion lands on a millisecond grid shared by all cores, so cores
+/// rotating their queues stay in phase and their slice expiries coincide.
+/// Host interference knocks single cores off the grid now and then.
+fn tie_specs() -> Vec<TaskSpec> {
+    let mut rng = SimRng::seed_from(0x71e5);
+    let mut at = 0;
+    (0..200)
+        .map(|i| {
+            at += rng.uniform_u64(600);
+            let work = if i % 4 == 0 {
+                2_000 + rng.uniform_u64(6_000)
+            } else {
+                1 + rng.uniform_u64(1_600)
+            };
+            TaskSpec::function(
+                SimTime::from_millis(at),
+                SimDuration::from_millis(work),
+                128,
+            )
+        })
+        .collect()
+}
+
+/// Instants at which the slices of two or more cores expire together.
+fn coincident_expiry_instants(r: &SlimReport) -> usize {
+    let expiries: Vec<(SimTime, CoreId)> = r
+        .messages
+        .iter()
+        .filter_map(|&(at, m)| match m {
+            KernelMessage::SliceExpired { core, .. } => Some((at, core)),
+            _ => None,
+        })
+        .collect();
+    expiries
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|batch| batch.iter().any(|&(_, core)| core != batch[0].1))
+        .count()
+}
+
+/// Checks a tie-heavy run's pin after making sure more than
+/// `min_instants` instants carry the slice expiries of two or more cores.
+fn assert_ties_pinned(name: &str, r: &SlimReport, min_instants: usize, expected: u64) {
+    let instants = coincident_expiry_instants(r);
+    assert!(
+        instants > min_instants,
+        "{name}: only {instants} instants with coincident expiries"
+    );
+    assert_eq!(
+        digest(r),
+        expected,
+        "{name}: output changed vs. the pinned baseline"
+    );
+}
+
+/// Plain CFS on the tie-heavy shape: the event queue must keep its
+/// (time, insertion) order across every batch of coincident expiries.
+#[test]
+fn cfs_8_coincident_expiries_pinned() {
+    let r = MachineRun::new(tie_machine(), tie_specs(), Cfs::with_cores(SATURATED_CORES))
+        .run_slim()
+        .expect("cfs run completes");
+    assert_ties_pinned("cfs-8-ties", &r, 2_000, 0x97fa_d34a_fd8a_70c4);
+}
+
+/// The 4+4 hybrid on the tie-heavy shape: coincident CFS-side expiries
+/// interleave with the hybrid's ticks and FIFO-side completions.
+#[test]
+fn hybrid_4_4_coincident_expiries_pinned() {
+    let r = MachineRun::new(
+        tie_machine(),
+        tie_specs(),
+        HybridScheduler::new(HybridConfig::split(4, 4)),
+    )
+    .run_slim()
+    .expect("hybrid run completes");
+    assert_ties_pinned("hybrid-4-4-ties", &r, 500, 0x3108_5eaf_5e68_1100);
 }
