@@ -18,7 +18,7 @@ use faas_bench::paper_machine;
 use faas_bench::timing::{black_box, Bench};
 
 use azure_trace::{AzureTrace, TraceConfig};
-use faas_cluster::dispatch::{KeepAliveDispatch, LeastOutstanding};
+use faas_cluster::dispatch::{KeepAliveDispatch, LeastOutstanding, RoundRobinDispatch};
 use faas_cluster::{
     AutoscaleConfig, BackoffConfig, BreakerConfig, ChaosConfig, Cluster, ClusterConfig,
     ClusterTask, ClusterTaskStream, ColdStartConfig, Dispatch, EjectionConfig, FaultPlan,
@@ -418,22 +418,25 @@ fn bench_cluster(c: &mut Bench) {
 /// over a downscaled hour trace fed minute by minute (never
 /// materialized), paper hybrid nodes, Firecracker cold starts. Fan
 /// pinned to one thread like `bench_cluster`, so the sample measures
-/// per-event work. The workload size is fixed (no `SCALE_DIV`) so the
-/// baseline row stays comparable across runs; events/sec uses the
-/// deterministic fleet-wide kernel-event count. Peak RSS is printed as a
-/// stdout note — the streaming contract keeps it O(in-flight + sketches)
-/// regardless of trace length (pinned by the cluster differential
-/// tests), so it is informational, not a diffed row.
+/// per-event work. Keep-alive dispatch packs the work onto one machine;
+/// the `stream_rr_*` row spreads it round-robin over 128 machines with
+/// host interference on, so every machine is built and idles for most of
+/// the hour, which is what an idle machine costs. The workload sizes are
+/// fixed (no `SCALE_DIV`) so the baseline rows stay comparable across
+/// runs; events/sec uses the deterministic fleet-wide kernel-event count.
+/// Peak RSS is printed as a stdout note — the streaming contract keeps it
+/// O(in-flight + fed machines × sketch) regardless of trace length
+/// (pinned by the cluster differential and live-bytes tests), so it is
+/// informational, not a diffed row.
 fn bench_cluster_xl(c: &mut Bench) {
     let mut g = c.benchmark_group("cluster_xl");
     g.sample_size(3);
-    let cfg = TraceConfig {
+    let hour = TraceConfig {
         minutes: 60,
         total_invocations: 373_260,
         ..TraceConfig::w2()
-    }
-    .rps_scaled(512)
-    .downscaled(2_048);
+    };
+    let cfg = hour.clone().rps_scaled(512).downscaled(2_048);
     let run = || {
         let cluster_cfg =
             ClusterConfig::new(512, MachineConfig::new(50).with_cost(CostModel::default()))
@@ -453,10 +456,35 @@ fn bench_cluster_xl(c: &mut Bench) {
     let events = run();
     g.throughput(events);
     g.bench_function("stream_512x50c_hour_div2048", |b| b.iter(run));
+
+    // The spread stream: round-robin dispatch feeds every machine, so
+    // every machine is built and mostly idle for the whole hour. Paper
+    // machines (host interference on), the per-machine rate of a
+    // 1,024-node fleet at 1/8192, on an eighth of that fleet.
+    let spread_machines = 128;
+    let spread_cfg = hour.rps_scaled(spread_machines).downscaled(8_192);
+    let run_spread = || {
+        let cluster_cfg = ClusterConfig::new(spread_machines, paper_machine())
+            .with_cold_start(ColdStartConfig::firecracker());
+        let report = Cluster::new(cluster_cfg, RoundRobinDispatch::new(), |_| {
+            HybridScheduler::new(HybridConfig::paper_25_25())
+        })
+        .run_streaming(
+            ClusterTaskStream::new(&spread_cfg, 1),
+            &StreamOptions::default(),
+            1,
+        )
+        .unwrap();
+        black_box(report.finished_at());
+        report.events_processed()
+    };
+    let events = run_spread();
+    g.throughput(events);
+    g.bench_function("stream_rr_128x50c_hour_div8192", |b| b.iter(run_spread));
     g.finish();
     if let Some(mib) = faas_bench::peak_rss_mib() {
         println!(
-            "  cluster_xl peak RSS so far: {mib} MiB (streaming run holds O(in-flight + sketches))"
+            "  cluster_xl peak RSS so far: {mib} MiB (streaming run holds O(in-flight + fed machines x sketch))"
         );
     }
 }

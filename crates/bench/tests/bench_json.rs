@@ -119,6 +119,11 @@ fn baseline_has_schema_and_expected_rows() {
     }
     let name = "\"group\": \"primitives\", \"name\": \"event_queue_rearm_50_lane_timers_1k\"";
     assert!(text.contains(name), "baseline missing row: {name}");
+    // The spread stream: round-robin feeds every machine of a fleet that
+    // idles for most of the hour, so the bench-guard quick run catches a
+    // regression of what a built but idle machine costs.
+    let name = "\"group\": \"cluster_xl\", \"name\": \"stream_rr_128x50c_hour_div8192\"";
+    assert!(text.contains(name), "baseline missing row: {name}");
     // Every row must carry a real group label; `"group": ""` means a
     // bench was registered outside a benchmark_group again.
     assert!(

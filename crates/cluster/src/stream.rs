@@ -15,14 +15,20 @@
 //!    per-machine accumulators ([`StreamRunStats`] + [`CostAccumulator`]);
 //! 3. after the last chunk, machines drain to completion.
 //!
-//! Peak memory is O(in-flight tasks + machines × sketch), independent of
-//! how many invocations the trace contains. Dispatch decisions, exact
+//! A machine's state (its `MachineRun` and accumulators) is built on its
+//! first non-empty feed; until then it would process no event. A machine
+//! that is never fed is built only at the end, to be reported. Each
+//! machine's utilization ledger keeps only the window its policy reads
+//! ([`MachineRun::bound_utilization`]). Peak memory is O(in-flight tasks +
+//! fed machines × sketch), independent of how many invocations the trace
+//! contains, of how long each fed machine lives and of how its work is
+//! spaced. Dispatch decisions, exact
 //! aggregates (count/mean/max/total), core stats, event counts and the
 //! billed cost are **identical** to the materializing path — bitwise, at
 //! any fan width — and sketched quantiles carry a rank-error certificate.
 //! The `streaming_differential` integration suite pins all of this.
 
-use faas_kernel::{CoreStats, MachineRun, Scheduler, SimError, TaskSpec};
+use faas_kernel::{CoreStats, MachineConfig, MachineRun, Scheduler, SimError, TaskSpec};
 use faas_metrics::{
     ChaosStats, HealthStats, MachineHealth, OverloadStats, StreamClusterSummary, StreamRunStats,
     TaskRecord, DEFAULT_STREAM_EPSILON,
@@ -188,8 +194,9 @@ pub struct StreamMachineReport {
     pub cancelled: u64,
 }
 
-/// Outcome of a whole streaming cluster run — O(machines × sketch)
-/// memory, the [`ClusterReport`](crate::ClusterReport) analogue.
+/// Outcome of a whole streaming cluster run — O(fed machines × sketch)
+/// memory plus each machine's core stats, the
+/// [`ClusterReport`](crate::ClusterReport) analogue.
 #[derive(Debug)]
 pub struct StreamClusterReport {
     /// Dispatch policy name the run used.
@@ -277,34 +284,44 @@ impl StreamClusterReport {
     }
 }
 
-/// One machine's state across chunks: its `MachineRun` plus the
-/// accumulators its retired records fold into. It stays put in the run's
-/// vector (about 1.6 KB for a hybrid node); each chunk's fan borrows it
-/// mutably instead of moving it out and back.
+/// A fed machine's state across chunks: its `MachineRun` plus the
+/// accumulators its retired records fold into. It is built on the
+/// machine's first non-empty feed and boxed in the run's vector, so a
+/// machine that is never fed costs one empty slot; each chunk's fan
+/// borrows a built state mutably instead of moving it out and back.
 struct MachineState<P> {
     run: MachineRun<P>,
     stats: StreamRunStats,
     cost: Option<CostAccumulator>,
     max_live: usize,
+    /// Specs fed so far; each ends completed or kernel-cancelled.
+    fed: u64,
 }
 
 impl<P: Scheduler> MachineState<P> {
-    /// Feeds a chunk share, advances to `bound` (exclusive) and retires
-    /// what finished into the accumulators.
-    fn advance_chunk(&mut self, specs: Vec<TaskSpec>, bound: SimTime) -> Result<(), SimError> {
-        self.run.feed_specs(specs);
-        self.max_live = self.max_live.max(self.run.machine().num_live_tasks());
-        self.run.run_until(bound)?;
-        self.retire();
-        Ok(())
+    fn new(cfg: MachineConfig, policy: P, opts: &StreamOptions) -> Self {
+        let mut run = MachineRun::new(cfg, Vec::new(), policy);
+        run.bound_utilization();
+        MachineState {
+            run,
+            stats: StreamRunStats::new(opts.epsilon),
+            cost: opts.price.map(CostAccumulator::new),
+            max_live: 0,
+            fed: 0,
+        }
     }
 
-    /// Feeds the final share (last chunk plus the front end's chaos tail)
-    /// and drains the machine to completion.
-    fn finish_run(&mut self, specs: Vec<TaskSpec>) -> Result<(), SimError> {
+    /// Feeds a share, advances to `bound` (exclusive; `None` drains the
+    /// machine, for the last chunk plus the front end's chaos tail) and
+    /// retires what finished into the accumulators.
+    fn advance(&mut self, specs: Vec<TaskSpec>, bound: Option<SimTime>) -> Result<(), SimError> {
+        self.fed += specs.len() as u64;
         self.run.feed_specs(specs);
         self.max_live = self.max_live.max(self.run.machine().num_live_tasks());
-        self.run.run_to_end()?;
+        match bound {
+            Some(bound) => self.run.run_until(bound)?,
+            None => self.run.run_to_end()?,
+        }
         self.retire();
         Ok(())
     }
@@ -329,6 +346,11 @@ impl<P: Scheduler> MachineState<P> {
     }
 
     fn into_report(self) -> StreamMachineReport {
+        debug_assert_eq!(
+            self.fed,
+            self.stats.count() + self.run.machine().num_cancelled(),
+            "a streamed machine lost work: fed != completed + kernel-cancelled"
+        );
         StreamMachineReport {
             policy: self.run.policy().name().to_owned(),
             core_stats: self.run.core_stats(),
@@ -350,12 +372,46 @@ where
     P: Scheduler + Send,
     F: Fn(usize) -> P + Sync,
 {
+    /// Builds the state of every machine fed for the first time, then
+    /// advances every built machine through its share in one fan (see
+    /// [`MachineState::advance`]). A machine with no state and an empty
+    /// share stays unbuilt: with nothing fed it would process no event.
+    fn advance_fleet(
+        &self,
+        states: &mut [Option<Box<MachineState<P>>>],
+        shares: Vec<Vec<TaskSpec>>,
+        bound: Option<SimTime>,
+        opts: &StreamOptions,
+        threads: usize,
+    ) -> Result<(), SimError> {
+        let mut items = Vec::new();
+        for (i, (slot, specs)) in states.iter_mut().zip(shares).enumerate() {
+            if slot.is_none() && !specs.is_empty() {
+                let policy = (self.make_policy)(i);
+                *slot = Some(Box::new(MachineState::new(
+                    self.cfg.machine_config(i),
+                    policy,
+                    opts,
+                )));
+            }
+            if let Some(state) = slot {
+                items.push((&mut **state, specs));
+            }
+        }
+        let outcomes = par::par_map_with(threads, items, |_i, (state, specs)| {
+            state.advance(specs, bound)
+        });
+        outcomes.into_iter().collect()
+    }
+
     /// Runs the cluster over a chunked arrival stream, fanning the
     /// independent machine simulations over up to `threads` workers per
     /// chunk. Dispatch decisions and all exact statistics are identical
     /// to [`Cluster::run`] over the stream's concatenation, at any
-    /// `threads` value — but peak memory stays O(in-flight), independent
-    /// of the stream's total length.
+    /// `threads` value — but peak memory stays O(in-flight + fed
+    /// machines), independent of the stream's total length. Debug builds
+    /// check each machine's conservation at the end: every spec fed
+    /// completed or was cancelled by the kernel.
     ///
     /// # Errors
     ///
@@ -372,18 +428,8 @@ where
         threads: usize,
     ) -> Result<StreamClusterReport, SimError> {
         let mut front = FrontEnd::new(&self.cfg);
-        let mut states: Vec<MachineState<P>> = (0..self.cfg.machines)
-            .map(|i| MachineState {
-                run: MachineRun::new(
-                    self.cfg.machine_config(i),
-                    Vec::new(),
-                    (self.make_policy)(i),
-                ),
-                stats: StreamRunStats::new(opts.epsilon),
-                cost: opts.price.map(CostAccumulator::new),
-                max_live: 0,
-            })
-            .collect();
+        let mut states: Vec<Option<Box<MachineState<P>>>> =
+            (0..self.cfg.machines).map(|_| None).collect();
         let mut cold_starts = 0u64;
         // Machines lag one chunk behind the front end: chunk `k`'s shares
         // are only fed once chunk `k+1` has been dispatched. The final
@@ -396,11 +442,7 @@ where
             let assignment = front.dispatch_chunk(&chunk.tasks, &mut self.dispatch);
             cold_starts += assignment.cold_starts;
             if let Some((specs, bound)) = pending.replace((assignment.per_machine, chunk.end)) {
-                let items: Vec<_> = states.iter_mut().zip(specs).collect();
-                let outcomes = par::par_map_with(threads, items, |_i, (state, specs)| {
-                    state.advance_chunk(specs, bound)
-                });
-                outcomes.into_iter().collect::<Result<(), SimError>>()?;
+                self.advance_fleet(&mut states, specs, Some(bound), opts, threads)?;
             }
         }
         let tail = front.finish(&mut self.dispatch);
@@ -416,11 +458,17 @@ where
         for (machine, specs) in tail.per_machine.into_iter().enumerate() {
             last_specs[machine].extend(specs);
         }
-        let items: Vec<_> = states.iter_mut().zip(last_specs).collect();
-        let outcomes =
-            par::par_map_with(threads, items, |_i, (state, specs)| state.finish_run(specs));
-        outcomes.into_iter().collect::<Result<(), SimError>>()?;
-        let machines: Vec<_> = states.into_iter().map(MachineState::into_report).collect();
+        self.advance_fleet(&mut states, last_specs, None, opts, threads)?;
+        let machines: Vec<_> = states
+            .into_iter()
+            .enumerate()
+            .map(|(i, state)| match state {
+                Some(state) => state.into_report(),
+                // Built only now, one at a time, and reported at once.
+                None => MachineState::new(self.cfg.machine_config(i), (self.make_policy)(i), opts)
+                    .into_report(),
+            })
+            .collect();
         let mut overload = front.overload_stats();
         overload.kernel_cancelled = machines.iter().map(|m| m.cancelled).sum();
         let (health, machine_health) = front.health_stats();

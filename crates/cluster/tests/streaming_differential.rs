@@ -29,7 +29,7 @@ use faas_metrics::{Metric, RunSummary, StreamRunStats, TaskRecord};
 use faas_policies::Fifo;
 use faas_simcore::SimDuration;
 use hybrid_scheduler::{HybridConfig, HybridScheduler};
-use lambda_pricing::PriceModel;
+use lambda_pricing::{CostAccumulator, PriceModel};
 
 /// Test-scale double of the bench crate's cluster01–03 fleet: same
 /// structure (interference on, Firecracker cold starts, W2 × machines
@@ -220,6 +220,65 @@ where
     // completion-order.
     assert_eq!(stats_by_width[0], stats_by_width[1], "{id}: width 1 vs 2");
     assert_eq!(stats_by_width[1], stats_by_width[2], "{id}: width 2 vs 4");
+}
+
+#[test]
+fn never_fed_machines_report_as_the_materializing_path_does() {
+    // A 64-node fleet where keep-alive packs a light stream onto a few
+    // machines: most machines never get an invocation, so the streaming
+    // path never builds their state, and must still report each of them
+    // exactly as the materializing path, which runs every machine.
+    let machines = 64;
+    let tasks = scenario_workload(2);
+    let fleet = || scenario_fleet(machines);
+    let policy = |_| HybridScheduler::new(HybridConfig::split(2, 2));
+    let exact = Cluster::new(fleet(), KeepAliveDispatch, policy)
+        .run(&tasks, 2)
+        .expect("materializing run completes");
+    let never_fed = exact.dispatched().iter().filter(|&&n| n == 0).count();
+    assert!(
+        never_fed >= machines * 3 / 4,
+        "only {never_fed} of {machines} machines got no work"
+    );
+    let price = PriceModel::duration_only();
+    let chunks = chunk_workload(&tasks, SimDuration::from_secs(10));
+    for threads in [1, 4] {
+        let stream = Cluster::new(fleet(), KeepAliveDispatch, policy)
+            .run_streaming(chunks.iter().cloned(), &stream_opts(), threads)
+            .expect("streaming run completes");
+        assert_eq!(stream.machines.len(), machines);
+        for (i, ((e, records), s)) in exact
+            .machines
+            .iter()
+            .zip(&exact.records)
+            .zip(&stream.machines)
+            .enumerate()
+        {
+            let what = format!("machine {i} @ fan width {threads}");
+            let mut stats = StreamRunStats::new(stream_opts().epsilon);
+            let mut cost = CostAccumulator::new(price);
+            for r in records {
+                stats.record(r);
+                cost.record(r);
+            }
+            assert_eq!(e.policy, s.policy, "{what}: policy");
+            assert_eq!(e.core_stats, s.core_stats, "{what}: core stats");
+            assert_eq!(e.finished_at, s.finished_at, "{what}: finish");
+            assert_eq!(e.events_processed, s.events_processed, "{what}: events");
+            assert_eq!(records.len() as u64, s.tasks, "{what}: tasks");
+            assert_eq!(e.max_in_flight, s.max_in_flight, "{what}: in flight");
+            assert_eq!(e.cancelled, s.cancelled, "{what}: cancelled");
+            assert_eq!(
+                cost.total_usd().to_bits(),
+                s.cost_usd.to_bits(),
+                "{what}: cost bits"
+            );
+            assert_eq!(stats, s.stats, "{what}: accumulators and sketches");
+            if records.is_empty() {
+                assert_eq!(s.max_live_tasks, 0, "{what}: live tasks");
+            }
+        }
+    }
 }
 
 /// Wraps a dispatch policy and records every pick it makes, proving the

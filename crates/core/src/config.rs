@@ -79,7 +79,8 @@ pub struct HybridConfig {
     pub min_granularity: SimDuration,
     /// Enable dynamic CPU-group rightsizing.
     pub rightsizing: Option<RightsizingConfig>,
-    /// Monitoring tick (drives rightsizing decisions and timeline samples).
+    /// Monitoring tick: the period of the rightsizing decisions. Armed
+    /// only when [`HybridConfig::rightsizing`] is set.
     pub tick: SimDuration,
     /// Placement of migrated tasks on the CFS side.
     pub cfs_placement: CfsPlacement,

@@ -382,8 +382,19 @@ impl Scheduler for HybridScheduler {
         "hybrid-fifo+cfs"
     }
 
+    /// The monitoring tick ([`HybridConfig::tick`]) drives only the
+    /// rightsizing controller, so without one there is no tick: an armed
+    /// tick would cost a kernel event every period and change nothing.
     fn tick_interval(&self) -> Option<SimDuration> {
-        Some(self.cfg.tick)
+        self.controller.as_ref().map(|_| self.cfg.tick)
+    }
+
+    /// The rightsizing controller's trailing window, the one span of the
+    /// utilization ledger this policy reads; zero without a controller.
+    fn utilization_window(&self) -> SimDuration {
+        self.controller
+            .as_ref()
+            .map_or(SimDuration::ZERO, RightsizingController::window)
     }
 
     fn on_task_new(&mut self, m: &mut Machine, task: TaskId) {
@@ -619,6 +630,77 @@ mod tests {
             .iter()
             .any(|r| r.direction == MigrationDirection::FifoToCfs));
         assert!(policy.cfs_cores().len() > 2);
+    }
+
+    #[test]
+    fn streamed_rightsizing_run_matches_the_batch_run() {
+        // A bounded ledger folds the busy time behind the controller's
+        // window (`utilization_window`); the controller must still read
+        // what a run to completion reads, so the migrations, the records
+        // and the core stats match. A window the policy did not declare
+        // would panic on the first folded bucket it reads.
+        let cfg = || {
+            HybridConfig::split(3, 3)
+                .with_time_limit(TimeLimitPolicy::Fixed(ms(50)))
+                .with_rightsizing(RightsizingConfig::default())
+        };
+        // Alternating 5 s phases of short and long work, so the
+        // controller moves cores both ways.
+        let specs: Vec<TaskSpec> = (0..600u64)
+            .map(|i| {
+                let work = if (i / 100) % 2 == 0 { ms(20) } else { ms(300) };
+                TaskSpec::function(SimTime::from_millis(i * 50), work, 128)
+            })
+            .collect();
+        let machine = || {
+            MachineConfig::new(6).with_interference(faas_kernel::InterferenceConfig {
+                mean_interval: SimDuration::from_secs(1),
+                duration: ms(5),
+            })
+        };
+        let mut batch = Simulation::new(machine(), &specs, HybridScheduler::new(cfg()));
+        batch.run_to_end().unwrap();
+
+        let mut streamed = Simulation::new(machine(), Vec::new(), HybridScheduler::new(cfg()));
+        streamed.bound_utilization();
+        let mut retired = Vec::new();
+        for second in 0..30 {
+            let end = SimTime::from_secs(second + 1);
+            let chunk: Vec<TaskSpec> = specs
+                .iter()
+                .filter(|s| s.arrival >= SimTime::from_secs(second) && s.arrival < end)
+                .cloned()
+                .collect();
+            streamed.feed_specs(chunk);
+            streamed.run_until(end).unwrap();
+            streamed.retire_finished(|t| retired.push(t.completion()));
+        }
+        streamed.run_to_end().unwrap();
+        streamed.retire_finished(|t| retired.push(t.completion()));
+
+        let migrations = batch.policy().migrations();
+        assert!(
+            migrations
+                .iter()
+                .any(|m| m.direction == MigrationDirection::CfsToFifo)
+                && migrations
+                    .iter()
+                    .any(|m| m.direction == MigrationDirection::FifoToCfs),
+            "the controller should move cores both ways"
+        );
+        assert_eq!(streamed.policy().migrations(), migrations);
+        let completions: Vec<_> = batch
+            .machine()
+            .tasks()
+            .iter()
+            .map(|t| t.completion())
+            .collect();
+        assert_eq!(retired, completions);
+        assert_eq!(streamed.core_stats(), batch.core_stats());
+        assert_eq!(
+            streamed.machine().events_processed(),
+            batch.machine().events_processed()
+        );
     }
 
     #[test]

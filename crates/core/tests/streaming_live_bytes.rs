@@ -1,7 +1,8 @@
 //! Live heap bytes of a long streaming hybrid run stay flat.
 //!
-//! A streaming run feeds a `MachineRun` chunk by chunk and retires
-//! finished tasks between chunks, so its memory should follow the tasks
+//! A streaming run bounds a `MachineRun`'s utilization ledger, feeds it
+//! chunk by chunk and retires finished tasks between chunks, so its
+//! memory should follow the tasks
 //! in flight, not the tasks ever fed (the contract of
 //! `faas_cluster::stream`). Task ids keep rising through such a run, so
 //! any policy state indexed by task id grows without bound. This test
@@ -51,11 +52,14 @@ fn live() -> i64 {
 const TASKS: u64 = 100_000;
 const CHUNK: u64 = 1_000;
 const WARMUP_CHUNKS: u64 = 10;
-/// Allowed growth of the live heap from warm-up to the end: room for the
-/// utilization ledger, which grows by one word per core per simulated
-/// second (100 s here), and for queue capacity reached at peak backlog,
-/// far below one word per task fed.
-const BOUND: i64 = 32 * 1024;
+/// Allowed growth of the live heap from warm-up to the end. The measured
+/// growth is 0 B: the bounded ledger folds the busy time behind the
+/// policy's window as it is recorded, so nothing grows with simulated
+/// time any more
+/// (3,584 B while the ledger kept one word per core per simulated
+/// second). The bound leaves 1 KiB for queue capacity a later change
+/// might reach at peak backlog, far below one word per task fed.
+const BOUND: i64 = 1024;
 
 /// Task `i`: an arrival every millisecond, 1 ms of work, except that one
 /// in a hundred runs 80 ms and so outlives the 50 ms FIFO limit and
@@ -71,6 +75,7 @@ fn live_heap_stays_flat_through_a_long_hybrid_stream() {
         .with_time_limit(TimeLimitPolicy::Fixed(SimDuration::from_millis(50)));
     let machine = MachineConfig::new(cfg.total_cores()).with_cost(CostModel::default());
     let mut run = MachineRun::new(machine, Vec::new(), HybridScheduler::new(cfg));
+    run.bound_utilization();
     let mut finished = 0;
     let mut warm = None;
     for c in 0..TASKS / CHUNK {

@@ -591,7 +591,11 @@ impl Machine {
         }
     }
 
-    /// The utilization ledger (busy time per core per bucket).
+    /// The utilization ledger (busy time per core per bucket). It keeps
+    /// every bucket unless [`MachineRun::bound_utilization`] bounded it to
+    /// the policy's utilization window.
+    ///
+    /// [`MachineRun::bound_utilization`]: crate::MachineRun::bound_utilization
     pub fn utilization(&self) -> &UtilizationLedger {
         &self.util
     }
@@ -700,6 +704,16 @@ impl Machine {
             sink(task);
         }
         retired
+    }
+
+    /// Bounds the utilization ledger to the trailing `window` a policy
+    /// reads ([`Scheduler::utilization_window`]): from now on each core's
+    /// busy time that a read of that window can no longer reach folds
+    /// into the core's total, so [`Machine::core_stats`] is unchanged.
+    ///
+    /// [`Scheduler::utilization_window`]: crate::Scheduler::utilization_window
+    pub(crate) fn bound_utilization(&mut self, window: SimDuration) {
+        self.util.keep_window(window, self.now);
     }
 
     // ---- scheduling verbs (the agent ABI) -----------------------------

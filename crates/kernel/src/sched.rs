@@ -79,6 +79,19 @@ pub trait Scheduler {
         None
     }
 
+    /// How far back the policy reads the machine's utilization ledger
+    /// ([`Machine::utilization`]): the longest trailing window it passes
+    /// to [`UtilizationLedger::windowed_utilization`]. A streaming run
+    /// folds the busy time behind it into per-core totals
+    /// ([`MachineRun::bound_utilization`]), after which reading a folded
+    /// bucket panics. Default: zero, for a policy that reads no
+    /// utilization.
+    ///
+    /// [`UtilizationLedger::windowed_utilization`]: crate::UtilizationLedger::windowed_utilization
+    fn utilization_window(&self) -> SimDuration {
+        SimDuration::ZERO
+    }
+
     /// A new task arrived (`MSG_TASK_NEW`).
     fn on_task_new(&mut self, m: &mut Machine, task: TaskId);
 
@@ -265,6 +278,20 @@ impl<P: Scheduler> MachineRun<P> {
     /// (see [`Machine::retire_finished`]); returns how many were retired.
     pub fn retire_finished(&mut self, sink: impl FnMut(Task)) -> usize {
         self.machine.retire_finished(sink)
+    }
+
+    /// Bounds the machine's utilization ledger to the trailing window the
+    /// policy reads ([`Scheduler::utilization_window`]): from now on each
+    /// core's busy time older than that folds into the core's total as it
+    /// is recorded, so a machine that lives for hours keeps a few buckets
+    /// per core instead of one per simulated second, however its work is
+    /// spaced. Core stats and every windowed read the policy makes are
+    /// unchanged; reading a folded bucket panics. A streaming driver calls
+    /// it before its first feed. A run whose whole per-second series is
+    /// read afterwards (a timeline figure) does not.
+    pub fn bound_utilization(&mut self) {
+        let window = self.policy.utilization_window();
+        self.machine.bound_utilization(window);
     }
 
     /// Advances by one kernel event, delivering messages to the policy and
@@ -652,8 +679,9 @@ mod tests {
     #[test]
     fn chunked_feed_matches_batch_run() {
         // The kernel half of the streaming differential: feeding the same
-        // specs chunk by chunk (run_until each next chunk's start, retire
-        // between chunks) must replay the batch run event for event —
+        // specs chunk by chunk to a bounded ledger (run_until each next
+        // chunk's start, retire between chunks) must replay the batch run
+        // event for event —
         // same completions, same core stats, same event count — even with
         // interference timers straddling the chunk horizons.
         let specs: Vec<TaskSpec> = (0..40)
@@ -691,6 +719,7 @@ mod tests {
                 queue: VecDeque::new(),
             },
         );
+        streamed.bound_utilization();
         let mut drained: Vec<Task> = Vec::new();
         let chunks: Vec<&[TaskSpec]> = specs.chunks(7).collect();
         for (i, chunk) in chunks.iter().enumerate() {

@@ -74,7 +74,10 @@ pub struct QuantileSketch {
     /// carry the exact minimum and maximum (`compress` never merges the
     /// minimum away; the maximum keeps `delta == 0`).
     tuples: Vec<Tuple>,
-    /// Values recorded but not yet flushed into `tuples`.
+    /// Values recorded but not yet flushed into `tuples`. Allocated at
+    /// its full `BUFFER_CAP` on the first `record`, so a sketch that
+    /// never sees a value (a fleet machine that never gets work) holds no
+    /// heap at all.
     buffer: Vec<u64>,
     /// Total values recorded (flushed + buffered).
     count: u64,
@@ -110,7 +113,7 @@ impl QuantileSketch {
         QuantileSketch {
             epsilon,
             tuples: Vec::new(),
-            buffer: Vec::with_capacity(BUFFER_CAP),
+            buffer: Vec::new(),
             count: 0,
             scratch: Vec::new(),
         }
@@ -133,6 +136,9 @@ impl QuantileSketch {
 
     /// Records one value.
     pub fn record(&mut self, v: u64) {
+        if self.buffer.capacity() == 0 {
+            self.buffer.reserve_exact(BUFFER_CAP);
+        }
         self.buffer.push(v);
         self.count += 1;
         if self.buffer.len() >= BUFFER_CAP {
@@ -519,6 +525,14 @@ mod tests {
         let n = values.len();
         let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
         values[rank - 1]
+    }
+
+    #[test]
+    fn buffer_is_allocated_in_full_on_the_first_record() {
+        let mut sk = QuantileSketch::new(0.01);
+        assert_eq!(sk.buffer.capacity(), 0, "an empty sketch holds no heap");
+        sk.record(7);
+        assert!(sk.buffer.capacity() >= BUFFER_CAP);
     }
 
     /// True rank band of `answer` in `sorted` (1-based, ties collapse to

@@ -238,8 +238,9 @@ impl StreamRunStats {
 
 /// Streaming counterpart of [`crate::ClusterSummary`]: fleet-wide
 /// accumulators merged in machine order, plus fixed-size per-machine
-/// summaries — O(machines × sketch) memory total, independent of the
-/// number of invocations simulated.
+/// summaries — O(machines with records × sketch) memory total (an empty
+/// sketch holds no heap), independent of the number of invocations
+/// simulated.
 pub type StreamClusterSummary = FleetSummary<StreamRunStats>;
 
 impl StreamClusterSummary {

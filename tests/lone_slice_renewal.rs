@@ -21,12 +21,14 @@
 //! deadlines are on, so the expiries interleave with interference
 //! preemptions, I/O returns and cancels.
 //!
-//! Each run is pinned to an FNV digest of every task record, the core
-//! stats, the kernel event count and the whole kernel message log. The
-//! digests were captured from the tree before the shortcut they pin
-//! existed, when every such expiry went through `MachineRun`'s offers.
-//! The saturated shapes also pin how many idle-core offers the driver
-//! makes, and how many the policy declines.
+//! Each run is pinned twice: to an FNV digest of every task record, the
+//! core stats and the whole kernel message log, and to its kernel counts
+//! (events processed, idle-core offers and declined offers). A change to
+//! how the kernel counts its own work, such as a timer nothing acts on,
+//! may move the counts but never the digest. The records, core stats,
+//! log and event counts were first pinned on the tree before the shortcut
+//! they pin existed, when every such expiry went through `MachineRun`'s
+//! offers.
 //!
 //! A third, tie-heavy shape keeps many cores in phase: integer-millisecond
 //! arrivals and work on a cost-free 8-core machine, under plain CFS and a
@@ -123,8 +125,7 @@ fn message_words(msg: KernelMessage) -> [u64; 4] {
     }
 }
 
-/// Every task record, the core stats, the event count and the message
-/// log, as one digest.
+/// Every task record, the core stats and the message log, as one digest.
 fn digest(r: &SlimReport) -> u64 {
     let mut words = Vec::new();
     for t in &r.tasks {
@@ -139,12 +140,19 @@ fn digest(r: &SlimReport) -> u64 {
     for s in &r.core_stats {
         words.extend([s.preemptions, s.ctx_switches, s.busy.as_micros()]);
     }
-    words.push(r.events_processed);
     for &(at, msg) in &r.messages {
         words.push(at.as_micros());
         words.extend(message_words(msg));
     }
     fnv1a(&words)
+}
+
+/// What a run is pinned to: its digest, then its kernel events, idle-core
+/// offers and declined offers.
+type Pin = (u64, [u64; 3]);
+
+fn pin(r: &SlimReport) -> Pin {
+    (digest(r), [r.events_processed, r.offers, r.declined_offers])
 }
 
 /// Slice expiries whose very next message dispatches on the same core at
@@ -175,10 +183,10 @@ fn same_core_dispatches(r: &SlimReport) -> (usize, usize) {
     (renewals, handoffs)
 }
 
-/// Checks one run against its digest, after making sure it exercised
-/// what the pin is for: renewals, interference preemptions, deadline
-/// cancels and off-CPU waits.
-fn assert_pinned(name: &str, r: &SlimReport, expected: u64) {
+/// Checks one run against its pin, after making sure it exercised what
+/// the pin is for: renewals, interference preemptions, deadline cancels
+/// and off-CPU waits.
+fn assert_pinned(name: &str, r: &SlimReport, expected: Pin) {
     let (renewals, _) = same_core_dispatches(r);
     assert!(renewals > 1_000, "{name}: only {renewals} renewals");
     let interference_preempts = r
@@ -206,9 +214,9 @@ fn assert_pinned(name: &str, r: &SlimReport, expected: u64) {
         "{name}: no off-CPU wait completed"
     );
     assert_eq!(
-        digest(r),
+        pin(r),
         expected,
-        "{name}: output changed vs. the pinned baseline"
+        "{name}: (digest, [events, offers, declined]) changed vs. the pinned baseline"
     );
 }
 
@@ -216,18 +224,18 @@ fn assert_pinned(name: &str, r: &SlimReport, expected: u64) {
 fn hybrid_25_25_lone_expiries_pinned() {
     let r = run(CORES, HybridScheduler::new(HybridConfig::paper_25_25()))
         .expect("hybrid run completes");
-    assert_pinned("hybrid", &r, 0x0f22_dfc9_1e31_3fda);
+    assert_pinned("hybrid", &r, (0xc1c6_d452_3506_4cca, [31_623, 2_563, 0]));
 }
 
 #[test]
 fn cfs_50_lone_expiries_pinned() {
     let r = run(CORES, Cfs::with_cores(CORES)).expect("cfs run completes");
-    assert_pinned("cfs", &r, 0x9401_4fc4_d72d_7f48);
+    assert_pinned("cfs", &r, (0xb9b5_2461_2b5f_256d, [64_846, 97_395, 93_818]));
 }
 
 /// Checks a saturated run's pin after making sure more than
 /// `min_handoffs` of its expiries handed the core to another queued task.
-fn assert_saturated_pinned(name: &str, r: &SlimReport, min_handoffs: usize, expected: u64) {
+fn assert_saturated_pinned(name: &str, r: &SlimReport, min_handoffs: usize, expected: Pin) {
     let (_, handoffs) = same_core_dispatches(r);
     assert!(handoffs > min_handoffs, "{name}: only {handoffs} hand-offs");
     assert_pinned(name, r, expected);
@@ -236,7 +244,12 @@ fn assert_saturated_pinned(name: &str, r: &SlimReport, min_handoffs: usize, expe
 #[test]
 fn cfs_8_saturated_handoffs_pinned() {
     let r = run(SATURATED_CORES, Cfs::with_cores(SATURATED_CORES)).expect("cfs run completes");
-    assert_saturated_pinned("cfs-8", &r, 100_000, 0x0818_e4a9_ff21_5507);
+    assert_saturated_pinned(
+        "cfs-8",
+        &r,
+        100_000,
+        (0xa316_39d5_2b26_48e9, [373_975, 5_312, 855]),
+    );
 }
 
 #[test]
@@ -246,30 +259,30 @@ fn hybrid_4_4_saturated_handoffs_pinned() {
         HybridScheduler::new(HybridConfig::split(4, 4)),
     )
     .expect("hybrid run completes");
-    assert_saturated_pinned("hybrid-4-4", &r, 1_000, 0xf3f9_5dc1_ebb9_ccab);
+    assert_saturated_pinned(
+        "hybrid-4-4",
+        &r,
+        1_000,
+        (0x535e_7242_d79e_4fb0, [28_408, 19_428, 0]),
+    );
 }
 
-/// The idle-core offers `MachineRun` makes on the two saturated shapes,
-/// and the offers after which the core stayed idle, pinned exactly: the
-/// counts repeat for a given input, so offer creep fails here instead of
-/// hiding in host noise. `Cfs` keeps the full offer mask. The hybrid's
-/// mask leaves out its FIFO cores while the FIFO queue is empty and its
-/// CFS cores with nothing to run or steal, so none of its offers is
-/// declined.
+/// What the offer mask buys on the two saturated shapes, whose exact
+/// offer counts the pins above hold: `Cfs` keeps the full offer mask, so
+/// some of its offers find nothing to run. The hybrid's mask leaves out
+/// its FIFO cores while the FIFO queue is empty and its CFS cores with
+/// nothing to run or steal, so none of its offers is declined.
 #[test]
 fn saturated_offer_counts_pinned() {
     let cfs = run(SATURATED_CORES, Cfs::with_cores(SATURATED_CORES)).expect("cfs run completes");
-    assert_eq!((cfs.offers, cfs.declined_offers), (5_312, 855), "cfs-8");
+    assert!(cfs.declined_offers > 0, "cfs-8 declined no offer");
     let hybrid = run(
         SATURATED_CORES,
         HybridScheduler::new(HybridConfig::split(4, 4)),
     )
     .expect("hybrid run completes");
-    assert_eq!(
-        (hybrid.offers, hybrid.declined_offers),
-        (19_428, 0),
-        "hybrid-4-4"
-    );
+    assert!(hybrid.offers > 0, "hybrid-4-4 made no offer");
+    assert_eq!(hybrid.declined_offers, 0, "hybrid-4-4 declined offers");
 }
 
 /// The tie-heavy machine: 8 cores, no switch cost or restore penalty.
@@ -325,16 +338,16 @@ fn coincident_expiry_instants(r: &SlimReport) -> usize {
 
 /// Checks a tie-heavy run's pin after making sure more than
 /// `min_instants` instants carry the slice expiries of two or more cores.
-fn assert_ties_pinned(name: &str, r: &SlimReport, min_instants: usize, expected: u64) {
+fn assert_ties_pinned(name: &str, r: &SlimReport, min_instants: usize, expected: Pin) {
     let instants = coincident_expiry_instants(r);
     assert!(
         instants > min_instants,
         "{name}: only {instants} instants with coincident expiries"
     );
     assert_eq!(
-        digest(r),
+        pin(r),
         expected,
-        "{name}: output changed vs. the pinned baseline"
+        "{name}: (digest, [events, offers, declined]) changed vs. the pinned baseline"
     );
 }
 
@@ -345,7 +358,12 @@ fn cfs_8_coincident_expiries_pinned() {
     let r = MachineRun::new(tie_machine(), tie_specs(), Cfs::with_cores(SATURATED_CORES))
         .run_slim()
         .expect("cfs run completes");
-    assert_ties_pinned("cfs-8-ties", &r, 2_000, 0x97fa_d34a_fd8a_70c4);
+    assert_ties_pinned(
+        "cfs-8-ties",
+        &r,
+        2_000,
+        (0x73b2_d5a4_98cb_0be2, [20_347, 18_346, 11_603]),
+    );
 }
 
 /// The 4+4 hybrid on the tie-heavy shape: coincident CFS-side expiries
@@ -359,5 +377,10 @@ fn hybrid_4_4_coincident_expiries_pinned() {
     )
     .run_slim()
     .expect("hybrid run completes");
-    assert_ties_pinned("hybrid-4-4-ties", &r, 500, 0x3108_5eaf_5e68_1100);
+    assert_ties_pinned(
+        "hybrid-4-4-ties",
+        &r,
+        500,
+        (0xc970_f10a_e28d_7d26, [9_825, 5_604, 0]),
+    );
 }
