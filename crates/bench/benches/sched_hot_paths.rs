@@ -603,7 +603,76 @@ fn bench_frontend_scale(c: &mut Bench) {
             b.iter(|| run_fold(&ejecting, &tasks))
         });
     }
+    bench_dispatch_control(&mut g);
     g.finish();
+}
+
+/// The fold at the shape perfbench's `control-plane` workload claims:
+/// its whole stack (admission cap, 5 s deadline with kernel cancel,
+/// crashes, stragglers, backoff retries, ejection, hedging) over 128
+/// 50-core nodes under `LeastOutstanding`, fed the first 15 s of its
+/// W2 × 32 stream — the workload's per-node load at an eighth of its
+/// length, so a quick run stays short.
+fn bench_dispatch_control(g: &mut faas_bench::timing::Group<'_>) {
+    let machines = 128;
+    let price = lambda_pricing::PriceModel::duration_only();
+    let faults = FaultPlanConfig::new(0x00BA_C0FF, 2)
+        .with_crashes(8.0, SimDuration::from_secs(4))
+        .with_stragglers(2.0, SimDuration::from_secs(30), 8.0);
+    let cfg = ClusterConfig::new(machines, paper_machine())
+        .with_cold_start(ColdStartConfig::firecracker())
+        .with_overload(
+            OverloadConfig::default()
+                .with_concurrency_limit(320)
+                .with_deadline(SimDuration::from_secs(5))
+                .with_kernel_cancel()
+                .with_price(price),
+        )
+        .with_chaos(
+            ChaosConfig::new(FaultPlan::generate(&faults, machines))
+                .with_max_retries(1)
+                .with_slo(SimDuration::from_secs(2))
+                .with_price(price)
+                .with_backoff(
+                    BackoffConfig::new(0x0BAC_0FF5)
+                        .with_delays(SimDuration::from_millis(250), SimDuration::from_secs(30))
+                        .with_jitter(0.25),
+                ),
+        )
+        .with_health(
+            HealthConfig::default()
+                .with_ejection(
+                    EjectionConfig::default()
+                        .with_threshold(2.0)
+                        .with_probation(SimDuration::from_secs(5))
+                        .with_min_samples(8),
+                )
+                .with_hedge(
+                    HedgeConfig::default()
+                        .with_min_samples(256)
+                        .with_price(price),
+                ),
+        );
+    let trace = AzureTrace::generate(&TraceConfig::w2().rps_scaled(32));
+    let mut tasks = faas_cluster::workload_from_trace(&trace, 1);
+    tasks.retain(|t| t.spec.arrival < SimTime::from_secs(15));
+    let run = || {
+        let mut fe = FrontEnd::new(&cfg);
+        let a = fe.dispatch_chunk(&tasks, &mut LeastOutstanding);
+        black_box(a.cold_starts);
+        black_box(fe.finish(&mut LeastOutstanding).cold_starts);
+        fe
+    };
+    // Checked once, outside the timed loop: the row is only worth its
+    // place while every stage of the stack acts.
+    let fe = run();
+    let (health, chaos, overload) = (fe.health_stats().0, fe.chaos_stats(), fe.overload_stats());
+    assert!(
+        health.ejections > 0 && health.hedges > 0 && chaos.crashes > 0 && overload.total_shed() > 0,
+        "dispatch_control_128m must eject, hedge, crash and shed: {health:?} {chaos:?} {overload:?}"
+    );
+    g.throughput(tasks.len() as u64);
+    g.bench_function("dispatch_control_128m", |b| b.iter(run));
 }
 
 fn bench_primitives(c: &mut Bench) {

@@ -86,6 +86,8 @@ fn baseline_has_schema_and_expected_rows() {
         "\"name\": \"dispatch_ejecting_16m\"",
         "\"name\": \"dispatch_ejecting_256m\"",
         "\"name\": \"dispatch_ejecting_1024m\"",
+        // The whole control-plane stack at the benchmark's shape.
+        "\"name\": \"dispatch_control_128m\"",
     ] {
         assert!(text.contains(name), "baseline missing row: {name}");
     }

@@ -10,10 +10,22 @@
 //! (dispatch) independent of phase 2 (machine simulation) — and therefore
 //! lets the M machine runs fan across threads with byte-identical output
 //! at any fan width.
+//!
+//! What the fold books drains through one booked-completion queue, in
+//! (instant, insertion) order: each attempt's completion lowers its
+//! machine's outstanding count and, for a primary the admission cap
+//! counted, its function's in-flight count, and each dispatch's delayed
+//! completion report rides the winner's entry to the health tracker. The
+//! least-outstanding pick reads count buckets
+//! ([`CountBuckets`](faas_simcore::CountBuckets)) that a booking or a
+//! drained completion moves by one level; the least-wait pick reads two
+//! indexed heaps (see `DESIGN.md`, "Front-end hot path").
 
 use faas_kernel::TaskSpec;
 use faas_metrics::{ChaosStats, HealthStats, MachineHealth, OverloadStats};
-use faas_simcore::{EventQueue, FxHashMap, IndexedMinHeap, MinHeap4, SimDuration, SimRng, SimTime};
+use faas_simcore::{
+    CountBuckets, EventQueue, FxHashMap, IndexedMinHeap, MinHeap4, SimDuration, SimRng, SimTime,
+};
 use lambda_pricing::CostAccumulator;
 
 use crate::chaos::{Autoscaler, BackoffConfig, ChaosConfig, Fault, RetryEntry, ScaleDecision};
@@ -28,13 +40,14 @@ struct MachineLoad {
     /// exactly `cores` entries.
     free_cores: MinHeap4<u64>,
     /// Dispatched-but-not-yet-drained invocation count. The completion
-    /// instants themselves live in the front end's *global* completion
-    /// heap, so one arrival drains O(completions due) instead of walking
-    /// every machine.
+    /// instants themselves live in the front end's *global*
+    /// booked-completion queue, so one arrival drains O(completions due)
+    /// instead of walking every machine.
     outstanding: u32,
     /// Bumped whenever this machine's booked completions are voided
-    /// wholesale (crash, scale-up reset); completion-heap entries from an
-    /// older epoch are skipped at pop time instead of being searched out.
+    /// wholesale (crash, scale-up reset); queue entries from an older
+    /// epoch skip the outstanding count at pop time instead of being
+    /// searched out.
     epoch: u32,
     /// Total invocations dispatched to this machine so far.
     dispatched: u64,
@@ -223,12 +236,11 @@ impl DispatchCtx<'_> {
     /// The machine with the fewest outstanding invocations (lowest index
     /// on ties) — the shared building block of the load-aware policies.
     /// Dispatches over the candidate set answer from the front end's
-    /// outstanding heap like [`DispatchCtx::least_wait`]; its
-    /// `(count, machine)` key reproduces the scan's first-seen tie-break
-    /// exactly.
+    /// outstanding-count buckets: the lowest machine at the lowest count
+    /// is exactly the scan's first-seen tie-break.
     pub fn least_outstanding(&self) -> usize {
         if self.heaps {
-            if let Some((m, _)) = self.front.out_heap.peek_min() {
+            if let Some((m, _)) = self.front.out_buckets.peek_min() {
                 return self.index_of(m);
             }
         }
@@ -334,15 +346,20 @@ pub struct FrontEnd {
     /// High-water mark of the fold's arrival clock (µs) — the "as of"
     /// instant for the health snapshot's open ejection spans.
     clock_us: u64,
-    /// Booked completion instants fleet-wide: `(completion_us, machine,
-    /// epoch)`. One global heap replaces M per-machine drains per
-    /// arrival; entries whose machine has since crashed or been reset
-    /// carry a stale epoch and are skipped at pop time.
-    completions: MinHeap4<(u64, u32, u32)>,
-    /// Candidates (see [`FrontEnd::is_candidate`]) keyed by
-    /// `(outstanding, machine)`: the least-outstanding pick is a peek,
-    /// with the scan's lowest-index tie-break baked into the key.
-    out_heap: IndexedMinHeap<(u32, u32)>,
+    /// The booked-completion queue, in (instant, insertion) order: every
+    /// booked attempt's completion and every completion report, drained
+    /// once per arrival (see [`Due`]). One global queue replaces M
+    /// per-machine drains per arrival; entries whose machine has since
+    /// crashed or been reset carry a stale epoch and skip the machine's
+    /// outstanding count at pop time.
+    due: MinHeap4<Due>,
+    /// Insertion sequence of `due`, its tie-break at equal instants.
+    due_seq: u64,
+    /// Candidates (see [`FrontEnd::is_candidate`]) bucketed by
+    /// outstanding count: the least-outstanding pick is the lowest
+    /// machine at the lowest count, and a booking or drained completion
+    /// moves a machine by one bucket.
+    out_buckets: CountBuckets,
     /// Candidates whose FCFS head is still in the future, keyed by
     /// `(free_min_us, machine)`.
     busy_heap: IndexedMinHeap<(u64, u32)>,
@@ -370,13 +387,21 @@ pub struct FrontEnd {
     warm_sites: FxHashMap<u64, Vec<u32>>,
     /// Deterministic work counts (see [`FoldCounters`]).
     counters: FoldCounters,
+    /// Every completion report: as booked, in booking order, and as
+    /// folded, in fold order.
+    #[cfg(test)]
+    report_log: (Vec<ReportLine>, Vec<ReportLine>),
 }
 
+/// One completion report as `(at, machine, response, probe)`.
+#[cfg(test)]
+type ReportLine = (u64, usize, u64, bool);
+
 /// Deterministic work counts of the front-end fold: which candidate path
-/// each policy pick took, and how often the fold paid a pass over the
-/// whole active prefix. They repeat exactly for a given input and
-/// configuration, so a test can pin them where wall-clock timings would
-/// drown in host noise.
+/// each policy pick took, how often the fold paid a pass over the whole
+/// active prefix, and how much work the health feedback cost. They repeat
+/// exactly for a given input and configuration, so a test can pin them
+/// where wall-clock timings would drown in host noise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FoldCounters {
     /// Policy picks over the cached candidate list (some active machine
@@ -390,6 +415,17 @@ pub struct FoldCounters {
     pub rebuilds: u64,
     /// Scans of the whole active prefix for SLO-epoch resolution.
     pub epoch_scans: u64,
+    /// Completion reports folded into the health tracker.
+    pub reports_folded: u64,
+    /// Completion reports queued on an entry of their own, because a
+    /// straggler window delays them past their booked completion.
+    pub report_only: u64,
+    /// Hedge decisions that compared a booking against the observed tail
+    /// (past the trigger's sample floor and the hedge budget).
+    pub hedge_checks: u64,
+    /// Recomputations of the hedge trigger's tail quantile: the checks
+    /// the exact-count screen could not decide, after a report folded.
+    pub tail_refreshes: u64,
 }
 
 /// The machines a policy pick chooses from, and what answers its
@@ -511,6 +547,9 @@ impl ChaosFold {
 /// as it passes through the fold's stages.
 struct Booking {
     machine: usize,
+    /// The machine's epoch when booked: a reset in between voids the
+    /// booking.
+    epoch: u32,
     /// The spec its kernel will see: cold boot folded in by `book`,
     /// arrival floor and straggle applied by `land`.
     spec: TaskSpec,
@@ -519,6 +558,58 @@ struct Booking {
     /// Straggle inflation (µs) added by `land`: the completion report
     /// describes `completion + extra_us`.
     extra_us: u64,
+    /// The function, if the admission cap counts this primary in flight
+    /// until its completion drains.
+    counted: Option<u64>,
+}
+
+/// A [`Due`] entry for a booked attempt's completion: draining it lowers
+/// the machine's outstanding count unless a reset voided the booking.
+const DUE_COMPLETION: u64 = 1;
+/// The completion of a primary the admission cap counted in flight:
+/// draining it lowers the function's count.
+const DUE_NOTED: u64 = 1 << 1;
+/// The entry carries a completion report for the health tracker.
+const DUE_REPORT: u64 = 1 << 2;
+/// The report is a half-open health probe's.
+const DUE_PROBE: u64 = 1 << 3;
+/// Bits below the insertion sequence in [`Due::seq`].
+const DUE_FLAG_BITS: u32 = 4;
+
+/// One entry of the booked-completion queue: a booked attempt's
+/// completion, the completion report the front end booked with it, or
+/// both. The winner of a dispatch carries the dispatch's report on its
+/// own completion entry; a report that straggling delays past the
+/// winner's completion rides an entry of its own. Entries are queued at
+/// the report stage, once the hedge decision is known, or when a crash
+/// dooms the attempt.
+///
+/// The derived order is the queue's: (instant, insertion). The sequence
+/// is unique, so no later field is ever compared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    /// The instant the entry drains (µs).
+    at_us: u64,
+    /// Insertion sequence, shifted above the `DUE_*` flags: the FIFO
+    /// tie-break at equal instants, so reports fold in booking order.
+    seq: u64,
+    /// The reported response time (µs), if the entry carries a report.
+    response_us: u64,
+    /// The function, if the entry is a counted primary's completion.
+    function: u64,
+    machine: u32,
+    /// The machine's epoch when the attempt was booked.
+    epoch: u32,
+}
+
+// Entries stay at five words: the queue's sifts move whole entries.
+const _: () = assert!(std::mem::size_of::<Due>() == 40);
+
+impl Due {
+    /// `true` if the entry carries `flag` (one of the `DUE_*` bits).
+    fn has(&self, flag: u64) -> bool {
+        self.seq & flag != 0
+    }
 }
 
 /// The output of the dispatch pass: one spec list per machine (cold-start
@@ -558,8 +649,9 @@ impl FrontEnd {
             stats,
             health: HealthTracker::new(cfg.health, cfg.machines, active),
             clock_us: 0,
-            completions: MinHeap4::new(),
-            out_heap: IndexedMinHeap::new(),
+            due: MinHeap4::new(),
+            due_seq: 0,
+            out_buckets: CountBuckets::new(),
             busy_heap: IndexedMinHeap::new(),
             idle_heap: IndexedMinHeap::new(),
             active_outstanding: 0,
@@ -568,11 +660,13 @@ impl FrontEnd {
             cand_scratch: Vec::new(),
             warm_sites: FxHashMap::default(),
             counters: FoldCounters::default(),
+            #[cfg(test)]
+            report_log: Default::default(),
         };
         // Every active machine starts a candidate, idle (all cores free
         // at t = 0) with nothing outstanding.
         for m in 0..fe.active {
-            fe.out_heap.set(m, (0, m as u32));
+            fe.out_buckets.set(m, 0);
             fe.idle_heap.set(m, m as u32);
         }
         fe
@@ -580,7 +674,13 @@ impl FrontEnd {
 
     /// The fold's work counts so far (see [`FoldCounters`]).
     pub fn fold_counters(&self) -> FoldCounters {
-        self.counters
+        let health = self.health.counters();
+        FoldCounters {
+            reports_folded: health.reports_folded,
+            hedge_checks: health.hedge_checks,
+            tail_refreshes: health.tail_refreshes,
+            ..self.counters
+        }
     }
 
     /// The chaos ledger so far — crash/retry/scale counters plus the
@@ -720,7 +820,7 @@ impl FrontEnd {
         // telemetry describes every completion the router booked, even
         // the ones landing after the last arrival. (Nothing dispatches
         // after this, so late ejections change counters, not decisions.)
-        self.health.advance_to(u64::MAX);
+        self.drain_due(u64::MAX);
         out
     }
 
@@ -732,8 +832,9 @@ impl FrontEnd {
     }
 
     /// Brings the fold up to `now_us`: applies every crash due by now
-    /// (and counts the straggler windows begun), drains the completion
-    /// estimates, then re-dispatches every retry that has come due.
+    /// (and counts the straggler windows begun), drains the booked
+    /// completions and reports due, then re-dispatches every retry that
+    /// has come due.
     /// Retries dispatch *at* `now_us` — they ride the arrival clock rather
     /// than their own enqueue instant, so the per-machine spec feeds stay
     /// sorted no matter how the stream is chunked.
@@ -745,27 +846,7 @@ impl FrontEnd {
     ) {
         self.clock_us = self.clock_us.max(now_us);
         self.advance_faults(now_us);
-        // Booked completions due by now drain from the global heap —
-        // O(log) per completion rather than O(machines) per arrival.
-        // Entries from a pre-crash / pre-reset epoch describe voided
-        // bookings; they drain here as no-ops.
-        while self
-            .completions
-            .peek_min()
-            .is_some_and(|&(t, _, _)| t <= now_us)
-        {
-            let (_, m, epoch) = self.completions.pop_min().expect("peeked above");
-            let m = m as usize;
-            if self.loads[m].epoch == epoch {
-                self.loads[m].outstanding -= 1;
-                if m < self.active {
-                    self.active_outstanding -= 1;
-                }
-                if self.is_candidate(m) {
-                    self.out_heap.set(m, (self.loads[m].outstanding, m as u32));
-                }
-            }
-        }
+        self.drain_due(now_us);
         // Machines whose FCFS backlog has drained promote busy → idle,
         // keeping `least_wait` an O(1) peek.
         while let Some((m, &(free, _))) = self.busy_heap.peek_min() {
@@ -775,10 +856,6 @@ impl FrontEnd {
             self.busy_heap.remove(m);
             self.idle_heap.set(m, m as u32);
         }
-        // Completion reports due by now reach the tracker before any
-        // retry or arrival dispatches at this instant — delayed feedback,
-        // folded in deterministic report order.
-        self.health.advance_to(now_us);
         while let Some(entry) = self.due_retry(now_us) {
             self.dispatch_one(
                 &entry.task,
@@ -789,6 +866,64 @@ impl FrontEnd {
                 out,
             );
         }
+    }
+
+    /// Drains every booked-completion queue entry due at or before
+    /// `now_us`, in (instant, insertion) order — O(log) per entry rather
+    /// than O(machines) per arrival. A completion lowers its machine's
+    /// outstanding count (unless a crash or reset voided it, which the
+    /// stale epoch shows) and, for a counted primary, its function's
+    /// in-flight count, whatever the epoch: a crash does not void the
+    /// admission estimate. A report folds into the health tracker, so
+    /// delayed feedback reaches it before any retry or arrival dispatches
+    /// at this instant. Completions and reports interleave: a report may
+    /// flip a machine's candidacy before a later completion's count
+    /// moves, which the dispatch heaps see only at the next pick's
+    /// [`FrontEnd::sync_candidates`], the same state the pick would see
+    /// had the completions all drained first.
+    fn drain_due(&mut self, now_us: u64) {
+        while self.due.peek_min().is_some_and(|d| d.at_us <= now_us) {
+            let d = self.due.pop_min().expect("peeked above");
+            let m = d.machine as usize;
+            if d.has(DUE_COMPLETION) && self.loads[m].epoch == d.epoch {
+                self.loads[m].outstanding -= 1;
+                if m < self.active {
+                    self.active_outstanding -= 1;
+                }
+                if self.is_candidate(m) {
+                    self.out_buckets.set(m, self.loads[m].outstanding);
+                }
+            }
+            if d.has(DUE_NOTED) {
+                self.overload.note_drained(d.function);
+            }
+            if d.has(DUE_REPORT) {
+                let probe = d.has(DUE_PROBE);
+                self.health.fold_report(d.at_us, m, d.response_us, probe);
+                #[cfg(test)]
+                self.report_log.1.push((d.at_us, m, d.response_us, probe));
+            }
+        }
+    }
+
+    /// Queues a [`Due`] entry for booking `b` at `at_us` with `flags`; the
+    /// completion entry of a primary the admission cap counted also
+    /// drains that count.
+    fn queue_due(&mut self, at_us: u64, mut flags: u64, b: &Booking, response_us: u64) {
+        let mut function = 0;
+        if let Some(f) = b.counted.filter(|_| flags & DUE_COMPLETION != 0) {
+            flags |= DUE_NOTED;
+            function = f;
+        }
+        self.due.push(Due {
+            at_us,
+            seq: (self.due_seq << DUE_FLAG_BITS) | flags,
+            response_us,
+            function,
+            machine: b.machine as u32,
+            epoch: b.epoch,
+        });
+        self.due_seq += 1;
     }
 
     /// Applies every scheduled crash at or before `now_us`, and counts
@@ -829,8 +964,8 @@ impl FrontEnd {
         for _ in 0..self.cores {
             load.free_cores.push(ready_us);
         }
-        // Void the booked completions wholesale: the epoch bump turns
-        // this machine's completion-heap entries into no-ops at pop.
+        // Void the booked completions wholesale: the epoch bump keeps
+        // this machine's queued completions off its count at pop.
         load.epoch += 1;
         let lost = load.outstanding;
         load.outstanding = 0;
@@ -855,16 +990,17 @@ impl FrontEnd {
         machine < self.active && !self.health.excluded(machine)
     }
 
-    /// Re-files `machine` in all three dispatch heaps from its current
+    /// Re-files `machine` in the outstanding buckets and both wait heaps
+    /// from its current
     /// outstanding count and FCFS head against the fold clock if it is a
     /// candidate, or takes it out of them if it is not.
     fn refile(&mut self, machine: usize) {
         if self.is_candidate(machine) {
-            let outstanding = self.loads[machine].outstanding;
-            self.out_heap.set(machine, (outstanding, machine as u32));
+            self.out_buckets
+                .set(machine, self.loads[machine].outstanding);
             self.refresh_wait(machine, self.clock_us);
         } else {
-            self.out_heap.remove(machine);
+            self.out_buckets.remove(machine);
             self.busy_heap.remove(machine);
             self.idle_heap.remove(machine);
         }
@@ -1020,9 +1156,9 @@ impl FrontEnd {
         let fresh: Vec<usize> = (0..self.active).filter(|&m| self.is_candidate(m)).collect();
         assert_eq!(self.cand_list, fresh, "cached candidate list is stale");
         assert_eq!(
-            self.out_heap.len(),
+            self.out_buckets.len(),
             fresh.len(),
-            "out heap holds non-candidates"
+            "outstanding buckets hold non-candidates"
         );
         assert_eq!(
             self.idle_heap.len() + self.busy_heap.len(),
@@ -1031,7 +1167,7 @@ impl FrontEnd {
         );
         for &m in &fresh {
             let load = &self.loads[m];
-            assert_eq!(self.out_heap.get(m), Some(&(load.outstanding, m as u32)));
+            assert_eq!(self.out_buckets.get(m), Some(load.outstanding));
             let free = *load.free_cores.peek_min().expect("machine has cores");
             if free <= self.clock_us {
                 assert!(
@@ -1097,9 +1233,12 @@ impl FrontEnd {
             return;
         };
         let mut primary = self.book(machine, task.function, spec, now_us, out);
-        self.overload
-            .note_dispatch(task.function, primary.completion);
+        primary.counted = self
+            .overload
+            .note_dispatch(task.function, primary.completion, now_us)
+            .then_some(task.function);
         if let Some(crash_at) = self.doom(&primary, now_us) {
+            self.queue_due(primary.completion, DUE_COMPLETION, &primary, 0);
             self.retry_doomed(task, &primary, crash_at, attempts, health_probe);
             return;
         }
@@ -1209,8 +1348,9 @@ impl FrontEnd {
     /// warm instance or folds a cold boot into `spec`, books the FCFS
     /// estimate, and re-pools the instance, which serves this invocation
     /// until its booked completion and then idles warm. The estimate, the
-    /// completion heap, the outstanding count and both wait heaps move
-    /// together, so every read stays O(1)/O(log M).
+    /// outstanding count and bucket, and both wait heaps move together,
+    /// so every read stays O(1)/O(log M); the completion itself is queued
+    /// at the report stage, or when a crash dooms the attempt.
     fn book(
         &mut self,
         machine: usize,
@@ -1252,19 +1392,19 @@ impl FrontEnd {
                 completion
             }
         };
-        let outstanding = load.outstanding;
-        self.completions
-            .push((completion, machine as u32, load.epoch));
+        let (outstanding, epoch) = (load.outstanding, load.epoch);
         self.active_outstanding += 1;
         if self.is_candidate(machine) {
-            self.out_heap.set(machine, (outstanding, machine as u32));
+            self.out_buckets.set(machine, outstanding);
             self.refresh_wait(machine, now_us);
         }
         Booking {
             machine,
+            epoch,
             spec,
             completion,
             extra_us: 0,
+            counted: None,
         }
     }
 
@@ -1369,6 +1509,7 @@ impl FrontEnd {
         let mut copy = self.book(target, task.function, task.spec.clone(), now_us, out);
         let mem = task.spec.mem_mib;
         if let Some(crash_at) = self.doom(&copy, now_us) {
+            self.queue_due(copy.completion, DUE_COMPLETION, &copy, 0);
             let busy = SimDuration::from_micros(crash_at.saturating_sub(now_us));
             self.health.record_doomed_copy(busy, mem);
             return None;
@@ -1392,10 +1533,13 @@ impl FrontEnd {
         Some(copy)
     }
 
-    /// Report stage: queues the completion report of the estimated winner
-    /// (the earlier booked completion) for the health tracker, at its true
+    /// Report stage: queues the completions of the primary and the hedge
+    /// copy, with the completion report of the estimated winner (the
+    /// earlier booked completion) for the health tracker at its true
     /// straggle-inflated instant, and appends each surviving spec to its
-    /// machine's feed.
+    /// machine's feed. The report rides the winner's completion entry, or
+    /// an entry of its own when a straggler window delays it past that
+    /// completion.
     fn report(
         &mut self,
         primary: Booking,
@@ -1404,14 +1548,37 @@ impl FrontEnd {
         health_probe: bool,
         out: &mut Assignment,
     ) {
-        let winner = copy
+        let copy_wins = copy
             .as_ref()
-            .filter(|c| c.completion < primary.completion)
-            .unwrap_or(&primary);
+            .is_some_and(|c| c.completion < primary.completion);
+        let winner = match &copy {
+            Some(c) if copy_wins => c,
+            _ => &primary,
+        };
         let at = winner.completion + winner.extra_us;
-        self.health
-            .push_report(winner.machine, at, at.saturating_sub(now_us), health_probe);
+        let response = at.saturating_sub(now_us);
+        let mut report = 0;
+        if self.health.note_report() {
+            #[cfg(test)]
+            self.report_log
+                .0
+                .push((at, winner.machine, response, health_probe));
+            report = DUE_REPORT | if health_probe { DUE_PROBE } else { 0 };
+            if winner.extra_us > 0 {
+                self.counters.report_only += 1;
+                self.queue_due(at, report, winner, response);
+                report = 0;
+            }
+        }
+        let (primary_report, copy_report) = if copy_wins { (0, report) } else { (report, 0) };
+        self.queue_due(
+            primary.completion,
+            DUE_COMPLETION | primary_report,
+            &primary,
+            response,
+        );
         if let Some(c) = copy {
+            self.queue_due(c.completion, DUE_COMPLETION | copy_report, &c, response);
             out.per_machine[c.machine].push(c.spec);
         }
         out.per_machine[primary.machine].push(primary.spec);
@@ -1545,6 +1712,225 @@ mod tests {
         assert_eq!(fe.chaos_stats().stragglers, 2);
         fe.finish(&mut rr);
         assert_eq!(fe.chaos_stats().stragglers, starts.len() as u64);
+    }
+
+    /// The benchmark's `control-plane` stack at test scale: cold starts,
+    /// a per-function admission cap, a 5 s deadline with kernel cancel,
+    /// crashes with 4 s downtime, 30 s stragglers at 8×, backoff retries
+    /// with a retry cap of 1, ejection and hedging, over 16 nodes.
+    fn control_plane_cfg(machines: usize) -> ClusterConfig {
+        use crate::{BackoffConfig, EjectionConfig, HealthConfig, HedgeConfig, OverloadConfig};
+        use faas_kernel::InterferenceConfig;
+        use lambda_pricing::PriceModel;
+        let price = PriceModel::duration_only();
+        let overload = OverloadConfig::default()
+            .with_concurrency_limit(320)
+            .with_deadline(SimDuration::from_secs(5))
+            .with_kernel_cancel()
+            .with_price(price);
+        let faults = FaultPlanConfig::new(0x00BA_C0FF, 2)
+            .with_crashes(4.0, SimDuration::from_secs(4))
+            .with_stragglers(2.0, SimDuration::from_secs(30), 8.0);
+        let chaos = ChaosConfig::new(FaultPlan::generate(&faults, machines))
+            .with_max_retries(1)
+            .with_slo(SimDuration::from_secs(2))
+            .with_price(price)
+            .with_backoff(
+                BackoffConfig::new(0x0BAC_0FF5)
+                    .with_delays(SimDuration::from_millis(250), SimDuration::from_secs(30))
+                    .with_jitter(0.25),
+            );
+        let health = HealthConfig::default()
+            .with_ejection(
+                EjectionConfig::default()
+                    .with_threshold(2.0)
+                    .with_probation(SimDuration::from_secs(5))
+                    .with_min_samples(8),
+            )
+            .with_hedge(
+                HedgeConfig::default()
+                    .with_min_samples(256)
+                    .with_price(price),
+            );
+        let machine = MachineConfig::new(50).with_interference(InterferenceConfig::default());
+        ClusterConfig::new(machines, machine)
+            .with_cold_start(ColdStartConfig::firecracker())
+            .with_overload(overload)
+            .with_chaos(chaos)
+            .with_health(health)
+    }
+
+    /// W2 at four times its rate: the benchmark's per-node load on 16
+    /// nodes (49,768 arrivals).
+    fn control_plane_tasks() -> Vec<ClusterTask> {
+        use azure_trace::{AzureTrace, TraceConfig};
+        crate::workload_from_trace(&AzureTrace::generate(&TraceConfig::w2().rps_scaled(4)), 1)
+    }
+
+    /// FNV-1a 64-bit over formatted text.
+    struct Fnv1a(u64);
+
+    impl std::fmt::Write for Fnv1a {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for &b in s.as_bytes() {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    /// Byte-identity pin of the whole `control-plane` fold under
+    /// `LeastOutstanding`: every spec fed to every machine, the cold
+    /// starts, the overload, chaos and health ledgers with their
+    /// per-machine columns, each machine's EWMA to the bit, and the
+    /// candidate-path counters. Captured before the fold's bookkeeping
+    /// moved from heaps to count buckets and one booked-completion queue.
+    #[test]
+    fn control_plane_least_outstanding_fold_pinned() {
+        use std::fmt::Write;
+        let mut fe = FrontEnd::new(&control_plane_cfg(16));
+        let tasks = control_plane_tasks();
+        let body = fe.dispatch_chunk(&tasks, &mut LeastOutstanding);
+        let tail = fe.finish(&mut LeastOutstanding);
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        for a in [&body, &tail] {
+            for (m, specs) in a.per_machine.iter().enumerate() {
+                write!(h, "m{m}:").expect("hashing cannot fail");
+                for s in specs {
+                    write!(h, "{s:?};").expect("hashing cannot fail");
+                }
+            }
+            write!(h, "cold {};", a.cold_starts).expect("hashing cannot fail");
+        }
+        let (health, columns) = fe.health_stats();
+        let c = fe.fold_counters();
+        write!(
+            h,
+            "{:?} {:?} {health:?} {columns:?} {:?} {} {} {} {}",
+            fe.overload_stats(),
+            fe.chaos_stats(),
+            fe.health.ewma_bits(),
+            c.restricted,
+            c.built,
+            c.rebuilds,
+            c.epoch_scans,
+        )
+        .expect("hashing cannot fail");
+        assert!(
+            health.ejections > 0 && health.hedges_won > 0 && fe.chaos_stats().retries > 0,
+            "the fold must eject, hedge and retry: {health:?}"
+        );
+        assert_eq!(
+            h.0, 0x6d20_a874_2e3b_138a,
+            "control-plane fold changed: {:#018x}",
+            h.0
+        );
+        // The health feedback's work: every report folds once, and the
+        // exact-count screen settles most hedge checks without a refresh.
+        let sampled: u64 = columns.iter().map(|m| m.samples).sum();
+        assert_eq!(c.reports_folded, sampled);
+        assert_eq!(
+            (
+                c.reports_folded,
+                c.report_only,
+                c.hedge_checks,
+                c.tail_refreshes
+            ),
+            (48_269, 553, 32_040, 4_563),
+            "{c:?}"
+        );
+    }
+
+    /// The reports the tracker folds are exactly what one
+    /// [`EventQueue`] over the booked reports would deliver, in its
+    /// (instant, booking) order: the booked-completion queue loses,
+    /// reorders or invents none, whether a report rides its winner's
+    /// completion or, straggled, an entry of its own, and whether the
+    /// primary or its hedge copy won.
+    #[test]
+    fn reports_fold_in_reference_queue_order() {
+        let mut fe = FrontEnd::new(&control_plane_cfg(16));
+        let tasks = control_plane_tasks();
+        fe.dispatch_chunk(&tasks, &mut LeastOutstanding);
+        fe.finish(&mut LeastOutstanding);
+        let (booked, folded) = &fe.report_log;
+        let mut reference = EventQueue::new();
+        for &(at, machine, response, probe) in booked {
+            reference.schedule(SimTime::from_micros(at), (machine, response, probe));
+        }
+        let want: Vec<ReportLine> = std::iter::from_fn(|| reference.pop())
+            .map(|(at, (machine, response, probe))| (at.as_micros(), machine, response, probe))
+            .collect();
+        assert_eq!(folded.len(), want.len(), "reports lost or invented");
+        assert!(*folded == want, "reports folded out of queue order");
+        let c = fe.fold_counters();
+        let (health, _) = fe.health_stats();
+        assert!(
+            c.report_only > 0 && health.hedges_won > 0 && health.probes > 0,
+            "the shape must straggle winners, win hedges by the copy and probe: {c:?} {health:?}"
+        );
+    }
+
+    /// The admission cap counts a primary a crash dooms, like any other,
+    /// until its booked completion drains, although the crash voids the
+    /// booking on the machine.
+    #[test]
+    fn admission_cap_counts_doomed_primaries_until_their_booked_completion() {
+        use crate::{Fault, OverloadConfig};
+        let faults =
+            FaultPlanConfig::new(0xD00D, 1).with_crashes(2.0, SimDuration::from_millis(100));
+        let plan = FaultPlan::generate(&faults, 1);
+        let crash_us = plan
+            .events()
+            .iter()
+            .find(|e| matches!(e.fault, Fault::Crash { .. }))
+            .expect("the plan crashes the machine")
+            .at
+            .as_micros();
+        assert!(crash_us > 10_000);
+        let cfg = cfg(1, 1)
+            .with_overload(OverloadConfig::default().with_concurrency_limit(1))
+            .with_chaos(ChaosConfig::new(plan));
+        let invocation = |at_us: u64, work_ms: u64| ClusterTask {
+            spec: TaskSpec::function(
+                SimTime::from_micros(at_us),
+                SimDuration::from_millis(work_ms),
+                128,
+            ),
+            function: 7,
+        };
+        // Booked to complete 990 ms after the crash: doomed, and retried
+        // with the next arrival, 100 ms after the crash. The last arrival
+        // comes after that booked completion.
+        let tasks = [
+            invocation(crash_us - 10_000, 1_000),
+            invocation(crash_us + 100_000, 1),
+            invocation(crash_us + 2_000_000, 1),
+        ];
+        let mut fe = FrontEnd::new(&cfg);
+        fe.dispatch_chunk(&tasks, &mut Passthrough);
+        fe.finish(&mut Passthrough);
+        assert_eq!(fe.chaos_stats().retries, 1);
+        assert_eq!(
+            fe.overload_stats().shed_concurrency,
+            2,
+            "the retry and the second arrival find the doomed primary in \
+             flight, and the last arrival finds it drained"
+        );
+    }
+
+    #[test]
+    fn reports_fold_only_when_due() {
+        let cfg = cfg(1, 1).with_health(crate::HealthConfig::default());
+        let mut fe = FrontEnd::new(&cfg);
+        let samples = |fe: &FrontEnd| fe.health_stats().1[0].samples;
+        fe.dispatch_chunk(&[task(0, 50, 0), task(40, 1, 0)], &mut Passthrough);
+        assert_eq!(samples(&fe), 0, "no report due by 40 ms");
+        fe.dispatch_chunk(&[task(50, 1, 0)], &mut Passthrough);
+        assert_eq!(samples(&fe), 1, "the first report is due at 50 ms");
+        fe.finish(&mut Passthrough);
+        assert_eq!(samples(&fe), 3, "finish folds every report still due");
     }
 
     #[test]

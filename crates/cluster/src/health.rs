@@ -4,12 +4,13 @@
 //! **delayed completion reports**. When the front end books an invocation
 //! it knows (from its own FCFS model plus the chaos layer's kernel-side
 //! straggle inflation) when the true completion will land; the report —
-//! machine, response time — is queued on an
-//! [`EventQueue`](faas_simcore::EventQueue) and only folded into
-//! [`HealthTracker`] once the arrival clock passes it. The router
-//! therefore reacts to stragglers *late*, exactly like a real control
-//! plane digesting completion callbacks, and never peeks across the
-//! information boundary (see `DESIGN.md` "Node-health feedback").
+//! machine, response time — rides the front end's booked-completion queue
+//! (on the winning booking's own entry, or on an entry of its own when a
+//! straggler window delays it) and is only folded into [`HealthTracker`]
+//! once the arrival clock passes it. The router therefore reacts to
+//! stragglers *late*, exactly like a real control plane digesting
+//! completion callbacks, and never peeks across the information boundary
+//! (see `DESIGN.md` "Node-health feedback").
 //!
 //! The tracker feeds three mechanisms, all opt-in:
 //!
@@ -44,8 +45,10 @@
 use std::cmp::Reverse;
 
 use faas_metrics::{HealthStats, MachineHealth, QuantileSketch};
-use faas_simcore::{EventQueue, IndexedMinHeap, SimDuration, SimTime};
+use faas_simcore::{IndexedMinHeap, SimDuration};
 use lambda_pricing::{CostAccumulator, PriceModel};
+
+use crate::frontend::FoldCounters;
 
 /// Quantile-sketch accuracy for the hedge trigger's response-time tail.
 const HEDGE_SKETCH_EPSILON: f64 = 0.01;
@@ -284,19 +287,11 @@ impl MachineState {
     }
 }
 
-/// One queued completion report. The report queue orders reports by
-/// delivery instant, then booking order, so the fold digests them in a
-/// deterministic arrival order.
-#[derive(Debug)]
-struct Report {
-    machine: usize,
-    response_us: u64,
-    probe: bool,
-}
-
 /// The front-end-resident health fold: EWMAs, the ejection state
-/// machine, the report queue and the hedge trigger. One instance lives on
-/// the [`FrontEnd`](crate::frontend::FrontEnd) next to the chaos fold.
+/// machine and the hedge trigger. One instance lives on the
+/// [`FrontEnd`](crate::frontend::FrontEnd) next to the chaos fold, whose
+/// booked-completion queue delivers the reports in (delivery instant,
+/// booking order).
 ///
 /// Everything the ejection check needs per report is maintained
 /// incrementally (see `DESIGN.md` "Front-end hot path"): the fleet median
@@ -312,12 +307,11 @@ struct Report {
 pub(crate) struct HealthTracker {
     cfg: HealthConfig,
     /// `false` for a fleet without a [`HealthConfig`]: the tracker then
-    /// queues no completion report and its snapshot has no per-machine
+    /// takes no completion report and its snapshot has no per-machine
     /// columns. Every other method already acts on nothing under the
     /// default config, so the front end calls them unconditionally.
     tracking: bool,
     machines: Vec<MachineState>,
-    reports: EventQueue<Report>,
     /// The front end's active prefix `[0, active)` — the slice every
     /// fleet-wide decision ranges over.
     active: usize,
@@ -373,6 +367,9 @@ pub(crate) struct HealthTracker {
     dispatches: u64,
     hedge_cost: Option<CostAccumulator>,
     stats: HealthStats,
+    /// The tracker's share of the fold's work counts: reports folded,
+    /// hedge checks and tail refreshes.
+    counters: FoldCounters,
 }
 
 impl HealthTracker {
@@ -383,7 +380,6 @@ impl HealthTracker {
         let cfg = cfg.unwrap_or_default();
         HealthTracker {
             machines: vec![MachineState::new(); machines],
-            reports: EventQueue::new(),
             active: active.min(machines),
             flips: Vec::new(),
             excluded_active: 0,
@@ -403,6 +399,7 @@ impl HealthTracker {
             dispatches: 0,
             hedge_cost: cfg.hedge.and_then(|h| h.price).map(CostAccumulator::new),
             stats: HealthStats::default(),
+            counters: FoldCounters::default(),
             cfg,
             tracking,
         }
@@ -521,80 +518,65 @@ impl HealthTracker {
         }
     }
 
-    /// Queues the completion report of a surviving dispatch. `report_at`
-    /// is the true (straggle-inflated) completion instant; `response_us`
-    /// the machine's service latency as the report will describe it.
-    pub(crate) fn push_report(
+    /// Books the completion report of a surviving dispatch: counts it
+    /// toward the hedge budget and returns `true` if the front end must
+    /// queue it for [`fold_report`](Self::fold_report). A fleet without a
+    /// health config takes no reports.
+    pub(crate) fn note_report(&mut self) -> bool {
+        if self.tracking {
+            self.dispatches += 1;
+        }
+        self.tracking
+    }
+
+    /// Folds one completion report, delivered at `report_at_us`: the
+    /// machine's service latency `response_us` as the report describes
+    /// it; `probe` marks a half-open health probe's.
+    pub(crate) fn fold_report(
         &mut self,
-        machine: usize,
         report_at_us: u64,
+        machine: usize,
         response_us: u64,
         probe: bool,
     ) {
-        if !self.tracking {
-            return;
-        }
-        self.reports.schedule(
-            SimTime::from_micros(report_at_us),
-            Report {
-                machine,
-                response_us,
-                probe,
-            },
-        );
-        self.dispatches += 1;
-    }
-
-    /// Folds every report due at or before `now_us`, in report order.
-    pub(crate) fn advance_to(&mut self, now_us: u64) {
-        while self
-            .reports
-            .peek_time()
-            .is_some_and(|at| at.as_micros() <= now_us)
-        {
-            let (at, r) = self.reports.pop().expect("peeked above");
-            self.fold_report(at.as_micros(), &r);
-        }
-    }
-
-    fn fold_report(&mut self, report_at_us: u64, r: &Report) {
+        self.counters.reports_folded += 1;
         if let Some(sketch) = &mut self.sketch {
-            sketch.record(r.response_us);
+            sketch.record(response_us);
             self.sketch_samples += 1;
-            self.tail_hist[(u64::BITS - r.response_us.leading_zeros()) as usize] += 1;
+            self.tail_hist[(u64::BITS - response_us.leading_zeros()) as usize] += 1;
             if sketch.pending_len() == 0 {
                 self.tail_pending.clear();
             } else {
-                let i = self.tail_pending.partition_point(|&x| x <= r.response_us);
-                self.tail_pending.insert(i, r.response_us);
+                let i = self.tail_pending.partition_point(|&x| x <= response_us);
+                self.tail_pending.insert(i, response_us);
             }
         }
         let alpha = self.cfg.ewma_alpha;
-        let m = &mut self.machines[r.machine];
+        let m = &mut self.machines[machine];
         m.ewma_us = if m.samples == 0 {
-            r.response_us as f64
+            response_us as f64
         } else {
-            alpha * r.response_us as f64 + (1.0 - alpha) * m.ewma_us
+            alpha * response_us as f64 + (1.0 - alpha) * m.ewma_us
         };
         m.samples += 1;
         m.timeout_streak = 0;
         m.crash_streak = 0;
-        if r.machine < self.active {
-            self.median_upsert(r.machine);
+        if machine < self.active {
+            self.median_upsert(machine);
         }
-        if r.probe {
+        if probe {
             // The probe completed. If a crash re-ejected the machine
             // while the report was in flight, the sample still counts
             // but the re-admission does not happen.
-            if let Phase::Probing { since_us } = self.machines[r.machine].phase {
-                self.machines[r.machine].straggled_us += report_at_us.saturating_sub(since_us);
-                self.set_phase(r.machine, Phase::Healthy);
+            if let Phase::Probing { since_us } = self.machines[machine].phase {
+                self.machines[machine].straggled_us += report_at_us.saturating_sub(since_us);
+                self.set_phase(machine, Phase::Healthy);
                 self.stats.readmissions += 1;
             }
             return;
         }
-        if matches!(self.machines[r.machine].phase, Phase::Healthy) {
-            self.consider_ejection(r.machine, report_at_us);
+        if matches!(self.machines[machine].phase, Phase::Healthy) {
+            self.consider_ejection(machine, report_at_us);
         }
     }
 
@@ -770,6 +752,7 @@ impl HealthTracker {
         if self.stats.hedges >= budget {
             return false;
         }
+        self.counters.hedge_checks += 1;
         let est = booked_response_us.max(self.machines[machine].ewma_us as u64);
         // Fast bookings — the overwhelming majority — are proven under
         // the tail by an exact-count screen and never touch the sketch.
@@ -817,6 +800,7 @@ impl HealthTracker {
     fn hedge_tail(&mut self, q: f64) -> Option<u64> {
         if self.tail_version != self.sketch_samples {
             let sketch = self.sketch.as_ref()?;
+            self.counters.tail_refreshes += 1;
             self.tail_cache = sketch.quantile_via(q, &self.tail_pending);
             self.tail_version = self.sketch_samples;
         }
@@ -865,6 +849,19 @@ impl HealthTracker {
         self.record_hedge(false, busy, mem_mib);
     }
 
+    /// The tracker's work counts: reports folded, hedge checks and tail
+    /// refreshes (the other fields stay zero).
+    pub(crate) fn counters(&self) -> FoldCounters {
+        self.counters
+    }
+
+    /// Every machine's EWMA as raw `f64` bits, in machine order: the
+    /// exact values the snapshot's columns round to microseconds.
+    #[cfg(test)]
+    pub(crate) fn ewma_bits(&self) -> Vec<u64> {
+        self.machines.iter().map(|m| m.ewma_us.to_bits()).collect()
+    }
+
     /// The ledger and per-machine columns as of `as_of_us` (machines
     /// still ejected have their open span counted up to that instant; no
     /// columns when not tracking).
@@ -907,11 +904,18 @@ mod tests {
         SimTime::from_millis(v).as_micros()
     }
 
+    /// Books a report as the front end does and folds it at once, as the
+    /// front end's queue does when its clock reaches `at_us`.
+    fn report(t: &mut HealthTracker, machine: usize, at_us: u64, response_us: u64, probe: bool) {
+        if t.note_report() {
+            t.fold_report(at_us, machine, response_us, probe);
+        }
+    }
+
     /// Feeds `machine` a report of `response_ms` arriving at `at_ms` and
     /// folds it immediately.
     fn feed(t: &mut HealthTracker, machine: usize, at_ms: u64, response_ms: u64) {
-        t.push_report(machine, ms(at_ms), ms(response_ms), false);
-        t.advance_to(ms(at_ms));
+        report(t, machine, ms(at_ms), ms(response_ms), false);
     }
 
     #[test]
@@ -933,16 +937,6 @@ mod tests {
         );
         assert_eq!(m[0].samples, 2);
         assert_eq!(m[1].samples, 0);
-    }
-
-    #[test]
-    fn reports_fold_only_when_due() {
-        let mut t = HealthTracker::new(Some(HealthConfig::default()), 1, 1);
-        t.push_report(0, ms(50), ms(10), false);
-        t.advance_to(ms(40));
-        assert_eq!(t.snapshot(ms(40)).1[0].samples, 0, "report not due yet");
-        t.advance_to(ms(50));
-        assert_eq!(t.snapshot(ms(50)).1[0].samples, 1);
     }
 
     #[test]
@@ -971,8 +965,7 @@ mod tests {
                 } else {
                     g.u64_in(0, 1 + hi / 100)
                 };
-                t.push_report(0, at, v, false);
-                t.advance_to(at);
+                report(&mut t, 0, at, v, false);
             }
             for _ in 0..16 {
                 let est = g.u64_in(0, 2 * hi);
@@ -1010,14 +1003,12 @@ mod tests {
     #[test]
     fn untracked_tracker_queues_nothing_and_has_no_columns() {
         let mut t = HealthTracker::new(None, 4, 4);
-        for i in 0..100u64 {
-            t.push_report((i % 4) as usize, ms(i + 1), ms(10), false);
+        for _ in 0..100u64 {
+            assert!(!t.note_report(), "no report taken");
         }
-        assert!(t.reports.is_empty(), "no report queued");
         t.note_crash(2, ms(200), ms(100));
         t.note_timeout(1);
         t.set_active(2);
-        t.advance_to(ms(1_000));
         assert!((0..4).all(|m| !t.excluded(m)));
         assert_eq!(t.pop_flip(), None);
         assert!(t.probe_target(ms(1_000)).is_none());
@@ -1062,8 +1053,7 @@ mod tests {
         t.mark_probing(3);
         assert!(t.excluded(3), "probing machine still excluded");
         // The probe reports back healthy: re-admission.
-        t.push_report(3, ms(34) + 1_100_000, ms(15), true);
-        t.advance_to(ms(34) + 1_100_000);
+        report(&mut t, 3, ms(34) + 1_100_000, ms(15), true);
         assert!(!t.excluded(3));
         let (stats, _) = t.snapshot(ms(34) + 1_100_000);
         assert_eq!(stats.probes, 1);
@@ -1257,8 +1247,7 @@ mod tests {
                     match g.u64_in(0, 6) {
                         0..=2 => {
                             let m = g.usize_in(0, machines);
-                            t.push_report(m, now, g.u64_in(1, 5_000_000), false);
-                            t.advance_to(now);
+                            report(&mut t, m, now, g.u64_in(1, 5_000_000), false);
                         }
                         3 => {
                             let m = g.usize_in(0, machines);
@@ -1270,8 +1259,7 @@ mod tests {
                                 if g.boolean() {
                                     t.probe_doomed(m, now);
                                 } else {
-                                    t.push_report(m, now, g.u64_in(1, 100_000), true);
-                                    t.advance_to(now);
+                                    report(&mut t, m, now, g.u64_in(1, 100_000), true);
                                 }
                             }
                         }
@@ -1313,8 +1301,7 @@ mod tests {
             let mut now = 0u64;
             for _ in 0..g.usize_in(1, 1_200) {
                 now += 1;
-                t.push_report(g.usize_in(0, 4), now, g.u64_in(1, 1_000_000), false);
-                t.advance_to(now);
+                report(&mut t, g.usize_in(0, 4), now, g.u64_in(1, 1_000_000), false);
                 if g.boolean() {
                     // The fresh query is the pre-cache behavior: quantile
                     // straight off the live sketch (clone + virtual flush).

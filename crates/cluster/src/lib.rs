@@ -412,15 +412,10 @@ where
 /// same function" for warmth purposes, matching how the paper's workload
 /// files identify functions.
 pub fn workload_from_trace(trace: &AzureTrace, shards: usize) -> Vec<ClusterTask> {
-    trace
-        .to_task_specs_sharded(shards)
-        .into_iter()
-        .zip(trace.invocations())
-        .map(|(spec, inv)| ClusterTask {
-            spec,
-            function: u64::from(inv.fib_n),
-        })
-        .collect()
+    trace.map_task_specs_sharded(shards, |spec, inv| ClusterTask {
+        spec,
+        function: u64::from(inv.fib_n),
+    })
 }
 
 #[cfg(test)]

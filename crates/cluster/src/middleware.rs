@@ -8,10 +8,11 @@
 //! circuit-breaker middleware ordering):
 //!
 //! 1. **Admission control** — a per-function concurrency cap over the
-//!    front end's in-flight estimate, then a per-function deterministic
-//!    token bucket (integer micro-token arithmetic on the simulated
-//!    clock). Refused work is *recorded*, never simulated: it costs the
-//!    provider its would-have-been bill (a
+//!    front end's in-flight estimate (admitted primaries whose booked
+//!    completion the fold has not drained yet), then a per-function
+//!    deterministic token bucket (integer micro-token arithmetic on the
+//!    simulated clock). Refused work is *recorded*, never simulated: it
+//!    costs the provider its would-have-been bill (a
 //!    [`CostAccumulator`](lambda_pricing::CostAccumulator) ledger) but no
 //!    machine ever sees it.
 //! 2. **Circuit-breaker gate** — a function whose breaker is open is shed
@@ -36,7 +37,7 @@
 //! runs are byte-identical at any fan width.
 //!
 //! **Determinism & chunking:** all mutable state (buckets, breaker
-//! windows, in-flight heaps, counters, the lost-revenue fold) lives in
+//! windows, in-flight counts, counters, the lost-revenue fold) lives in
 //! the [`FrontEnd`](crate::FrontEnd) and is a pure fold over the arrival
 //! sequence, so a chunked streaming feed makes decision-for-decision the
 //! same choices as one materialized pass. A disabled stack
@@ -48,7 +49,7 @@ use std::collections::VecDeque;
 
 use faas_kernel::TaskSpec;
 use faas_metrics::OverloadStats;
-use faas_simcore::{FxHashMap, MinHeap4, SimDuration, SimTime};
+use faas_simcore::{FxHashMap, SimDuration, SimTime};
 use lambda_pricing::{CostAccumulator, PriceModel};
 
 /// Per-function token-bucket rate limit (admission layer).
@@ -217,9 +218,12 @@ pub(crate) struct Overload {
     // no pass over these maps depends on their iteration order.
     buckets: FxHashMap<u64, TokenBucket>,
     breakers: FxHashMap<u64, Breaker>,
-    /// Per-function estimated completion instants (µs) of admitted
-    /// in-flight invocations; maintained only under a concurrency cap.
-    in_flight: FxHashMap<u64, MinHeap4<u64>>,
+    /// Per-function count of admitted primaries still in flight by the
+    /// router's estimate: each rises when its primary is booked and falls
+    /// when the front end drains that booking's completion (see
+    /// [`note_dispatch`](Self::note_dispatch)). Maintained only under a
+    /// concurrency cap.
+    in_flight: FxHashMap<u64, u32>,
     shed_cost: Option<CostAccumulator>,
     stats: OverloadStats,
 }
@@ -248,11 +252,7 @@ impl Overload {
     /// dispatch policy is consulted.
     pub(crate) fn admit(&mut self, function: u64, now_us: u64, spec: &TaskSpec) -> Admission {
         if let Some(cap) = self.cfg.concurrency_limit {
-            let q = self.in_flight.entry(function).or_default();
-            while q.peek_min().is_some_and(|&t| t <= now_us) {
-                q.pop_min();
-            }
-            if q.len() >= cap {
+            if self.in_flight.get(&function).map_or(0, |&n| n as usize) >= cap {
                 self.stats.shed_concurrency += 1;
                 self.price_shed(spec);
                 return Admission::Shed;
@@ -349,15 +349,29 @@ impl Overload {
         }
     }
 
-    /// Accounts one admitted dispatch (feeds the concurrency cap's
-    /// in-flight estimate).
-    pub(crate) fn note_dispatch(&mut self, function: u64, completion_us: u64) {
-        if self.cfg.concurrency_limit.is_some() {
-            self.in_flight
-                .entry(function)
-                .or_default()
-                .push(completion_us);
+    /// Accounts one admitted primary booked at `now_us` to complete at
+    /// `completion_us` in the concurrency cap's in-flight estimate.
+    /// Returns `true` if it was counted: the front end then calls
+    /// [`note_drained`](Self::note_drained) when it drains that
+    /// completion, which it does before any later admission whose
+    /// instant reaches it. A booking that completes at `now_us` is not
+    /// counted: no admission could count it, every later one being due
+    /// at or after its completion.
+    pub(crate) fn note_dispatch(&mut self, function: u64, completion_us: u64, now_us: u64) -> bool {
+        let counted = self.cfg.concurrency_limit.is_some() && completion_us > now_us;
+        if counted {
+            *self.in_flight.entry(function).or_default() += 1;
         }
+        counted
+    }
+
+    /// A counted primary's booked completion drained: `function` has one
+    /// fewer invocation in flight.
+    pub(crate) fn note_drained(&mut self, function: u64) {
+        *self
+            .in_flight
+            .get_mut(&function)
+            .expect("a drained primary was counted") -= 1;
     }
 
     /// The shed ledger so far (`kernel_cancelled` is filled in by the
@@ -421,10 +435,18 @@ mod tests {
     fn concurrency_cap_drains_by_estimated_completion() {
         let mut mw = Overload::new(OverloadConfig::default().with_concurrency_limit(1));
         assert!(admitted(&mut mw, 5, 0));
-        mw.note_dispatch(5, 1_000);
+        assert!(mw.note_dispatch(5, 1_000, 0));
         assert!(!admitted(&mut mw, 5, 500), "estimate still in flight");
+        assert!(admitted(&mut mw, 6, 500), "function 6 has its own count");
+        // The front end drains the booked completion at 1 ms.
+        mw.note_drained(5);
         assert!(admitted(&mut mw, 5, 1_000), "estimate drained at 1 ms");
+        // A booking due at its own instant never counts.
+        assert!(!mw.note_dispatch(5, 1_000, 1_000));
+        assert!(admitted(&mut mw, 5, 1_000));
         assert_eq!(mw.stats().shed_concurrency, 1);
+        let mut uncapped = Overload::new(OverloadConfig::default());
+        assert!(!uncapped.note_dispatch(5, 1_000, 0), "no cap, no count");
     }
 
     #[test]

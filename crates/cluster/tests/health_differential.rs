@@ -767,6 +767,9 @@ fn control_plane_fold_counters_pinned() {
             built: 26,
             rebuilds: 290,
             epoch_scans: 13,
+            // The health counters are pinned beside the fold's digest
+            // (`frontend::tests`).
+            ..c
         },
         "{} arrivals, {:?}",
         tasks.len(),

@@ -138,7 +138,7 @@ impl ClusterSummary {
     /// summarize).
     pub fn compute(per_machine: &[Vec<TaskRecord>]) -> Self {
         FleetSummary::new(
-            RunSummary::compute(&merge_records(per_machine)),
+            RunSummary::over(per_machine),
             per_machine
                 .iter()
                 .map(|r| (!r.is_empty()).then(|| RunSummary::compute(r)))

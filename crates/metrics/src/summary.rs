@@ -64,22 +64,40 @@ impl MetricSummary {
     ///
     /// Panics if `records` is empty.
     pub fn compute(records: &[TaskRecord], metric: Metric) -> Self {
-        assert!(!records.is_empty(), "cannot summarize zero records");
-        let mut values: Vec<SimDuration> = records.iter().map(|r| metric.of(r)).collect();
-        values.sort_unstable();
-        let n = values.len();
+        Self::over(&[records], metric)
+    }
+
+    /// Summarizes `metric` over the concatenation of `parts` without
+    /// copying the records together. The quantiles are nearest-rank
+    /// selections, and the total an integer sum, so neither depends on
+    /// the order of the records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` hold no record.
+    pub(crate) fn over<R: AsRef<[TaskRecord]>>(parts: &[R], metric: Metric) -> Self {
+        let n: usize = parts.iter().map(|p| p.as_ref().len()).sum();
+        assert!(n > 0, "cannot summarize zero records");
+        let mut values = Vec::with_capacity(n);
+        for part in parts {
+            values.extend(part.as_ref().iter().map(|r| metric.of(r)));
+        }
         let total: SimDuration = values.iter().copied().sum();
-        let nearest = |p: f64| -> SimDuration {
-            let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-            values[rank - 1]
-        };
+        let rank = |p: f64| ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
+        let (i50, i90, i99) = (rank(0.50), rank(0.90), rank(0.99));
+        // Each selection leaves the values at or below its index in the
+        // prefix up to it, so the next lower quantile is selected there.
+        let (_, &mut p99, above) = values.select_nth_unstable(i99);
+        let max = above.iter().copied().max().unwrap_or(p99);
+        let p90 = *values[..=i99].select_nth_unstable(i90).1;
+        let p50 = *values[..=i90].select_nth_unstable(i50).1;
         MetricSummary {
             count: n,
             mean: SimDuration::from_micros(total.as_micros() / n as u64),
-            p50: nearest(0.50),
-            p90: nearest(0.90),
-            p99: nearest(0.99),
-            max: values[n - 1],
+            p50,
+            p90,
+            p99,
+            max,
             total,
         }
     }
@@ -103,10 +121,20 @@ impl RunSummary {
     ///
     /// Panics if `records` is empty.
     pub fn compute(records: &[TaskRecord]) -> Self {
+        Self::over(&[records])
+    }
+
+    /// All three summaries over the concatenation of `parts`, without
+    /// copying the records together.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` hold no record.
+    pub(crate) fn over<R: AsRef<[TaskRecord]>>(parts: &[R]) -> Self {
         RunSummary {
-            execution: MetricSummary::compute(records, Metric::Execution),
-            response: MetricSummary::compute(records, Metric::Response),
-            turnaround: MetricSummary::compute(records, Metric::Turnaround),
+            execution: MetricSummary::over(parts, Metric::Execution),
+            response: MetricSummary::over(parts, Metric::Response),
+            turnaround: MetricSummary::over(parts, Metric::Turnaround),
         }
     }
 }
@@ -164,6 +192,34 @@ mod tests {
         let s = MetricSummary::compute(&[record(5, 20)], Metric::Turnaround);
         assert_eq!(s.p50, s.p99);
         assert_eq!(s.p99, SimDuration::from_millis(25));
+    }
+
+    /// Selection reads the same nearest-rank quantiles as a full sort,
+    /// and a split input the same as the whole, on inputs with heavy
+    /// ties and on distinct values alike.
+    #[test]
+    fn property_selection_matches_sorted_quantiles() {
+        faas_simcore::check::run("selected quantiles == sorted quantiles", 64, |g| {
+            let n = g.usize_in(1, 400);
+            let spread = g.u64_in(1, 1_000);
+            let records: Vec<TaskRecord> = (0..n)
+                .map(|_| record(g.u64_in(0, spread), g.u64_in(0, spread)))
+                .collect();
+            let cut = g.usize_in(0, n + 1);
+            for metric in Metric::ALL {
+                let mut sorted: Vec<SimDuration> = records.iter().map(|r| metric.of(r)).collect();
+                sorted.sort_unstable();
+                let at = |p: f64| sorted[((p * n as f64).ceil() as usize).clamp(1, n) - 1];
+                let s = MetricSummary::compute(&records, metric);
+                assert_eq!(
+                    (s.p50, s.p90, s.p99, s.max),
+                    (at(0.50), at(0.90), at(0.99), sorted[n - 1])
+                );
+                assert_eq!(s.total, sorted.iter().copied().sum());
+                let split = MetricSummary::over(&[&records[..cut], &records[cut..]], metric);
+                assert_eq!(split, s);
+            }
+        });
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A dense 4-ary min-heap.
 //!
-//! [`MinHeap4`] backs the future-event list ([`EventQueue`](crate::EventQueue))
-//! and the front end's per-machine heaps: a flat `Vec<K>` ordered as an
+//! [`MinHeap4`] backs the future-event list ([`EventQueue`](crate::EventQueue)),
+//! the front end's booked-completion queue and its per-machine heaps: a
+//! flat `Vec<K>` ordered as an
 //! implicit 4-ary heap — no per-node allocation (unlike `BTreeSet`), no
 //! pointer chasing, and each node's children sit adjacent in memory.
 //! `push`/[`MinHeap4::pop_min`] are O(log₄ n). The CFS run queues, which

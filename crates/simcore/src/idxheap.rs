@@ -5,9 +5,10 @@
 //! (machine indices, in practice): next to the flat `(key, slot)` vector
 //! it maintains a slot → heap-position index, so a slot's key can be
 //! re-aimed or withdrawn in O(log₄ n) without scanning — the operation the
-//! dispatch tier needs when one machine's outstanding count or free
-//! instant changes while every other machine stays put. Keys that are
-//! only ever pushed and popped belong in the plain heap instead.
+//! dispatch tier needs when one machine's free instant changes while
+//! every other machine stays put. Keys that are only ever pushed and
+//! popped belong in the plain heap instead, and small counts that move by
+//! one in [`CountBuckets`](crate::CountBuckets).
 //!
 //! Determinism: comparisons use the key alone and every operation is a
 //! pure function of the call history. Callers that need a deterministic

@@ -19,7 +19,10 @@
 //! * [`SortedDeque`] — the ascending `VecDeque` backing the CFS run
 //!   queues (O(1) at either end, appends for keys not below the back);
 //! * [`IndexedMinHeap`] — the slot-addressed variant (O(log n) re-key /
-//!   removal by stable slot) backing the cluster dispatch tier;
+//!   removal by stable slot) backing the cluster dispatch tier's wait
+//!   heaps;
+//! * [`CountBuckets`] — slots keyed by a small count, one bitset per
+//!   count (O(1) ±1 moves), backing the least-outstanding pick;
 //! * [`FxHashMap`] — a `HashMap` under a fast unkeyed hasher for the
 //!   dispatch tier's small integer keys;
 //! * [`SimRng`] — a seeded random generator with the samplers used by the
@@ -56,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod buckets;
 pub mod check;
 mod events;
 mod fxhash;
@@ -66,6 +70,7 @@ mod rng;
 mod sorted;
 mod time;
 
+pub use buckets::CountBuckets;
 pub use events::EventQueue;
 pub use fxhash::{FxHashMap, FxHasher};
 pub use heap::MinHeap4;

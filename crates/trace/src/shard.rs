@@ -63,7 +63,9 @@ pub fn shard_ranges(units: usize, shards: usize) -> Vec<Range<usize>> {
 /// `f` must produce its range's items in ascending unit order; because
 /// each unit's result is independent of the grouping (see the module
 /// docs), the concatenation is identical at any `shards` value. With one
-/// shard (or one unit) everything runs on the calling thread.
+/// shard (or one unit) everything runs on the calling thread, and that
+/// shard's output is returned as it is; several are concatenated into
+/// one vector of exactly their total length.
 ///
 /// # Panics
 ///
@@ -75,10 +77,15 @@ where
     F: Fn(Range<usize>) -> Vec<R> + Sync,
 {
     let ranges = shard_ranges(units, shards);
-    par_map_with(ranges.len(), ranges, |_, range| f(range))
-        .into_iter()
-        .flatten()
-        .collect()
+    let mut parts = par_map_with(ranges.len(), ranges, |_, range| f(range));
+    if parts.len() == 1 {
+        return parts.pop().expect("one shard");
+    }
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 #[cfg(test)]

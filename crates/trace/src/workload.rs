@@ -200,7 +200,7 @@ impl AzureTrace {
         let minute_totals =
             sharded_minute_counts(cfg.minutes, cfg.total_invocations, &cfg.arrivals, cfg.seed);
         let invocations = shard::run_sharded(cfg.minutes, shards, |minutes| {
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(minutes.clone().map(|m| minute_totals[m]).sum());
             for minute in minutes {
                 synth_minute(
                     &durations,
@@ -301,21 +301,36 @@ impl AzureTrace {
     /// any `shards` value** — and a [`AzureTrace::truncated`] prefix
     /// keeps the exact jitter of the original trace's first invocations.
     pub fn to_task_specs_sharded(&self, shards: usize) -> Vec<TaskSpec> {
+        self.map_task_specs_sharded(shards, |spec, _| spec)
+    }
+
+    /// Each invocation's kernel spec, jittered exactly as
+    /// [`AzureTrace::to_task_specs_sharded`] jitters it, passed with the
+    /// invocation through `f`: one vector of `f`'s results in trace order,
+    /// built without materializing the specs first.
+    pub fn map_task_specs_sharded<R, F>(&self, shards: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(TaskSpec, &Invocation) -> R + Sync,
+    {
         let blocks = self.invocations.len().div_ceil(SPEC_BLOCK);
         shard::run_sharded(blocks, shards, |range| {
-            let mut out = Vec::with_capacity(range.len() * SPEC_BLOCK);
+            let start = range.start * SPEC_BLOCK;
+            let end = (range.end * SPEC_BLOCK).min(self.invocations.len());
+            let mut out = Vec::with_capacity(end - start);
             for block in range {
                 let mut rng = SimRng::stream(self.seed ^ SPEC_JITTER_STREAM, block as u64);
                 let start = block * SPEC_BLOCK;
                 let end = (start + SPEC_BLOCK).min(self.invocations.len());
                 for inv in &self.invocations[start..end] {
-                    out.push(spec_from_sample(
+                    let spec = spec_from_sample(
                         inv.arrival,
                         inv.duration,
                         inv.mem_mib,
                         self.jitter,
                         &mut rng,
-                    ));
+                    );
+                    out.push(f(spec, inv));
                 }
             }
             out
