@@ -14,6 +14,8 @@
 //! committed baseline future PRs diff against. Set `BENCH_QUICK` for the
 //! CI smoke run.
 
+use std::convert::identity;
+
 use faas_bench::paper_machine;
 use faas_bench::timing::{black_box, Bench};
 
@@ -82,9 +84,7 @@ fn bench_policies(c: &mut Bench) {
         ($name:literal, $make:expr) => {
             // One untimed run determines the deterministic event count so
             // the harness can report events/sec.
-            let events = run_sim(4, 500, $make);
-            g.throughput(events);
-            g.bench_function($name, |b| b.iter(|| run_sim(4, 500, $make)));
+            g.bench_counted($name, || run_sim(4, 500, $make), identity);
         };
     }
     policy_bench!("fifo", faas_policies::Fifo::new());
@@ -137,11 +137,11 @@ fn bench_core_scaling(c: &mut Bench) {
         macro_rules! scaling_bench {
             ($policy:literal, $make:expr) => {
                 // One untimed run fixes the deterministic event count.
-                let events = run_machine(cores, &specs, $make);
-                g.throughput(events);
-                g.bench_function(format!("{}_{cores}c", $policy), |b| {
-                    b.iter(|| run_machine(cores, &specs, $make))
-                });
+                g.bench_counted(
+                    format!("{}_{cores}c", $policy),
+                    || run_machine(cores, &specs, $make),
+                    identity,
+                );
             };
         }
         scaling_bench!("fifo", faas_policies::Fifo::new());
@@ -180,9 +180,7 @@ fn bench_light_load(c: &mut Bench) {
         run_machine(50, &specs, hybrid)
     };
     // One untimed run fixes the deterministic event count.
-    let events = run();
-    g.throughput(events);
-    g.bench_function("hybrid_50c", |b| b.iter(run));
+    g.bench_counted("hybrid_50c", run, identity);
     g.finish();
 }
 
@@ -211,14 +209,12 @@ fn bench_saturated(c: &mut Bench) {
         )
     };
     // One untimed run per row fixes the deterministic event count.
-    g.throughput(run_machine(50, &specs, faas_policies::Cfs::with_cores(50)));
-    g.bench_function("cfs_50c", |b| {
-        b.iter(|| run_machine(50, &specs, faas_policies::Cfs::with_cores(50)))
-    });
-    g.throughput(run_machine(50, &specs, hybrid()));
-    g.bench_function("hybrid_50c", |b| {
-        b.iter(|| run_machine(50, &specs, hybrid()))
-    });
+    g.bench_counted(
+        "cfs_50c",
+        || run_machine(50, &specs, faas_policies::Cfs::with_cores(50)),
+        identity,
+    );
+    g.bench_counted("hybrid_50c", || run_machine(50, &specs, hybrid()), identity);
     g.finish();
 }
 
@@ -242,10 +238,8 @@ fn bench_table1_w2(c: &mut Bench) {
         )
     };
     // One untimed run per row fixes the deterministic event count.
-    g.throughput(cfs());
-    g.bench_function("cfs_50c", |b| b.iter(cfs));
-    g.throughput(hybrid());
-    g.bench_function("hybrid_50c", |b| b.iter(hybrid));
+    g.bench_counted("cfs_50c", cfs, identity);
+    g.bench_counted("hybrid_50c", hybrid, identity);
     g.finish();
 }
 
@@ -303,11 +297,11 @@ fn bench_cluster(c: &mut Bench) {
             // One untimed run determines the deterministic kernel-event
             // count across all machines, so the harness reports the same
             // events/sec unit as the single-machine policy benches.
-            let events = run_cluster(Box::new($dispatch), $cold, $overload);
-            g.throughput(events);
-            g.bench_function($name, |b| {
-                b.iter(|| run_cluster(Box::new($dispatch), $cold, $overload))
-            });
+            g.bench_counted(
+                $name,
+                || run_cluster(Box::new($dispatch), $cold, $overload),
+                identity,
+            );
         };
     }
     cluster_bench!(
@@ -372,9 +366,7 @@ fn bench_cluster(c: &mut Bench) {
             .map(|m| m.events_processed)
             .sum::<u64>()
     };
-    let events = run_chaos();
-    g.throughput(events);
-    g.bench_function("chaos_autoscale_fault_plan", |b| b.iter(run_chaos));
+    g.bench_counted("chaos_autoscale_fault_plan", run_chaos, identity);
     // The health row: same stormy fleet with the full node-health
     // feedback loop armed (completion-report heap + EWMAs, outlier
     // ejection with probes, hedged requests, retry backoff) — the
@@ -408,9 +400,7 @@ fn bench_cluster(c: &mut Bench) {
             .map(|m| m.events_processed)
             .sum::<u64>()
     };
-    let events = run_health();
-    g.throughput(events);
-    g.bench_function("health_ejection_hedging_backoff", |b| b.iter(run_health));
+    g.bench_counted("health_ejection_hedging_backoff", run_health, identity);
     g.finish();
 }
 
@@ -453,9 +443,7 @@ fn bench_cluster_xl(c: &mut Bench) {
         black_box(report.finished_at());
         report.events_processed()
     };
-    let events = run();
-    g.throughput(events);
-    g.bench_function("stream_512x50c_hour_div2048", |b| b.iter(run));
+    g.bench_counted("stream_512x50c_hour_div2048", run, identity);
 
     // The spread stream: round-robin dispatch feeds every machine, so
     // every machine is built and mostly idle for the whole hour. Paper
@@ -478,9 +466,7 @@ fn bench_cluster_xl(c: &mut Bench) {
         black_box(report.finished_at());
         report.events_processed()
     };
-    let events = run_spread();
-    g.throughput(events);
-    g.bench_function("stream_rr_128x50c_hour_div8192", |b| b.iter(run_spread));
+    g.bench_counted("stream_rr_128x50c_hour_div8192", run_spread, identity);
     g.finish();
     if let Some(mib) = faas_bench::peak_rss_mib() {
         println!(
@@ -568,27 +554,13 @@ fn bench_frontend_scale(c: &mut Bench) {
                     .with_min_samples(4),
             ),
         );
-        // Checked once, outside the timed loop: each row is only worth
-        // its place while it does the work its name promises. The health
-        // row crashes machines and straggles tasks during dispatch; the
-        // ejecting row ejects and dispatches around the ejected.
-        let mut fe = FrontEnd::new(&health);
-        fe.dispatch_chunk(&tasks, &mut KeepAliveDispatch);
-        let chaos = fe.chaos_stats();
-        assert!(
-            chaos.crashes > 0 && chaos.straggled_tasks > 0,
-            "dispatch_health_{machines}m must crash ({}) and straggle ({})",
-            chaos.crashes,
-            chaos.straggled_tasks
-        );
-        let mut fe = FrontEnd::new(&ejecting);
-        fe.dispatch_chunk(&tasks, &mut KeepAliveDispatch);
-        let (ejections, restricted) =
-            (fe.health_stats().0.ejections, fe.fold_counters().restricted);
-        assert!(
-            ejections > 0 && restricted > 0,
-            "dispatch_ejecting_{machines}m must eject ({ejections}) and restrict ({restricted})"
-        );
+        // Dispatched only, without `finish`: the fold as far as the
+        // checks below look.
+        let dispatched = |cfg: &ClusterConfig| {
+            let mut fe = FrontEnd::new(cfg);
+            fe.dispatch_chunk(&tasks, &mut KeepAliveDispatch);
+            fe
+        };
         g.throughput(invocations as u64);
         g.bench_function(format!("dispatch_bare_{machines}m"), |b| {
             b.iter(|| run_fold(&bare, &tasks))
@@ -596,12 +568,39 @@ fn bench_frontend_scale(c: &mut Bench) {
         g.bench_function(format!("dispatch_overload_{machines}m"), |b| {
             b.iter(|| run_fold(&overload, &tasks))
         });
-        g.bench_function(format!("dispatch_health_{machines}m"), |b| {
-            b.iter(|| run_fold(&health, &tasks))
-        });
-        g.bench_function(format!("dispatch_ejecting_{machines}m"), |b| {
-            b.iter(|| run_fold(&ejecting, &tasks))
-        });
+        // Checked once, outside the timed loop, when the row runs: each
+        // row is only worth its place while it does the work its name
+        // promises. The health row crashes machines and straggles tasks
+        // during dispatch; the ejecting row ejects and dispatches around
+        // the ejected.
+        g.bench_counted(
+            format!("dispatch_health_{machines}m"),
+            || run_fold(&health, &tasks),
+            |_| {
+                let chaos = dispatched(&health).chaos_stats();
+                assert!(
+                    chaos.crashes > 0 && chaos.straggled_tasks > 0,
+                    "dispatch_health_{machines}m must crash ({}) and straggle ({})",
+                    chaos.crashes,
+                    chaos.straggled_tasks
+                );
+                invocations as u64
+            },
+        );
+        g.bench_counted(
+            format!("dispatch_ejecting_{machines}m"),
+            || run_fold(&ejecting, &tasks),
+            |_| {
+                let fe = dispatched(&ejecting);
+                let (ejections, restricted) =
+                    (fe.health_stats().0.ejections, fe.fold_counters().restricted);
+                assert!(
+                    ejections > 0 && restricted > 0,
+                    "dispatch_ejecting_{machines}m must eject ({ejections}) and restrict ({restricted})"
+                );
+                invocations as u64
+            },
+        );
     }
     bench_dispatch_control(&mut g);
     g.finish();
@@ -663,16 +662,20 @@ fn bench_dispatch_control(g: &mut faas_bench::timing::Group<'_>) {
         black_box(fe.finish(&mut LeastOutstanding).cold_starts);
         fe
     };
-    // Checked once, outside the timed loop: the row is only worth its
-    // place while every stage of the stack acts.
-    let fe = run();
-    let (health, chaos, overload) = (fe.health_stats().0, fe.chaos_stats(), fe.overload_stats());
-    assert!(
-        health.ejections > 0 && health.hedges > 0 && chaos.crashes > 0 && overload.total_shed() > 0,
-        "dispatch_control_128m must eject, hedge, crash and shed: {health:?} {chaos:?} {overload:?}"
-    );
-    g.throughput(tasks.len() as u64);
-    g.bench_function("dispatch_control_128m", |b| b.iter(run));
+    // Checked once, outside the timed loop, when the row runs: the row
+    // is only worth its place while every stage of the stack acts.
+    g.bench_counted("dispatch_control_128m", run, |fe| {
+        let (health, chaos, overload) =
+            (fe.health_stats().0, fe.chaos_stats(), fe.overload_stats());
+        assert!(
+            health.ejections > 0
+                && health.hedges > 0
+                && chaos.crashes > 0
+                && overload.total_shed() > 0,
+            "dispatch_control_128m must eject, hedge, crash and shed: {health:?} {chaos:?} {overload:?}"
+        );
+        tasks.len() as u64
+    });
 }
 
 fn bench_primitives(c: &mut Bench) {

@@ -320,6 +320,25 @@ impl Group<'_> {
             .run_one(&group, name.as_ref(), samples, self.throughput, f);
     }
 
+    /// Times `routine` as the row `name`, declaring as its throughput the
+    /// events `count` reads off one untimed run's output (`count` may
+    /// also check that output). A row no filter selects never runs
+    /// `routine` at all, so a filtered run skips every other row's
+    /// set-up.
+    pub fn bench_counted<N, T, F, C>(&mut self, name: N, mut routine: F, count: C)
+    where
+        N: AsRef<str>,
+        F: FnMut() -> T,
+        C: FnOnce(T) -> u64,
+    {
+        if !self.bench.matches(&self.name, name.as_ref()) {
+            return;
+        }
+        let events = count(routine());
+        self.throughput(events);
+        self.bench_function(name, |b| b.iter(&mut routine));
+    }
+
     /// Ends the group (exists for criterion call-shape compatibility).
     pub fn finish(self) {}
 }
@@ -421,6 +440,31 @@ mod tests {
         g.finish();
         let names: Vec<&str> = bench.results().iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
+    }
+
+    #[test]
+    fn counted_rows_run_their_routine_only_when_selected() {
+        let mut bench = Bench {
+            filters: vec!["g/picked".into()],
+            ..bench(2)
+        };
+        let mut skipped = 0u32;
+        let mut picked = 0u32;
+        let mut g = bench.benchmark_group("g");
+        g.bench_counted("other", || skipped += 1, |()| 1);
+        g.bench_counted(
+            "picked",
+            || {
+                picked += 1;
+                7u64
+            },
+            |events| events,
+        );
+        g.finish();
+        assert_eq!(skipped, 0, "an unselected row's routine never runs");
+        assert_eq!(picked, 4, "1 counting run + 1 warm-up + 2 samples");
+        assert_eq!(bench.results().len(), 1);
+        assert_eq!(bench.results()[0].events_per_iter, Some(7));
     }
 
     #[test]

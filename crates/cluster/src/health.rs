@@ -30,7 +30,12 @@
 //!   itself. The estimated loser is handed a kernel deadline at the
 //!   winner's booked completion and cancelled mid-flight; its wasted
 //!   occupancy is billed through a
-//!   [`CostAccumulator`](lambda_pricing::CostAccumulator).
+//!   [`CostAccumulator`](lambda_pricing::CostAccumulator). The tail is
+//!   read from a [`QuantileSketch`] of the folded reports, behind a
+//!   bit-length screen that settles fast bookings without it and a cache
+//!   that holds between reports; a refresh is the sketch's own
+//!   allocation-free [`quantile_mut`](QuantileSketch::quantile_mut), so
+//!   the trigger's exactness rests on the sketch alone.
 //! * **Retry backoff** ([`BackoffConfig`](crate::BackoffConfig), on the
 //!   chaos config) — crash re-dispatch waits out an exponential, jittered
 //!   delay and avoids the machine it just died on.
@@ -45,7 +50,7 @@
 use std::cmp::Reverse;
 
 use faas_metrics::{HealthStats, MachineHealth, QuantileSketch};
-use faas_simcore::{IndexedMinHeap, SimDuration};
+use faas_simcore::{nearest_rank, IndexedMinHeap, SimDuration};
 use lambda_pricing::{CostAccumulator, PriceModel};
 
 use crate::frontend::FoldCounters;
@@ -343,19 +348,11 @@ pub(crate) struct HealthTracker {
     /// Observed-response tail for the hedge trigger (`None` without a
     /// hedge config).
     sketch: Option<QuantileSketch>,
-    sketch_samples: u64,
-    /// Cached hedge-tail quantile, valid while
-    /// `tail_version == sketch_samples` — i.e. until the next completion
-    /// report folds into the sketch.
+    /// Cached hedge-tail quantile, valid while `tail_version` equals the
+    /// sketch's count — i.e. until the next completion report folds into
+    /// the sketch.
     tail_cache: Option<u64>,
     tail_version: u64,
-    /// Sorted mirror of the sketch's unflushed buffer, maintained by
-    /// binary insertion at each report fold (cleared when a record
-    /// drains the buffer). Lets the tail refresh use the sketch's fused
-    /// `quantile_via` — one O(tuples + pending) pass, no clone, no sort
-    /// — while the live sketch keeps its batched flush cadence (which
-    /// the byte-identity pin depends on).
-    tail_pending: Vec<u64>,
     /// Histogram of folded response times by bit length (index =
     /// `bitlen(value)`, 65 entries). All values of bit length > k are
     /// ≥ 2^k — an exact count the GK certificate turns into a sound
@@ -391,10 +388,8 @@ impl HealthTracker {
                 .hedge
                 .is_some()
                 .then(|| QuantileSketch::new(HEDGE_SKETCH_EPSILON)),
-            sketch_samples: 0,
             tail_cache: None,
             tail_version: u64::MAX,
-            tail_pending: Vec::new(),
             tail_hist: vec![0; 65],
             dispatches: 0,
             hedge_cost: cfg.hedge.and_then(|h| h.price).map(CostAccumulator::new),
@@ -542,14 +537,7 @@ impl HealthTracker {
         self.counters.reports_folded += 1;
         if let Some(sketch) = &mut self.sketch {
             sketch.record(response_us);
-            self.sketch_samples += 1;
             self.tail_hist[(u64::BITS - response_us.leading_zeros()) as usize] += 1;
-            if sketch.pending_len() == 0 {
-                self.tail_pending.clear();
-            } else {
-                let i = self.tail_pending.partition_point(|&x| x <= response_us);
-                self.tail_pending.insert(i, response_us);
-            }
         }
         let alpha = self.cfg.ewma_alpha;
         let m = &mut self.machines[machine];
@@ -741,7 +729,7 @@ impl HealthTracker {
         let Some(h) = self.cfg.hedge else {
             return false;
         };
-        if self.sketch_samples < h.min_samples {
+        if self.sketch.as_ref().map_or(0, QuantileSketch::count) < h.min_samples {
             return false;
         }
         // The budget gate: under a fleet-wide slowdown most estimates
@@ -773,14 +761,17 @@ impl HealthTracker {
     /// `r − E`, so if fewer than `r − E` samples lie below `P` (i.e.
     /// `c ≥ n − r + E + 1`), the answer cannot be below `P`, hence
     /// `tail ≥ P > est`. A ~50-entry sum instead of a sketch walk; the
-    /// fused refresh is left to the genuinely slow estimates.
+    /// refresh is left to the genuinely slow estimates.
     fn tail_screen_proves_below(&self, q: f64, est: u64) -> bool {
-        let n = self.sketch_samples;
+        let Some(sketch) = &self.sketch else {
+            return false;
+        };
+        let n = sketch.count();
         if n == 0 {
             return false;
         }
-        let r = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let e_up = (HEDGE_SKETCH_EPSILON * n as f64).ceil() as u64;
+        let r = nearest_rank(q, n);
+        let e_up = (sketch.epsilon() * n as f64).ceil() as u64;
         let need = (n - r) + e_up + 1;
         let k = (u64::BITS - est.leading_zeros()) as usize;
         let c: u64 = self.tail_hist[(k + 1).min(self.tail_hist.len())..]
@@ -790,19 +781,17 @@ impl HealthTracker {
     }
 
     /// The tail quantile the hedge trigger compares against, cached per
-    /// sketch version (= reports folded). The refresh runs the sketch's
-    /// fused `quantile_via` over the tracker's sorted pending mirror —
-    /// bit-identical to the clone-and-flush query the old per-dispatch
-    /// path performed, in one allocation-free O(tuples + pending) pass
-    /// that never touches the live sketch's flush cadence (which the
-    /// byte-identity pin depends on). Repeated queries between reports
-    /// cost a cache-tag compare.
+    /// sketch version (= reports folded). A refresh is the sketch's
+    /// `quantile_mut`: exactly the answer a flush would give, without an
+    /// allocation and without moving the live sketch's flush cadence
+    /// (which the byte-identity pin depends on). Repeated queries
+    /// between reports cost a cache-tag compare.
     fn hedge_tail(&mut self, q: f64) -> Option<u64> {
-        if self.tail_version != self.sketch_samples {
-            let sketch = self.sketch.as_ref()?;
+        let sketch = self.sketch.as_mut()?;
+        if self.tail_version != sketch.count() {
             self.counters.tail_refreshes += 1;
-            self.tail_cache = sketch.quantile_via(q, &self.tail_pending);
-            self.tail_version = self.sketch_samples;
+            self.tail_cache = sketch.quantile_mut(q);
+            self.tail_version = sketch.count();
         }
         self.tail_cache
     }
@@ -1290,7 +1279,7 @@ mod tests {
 
     #[test]
     fn property_hedge_tail_cache_matches_fresh_query() {
-        check::run("cached hedge tail == clone+flush sketch query", 24, |g| {
+        check::run("cached hedge tail == unqueried twin's quantile", 24, |g| {
             let cfg = HealthConfig::default().with_hedge(
                 HedgeConfig::default()
                     .with_quantile(g.f64_in(0.5, 0.99))
@@ -1298,14 +1287,18 @@ mod tests {
             );
             let q = cfg.hedge.expect("hedge configured").quantile;
             let mut t = HealthTracker::new(Some(cfg), 4, 4);
+            // A twin fed the same responses and read only through the
+            // `&self` quantile, which sorts a copy of its (never sorted)
+            // buffer: the fresh query owes nothing to `quantile_mut`.
+            let mut twin = QuantileSketch::new(HEDGE_SKETCH_EPSILON);
             let mut now = 0u64;
             for _ in 0..g.usize_in(1, 1_200) {
                 now += 1;
-                report(&mut t, g.usize_in(0, 4), now, g.u64_in(1, 1_000_000), false);
+                let response_us = g.u64_in(1, 1_000_000);
+                report(&mut t, g.usize_in(0, 4), now, response_us, false);
+                twin.record(response_us);
                 if g.boolean() {
-                    // The fresh query is the pre-cache behavior: quantile
-                    // straight off the live sketch (clone + virtual flush).
-                    let fresh = t.sketch.as_ref().and_then(|s| s.quantile(q));
+                    let fresh = twin.quantile(q);
                     assert_eq!(t.hedge_tail(q), fresh);
                     assert_eq!(t.hedge_tail(q), fresh, "cache hit must agree");
                 }

@@ -3,7 +3,7 @@
 //! The paper keeps "the most recent 100 function durations" and derives the
 //! FIFO preemption time limit as a configurable percentile of that window.
 
-use faas_simcore::SimDuration;
+use faas_simcore::{nearest_rank, SimDuration};
 
 /// Fixed-capacity ring buffer of recent durations with percentile queries.
 ///
@@ -85,10 +85,7 @@ impl SlidingWindow {
         }
         let mut sorted = self.buf.clone();
         sorted.sort_unstable();
-        // Nearest-rank: ceil(p * n), 1-based; p = 0 maps to the minimum.
-        let n = sorted.len();
-        let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-        Some(sorted[rank - 1])
+        Some(sorted[nearest_rank(p, sorted.len() as u64) as usize - 1])
     }
 }
 

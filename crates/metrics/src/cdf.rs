@@ -2,7 +2,7 @@
 //! 12, 21) as cumulative distribution functions of one of the §II-B
 //! metrics.
 
-use faas_simcore::SimDuration;
+use faas_simcore::{nearest_rank, SimDuration};
 
 use crate::record::TaskRecord;
 use crate::summary::Metric;
@@ -74,9 +74,7 @@ impl DurationCdf {
             (0.0..=1.0).contains(&p),
             "percentile fraction must be in [0,1]"
         );
-        let n = self.sorted.len();
-        let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-        self.sorted[rank - 1]
+        self.sorted[nearest_rank(p, self.sorted.len() as u64) as usize - 1]
     }
 
     /// Samples the curve at `points` evenly spaced quantiles — the series a

@@ -5,7 +5,8 @@
 //! O(invocations) state. Quantiles are the one statistic that resists
 //! constant-space accumulation; this module provides the deterministic
 //! Greenwald–Khanna (GK) ε-approximate quantile summary the streaming
-//! reports use instead of sorted record vectors.
+//! reports and the router's hedge trigger use instead of sorted record
+//! vectors.
 //!
 //! Three properties drive the design (see `DESIGN.md` "Streaming cluster
 //! runs"):
@@ -28,6 +29,19 @@
 //!   nearest-rank quantiles, which is what lets the streaming-vs-
 //!   materializing differential pin summaries exactly at small scale.
 //!
+//! Recorded values wait in a buffer until a batch of them is flushed into
+//! the tuple list. Each GK rule is written once, as a stream: `insert`
+//! merges the sorted pending values into the tuples, `compress` folds
+//! each tuple into the next while their band fits, and `nearest` picks
+//! the tuple closest to a target rank. A flush collects the first two; a
+//! query chains all three without building the flushed list, so every
+//! read answers exactly as a flush would, without moving the flush-batch
+//! boundary (which later inserts would see). The sketch remembers how
+//! much of its buffer is already sorted, so
+//! [`quantile_mut`](QuantileSketch::quantile_mut) sorts only the values
+//! recorded since the last query and allocates nothing: the hedge
+//! trigger refreshes its tail through it after each completion report.
+//!
 //! ```
 //! use faas_metrics::QuantileSketch;
 //!
@@ -40,6 +54,10 @@
 //! let p50 = sk.quantile(0.5).unwrap();
 //! assert!(p50.abs_diff(500) <= sk.rank_error_bound());
 //! ```
+
+use std::borrow::Cow;
+
+use faas_simcore::nearest_rank;
 
 /// One GK summary tuple: value `v` covers true ranks
 /// `[rmin, rmin + delta]` where `rmin` is the running sum of `g` up to and
@@ -58,6 +76,75 @@ struct Tuple {
 /// Amortizes insertion to O(log buffer) comparisons per value.
 const BUFFER_CAP: usize = 512;
 
+/// The GK insertion rule as a stream: `tuples` with the sorted values
+/// `pending` merged in, each value after every tuple of equal or smaller
+/// value. A value placed before successor tuple `s` gets
+/// `delta = g_s + delta_s - 1`; a new global minimum or maximum gets
+/// `delta = 0`, so the extremes stay exact.
+fn insert<'a>(tuples: &'a [Tuple], pending: &'a [u64]) -> impl Iterator<Item = Tuple> + 'a {
+    let (mut ti, mut pi) = (0, 0);
+    std::iter::from_fn(move || {
+        let successor = tuples.get(ti);
+        match pending.get(pi) {
+            Some(&v) if successor.is_none_or(|s| s.v > v) => {
+                pi += 1;
+                let delta = match successor {
+                    Some(s) if ti > 0 => s.g + s.delta - 1,
+                    _ => 0,
+                };
+                Some(Tuple { v, g: 1, delta })
+            }
+            _ => {
+                ti += 1;
+                successor.copied()
+            }
+        }
+    })
+}
+
+/// The GK compression rule as a stream: greedily, left to right, a tuple
+/// is absorbed into the next one while their combined rank band
+/// `g + g' + delta'` stays within `threshold`; the result keeps the later
+/// tuple's value and `delta`. The first tuple is never absorbed (the
+/// minimum stays exact) and the last keeps its value (so does the
+/// maximum). A zero threshold merges nothing, as every `g` is at least 1.
+fn compress(tuples: impl Iterator<Item = Tuple>, threshold: u64) -> impl Iterator<Item = Tuple> {
+    let mut tuples = tuples.peekable();
+    let mut first = true;
+    std::iter::from_fn(move || {
+        let mut cur = tuples.next()?;
+        while let Some(t) = tuples.next_if(|t| !first && cur.g + t.g + t.delta <= threshold) {
+            cur = Tuple {
+                v: t.v,
+                g: cur.g + t.g,
+                delta: t.delta,
+            };
+        }
+        first = false;
+        Some(cur)
+    })
+}
+
+/// The GK rank rule: the value of the first tuple minimizing
+/// `max(rmax - r, r - rmin)` for target rank `r`, so on an uncompressed
+/// list (every tuple `g = 1, delta = 0`) the exact rank-`r` value.
+/// `None` for no tuples.
+fn nearest(tuples: impl Iterator<Item = Tuple>, r: u64) -> Option<u64> {
+    let mut rmin = 0u64;
+    let mut best = None;
+    let mut best_err = u64::MAX;
+    for t in tuples {
+        rmin += t.g;
+        let rmax = rmin + t.delta;
+        let err = rmax.saturating_sub(r).max(r.saturating_sub(rmin));
+        if err < best_err {
+            best_err = err;
+            best = Some(t.v);
+        }
+    }
+    best
+}
+
 /// Deterministic Greenwald–Khanna ε-approximate quantile summary over
 /// `u64` values (the metrics crate records microsecond durations).
 ///
@@ -71,14 +158,18 @@ pub struct QuantileSketch {
     /// see [`rank_error_bound`](Self::rank_error_bound)).
     epsilon: f64,
     /// Summary tuples, sorted by value. The first and last tuples always
-    /// carry the exact minimum and maximum (`compress` never merges the
-    /// minimum away; the maximum keeps `delta == 0`).
+    /// carry the exact minimum and maximum (see `compress`).
     tuples: Vec<Tuple>,
     /// Values recorded but not yet flushed into `tuples`. Allocated at
     /// its full `BUFFER_CAP` on the first `record`, so a sketch that
     /// never sees a value (a fleet machine that never gets work) holds no
     /// heap at all.
     buffer: Vec<u64>,
+    /// Length of the buffer's sorted prefix; values recorded since the
+    /// last [`quantile_mut`](Self::quantile_mut) follow it. A flush sorts
+    /// the whole buffer anyway, so sorting part of it early changes no
+    /// flushed tuple.
+    sorted: usize,
     /// Total values recorded (flushed + buffered).
     count: u64,
     /// Working storage for `flush`, swapped with `tuples` each flush so
@@ -93,6 +184,7 @@ impl Clone for QuantileSketch {
             epsilon: self.epsilon,
             tuples: self.tuples.clone(),
             buffer: self.buffer.clone(),
+            sorted: self.sorted,
             count: self.count,
             scratch: Vec::new(),
         }
@@ -114,6 +206,7 @@ impl QuantileSketch {
             epsilon,
             tuples: Vec::new(),
             buffer: Vec::new(),
+            sorted: 0,
             count: 0,
             scratch: Vec::new(),
         }
@@ -146,84 +239,63 @@ impl QuantileSketch {
         }
     }
 
-    /// Sorts the buffer and merge-inserts it into the tuple list, then
-    /// compresses. Insertion follows GK: a value placed before successor
-    /// tuple `s` (the first tuple with a strictly greater value) gets
-    /// `delta = g_s + delta_s - 1`; a new global minimum or maximum gets
-    /// `delta = 0`, so the extremes stay exact.
+    /// The compression threshold `⌊2·ε·n⌋` for the current count.
+    fn threshold(&self) -> u64 {
+        (2.0 * self.epsilon * self.count as f64).floor() as u64
+    }
+
+    /// Streams the tuples a flush would leave, given the buffer's values
+    /// in sorted order as `pending`. With nothing pending a flush changes
+    /// nothing, so the stored tuples stream as they are (zero threshold).
+    fn flushed<'a>(&'a self, pending: &'a [u64]) -> impl Iterator<Item = Tuple> + 'a {
+        let threshold = if pending.is_empty() {
+            0
+        } else {
+            self.threshold()
+        };
+        compress(insert(&self.tuples, pending), threshold)
+    }
+
+    /// The buffer's values in sorted order: borrowed when the buffer is
+    /// already sorted, else a sorted copy.
+    fn sorted_pending(&self) -> Cow<'_, [u64]> {
+        if self.sorted == self.buffer.len() {
+            Cow::Borrowed(&self.buffer)
+        } else {
+            let mut pending = self.buffer.clone();
+            pending.sort_unstable();
+            Cow::Owned(pending)
+        }
+    }
+
+    /// Sorts the buffer in place by binary-inserting each value recorded
+    /// since the last sort into the sorted prefix; a query between two
+    /// completion reports finds one or two such values.
+    fn sort_pending(&mut self) {
+        for i in self.sorted..self.buffer.len() {
+            let v = self.buffer[i];
+            let at = self.buffer[..i].partition_point(|&x| x <= v);
+            self.buffer[at..=i].rotate_right(1);
+        }
+        self.sorted = self.buffer.len();
+    }
+
+    /// Sorts the buffer and merge-inserts it into the tuple list,
+    /// compressing as it goes.
     fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
         self.buffer.sort_unstable();
-        // Merge into the retained scratch vector, then swap it with
+        // Build into the retained scratch vector, then swap it with
         // `tuples`: once both have grown to the sketch's bounded tuple
         // count, a flush performs no heap allocation.
-        self.scratch.clear();
-        self.scratch.reserve(self.tuples.len() + self.buffer.len());
-        let old = &self.tuples;
-        let mut oi = 0;
-        for &v in &self.buffer {
-            while oi < old.len() && old[oi].v <= v {
-                self.scratch.push(old[oi]);
-                oi += 1;
-            }
-            let delta = if oi == 0 || oi == old.len() {
-                0
-            } else {
-                old[oi].g + old[oi].delta - 1
-            };
-            self.scratch.push(Tuple { v, g: 1, delta });
-        }
-        self.scratch.extend_from_slice(&old[oi..]);
+        let mut next = std::mem::take(&mut self.scratch);
+        next.clear();
+        next.extend(self.flushed(&self.buffer));
+        self.scratch = std::mem::replace(&mut self.tuples, next);
         self.buffer.clear();
-        std::mem::swap(&mut self.tuples, &mut self.scratch);
-        self.compress();
-    }
-
-    /// Greedily merges adjacent tuples whose combined rank band stays
-    /// under `2·ε·n`, left to right. The first tuple is never absorbed
-    /// (preserving the exact minimum) and a merge adopts the right-hand
-    /// tuple's `delta`, so the final tuple's `delta` stays 0 (exact
-    /// maximum).
-    fn compress(&mut self) {
-        let threshold = (2.0 * self.epsilon * self.count as f64).floor() as u64;
-        if threshold == 0 || self.tuples.len() <= 2 {
-            return;
-        }
-        // In place via a write cursor (`w <= r` always, so reads stay
-        // ahead of writes): same greedy left-to-right rule, no
-        // allocation.
-        let tuples = &mut self.tuples;
-        let mut w = 0usize;
-        for r in 0..tuples.len() {
-            let t = tuples[r];
-            let mergeable = w > 1 && tuples[w - 1].g + t.g + t.delta <= threshold;
-            if mergeable {
-                let last = &mut tuples[w - 1];
-                *last = Tuple {
-                    v: t.v,
-                    g: last.g + t.g,
-                    delta: t.delta,
-                };
-            } else {
-                tuples[w] = t;
-                w += 1;
-            }
-        }
-        tuples.truncate(w);
-    }
-
-    /// Flushed tuples for read-only queries: clones only when buffered
-    /// values exist (the clone is at most `BUFFER_CAP` insertions).
-    fn flushed_tuples(&self) -> std::borrow::Cow<'_, [Tuple]> {
-        if self.buffer.is_empty() {
-            std::borrow::Cow::Borrowed(&self.tuples)
-        } else {
-            let mut c = self.clone();
-            c.flush();
-            std::borrow::Cow::Owned(c.tuples)
-        }
+        self.sorted = 0;
     }
 
     /// Merges another sketch into this one.
@@ -239,20 +311,17 @@ impl QuantileSketch {
             self.epsilon = self.epsilon.max(other.epsilon);
             return;
         }
+        // Flush each operand under its *own* epsilon, so the pre-merge
+        // state is independent of argument order; only then adopt the
+        // joint epsilon for the final compression.
+        self.flush();
+        let theirs: Vec<Tuple> = other.flushed(&other.sorted_pending()).collect();
+        self.epsilon = self.epsilon.max(other.epsilon);
         if self.count == 0 {
-            self.epsilon = self.epsilon.max(other.epsilon);
-            self.tuples = other.flushed_tuples().into_owned();
-            self.buffer.clear();
+            self.tuples = theirs;
             self.count = other.count;
             return;
         }
-        // Flush each operand under its *own* epsilon (the other side is
-        // flushed lazily by `flushed_tuples`), so the pre-merge state is
-        // independent of argument order; only then adopt the joint
-        // epsilon for the final compression.
-        self.flush();
-        let theirs = other.flushed_tuples();
-        self.epsilon = self.epsilon.max(other.epsilon);
         let adjust = |t: &Tuple, against: &[Tuple]| -> Tuple {
             let j = against.partition_point(|y| y.v <= t.v);
             let extra = if j < against.len() {
@@ -273,186 +342,56 @@ impl QuantileSketch {
             .chain(theirs.iter().map(|t| adjust(t, &self.tuples)))
             .collect();
         merged.sort_unstable();
-        self.tuples = merged;
         self.count += other.count;
-        self.compress();
-    }
-
-    /// Number of values buffered but not yet flushed into the tuple
-    /// list. Hits zero exactly when [`record`](Self::record) triggers a
-    /// flush — the signal callers maintaining a sorted mirror of the
-    /// pending buffer (see [`quantile_via`](Self::quantile_via)) use to
-    /// reset it.
-    pub fn pending_len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Exact fused equivalent of [`quantile`](Self::quantile) for
-    /// callers that keep a sorted copy of the pending buffer.
-    ///
-    /// [`quantile`](Self::quantile) on a sketch with buffered values
-    /// clones itself and flushes the clone — O(buffer·log buffer) sort
-    /// plus two vector copies per query. This method takes the sorted
-    /// pending values from the caller and streams the exact post-flush
-    /// tuple sequence (same insertion rule as `flush`), compresses it
-    /// greedily on the fly (same rule as `compress`) and evaluates the
-    /// rank error of each finalized tuple (same rule as `quantile`) —
-    /// one O(tuples + buffer) pass, no allocation, no mutation. The
-    /// cluster's hedge-threshold cache refreshes through this on every
-    /// completion report, so the constant matters.
-    ///
-    /// `pending_sorted` must be a sorted permutation of the unflushed
-    /// buffer (callers track it via [`pending_len`](Self::pending_len):
-    /// binary-insert each recorded value, clear when a flush drains the
-    /// buffer). Debug builds assert the contract; release builds trust
-    /// it.
-    pub fn quantile_via(&self, q: f64, pending_sorted: &[u64]) -> Option<u64> {
-        debug_assert_eq!(
-            pending_sorted.len(),
-            self.buffer.len(),
-            "pending mirror out of sync with the sketch buffer"
-        );
-        debug_assert!(pending_sorted.windows(2).all(|w| w[0] <= w[1]));
-        // Allocation-free multiset sanity check (the hedge hot path runs
-        // under an allocation-counting test harness even in debug).
-        debug_assert_eq!(
-            self.buffer.iter().fold((0u64, 0u64), |(s, x), &v| {
-                (s.wrapping_add(v), x ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            }),
-            pending_sorted.iter().fold((0u64, 0u64), |(s, x), &v| {
-                (s.wrapping_add(v), x ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            }),
-            "pending mirror is not a permutation of the sketch buffer"
-        );
-        if self.count == 0 {
-            return None;
-        }
-        if pending_sorted.is_empty() {
-            return self.quantile(q);
-        }
-        let n = self.count;
-        let r = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let threshold = (2.0 * self.epsilon * n as f64).floor() as u64;
-        // The streaming accumulator: `cur` is the compressed tuple being
-        // built at position `sealed`; sealing it accumulates rmin and
-        // scores it against the target rank. `compress` never merges
-        // into the first tuple (`w > 1`), hence the `sealed >= 1` guard.
-        struct Fused {
-            threshold: u64,
-            r: u64,
-            cur: Option<Tuple>,
-            sealed: usize,
-            rmin: u64,
-            best: u64,
-            best_err: u64,
-        }
-        impl Fused {
-            fn seal(&mut self) {
-                if let Some(c) = self.cur.take() {
-                    self.rmin += c.g;
-                    let rmax = self.rmin + c.delta;
-                    let err = rmax
-                        .saturating_sub(self.r)
-                        .max(self.r.saturating_sub(self.rmin));
-                    if err < self.best_err {
-                        self.best_err = err;
-                        self.best = c.v;
-                    }
-                    self.sealed += 1;
-                }
-            }
-            fn push(&mut self, t: Tuple) {
-                if let Some(c) = &mut self.cur {
-                    if self.sealed >= 1 && c.g + t.g + t.delta <= self.threshold {
-                        *c = Tuple {
-                            v: t.v,
-                            g: c.g + t.g,
-                            delta: t.delta,
-                        };
-                        return;
-                    }
-                }
-                self.seal();
-                self.cur = Some(t);
-            }
-        }
-        let mut f = Fused {
-            threshold,
-            r,
-            cur: None,
-            sealed: 0,
-            rmin: 0,
-            best: 0,
-            best_err: u64::MAX,
-        };
-        let old = &self.tuples;
-        let mut oi = 0usize;
-        for &v in pending_sorted {
-            while oi < old.len() && old[oi].v <= v {
-                f.push(old[oi]);
-                oi += 1;
-            }
-            let delta = if oi == 0 || oi == old.len() {
-                0
-            } else {
-                old[oi].g + old[oi].delta - 1
-            };
-            f.push(Tuple { v, g: 1, delta });
-        }
-        for &t in &old[oi..] {
-            f.push(t);
-        }
-        f.seal();
-        Some(f.best)
+        let threshold = self.threshold();
+        self.tuples.clear();
+        self.tuples.extend(compress(merged.into_iter(), threshold));
     }
 
     /// The ε-approximate `q`-quantile, or `None` if the sketch is empty.
     ///
-    /// The target rank is the nearest-rank `r = ⌈q·n⌉` clamped to
-    /// `[1, n]`, matching [`crate::MetricSummary`]'s convention; the
-    /// answer is the first tuple minimizing
-    /// `max(rmax - r, r - rmin)`, so on an uncompressed sketch (every
-    /// tuple `g = 1, delta = 0`) the answer is *exactly* the nearest-rank
+    /// The target rank is [`nearest_rank`]`(q, n)`, matching
+    /// [`crate::MetricSummary`]'s convention; the answer is the first
+    /// tuple minimizing `max(rmax - r, r - rmin)` among the tuples a
+    /// flush would leave, so on an uncompressed sketch (every tuple
+    /// `g = 1, delta = 0`) the answer is *exactly* the nearest-rank
     /// value. In general the answer's true rank is within
-    /// [`rank_error_bound`](Self::rank_error_bound) of `r`.
+    /// [`rank_error_bound`](Self::rank_error_bound) of `r`. Reads a
+    /// sorted copy of the buffer when values were recorded since the
+    /// last [`quantile_mut`](Self::quantile_mut).
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let tuples = self.flushed_tuples();
-        let n = self.count;
-        let r = ((q * n as f64).ceil() as u64).clamp(1, n);
-        let mut best = tuples[0].v;
-        let mut best_err = u64::MAX;
-        let mut rmin = 0u64;
-        for t in tuples.iter() {
-            rmin += t.g;
-            let rmax = rmin + t.delta;
-            let err = rmax.saturating_sub(r).max(r.saturating_sub(rmin));
-            if err < best_err {
-                best_err = err;
-                best = t.v;
-            }
-        }
-        Some(best)
+        self.query(q, &self.sorted_pending())
     }
 
-    /// The exact minimum recorded value (`None` if empty). The compress
-    /// rule never absorbs the first tuple, so this is always exact.
-    pub fn min(&self) -> Option<u64> {
+    /// [`quantile`](Self::quantile)'s answer, with no allocation: sorts
+    /// the values recorded since the last query into the buffer first.
+    /// Sorting early changes no later answer and no flushed tuple, as a
+    /// flush sorts the buffer anyway.
+    pub fn quantile_mut(&mut self, q: f64) -> Option<u64> {
+        self.sort_pending();
+        self.query(q, &self.buffer)
+    }
+
+    /// Scores the tuples a flush would leave (`pending` sorted) against
+    /// the nearest rank of `q`.
+    fn query(&self, q: f64, pending: &[u64]) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
-        Some(self.flushed_tuples()[0].v)
+        nearest(self.flushed(pending), nearest_rank(q, self.count))
+    }
+
+    /// The exact minimum recorded value (`None` if empty): the stored
+    /// first tuple is exact, and so is every buffered value.
+    pub fn min(&self) -> Option<u64> {
+        let stored = self.tuples.first().map(|t| t.v);
+        stored.into_iter().chain(self.buffer.iter().copied()).min()
     }
 
     /// The exact maximum recorded value (`None` if empty).
     pub fn max(&self) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let tuples = self.flushed_tuples();
-        Some(tuples[tuples.len() - 1].v)
+        let stored = self.tuples.last().map(|t| t.v);
+        stored.into_iter().chain(self.buffer.iter().copied()).max()
     }
 
     /// Sound a-posteriori bound on the rank error of any
@@ -465,18 +404,17 @@ impl QuantileSketch {
     /// delta = 0` and the last `delta = 0`). A bound of 0 means every
     /// answer is the exact nearest-rank value.
     pub fn rank_error_bound(&self) -> u64 {
-        self.flushed_tuples()
-            .iter()
+        self.flushed(&self.sorted_pending())
             .map(|t| t.g + t.delta)
             .max()
             .map_or(0, |gd| gd / 2)
     }
 
-    /// Number of summary tuples currently held — the sketch's memory
+    /// Number of summary tuples a flush would leave — the sketch's memory
     /// footprint in 24-byte units. Grows like O((1/ε)·log(εn)), not O(n);
     /// the streaming memory tests assert this directly.
     pub fn tuple_count(&self) -> usize {
-        self.flushed_tuples().len()
+        self.flushed(&self.sorted_pending()).count()
     }
 
     /// FNV-1a digest of the flushed state `(ε, n, tuples)`. Two sketches
@@ -494,7 +432,7 @@ impl QuantileSketch {
         };
         eat(self.epsilon.to_bits());
         eat(self.count);
-        for t in self.flushed_tuples().iter() {
+        for t in self.flushed(&self.sorted_pending()) {
             eat(t.v);
             eat(t.g);
             eat(t.delta);
@@ -509,7 +447,9 @@ impl PartialEq for QuantileSketch {
     fn eq(&self, other: &Self) -> bool {
         self.epsilon.to_bits() == other.epsilon.to_bits()
             && self.count == other.count
-            && self.flushed_tuples() == other.flushed_tuples()
+            && self
+                .flushed(&self.sorted_pending())
+                .eq(other.flushed(&other.sorted_pending()))
     }
 }
 
@@ -788,33 +728,122 @@ mod tests {
     }
 
     #[test]
-    fn property_quantile_via_matches_quantile() {
-        // The fused pending-mirror query must equal the clone-and-flush
-        // query bit for bit, at every buffer fill level (including mid-
-        // batch states straddling flush boundaries) and every epsilon.
-        check::run("quantile_via == quantile", 64, |g| {
-            let eps = g.f64_in(0.002, 0.2);
+    fn property_queries_answer_as_a_flushed_clone() {
+        // Both queries must answer exactly as a flushed clone does, at
+        // random points between records (mid-batch, across flush
+        // boundaries) and at every epsilon; the sorting `quantile_mut`
+        // does must leave no trace in the summary a twin that was never
+        // queried ends with.
+        check::run("quantile == quantile_mut == flushed clone", 64, |g| {
+            let eps = g.f64_in(0.002, 0.5);
             let n = g.usize_in(1, 3_000);
             let hi = g.u64_in(2, 1_000_000);
+            let every = g.usize_in(1, 40);
             let mut sk = QuantileSketch::new(eps);
-            let mut mirror: Vec<u64> = Vec::new();
+            let mut twin = QuantileSketch::new(eps);
             for _ in 0..n {
                 let v = g.u64_in(0, hi);
                 sk.record(v);
-                if sk.pending_len() == 0 {
-                    mirror.clear();
-                } else {
-                    let i = mirror.partition_point(|&x| x <= v);
-                    mirror.insert(i, v);
+                twin.record(v);
+                if g.usize_in(0, every) == 0 {
+                    let q = g.f64_in(0.0, 1.0);
+                    let mut flushed = sk.clone();
+                    flushed.flush();
+                    let want = flushed.quantile(q);
+                    let pending = sk.buffer.len();
+                    assert_eq!(sk.quantile(q), want, "quantile q={q} pending={pending}");
+                    assert_eq!(
+                        sk.quantile_mut(q),
+                        want,
+                        "quantile_mut q={q} pending={pending}"
+                    );
+                    assert_eq!(sk.quantile(q), want, "quantile after sorting, q={q}");
                 }
             }
-            for q in [0.0, 0.01, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0] {
-                assert_eq!(
-                    sk.quantile_via(q, &mirror),
-                    sk.quantile(q),
-                    "q={q} n={n} eps={eps} pending={}",
-                    mirror.len()
-                );
+            assert_eq!(sk.digest(), twin.digest());
+            sk.flush();
+            twin.flush();
+            assert_eq!(sk.tuples, twin.tuples);
+        });
+    }
+
+    /// The first pass of the two-pass flush the streaming pieces
+    /// replaced, kept as their reference: merge-insert the sorted
+    /// `pending` values into a new list.
+    fn two_pass_insert(tuples: &[Tuple], pending: &[u64]) -> Vec<Tuple> {
+        let mut out = Vec::with_capacity(tuples.len() + pending.len());
+        let mut oi = 0;
+        for &v in pending {
+            while oi < tuples.len() && tuples[oi].v <= v {
+                out.push(tuples[oi]);
+                oi += 1;
+            }
+            let delta = if oi == 0 || oi == tuples.len() {
+                0
+            } else {
+                tuples[oi].g + tuples[oi].delta - 1
+            };
+            out.push(Tuple { v, g: 1, delta });
+        }
+        out.extend_from_slice(&tuples[oi..]);
+        out
+    }
+
+    /// The second pass: compress the inserted list in place, left to
+    /// right, never merging into the first tuple.
+    fn two_pass_compress(tuples: &mut Vec<Tuple>, threshold: u64) {
+        if threshold == 0 || tuples.len() <= 2 {
+            return;
+        }
+        let mut w = 0usize;
+        for r in 0..tuples.len() {
+            let t = tuples[r];
+            if w > 1 && tuples[w - 1].g + t.g + t.delta <= threshold {
+                let last = &mut tuples[w - 1];
+                *last = Tuple {
+                    v: t.v,
+                    g: last.g + t.g,
+                    delta: t.delta,
+                };
+            } else {
+                tuples[w] = t;
+                w += 1;
+            }
+        }
+        tuples.truncate(w);
+    }
+
+    #[test]
+    fn property_streaming_flush_matches_two_pass_reference() {
+        // `insert` and `compress` must equal the two passes tuple
+        // for tuple: the flush at the sketch's own threshold after every
+        // batch of a random stream, and the compressor alone at random
+        // thresholds over the same inserted lists.
+        check::run("streamed flush == two-pass flush", 64, |g| {
+            let eps = g.f64_in(0.002, 0.5);
+            let hi = g.u64_in(2, 100_000);
+            let mut sk = QuantileSketch::new(eps);
+            for _ in 0..g.usize_in(1, 6) {
+                for v in g.vec_u64(0, hi, 1, 2 * BUFFER_CAP) {
+                    sk.record(v);
+                }
+                let mut pending = sk.buffer.clone();
+                pending.sort_unstable();
+                let inserted = two_pass_insert(&sk.tuples, &pending);
+                let streamed: Vec<Tuple> = insert(&sk.tuples, &pending).collect();
+                assert_eq!(streamed, inserted, "insertion");
+                // A flush with nothing pending changes nothing.
+                let mut flushed = inserted.clone();
+                if !pending.is_empty() {
+                    two_pass_compress(&mut flushed, sk.threshold());
+                }
+                let streamed: Vec<Tuple> = sk.flushed(&pending).collect();
+                assert_eq!(streamed, flushed, "flush at the sketch's threshold");
+                let threshold = g.u64_in(0, 4 * sk.count + 1);
+                let mut compressed = inserted.clone();
+                two_pass_compress(&mut compressed, threshold);
+                let streamed: Vec<Tuple> = compress(inserted.iter().copied(), threshold).collect();
+                assert_eq!(streamed, compressed, "compression at threshold {threshold}");
             }
         });
     }

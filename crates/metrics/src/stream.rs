@@ -55,14 +55,13 @@ use crate::summary::{Metric, MetricSummary, RunSummary};
 pub const DEFAULT_STREAM_EPSILON: f64 = 5e-4;
 
 /// Online summary of one duration metric: exact count / total / mean /
-/// max, sketched quantiles.
+/// max, sketched quantiles. The count and maximum are the sketch's own,
+/// which it keeps exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamStats {
-    count: u64,
     /// Sum of all recorded durations in microseconds. `u128` so an
     /// hour-scale fleet trace cannot overflow the accumulator.
     total_micros: u128,
-    max_micros: u64,
     sketch: QuantileSketch,
 }
 
@@ -70,9 +69,7 @@ impl StreamStats {
     /// Creates an empty accumulator with the given sketch epsilon.
     pub fn new(epsilon: f64) -> Self {
         StreamStats {
-            count: 0,
             total_micros: 0,
-            max_micros: 0,
             sketch: QuantileSketch::new(epsilon),
         }
     }
@@ -80,29 +77,25 @@ impl StreamStats {
     /// Records one duration.
     pub fn record(&mut self, d: SimDuration) {
         let v = d.as_micros();
-        self.count += 1;
         self.total_micros += u128::from(v);
-        self.max_micros = self.max_micros.max(v);
         self.sketch.record(v);
     }
 
     /// Merges another accumulator into this one (machine-order merging is
     /// the caller's contract; the sketch merge itself is commutative).
     pub fn merge_from(&mut self, other: &StreamStats) {
-        self.count += other.count;
         self.total_micros += other.total_micros;
-        self.max_micros = self.max_micros.max(other.max_micros);
         self.sketch.merge_from(&other.sketch);
     }
 
     /// Number of recorded durations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.sketch.count()
     }
 
     /// `true` if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.sketch.is_empty()
     }
 
     /// Exact sum of recorded durations.
@@ -117,15 +110,15 @@ impl StreamStats {
     /// Exact arithmetic mean, with the same integer division as
     /// [`MetricSummary::compute`]. Zero when empty.
     pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
+        if self.is_empty() {
             return SimDuration::from_micros(0);
         }
-        SimDuration::from_micros((self.total_micros / u128::from(self.count)) as u64)
+        SimDuration::from_micros((self.total_micros / u128::from(self.count())) as u64)
     }
 
     /// Exact maximum. Zero when empty.
     pub fn max(&self) -> SimDuration {
-        SimDuration::from_micros(self.max_micros)
+        SimDuration::from_micros(self.sketch.max().unwrap_or(0))
     }
 
     /// Sketched `q`-quantile (nearest-rank convention). Zero when empty.
@@ -158,9 +151,9 @@ impl StreamStats {
     /// Panics if nothing has been recorded (mirroring
     /// [`MetricSummary::compute`] on empty records).
     pub fn to_summary(&self) -> MetricSummary {
-        assert!(self.count > 0, "cannot summarize zero records");
+        assert!(!self.is_empty(), "cannot summarize zero records");
         MetricSummary {
-            count: self.count as usize,
+            count: self.count() as usize,
             mean: self.mean(),
             p50: self.quantile(0.50),
             p90: self.quantile(0.90),

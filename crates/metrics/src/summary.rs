@@ -1,6 +1,6 @@
 //! Statistical summaries of a set of task records.
 
-use faas_simcore::SimDuration;
+use faas_simcore::{nearest_rank, SimDuration};
 
 use crate::record::TaskRecord;
 
@@ -83,7 +83,7 @@ impl MetricSummary {
             values.extend(part.as_ref().iter().map(|r| metric.of(r)));
         }
         let total: SimDuration = values.iter().copied().sum();
-        let rank = |p: f64| ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
+        let rank = |p: f64| nearest_rank(p, n as u64) as usize - 1;
         let (i50, i90, i99) = (rank(0.50), rank(0.90), rank(0.99));
         // Each selection leaves the values at or below its index in the
         // prefix up to it, so the next lower quantile is selected there.

@@ -30,7 +30,9 @@
 //! * [`check`] — a miniature property-test harness (the workspace's
 //!   offline stand-in for `proptest`);
 //! * [`par`] — a scoped-thread fan-out for independent deterministic jobs
-//!   (`BENCH_THREADS`-aware, results always in input order).
+//!   (`BENCH_THREADS`-aware, results always in input order);
+//! * [`nearest_rank`] — the rank every exact and sketched quantile in the
+//!   workspace targets.
 //!
 //! # Examples
 //!
@@ -78,3 +80,10 @@ pub use idxheap::IndexedMinHeap;
 pub use rng::SimRng;
 pub use sorted::SortedDeque;
 pub use time::{SimDuration, SimTime};
+
+/// The 1-based nearest rank of quantile `q` among `n` ordered values:
+/// `⌈q·n⌉` clamped to `[1, n]`, so `q = 0` names the minimum and `q = 1`
+/// the maximum. Panics if `n` is zero.
+pub fn nearest_rank(q: f64, n: u64) -> u64 {
+    ((q * n as f64).ceil() as u64).clamp(1, n)
+}

@@ -4,6 +4,8 @@
 //! data by overlaying the duration CDFs. We make the check quantitative
 //! with the two-sample Kolmogorov–Smirnov statistic.
 
+use faas_simcore::nearest_rank;
+
 /// An empirical CDF over `f64` samples.
 ///
 /// # Examples
@@ -65,9 +67,7 @@ impl EmpiricalCdf {
             (0.0..=1.0).contains(&p),
             "percentile fraction must be in [0,1]"
         );
-        let n = self.sorted.len();
-        let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-        self.sorted[rank - 1]
+        self.sorted[nearest_rank(p, self.sorted.len() as u64) as usize - 1]
     }
 }
 

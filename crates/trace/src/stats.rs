@@ -2,7 +2,7 @@
 //! workload with before replaying it (and the quantities behind Fig. 2's
 //! two panels).
 
-use faas_simcore::SimDuration;
+use faas_simcore::{nearest_rank, SimDuration};
 
 use crate::workload::AzureTrace;
 
@@ -66,8 +66,7 @@ impl TraceStats {
         durations.sort_unstable();
         let total_work: SimDuration = durations.iter().copied().sum();
         let mean_duration = SimDuration::from_micros(total_work.as_micros() / inv.len() as u64);
-        let rank = ((0.9 * inv.len() as f64).ceil() as usize).clamp(1, inv.len());
-        let p90_duration = durations[rank - 1];
+        let p90_duration = durations[nearest_rank(0.9, inv.len() as u64) as usize - 1];
 
         let rate_per_sec = inv.len() as f64 / span.as_secs_f64();
         let offered_load = total_work.as_secs_f64() / (span.as_secs_f64() * cores as f64);
