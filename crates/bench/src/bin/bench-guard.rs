@@ -8,7 +8,9 @@
 //! `faas-bench/v1` documents (typically the committed `BENCH_sched.json`
 //! and a fresh quick-mode `BENCH_sched.quick.json`) and prints a warning
 //! for each row that regressed more than `threshold` (default 0.2 =
-//! 20%). Regressions do **not** fail the process — quick-mode samples on
+//! 20%). A row whose `events_per_iter` differs between the two documents
+//! is compared on `median_ns` instead and listed with both counts.
+//! Regressions do **not** fail the process — quick-mode samples on
 //! shared CI hardware are too noisy for a hard gate — but unreadable or
 //! schema-mismatched input exits non-zero, because that means the bench
 //! harness itself broke.

@@ -3,16 +3,19 @@
 //! CI regenerates the hot-path benches in quick mode on every push; this
 //! module compares that fresh output against the committed
 //! `BENCH_sched.json` and reports every benchmark whose `events_per_sec`
-//! dropped by more than a threshold. The check is **advisory** — quick
-//! mode is 3 samples on shared CI hardware, so the `bench-guard` binary
-//! prints warnings instead of failing the build; a malformed or
-//! schema-less input, however, is a hard error (that's a broken harness,
-//! not a slow one).
+//! dropped by more than a threshold. A row whose `events_per_iter`
+//! differs between the two runs is scored on `median_ns` instead: the
+//! code now counts different events for the same work (a change that
+//! drops no-op events), so its events/sec would move by itself. The check
+//! is **advisory** — quick mode is 3 samples on shared CI hardware, so the
+//! `bench-guard` binary prints warnings instead of failing the build; a
+//! malformed or schema-less input, however, is a hard error (that's a
+//! broken harness, not a slow one).
 
 use crate::jsoncheck::{self, Json};
 
-/// Relative `events_per_sec` drop beyond which a row is flagged (0.2 =
-/// a >20% regression).
+/// Relative throughput drop beyond which a row is flagged (0.2 = a >20%
+/// regression).
 pub const DEFAULT_THRESHOLD: f64 = 0.2;
 
 /// One benchmark's throughput comparison between two baseline files.
@@ -22,17 +25,27 @@ pub struct Comparison {
     pub group: String,
     /// Benchmark name.
     pub name: String,
-    /// `events_per_sec` in the reference (committed) baseline.
+    /// `events_per_sec` in the reference (committed) baseline, or its
+    /// `median_ns` for a recounted row.
     pub baseline: f64,
-    /// `events_per_sec` in the fresh run.
+    /// The same figure in the fresh run.
     pub fresh: f64,
+    /// `events_per_iter` in the baseline and in the fresh run, when the
+    /// two differ: the row is then scored on `median_ns`.
+    pub recount: Option<(u64, u64)>,
 }
 
 impl Comparison {
-    /// Fractional change, negative for regressions (−0.25 = 25% slower).
+    /// Fractional change in throughput, negative for regressions
+    /// (−0.25 = 25% slower); for a recounted row, in iterations per
+    /// second.
     pub fn delta(&self) -> f64 {
-        if self.baseline > 0.0 {
-            self.fresh / self.baseline - 1.0
+        let (new, old) = match self.recount {
+            None => (self.fresh, self.baseline),
+            Some(_) => (self.baseline, self.fresh),
+        };
+        if old > 0.0 {
+            new / old - 1.0
         } else {
             0.0
         }
@@ -44,17 +57,49 @@ impl Comparison {
     }
 }
 
-/// Extracts every `(group, name)` row with its *optional*
-/// `events_per_sec` from a `faas-bench/v1` document. Pure wall-clock
-/// rows (no throughput declaration — e.g. the cluster-xl section) carry
-/// `None`: they still take part in the presence diff, they just never
-/// produce a throughput [`Comparison`].
+/// One result row of a `faas-bench/v1` document: its `(group, name)`
+/// key and the optional figures the guard scores.
+struct Row {
+    group: String,
+    name: String,
+    events_per_sec: Option<f64>,
+    events_per_iter: Option<u64>,
+    median_ns: Option<f64>,
+}
+
+impl Row {
+    /// `self` (baseline) against `fresh` on `events_per_sec`, or on
+    /// `median_ns` when the two `events_per_iter` differ; `None` when a
+    /// side lacks the figure.
+    fn compare(self, fresh: &Row) -> Option<Comparison> {
+        let recount = match (self.events_per_iter, fresh.events_per_iter) {
+            (Some(b), Some(f)) if b != f => Some((b, f)),
+            _ => None,
+        };
+        let (baseline, fresh) = match recount {
+            None => (self.events_per_sec?, fresh.events_per_sec?),
+            Some(_) => (self.median_ns?, fresh.median_ns?),
+        };
+        Some(Comparison {
+            group: self.group,
+            name: self.name,
+            baseline,
+            fresh,
+            recount,
+        })
+    }
+}
+
+/// Extracts every result row from a `faas-bench/v1` document. Pure
+/// wall-clock rows (no throughput declaration — e.g. the cluster-xl
+/// section) carry no `events_per_sec`: they still take part in the
+/// presence diff, they just never produce a throughput [`Comparison`].
 ///
 /// # Errors
 ///
 /// Rejects malformed JSON, a missing/mismatched `schema` marker, or a
 /// missing `results` array.
-fn throughput_rows(text: &str, label: &str) -> Result<Vec<(String, String, Option<f64>)>, String> {
+fn throughput_rows(text: &str, label: &str) -> Result<Vec<Row>, String> {
     let doc = jsoncheck::parse(text).map_err(|e| format!("{label}: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
         Some("faas-bench/v1") => {}
@@ -72,8 +117,14 @@ fn throughput_rows(text: &str, label: &str) -> Result<Vec<(String, String, Optio
         ) else {
             return Err(format!("{label}: result row without group/name"));
         };
-        let eps = r.get("events_per_sec").and_then(Json::as_f64);
-        rows.push((group.to_string(), name.to_string(), eps));
+        let figure = |key: &str| r.get(key).and_then(Json::as_f64);
+        rows.push(Row {
+            group: group.to_string(),
+            name: name.to_string(),
+            events_per_sec: figure("events_per_sec"),
+            events_per_iter: figure("events_per_iter").map(|v| v as u64),
+            median_ns: figure("median_ns"),
+        });
     }
     Ok(rows)
 }
@@ -93,13 +144,15 @@ pub struct GuardDiff {
     /// removed or renamed).
     pub baseline_only: Vec<(String, String)>,
     /// `(group, name)` rows present in both documents where at least one
-    /// side declares no `events_per_sec` — wall-clock-only benches, which
-    /// have nothing scale-invariant to compare. Informational.
+    /// side lacks the scored figure (see [`Comparison`]) — wall-clock-only
+    /// benches, which have nothing scale-invariant to compare.
+    /// Informational.
     pub unscored: Vec<(String, String)>,
 }
 
-/// Compares two `faas-bench/v1` documents row-by-row on `events_per_sec`,
-/// keyed by `(group, name)`, and reports unmatched rows on either side.
+/// Compares two `faas-bench/v1` documents row-by-row on `events_per_sec`
+/// (on `median_ns` where the rows' `events_per_iter` differ), keyed by
+/// `(group, name)`, and reports unmatched rows on either side.
 /// A row present in only one document is a presence note whether or not
 /// it declares a throughput — a freshly added wall-clock bench (no
 /// committed baseline yet) lands in `fresh_only`, not in silence.
@@ -114,30 +167,26 @@ pub fn compare_full(baseline: &str, fresh: &str) -> Result<GuardDiff, String> {
     let mut baseline_only = Vec::new();
     let mut unscored = Vec::new();
     let mut matched: Vec<(String, String)> = Vec::new();
-    for (group, name, base_eps) in base_rows {
+    for base in base_rows {
+        let key = (base.group.clone(), base.name.clone());
         match fresh_rows
             .iter()
-            .find(|(g, n, _)| *g == group && *n == name)
+            .find(|f| f.group == base.group && f.name == base.name)
         {
-            Some((_, _, fresh_eps)) => {
-                matched.push((group.clone(), name.clone()));
-                match (base_eps, fresh_eps) {
-                    (Some(base), Some(fresh)) => comparisons.push(Comparison {
-                        group,
-                        name,
-                        baseline: base,
-                        fresh: *fresh,
-                    }),
-                    _ => unscored.push((group, name)),
+            Some(fresh) => {
+                matched.push(key.clone());
+                match base.compare(fresh) {
+                    Some(c) => comparisons.push(c),
+                    None => unscored.push(key),
                 }
             }
-            None => baseline_only.push((group, name)),
+            None => baseline_only.push(key),
         }
     }
     let fresh_only = fresh_rows
         .into_iter()
-        .filter(|(g, n, _)| !matched.iter().any(|(mg, mn)| mg == g && mn == n))
-        .map(|(g, n, _)| (g, n))
+        .filter(|f| !matched.iter().any(|(g, n)| *g == f.group && *n == f.name))
+        .map(|f| (f.group, f.name))
         .collect();
     Ok(GuardDiff {
         comparisons,
@@ -217,9 +266,13 @@ pub fn report(rows: &[Comparison], threshold: f64, out: &mut dyn std::io::Write)
         } else {
             ""
         };
+        let (unit, recount) = match row.recount {
+            None => ("events/s", String::new()),
+            Some((b, f)) => ("ns/iter ", format!("  [events/iter {b} -> {f}]")),
+        };
         let _ = writeln!(
             out,
-            "  {:<45} {:>12.0} -> {:>12.0} events/s  ({:+6.1}%){flag}",
+            "  {:<45} {:>12.0} -> {:>12.0} {unit}  ({:+6.1}%){flag}{recount}",
             format!("{}/{}", row.group, row.name),
             row.baseline,
             row.fresh,
@@ -349,6 +402,64 @@ mod tests {
             new_line.contains("regenerate") && dropped_line.contains("prune"),
             "the two notes must prescribe opposite actions"
         );
+    }
+
+    /// A row as the bench harness writes it: events per iteration, the
+    /// median iteration time and the throughput they imply.
+    fn timed_row(g: &str, n: &str, events: u64, median_ns: u64) -> String {
+        let eps = events as f64 * 1e9 / median_ns as f64;
+        let figures = format!(
+            r#""median_ns": {median_ns}, "events_per_iter": {events}, "events_per_sec": {eps}"#
+        );
+        format!(r#"{{"group": "{g}", "name": "{n}", {figures}}}"#)
+    }
+
+    fn timed_doc(rows: &[String]) -> String {
+        format!(
+            r#"{{"schema": "faas-bench/v1", "quick": false, "results": [{}]}}"#,
+            rows.join(", ")
+        )
+    }
+
+    #[test]
+    fn recounted_rows_compare_median_time_not_events_per_sec() {
+        let base = timed_doc(&[
+            timed_row("g", "same", 200, 1_000),
+            timed_row("g", "fewer_events", 200, 1_000),
+            timed_row("g", "fewer_and_slower", 200, 1_000),
+        ]);
+        // `fewer_events` drops half its no-op events and runs 10% faster:
+        // its events/sec falls 44%, its iterations speed up.
+        // `fewer_and_slower` takes 50% longer per iteration.
+        let fresh = timed_doc(&[
+            timed_row("g", "same", 200, 1_100),
+            timed_row("g", "fewer_events", 100, 900),
+            timed_row("g", "fewer_and_slower", 100, 1_500),
+        ]);
+        let cmp = compare(&base, &fresh).unwrap();
+        assert_eq!(cmp[0].recount, None);
+        assert_eq!(
+            (cmp[1].recount, cmp[2].recount),
+            (Some((200, 100)), Some((200, 100)))
+        );
+        assert_eq!((cmp[1].baseline, cmp[1].fresh), (1_000.0, 900.0));
+        assert!((cmp[1].delta() - 1.0 / 0.9 + 1.0).abs() < 1e-12);
+        let flagged: Vec<&str> = cmp
+            .iter()
+            .filter(|c| c.regressed(DEFAULT_THRESHOLD))
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(flagged, vec!["fewer_and_slower"]);
+        let mut buf = Vec::new();
+        assert_eq!(report(&cmp, DEFAULT_THRESHOLD, &mut buf), 1);
+        let text = String::from_utf8(buf).unwrap();
+        let line = text.lines().find(|l| l.contains("g/fewer_events")).unwrap();
+        assert!(
+            line.contains("ns/iter") && line.contains("[events/iter 200 -> 100]"),
+            "a recounted row lists both counts: {line}"
+        );
+        let line = text.lines().find(|l| l.contains("g/same")).unwrap();
+        assert!(line.contains("events/s") && !line.contains("events/iter"));
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub(crate) fn crash_storm(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
         writeln!(
             ctx.out,
             "{name}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.2}\t{:.2}\t{cost:.4}\t{:.4}",
-            report.merged_records().len(),
+            summary.merged.execution.count,
             c.crashes,
             c.retries,
             c.abandoned,

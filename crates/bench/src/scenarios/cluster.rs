@@ -20,7 +20,6 @@ use faas_cluster::{
     StreamOptions,
 };
 use faas_kernel::Scheduler;
-use faas_metrics::RunSummary;
 use faas_policies::Fifo;
 use hybrid_scheduler::{HybridConfig, HybridScheduler};
 use lambda_pricing::PriceModel;
@@ -65,10 +64,10 @@ fn write_comparison<P: Scheduler + Send>(
         let report = Cluster::new(fleet_config(machines), dispatch, make_policy)
             .run(tasks, par::bench_threads())
             .expect("cluster completes");
-        let merged = report.merged_records();
-        let s = RunSummary::compute(&merged);
+        let summary = report.summary();
+        let s = summary.merged;
         let cost = PriceModel::duration_only().cluster_workload_cost(&report.records);
-        let (lo, hi) = report.summary().response_p99_spread();
+        let (lo, hi) = summary.response_p99_spread();
         writeln!(
             ctx.out,
             "{}\t{:.2}\t{:.2}\t{cost:.4}\t{}\t{:.2}-{:.2}",

@@ -115,7 +115,7 @@ pub(crate) fn straggler_outliers(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
         writeln!(
             ctx.out,
             "{name}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.2}\t{:.2}\t{cost:.4}\t{:.4}",
-            report.merged_records().len(),
+            summary.merged.execution.count,
             report.chaos.straggled_tasks,
             h.ejections,
             h.readmissions,
@@ -191,7 +191,7 @@ pub(crate) fn retry_backoff(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
         writeln!(
             ctx.out,
             "{name}\t{}\t{}\t{}\t{}\t{mean_backoff_ms:.1}\t{}\t{}\t{:.2}\t{:.2}\t{cost:.4}\t{:.4}",
-            report.merged_records().len(),
+            summary.merged.execution.count,
             c.crashes,
             c.retries,
             h.backoff_retries,

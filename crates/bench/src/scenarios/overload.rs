@@ -22,7 +22,6 @@ use faas_cluster::{
     workload_from_trace, BreakerConfig, Cluster, ClusterConfig, ClusterTaskStream, ColdStartConfig,
     OverloadConfig, StreamOptions,
 };
-use faas_metrics::RunSummary;
 use faas_simcore::SimDuration;
 use hybrid_scheduler::{HybridConfig, HybridScheduler};
 use lambda_pricing::PriceModel;
@@ -114,15 +113,15 @@ pub(crate) fn overload(ctx: &mut ScenarioCtx<'_>) -> ScenarioResult {
         })
         .run(&tasks, par::bench_threads())
         .expect("overloaded cluster still completes");
-        let merged = report.merged_records();
-        let s = RunSummary::compute(&merged);
+        let summary = report.summary();
+        let s = summary.merged;
         let cost = PriceModel::duration_only().cluster_workload_cost(&report.records);
-        let (lo, hi) = report.summary().response_p99_spread();
+        let (lo, hi) = summary.response_p99_spread();
         let o = report.overload;
         writeln!(
             ctx.out,
             "{name}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.2}\t{:.2}-{:.2}\t{cost:.4}\t{:.4}",
-            merged.len(),
+            s.execution.count,
             o.shed_concurrency,
             o.shed_rate,
             o.shed_timeout,

@@ -543,12 +543,14 @@ impl Autoscaler {
     }
 
     /// Feeds one load observation; returns a decision when the hysteresis
-    /// loop wants to act. `outstanding` is the total in-flight count over
-    /// the `active` machines.
+    /// loop wants to act. `outstanding` yields the total in-flight count
+    /// over the `active` machines; it is called only past the check and
+    /// cooldown gates, so a caller that sums it pays only when a check is
+    /// due.
     pub fn observe(
         &mut self,
         now_us: u64,
-        outstanding: u64,
+        outstanding: impl FnOnce() -> u64,
         active: usize,
     ) -> Option<ScaleDecision> {
         if now_us < self.next_check_us {
@@ -558,7 +560,7 @@ impl Autoscaler {
         if now_us < self.cooldown_until_us {
             return None;
         }
-        let per = outstanding as f64 / active.max(1) as f64;
+        let per = outstanding() as f64 / active.max(1) as f64;
         if per > self.cfg.high_watermark && active < self.max {
             self.cooldown_until_us = now_us + self.cfg.cooldown.as_micros();
             Some(ScaleDecision::Up)
@@ -658,16 +660,25 @@ mod tests {
         };
         let mut scaler = Autoscaler::new(cfg, 4);
         // Overloaded at t=0: scale up.
-        assert_eq!(scaler.observe(0, 100, 2), Some(ScaleDecision::Up));
+        assert_eq!(scaler.observe(0, || 100, 2), Some(ScaleDecision::Up));
         // Still overloaded inside the cooldown: no action.
-        assert_eq!(scaler.observe(5_000_000, 100, 3), None);
+        assert_eq!(scaler.observe(5_000_000, || 100, 3), None);
         // After the cooldown: scale up again, but never past max.
-        assert_eq!(scaler.observe(10_000_000, 100, 3), Some(ScaleDecision::Up));
-        assert_eq!(scaler.observe(25_000_000, 100, 4), None);
+        assert_eq!(
+            scaler.observe(10_000_000, || 100, 3),
+            Some(ScaleDecision::Up)
+        );
+        assert_eq!(scaler.observe(25_000_000, || 100, 4), None);
         // Idle: scale down, but never below min.
-        assert_eq!(scaler.observe(40_000_000, 0, 4), Some(ScaleDecision::Down));
-        assert_eq!(scaler.observe(60_000_000, 0, 3), Some(ScaleDecision::Down));
-        assert_eq!(scaler.observe(80_000_000, 0, 2), None);
+        assert_eq!(
+            scaler.observe(40_000_000, || 0, 4),
+            Some(ScaleDecision::Down)
+        );
+        assert_eq!(
+            scaler.observe(60_000_000, || 0, 3),
+            Some(ScaleDecision::Down)
+        );
+        assert_eq!(scaler.observe(80_000_000, || 0, 2), None);
     }
 
     #[test]
@@ -678,10 +689,13 @@ mod tests {
             ..AutoscaleConfig::default()
         };
         let mut scaler = Autoscaler::new(cfg, 8);
-        assert_eq!(scaler.observe(0, 1_000, 1), Some(ScaleDecision::Up));
+        assert_eq!(scaler.observe(0, || 1_000, 1), Some(ScaleDecision::Up));
         // Within the check interval the load is not even observed.
-        assert_eq!(scaler.observe(1_000_000, 1_000, 2), None);
-        assert_eq!(scaler.observe(5_000_000, 1_000, 2), Some(ScaleDecision::Up));
+        assert_eq!(scaler.observe(1_000_000, || 1_000, 2), None);
+        assert_eq!(
+            scaler.observe(5_000_000, || 1_000, 2),
+            Some(ScaleDecision::Up)
+        );
     }
 
     #[test]

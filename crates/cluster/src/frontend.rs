@@ -49,8 +49,6 @@ struct MachineLoad {
     /// epoch skip the outstanding count at pop time instead of being
     /// searched out.
     epoch: u32,
-    /// Total invocations dispatched to this machine so far.
-    dispatched: u64,
 }
 
 impl MachineLoad {
@@ -63,7 +61,6 @@ impl MachineLoad {
             free_cores,
             outstanding: 0,
             epoch: 0,
-            dispatched: 0,
         }
     }
 
@@ -77,7 +74,6 @@ impl MachineLoad {
         self.free_cores.push(cpu_done);
         let completion = cpu_done + io_us;
         self.outstanding += 1;
-        self.dispatched += 1;
         completion
     }
 }
@@ -141,12 +137,6 @@ impl DispatchCtx<'_> {
         self.front.loads[self.phys(machine)].outstanding as usize
     }
 
-    /// Cores per machine — the natural unit for "how overloaded is a
-    /// machine" thresholds (e.g. keep-alive spill margins).
-    pub fn cores(&self) -> usize {
-        self.front.cores
-    }
-
     /// Estimated queueing delay a task dispatched to `machine` right now
     /// would see before starting (0 while the machine has a free core in
     /// the FCFS drain estimate). Unlike [`DispatchCtx::outstanding`],
@@ -198,11 +188,6 @@ impl DispatchCtx<'_> {
             }
         }
         best.map(|(m, _)| m)
-    }
-
-    /// Total invocations dispatched to `machine` so far.
-    pub fn dispatched(&self, machine: usize) -> u64 {
-        self.front.loads[self.phys(machine)].dispatched
     }
 
     /// `true` if `machine` holds a warm instance of this invocation's
@@ -300,13 +285,6 @@ impl DispatchCtx<'_> {
 /// invocation through unchanged.
 pub struct FrontEnd {
     loads: Vec<MachineLoad>,
-    /// Cores per machine (exposed via [`DispatchCtx::cores`]).
-    cores: usize,
-    /// Latest arrival dispatched so far — carried across
-    /// [`FrontEnd::dispatch_chunk`] calls so a chunked feed enforces the
-    /// same global sorted-stream contract as one pass over the whole
-    /// stream.
-    last_arrival: SimTime,
     /// `(machine, function) → pool of instance busy-until instants (µs)`.
     /// One entry per live function instance: an instance serves **one**
     /// invocation at a time, is reusable while idle
@@ -338,13 +316,18 @@ pub struct FrontEnd {
     scaler: Option<Autoscaler>,
     /// Crash/retry/scale ledger (all-zero without chaos or autoscaling).
     stats: ChaosStats,
-    /// Node-health feedback state (tracks nothing without a
-    /// [`HealthConfig`](crate::HealthConfig)). Another serial fold:
-    /// completion reports, ejection decisions and hedge triggers all
-    /// digest in arrival order, chunk- and fan-invariant.
+    /// Node-health feedback state (tracks nothing unless the
+    /// [`HealthConfig`](crate::HealthConfig) arms ejection or hedging).
+    /// Another serial fold: completion reports, ejection decisions and
+    /// hedge triggers all digest in arrival order, chunk- and
+    /// fan-invariant.
     health: HealthTracker,
-    /// High-water mark of the fold's arrival clock (µs) — the "as of"
-    /// instant for the health snapshot's open ejection spans.
+    /// The fold's arrival clock (µs): the latest arrival or retry instant
+    /// dispatched so far. Carried across [`FrontEnd::dispatch_chunk`]
+    /// calls, so a chunked feed enforces the same global sorted-stream
+    /// contract as one pass over the whole stream; the floor of
+    /// [`FrontEnd::finish`]'s retries; and the "as of" instant for the
+    /// health snapshot's open ejection spans.
     clock_us: u64,
     /// The booked-completion queue, in (instant, insertion) order: every
     /// booked attempt's completion and every completion report, drained
@@ -367,9 +350,6 @@ pub struct FrontEnd {
     /// index — the least-wait winner among zero-wait machines is the
     /// lowest index, exactly the scan's first-seen tie-break.
     idle_heap: IndexedMinHeap<u32>,
-    /// Σ outstanding over the active prefix — the autoscaler's load
-    /// signal, maintained incrementally instead of re-summed per tick.
-    active_outstanding: u64,
     /// The candidate set as an ascending list — what a policy indexes
     /// while some active machine is excluded. Rebuilt only when
     /// candidacy or the active prefix changes (see
@@ -637,8 +617,6 @@ impl FrontEnd {
             loads: (0..cfg.machines)
                 .map(|_| MachineLoad::new(cfg.machine.cores))
                 .collect(),
-            cores: cfg.machine.cores,
-            last_arrival: SimTime::ZERO,
             pools: FxHashMap::default(),
             cold: cfg.cold_start,
             overload: Overload::new(cfg.overload.clone()),
@@ -654,7 +632,6 @@ impl FrontEnd {
             out_buckets: CountBuckets::new(),
             busy_heap: IndexedMinHeap::new(),
             idle_heap: IndexedMinHeap::new(),
-            active_outstanding: 0,
             cand_list: (0..active).collect(),
             cand_active: active,
             cand_scratch: Vec::new(),
@@ -697,7 +674,7 @@ impl FrontEnd {
 
     /// The node-health ledger so far — ejection/probe/hedge counters
     /// (plus the chaos layer's backoff totals) and the per-machine health
-    /// columns. All-zero/empty without a health config; machines still
+    /// columns. All-zero/empty with nothing armed; machines still
     /// ejected have their open span counted up to the fold's clock.
     pub fn health_stats(&self) -> (HealthStats, Vec<MachineHealth>) {
         let (mut stats, machines) = self.health.snapshot(self.clock_us);
@@ -783,10 +760,8 @@ impl FrontEnd {
     ) -> Assignment {
         let mut out = self.empty_assignment();
         for task in tasks {
-            let now = task.spec.arrival;
-            assert!(now >= self.last_arrival, "arrival stream must be sorted");
-            self.last_arrival = now;
-            let now_us = now.as_micros();
+            let now_us = task.spec.arrival.as_micros();
+            assert!(now_us >= self.clock_us, "arrival stream must be sorted");
             self.advance_to(now_us, policy, &mut out);
             self.autoscale_check(now_us);
             self.resolve_epochs(now_us);
@@ -798,16 +773,15 @@ impl FrontEnd {
     /// Replays everything the fault layer still owes after the last
     /// arrival: remaining scheduled crashes and queued re-dispatches, in
     /// time order. Retries still ride the monotone arrival clock
-    /// (`max(retry_at, last_arrival)`), and a crash due by a retry's
+    /// (`max(retry_at, clock)`), and a crash due by a retry's
     /// dispatch instant is applied first — exactly the mid-stream
     /// ordering. Returns the extra per-machine specs (all-empty without
     /// chaos); call it exactly once, after the final `dispatch_chunk`.
     pub fn finish<D: Dispatch + ?Sized>(&mut self, policy: &mut D) -> Assignment {
         let mut out = self.empty_assignment();
         while let Some(at) = self.chaos.retries.peek_time() {
-            let now_us = at.as_micros().max(self.last_arrival.as_micros());
+            let now_us = at.as_micros().max(self.clock_us);
             self.advance_to(now_us, policy, &mut out);
-            self.last_arrival = SimTime::from_micros(now_us);
             self.resolve_epochs(now_us);
         }
         // Trailing crashes and straggler windows past the last dispatch
@@ -887,9 +861,6 @@ impl FrontEnd {
             let m = d.machine as usize;
             if d.has(DUE_COMPLETION) && self.loads[m].epoch == d.epoch {
                 self.loads[m].outstanding -= 1;
-                if m < self.active {
-                    self.active_outstanding -= 1;
-                }
                 if self.is_candidate(m) {
                     self.out_buckets.set(m, self.loads[m].outstanding);
                 }
@@ -960,18 +931,15 @@ impl FrontEnd {
     fn reset_machine(&mut self, machine: usize, ready_us: u64) {
         self.available_at[machine] = self.available_at[machine].max(ready_us);
         let load = &mut self.loads[machine];
+        let cores = load.free_cores.len();
         load.free_cores.clear();
-        for _ in 0..self.cores {
+        for _ in 0..cores {
             load.free_cores.push(ready_us);
         }
         // Void the booked completions wholesale: the epoch bump keeps
         // this machine's queued completions off its count at pop.
         load.epoch += 1;
-        let lost = load.outstanding;
         load.outstanding = 0;
-        if machine < self.active {
-            self.active_outstanding -= u64::from(lost);
-        }
         self.refile(machine);
         // Neither pass depends on the maps' iteration order.
         self.pools.retain(|&(m, _), _| m as usize != machine);
@@ -1032,22 +1000,24 @@ impl FrontEnd {
         }
     }
 
-    /// One autoscaler observation. Scale-up boots the next spare machine
-    /// (a machine reset whose cores free after `boot_lag`); scale-down
-    /// just shrinks the active prefix — the removed machine keeps
-    /// draining what it already holds.
+    /// One autoscaler observation. Its load signal, the outstanding
+    /// count summed over the active prefix, is read only when a check is
+    /// due. Scale-up boots the next spare machine (a machine reset whose
+    /// cores free after `boot_lag`); scale-down just shrinks the active
+    /// prefix — the removed machine keeps draining what it already holds.
     fn autoscale_check(&mut self, now_us: u64) {
         let Some(scaler) = &mut self.scaler else {
             return;
         };
         let boot_us = scaler.boot_lag().as_micros();
-        match scaler.observe(now_us, self.active_outstanding, self.active) {
+        let active = &self.loads[..self.active];
+        let outstanding = || active.iter().map(|l| u64::from(l.outstanding)).sum();
+        match scaler.observe(now_us, outstanding, self.active) {
             Some(ScaleDecision::Up) => {
                 // The spare rejoins the active prefix with whatever it was
                 // still draining, which the reset voids: a fresh boot.
                 let idx = self.active;
                 self.active += 1;
-                self.active_outstanding += u64::from(self.loads[idx].outstanding);
                 self.reset_machine(idx, now_us + boot_us);
                 self.health.set_active(self.active);
                 self.stats.scale_ups += 1;
@@ -1055,9 +1025,7 @@ impl FrontEnd {
             }
             Some(ScaleDecision::Down) => {
                 self.active -= 1;
-                let idx = self.active;
-                self.active_outstanding -= u64::from(self.loads[idx].outstanding);
-                self.refile(idx);
+                self.refile(self.active);
                 self.health.set_active(self.active);
                 self.stats.scale_downs += 1;
             }
@@ -1393,7 +1361,6 @@ impl FrontEnd {
             }
         };
         let (outstanding, epoch) = (load.outstanding, load.epoch);
-        self.active_outstanding += 1;
         if self.is_candidate(machine) {
             self.out_buckets.set(machine, outstanding);
             self.refresh_wait(machine, now_us);
@@ -1922,8 +1889,13 @@ mod tests {
 
     #[test]
     fn reports_fold_only_when_due() {
-        let cfg = cfg(1, 1).with_health(crate::HealthConfig::default());
-        let mut fe = FrontEnd::new(&cfg);
+        use crate::{EjectionConfig, HealthConfig, HedgeConfig};
+        // Armed behind sample floors no run reaches: reports fold, and
+        // nothing acts on them.
+        let health = HealthConfig::default()
+            .with_ejection(EjectionConfig::default().with_min_samples(u64::MAX))
+            .with_hedge(HedgeConfig::default().with_min_samples(u64::MAX));
+        let mut fe = FrontEnd::new(&cfg(1, 1).with_health(health));
         let samples = |fe: &FrontEnd| fe.health_stats().1[0].samples;
         fe.dispatch_chunk(&[task(0, 50, 0), task(40, 1, 0)], &mut Passthrough);
         assert_eq!(samples(&fe), 0, "no report due by 40 ms");
@@ -1931,6 +1903,37 @@ mod tests {
         assert_eq!(samples(&fe), 1, "the first report is due at 50 ms");
         fe.finish(&mut Passthrough);
         assert_eq!(samples(&fe), 3, "finish folds every report still due");
+    }
+
+    /// The autoscaler's load is the active prefix's: a machine scaled
+    /// down keeps draining its long invocation, and that backlog must not
+    /// scale the fleet back up.
+    #[test]
+    fn autoscaler_load_counts_only_the_active_prefix() {
+        use crate::AutoscaleConfig;
+        let scaler = AutoscaleConfig {
+            min_machines: 1,
+            high_watermark: 0.9,
+            low_watermark: 0.6,
+            check_interval: SimDuration::from_millis(1),
+            cooldown: SimDuration::ZERO,
+            boot_lag: SimDuration::ZERO,
+        };
+        let mut fe = FrontEnd::new(&cfg(2, 1).with_autoscale(scaler));
+        // 1 ms: one outstanding on one machine scales up, and the 100 s
+        // invocation lands on the booted machine 1. 20 ms: machine 0 has
+        // drained, 1 of 2 outstanding scales down. 30 ms: the active
+        // prefix is idle; only the drained-away machine 1 is busy.
+        let tasks = [
+            task(0, 10, 0),
+            task(1, 100_000, 0),
+            task(20, 1, 0),
+            task(30, 1, 0),
+        ];
+        let a = fe.dispatch_chunk(&tasks, &mut LeastOutstanding);
+        let c = fe.chaos_stats();
+        assert_eq!((c.scale_ups, c.scale_downs), (1, 1), "{c:?}");
+        assert_eq!((a.per_machine[0].len(), a.per_machine[1].len()), (3, 1));
     }
 
     #[test]

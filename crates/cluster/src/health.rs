@@ -12,24 +12,26 @@
 //! completion callbacks, and never peeks across the information boundary
 //! (see `DESIGN.md` "Node-health feedback").
 //!
-//! The tracker feeds three mechanisms, all opt-in:
+//! The tracker feeds two mechanisms, each armed by its own
+//! [`HealthConfig`] field; the default arms neither, and then the tracker
+//! tracks nothing. A third, retry backoff, rides on the chaos config:
 //!
 //! * **Outlier ejection** ([`EjectionConfig`]) — a machine whose
 //!   response-time EWMA exceeds `threshold ×` the fleet median is removed
 //!   from every policy's candidate set for a probation window, bounded by
-//!   a quorum floor and an ejection-fraction cap so the fleet never
-//!   starves. Crashes eject immediately. Probation expiry turns the next
-//!   dispatch into a **half-open probe**: one invocation forced onto the
-//!   suspect; a surviving probe re-admits it, a doomed one re-ejects it.
+//!   a quorum of one machine in service and a cap of half the active
+//!   fleet out, so the fleet never starves. Crashes eject immediately.
+//!   Probation expiry turns the next dispatch into a **half-open probe**:
+//!   one invocation forced onto the suspect; a surviving probe re-admits
+//!   it, a doomed one re-ejects it.
 //! * **Hedged requests** ([`HedgeConfig`]) — when a placement's estimated
 //!   response (booked completion, or the machine's reported EWMA if that
-//!   is worse) passes the tracked tail quantile of observed responses, a
-//!   speculative copy is booked on the healthiest other candidate. A
-//!   hedge budget caps the copies at a small fraction of all dispatches,
-//!   so a fleet-wide slowdown cannot storm the queues with copies of
-//!   itself. The estimated loser is handed a kernel deadline at the
-//!   winner's booked completion and cancelled mid-flight; its wasted
-//!   occupancy is billed through a
+//!   is worse) passes the p95 of observed responses, a speculative copy
+//!   is booked on the healthiest other candidate. A hedge budget caps the
+//!   copies at 5% of all dispatches, so a fleet-wide slowdown cannot
+//!   storm the queues with copies of itself. The estimated loser is
+//!   handed a kernel deadline at the winner's booked completion and
+//!   cancelled mid-flight; its wasted occupancy is billed through a
 //!   [`CostAccumulator`](lambda_pricing::CostAccumulator). The tail is
 //!   read from a [`QuantileSketch`] of the folded reports, behind a
 //!   bit-length screen that settles fast bookings without it and a cache
@@ -40,12 +42,15 @@
 //!   chaos config) — crash re-dispatch waits out an exponential, jittered
 //!   delay and avoids the machine it just died on.
 //!
+//! The EWMA weight, the hedge quantile and budget, and the ejection
+//! bounds are constants here, beside the sketch's accuracy.
+//!
 //! All state lives in the serial front-end fold, so a health-enabled run
-//! is byte-identical at any fan width or chunk size — and a run with
-//! [`HealthConfig::default`] (tracking on, actions off) is **bitwise
-//! identical** to one without a health config, whose tracker tracks
-//! nothing, which the differential suite in
-//! `tests/health_differential.rs` pins.
+//! is byte-identical at any fan width or chunk size. Report plumbing
+//! never perturbs dispatch: with ejection and hedging armed but never
+//! due (sample floors no run reaches), the tracker folds every report
+//! and the run stays **bitwise identical** to the bare fleet's, which the
+//! differential suite in `tests/health_differential.rs` pins.
 
 use std::cmp::Reverse;
 
@@ -58,6 +63,27 @@ use crate::frontend::FoldCounters;
 /// Quantile-sketch accuracy for the hedge trigger's response-time tail.
 const HEDGE_SKETCH_EPSILON: f64 = 0.01;
 
+/// EWMA smoothing factor of the per-machine response times: a fresh
+/// report weighs this much against the running average.
+const EWMA_ALPHA: f64 = 0.2;
+
+/// The hedge trigger fires when an estimated response passes this
+/// quantile of observed responses (the classic "defer to the p95" rule).
+const HEDGE_QUANTILE: f64 = 0.95;
+
+/// Hedge budget: speculative copies never exceed this fraction of all
+/// dispatches (plus one of grace so the trigger can arm). The cap is what
+/// keeps a fleet-wide slowdown from storming the queues with copies of
+/// itself: once most estimates pass the tail, the budget, not the
+/// quantile, decides.
+const HEDGE_MAX_FRACTION: f64 = 0.05;
+
+/// At most this fraction of the active fleet may be ejected at once.
+const MAX_EJECT_FRACTION: f64 = 0.5;
+
+/// Never eject below this many in-service machines.
+const EJECT_QUORUM: usize = 1;
+
 /// Outlier-ejection tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EjectionConfig {
@@ -66,10 +92,6 @@ pub struct EjectionConfig {
     pub threshold: f64,
     /// How long an ejected machine sits out before it earns a probe.
     pub probation: SimDuration,
-    /// At most this fraction of the active fleet may be ejected at once.
-    pub max_eject_fraction: f64,
-    /// Never eject below this many in-service machines.
-    pub quorum: usize,
     /// Completion reports a machine must have produced before its EWMA
     /// can eject it (cold EWMAs are noise).
     pub min_samples: u64,
@@ -80,8 +102,6 @@ impl Default for EjectionConfig {
         EjectionConfig {
             threshold: 2.0,
             probation: SimDuration::from_secs(10),
-            max_eject_fraction: 0.5,
-            quorum: 1,
             min_samples: 8,
         }
     }
@@ -103,19 +123,6 @@ impl EjectionConfig {
         self
     }
 
-    /// Sets the ejected-fraction cap and the quorum floor.
-    #[must_use]
-    pub fn with_bounds(mut self, max_eject_fraction: f64, quorum: usize) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&max_eject_fraction),
-            "ejection fraction must be in [0, 1]"
-        );
-        assert!(quorum >= 1, "the quorum must keep at least one machine");
-        self.max_eject_fraction = max_eject_fraction;
-        self.quorum = quorum;
-        self
-    }
-
     /// Sets the EWMA sample floor.
     #[must_use]
     pub fn with_min_samples(mut self, min_samples: u64) -> Self {
@@ -127,17 +134,8 @@ impl EjectionConfig {
 /// Hedged-request tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HedgeConfig {
-    /// Hedge when the estimated response passes this quantile of observed
-    /// responses (the classic "defer to the p95" rule).
-    pub quantile: f64,
     /// Observed responses required before the trigger arms.
     pub min_samples: u64,
-    /// Hedge budget: speculative copies never exceed this fraction of
-    /// all dispatches (plus one of grace so the trigger can arm). The
-    /// cap is what keeps a fleet-wide slowdown from storming the queues
-    /// with copies of itself — once most estimates pass the tail, the
-    /// budget, not the quantile, decides.
-    pub max_fraction: f64,
     /// Tariff for the losing attempt's wasted occupancy (`None` tracks
     /// hedge counts but no dollars).
     pub price: Option<PriceModel>,
@@ -146,41 +144,17 @@ pub struct HedgeConfig {
 impl Default for HedgeConfig {
     fn default() -> Self {
         HedgeConfig {
-            quantile: 0.95,
             min_samples: 32,
-            max_fraction: 0.05,
             price: None,
         }
     }
 }
 
 impl HedgeConfig {
-    /// Sets the trigger quantile.
-    #[must_use]
-    pub fn with_quantile(mut self, quantile: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&quantile) && quantile > 0.0,
-            "hedge quantile must be in (0, 1)"
-        );
-        self.quantile = quantile;
-        self
-    }
-
     /// Sets the observed-response floor before hedging arms.
     #[must_use]
     pub fn with_min_samples(mut self, min_samples: u64) -> Self {
         self.min_samples = min_samples;
-        self
-    }
-
-    /// Sets the hedge budget as a fraction of all dispatches.
-    #[must_use]
-    pub fn with_max_fraction(mut self, max_fraction: f64) -> Self {
-        assert!(
-            max_fraction > 0.0 && max_fraction <= 1.0,
-            "hedge budget fraction must be in (0, 1]"
-        );
-        self.max_fraction = max_fraction;
         self
     }
 
@@ -195,40 +169,19 @@ impl HedgeConfig {
 /// Health-feedback knobs attached to a
 /// [`ClusterConfig`](crate::ClusterConfig).
 ///
-/// The default is **passive**: the tracker folds completion reports into
-/// per-machine EWMAs (visible in the cluster summaries) but never ejects,
-/// probes, or hedges — dispatch decisions, and therefore the whole run,
-/// stay bitwise identical to a cluster without a health config.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The default arms nothing, and then the tracker tracks nothing: it
+/// takes no completion report and the summaries carry no per-machine
+/// columns. Arming ejection, hedging or both turns on the report fold,
+/// the per-machine EWMAs and their columns.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthConfig {
-    /// EWMA smoothing factor in `(0, 1]`; higher weighs fresh reports
-    /// more.
-    pub ewma_alpha: f64,
-    /// Outlier ejection (`None` = observe only).
+    /// Outlier ejection (`None` = never eject).
     pub ejection: Option<EjectionConfig>,
     /// Hedged requests (`None` = never speculate).
     pub hedge: Option<HedgeConfig>,
 }
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            ewma_alpha: 0.2,
-            ejection: None,
-            hedge: None,
-        }
-    }
-}
-
 impl HealthConfig {
-    /// Sets the EWMA smoothing factor.
-    #[must_use]
-    pub fn with_ewma_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must be in (0, 1]");
-        self.ewma_alpha = alpha;
-        self
-    }
-
     /// Enables outlier ejection.
     #[must_use]
     pub fn with_ejection(mut self, ejection: EjectionConfig) -> Self {
@@ -311,10 +264,10 @@ impl MachineState {
 #[derive(Debug)]
 pub(crate) struct HealthTracker {
     cfg: HealthConfig,
-    /// `false` for a fleet without a [`HealthConfig`]: the tracker then
-    /// takes no completion report and its snapshot has no per-machine
-    /// columns. Every other method already acts on nothing under the
-    /// default config, so the front end calls them unconditionally.
+    /// `true` when the config arms ejection or hedging. Otherwise the
+    /// tracker takes no completion report and its snapshot has no
+    /// per-machine columns; every other method already acts on nothing
+    /// then, so the front end calls them unconditionally.
     tracking: bool,
     machines: Vec<MachineState>,
     /// The front end's active prefix `[0, active)` — the slice every
@@ -371,10 +324,8 @@ pub(crate) struct HealthTracker {
 
 impl HealthTracker {
     /// A tracker over `machines` with the active prefix `[0, active)`;
-    /// `None` builds one that tracks nothing.
-    pub(crate) fn new(cfg: Option<HealthConfig>, machines: usize, active: usize) -> Self {
-        let tracking = cfg.is_some();
-        let cfg = cfg.unwrap_or_default();
+    /// one that tracks nothing unless `cfg` arms ejection or hedging.
+    pub(crate) fn new(cfg: HealthConfig, machines: usize, active: usize) -> Self {
         HealthTracker {
             machines: vec![MachineState::new(); machines],
             active: active.min(machines),
@@ -396,7 +347,7 @@ impl HealthTracker {
             stats: HealthStats::default(),
             counters: FoldCounters::default(),
             cfg,
-            tracking,
+            tracking: cfg.ejection.is_some() || cfg.hedge.is_some(),
         }
     }
 
@@ -515,8 +466,8 @@ impl HealthTracker {
 
     /// Books the completion report of a surviving dispatch: counts it
     /// toward the hedge budget and returns `true` if the front end must
-    /// queue it for [`fold_report`](Self::fold_report). A fleet without a
-    /// health config takes no reports.
+    /// queue it for [`fold_report`](Self::fold_report). A tracker with
+    /// nothing armed takes no reports.
     pub(crate) fn note_report(&mut self) -> bool {
         if self.tracking {
             self.dispatches += 1;
@@ -539,12 +490,11 @@ impl HealthTracker {
             sketch.record(response_us);
             self.tail_hist[(u64::BITS - response_us.leading_zeros()) as usize] += 1;
         }
-        let alpha = self.cfg.ewma_alpha;
         let m = &mut self.machines[machine];
         m.ewma_us = if m.samples == 0 {
             response_us as f64
         } else {
-            alpha * response_us as f64 + (1.0 - alpha) * m.ewma_us
+            EWMA_ALPHA * response_us as f64 + (1.0 - EWMA_ALPHA) * m.ewma_us
         };
         m.samples += 1;
         m.timeout_streak = 0;
@@ -573,7 +523,7 @@ impl HealthTracker {
     fn consider_ejection(&mut self, machine: usize, now_us: u64) {
         let Some(ej) = self.cfg.ejection else { return };
         let m = &self.machines[machine];
-        if m.samples < ej.min_samples || !self.can_eject(&ej) {
+        if m.samples < ej.min_samples || !self.can_eject() {
             return;
         }
         let Some(median) = self.fleet_median() else {
@@ -603,13 +553,13 @@ impl HealthTracker {
         })
     }
 
-    /// `true` while one more ejection keeps at least `quorum` machines in
-    /// service and stays under the fraction cap. O(1) off the maintained
-    /// active exclusion count.
-    fn can_eject(&self, ej: &EjectionConfig) -> bool {
+    /// `true` while one more ejection keeps at least [`EJECT_QUORUM`]
+    /// machines in service and stays under [`MAX_EJECT_FRACTION`] of the
+    /// active fleet. O(1) off the maintained active exclusion count.
+    fn can_eject(&self) -> bool {
         let excluded = self.excluded_active;
-        let cap = (self.active as f64 * ej.max_eject_fraction).floor() as usize;
-        excluded < cap && self.active >= excluded + 1 + ej.quorum
+        let cap = (self.active as f64 * MAX_EJECT_FRACTION).floor() as usize;
+        excluded < cap && self.active >= excluded + 1 + EJECT_QUORUM
     }
 
     fn eject(&mut self, machine: usize, until_us: u64, since_us: u64) {
@@ -627,7 +577,7 @@ impl HealthTracker {
         let free_again = until_us + ej.probation.as_micros();
         match self.machines[machine].phase {
             Phase::Healthy => {
-                if self.can_eject(&ej) {
+                if self.can_eject() {
                     self.eject(machine, free_again, now_us);
                 }
             }
@@ -735,8 +685,8 @@ impl HealthTracker {
         // The budget gate: under a fleet-wide slowdown most estimates
         // pass the tail quantile, and unbounded speculation would feed
         // the very queues it is racing. One hedge of grace, then at
-        // most `max_fraction` of all dispatches.
-        let budget = 1 + (h.max_fraction * self.dispatches as f64) as u64;
+        // most `HEDGE_MAX_FRACTION` of all dispatches.
+        let budget = 1 + (HEDGE_MAX_FRACTION * self.dispatches as f64) as u64;
         if self.stats.hedges >= budget {
             return false;
         }
@@ -744,10 +694,10 @@ impl HealthTracker {
         let est = booked_response_us.max(self.machines[machine].ewma_us as u64);
         // Fast bookings — the overwhelming majority — are proven under
         // the tail by an exact-count screen and never touch the sketch.
-        if self.tail_screen_proves_below(h.quantile, est) {
+        if self.tail_screen_proves_below(HEDGE_QUANTILE, est) {
             return false;
         }
-        let Some(tail) = self.hedge_tail(h.quantile) else {
+        let Some(tail) = self.hedge_tail(HEDGE_QUANTILE) else {
             return false;
         };
         est > tail
@@ -907,9 +857,17 @@ mod tests {
         report(t, machine, ms(at_ms), ms(response_ms), false);
     }
 
+    /// Ejection and hedging both armed behind sample floors no run
+    /// reaches: the tracker folds every report and never acts.
+    fn inert() -> HealthConfig {
+        HealthConfig::default()
+            .with_ejection(EjectionConfig::default().with_min_samples(u64::MAX))
+            .with_hedge(HedgeConfig::default().with_min_samples(u64::MAX))
+    }
+
     #[test]
     fn ewma_tracks_reports_and_first_sample_seeds() {
-        let mut t = HealthTracker::new(Some(HealthConfig::default().with_ewma_alpha(0.5)), 2, 2);
+        let mut t = HealthTracker::new(inert(), 2, 2);
         feed(&mut t, 0, 1, 100);
         let (_, m) = t.snapshot(ms(1));
         assert_eq!(
@@ -921,8 +879,8 @@ mod tests {
         let (_, m) = t.snapshot(ms(2));
         assert_eq!(
             m[0].ewma,
-            SimDuration::from_millis(150),
-            "0.5-blend of 100 and 200"
+            SimDuration::from_millis(120),
+            "0.2-blend of 200 into 100"
         );
         assert_eq!(m[0].samples, 2);
         assert_eq!(m[1].samples, 0);
@@ -937,10 +895,7 @@ mod tests {
         check::run("tail screen == refreshed est > tail", 48, |g| {
             let q = g.f64_in(0.5, 0.995);
             let mut t = HealthTracker::new(
-                Some(
-                    HealthConfig::default()
-                        .with_hedge(HedgeConfig::default().with_quantile(q).with_min_samples(1)),
-                ),
+                HealthConfig::default().with_hedge(HedgeConfig::default().with_min_samples(1)),
                 2,
                 2,
             );
@@ -971,8 +926,8 @@ mod tests {
     }
 
     #[test]
-    fn passive_default_never_excludes_or_hedges() {
-        let mut t = HealthTracker::new(Some(HealthConfig::default()), 4, 4);
+    fn inert_config_folds_reports_but_never_excludes_or_hedges() {
+        let mut t = HealthTracker::new(inert(), 4, 4);
         for i in 0..100u64 {
             feed(
                 &mut t,
@@ -985,13 +940,17 @@ mod tests {
         assert_eq!(t.pop_flip(), None, "no candidacy ever flipped");
         assert!(t.probe_target(ms(1_000)).is_none());
         assert!(!t.should_hedge(3, ms(100_000)));
-        let (stats, _) = t.snapshot(ms(1_000));
+        let (stats, columns) = t.snapshot(ms(1_000));
         assert!(stats.is_zero());
+        assert!(
+            columns.iter().all(|m| m.samples == 25),
+            "every report folds into its machine's column"
+        );
     }
 
     #[test]
     fn untracked_tracker_queues_nothing_and_has_no_columns() {
-        let mut t = HealthTracker::new(None, 4, 4);
+        let mut t = HealthTracker::new(HealthConfig::default(), 4, 4);
         for _ in 0..100u64 {
             assert!(!t.note_report(), "no report taken");
         }
@@ -1015,7 +974,7 @@ mod tests {
                 .with_probation(SimDuration::from_secs(1))
                 .with_min_samples(4),
         );
-        let mut t = HealthTracker::new(Some(cfg), 4, 4);
+        let mut t = HealthTracker::new(cfg, 4, 4);
         // Machines 0-2 report 10 ms; machine 3 reports 1 s — a 100×
         // outlier once it has its 4 samples.
         for round in 0..4u64 {
@@ -1051,15 +1010,14 @@ mod tests {
 
     #[test]
     fn quorum_and_fraction_cap_bound_ejections() {
-        // 2-machine fleet, quorum 1, fraction 0.5: at most one machine
-        // may ever be out.
         let cfg = HealthConfig::default().with_ejection(
             EjectionConfig::default()
                 .with_threshold(1.5)
-                .with_min_samples(1)
-                .with_bounds(0.5, 1),
+                .with_min_samples(1),
         );
-        let mut t = HealthTracker::new(Some(cfg), 2, 2);
+        // 2-machine fleet: one machine must stay in service, so at most
+        // one may ever be out.
+        let mut t = HealthTracker::new(cfg, 2, 2);
         feed(&mut t, 0, 1, 10);
         feed(&mut t, 1, 2, 10_000);
         assert!(t.excluded(1));
@@ -1070,13 +1028,26 @@ mod tests {
         assert!(!t.excluded(0), "quorum keeps the last machine in service");
         let (stats, _) = t.snapshot(ms(4));
         assert_eq!(stats.ejections, 1);
+        // 5-machine fleet: at most half (rounded down) may be out. Each
+        // outlier is worse than the last, so the third still passes 1.5×
+        // the median, and the quorum alone would let it go.
+        let mut t = HealthTracker::new(cfg, 5, 5);
+        feed(&mut t, 0, 1, 10);
+        feed(&mut t, 1, 2, 10);
+        feed(&mut t, 2, 3, 10_000);
+        feed(&mut t, 3, 4, 20_000);
+        feed(&mut t, 4, 5, 100_000);
+        let out: Vec<usize> = (0..5).filter(|&m| t.excluded(m)).collect();
+        assert_eq!(out, vec![2, 3], "the fraction cap stops the third");
+        let (stats, _) = t.snapshot(ms(5));
+        assert_eq!(stats.ejections, 2);
     }
 
     #[test]
     fn crash_ejects_immediately_and_doomed_probe_re_ejects() {
         let cfg = HealthConfig::default()
             .with_ejection(EjectionConfig::default().with_probation(SimDuration::from_secs(1)));
-        let mut t = HealthTracker::new(Some(cfg), 4, 4);
+        let mut t = HealthTracker::new(cfg, 4, 4);
         t.note_crash(2, ms(5_000), ms(4_000));
         assert!(t.excluded(2), "crash ejects without any samples");
         // Downtime ends at 5 s, probation at 6 s.
@@ -1096,12 +1067,8 @@ mod tests {
 
     #[test]
     fn hedge_trigger_arms_after_min_samples_and_targets_healthiest() {
-        let cfg = HealthConfig::default().with_hedge(
-            HedgeConfig::default()
-                .with_quantile(0.9)
-                .with_min_samples(10),
-        );
-        let mut t = HealthTracker::new(Some(cfg), 4, 4);
+        let cfg = HealthConfig::default().with_hedge(HedgeConfig::default().with_min_samples(10));
+        let mut t = HealthTracker::new(cfg, 4, 4);
         for i in 0..9u64 {
             feed(&mut t, (i % 3) as usize, i + 1, 10);
         }
@@ -1135,17 +1102,13 @@ mod tests {
 
     #[test]
     fn hedge_budget_caps_speculation_at_a_fraction_of_dispatches() {
-        let cfg = HealthConfig::default().with_hedge(
-            HedgeConfig::default()
-                .with_quantile(0.5)
-                .with_min_samples(4)
-                .with_max_fraction(0.25),
-        );
-        let mut t = HealthTracker::new(Some(cfg), 4, 4);
-        for i in 0..8u64 {
+        let cfg = HealthConfig::default().with_hedge(HedgeConfig::default().with_min_samples(4));
+        let mut t = HealthTracker::new(cfg, 4, 4);
+        for i in 0..50u64 {
             feed(&mut t, (i % 4) as usize, i + 1, 10);
         }
-        // 8 dispatches × 0.25 + 1 of grace = budget for 3 hedges.
+        // 5% of 50 dispatches, rounded down, + 1 of grace = budget for
+        // 3 hedges.
         for _ in 0..3 {
             assert!(t.should_hedge(0, ms(100)), "budget not yet exhausted");
             t.record_hedge(false, SimDuration::from_millis(1), 128);
@@ -1154,8 +1117,8 @@ mod tests {
             !t.should_hedge(0, ms(100)),
             "the budget gate blocks the fourth copy even past the tail"
         );
-        // More dispatches replenish the budget.
-        for i in 8..16u64 {
+        // More dispatches replenish the budget: 5% of 70 is 3.5.
+        for i in 50..70u64 {
             feed(&mut t, (i % 4) as usize, i + 1, 10);
         }
         assert!(
@@ -1168,7 +1131,7 @@ mod tests {
     fn hedge_cost_bills_the_loser() {
         let price = PriceModel::duration_only();
         let cfg = HealthConfig::default().with_hedge(HedgeConfig::default().with_price(price));
-        let mut t = HealthTracker::new(Some(cfg), 2, 2);
+        let mut t = HealthTracker::new(cfg, 2, 2);
         t.record_hedge(false, SimDuration::from_secs(1), 256);
         let (stats, _) = t.snapshot(0);
         let expected = price.cost_of_duration(SimDuration::from_secs(1), 256);
@@ -1219,16 +1182,13 @@ mod tests {
             48,
             |g| {
                 let machines = g.usize_in(2, 17);
-                let cfg = HealthConfig::default()
-                    .with_ewma_alpha(g.f64_in(0.05, 1.0))
-                    .with_ejection(
-                        EjectionConfig::default()
-                            .with_threshold(g.f64_in(1.1, 4.0))
-                            .with_probation(SimDuration::from_millis(g.u64_in(1, 2_000)))
-                            .with_min_samples(g.u64_in(1, 6))
-                            .with_bounds(g.f64_in(0.1, 1.0), 1),
-                    );
-                let mut t = HealthTracker::new(Some(cfg), machines, machines);
+                let cfg = HealthConfig::default().with_ejection(
+                    EjectionConfig::default()
+                        .with_threshold(g.f64_in(1.1, 4.0))
+                        .with_probation(SimDuration::from_millis(g.u64_in(1, 2_000)))
+                        .with_min_samples(g.u64_in(1, 6)),
+                );
+                let mut t = HealthTracker::new(cfg, machines, machines);
                 let mut now = 0u64;
                 let mut was_excluded = vec![false; machines];
                 for _ in 0..g.usize_in(1, 200) {
@@ -1280,13 +1240,10 @@ mod tests {
     #[test]
     fn property_hedge_tail_cache_matches_fresh_query() {
         check::run("cached hedge tail == unqueried twin's quantile", 24, |g| {
-            let cfg = HealthConfig::default().with_hedge(
-                HedgeConfig::default()
-                    .with_quantile(g.f64_in(0.5, 0.99))
-                    .with_min_samples(1),
-            );
-            let q = cfg.hedge.expect("hedge configured").quantile;
-            let mut t = HealthTracker::new(Some(cfg), 4, 4);
+            let cfg =
+                HealthConfig::default().with_hedge(HedgeConfig::default().with_min_samples(1));
+            let q = g.f64_in(0.5, 0.99);
+            let mut t = HealthTracker::new(cfg, 4, 4);
             // A twin fed the same responses and read only through the
             // `&self` quantile, which sorts a copy of its (never sorted)
             // buffer: the fresh query owes nothing to `quantile_mut`.

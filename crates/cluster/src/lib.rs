@@ -129,9 +129,8 @@ impl ColdStartConfig {
 /// Shape of the simulated fleet.
 ///
 /// Each front-end layer has one off-state: the default overload stack
-/// admits everything, and the empty fault plan injects nothing. Health
-/// stays optional because a fleet without a health config tracks nothing,
-/// while [`HealthConfig::default`] keeps per-machine telemetry.
+/// admits everything, the empty fault plan injects nothing, and the
+/// default health config arms nothing, so its tracker tracks nothing.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of machines.
@@ -153,10 +152,10 @@ pub struct ClusterConfig {
     /// size and the active prefix grows/shrinks between
     /// `autoscale.min_machines` and `machines`.
     pub autoscale: Option<AutoscaleConfig>,
-    /// Node-health feedback loop; `None` tracks nothing, and the passive
-    /// [`HealthConfig::default`] adds per-machine telemetry while leaving
-    /// every dispatch decision bitwise identical.
-    pub health: Option<HealthConfig>,
+    /// Node-health feedback loop; the default [`HealthConfig`] arms
+    /// neither ejection nor hedging and tracks nothing. Arming either
+    /// adds the per-machine health columns.
+    pub health: HealthConfig,
 }
 
 impl ClusterConfig {
@@ -174,7 +173,7 @@ impl ClusterConfig {
             overload: OverloadConfig::default(),
             chaos: ChaosConfig::new(FaultPlan::empty(machines)),
             autoscale: None,
-            health: None,
+            health: HealthConfig::default(),
         }
     }
 
@@ -220,7 +219,7 @@ impl ClusterConfig {
     /// Attaches the node-health feedback loop (latency EWMAs, outlier
     /// ejection, hedged requests).
     pub fn with_health(mut self, health: HealthConfig) -> Self {
-        self.health = Some(health);
+        self.health = health;
         self
     }
 
@@ -264,10 +263,10 @@ pub struct ClusterReport {
     /// a fault plan or autoscaler).
     pub chaos: ChaosStats,
     /// Ejection/probe/hedge/backoff ledger of the node-health layer
-    /// (all-zero without a health config or backoff).
+    /// (all-zero with nothing armed and no backoff).
     pub health: HealthStats,
-    /// Per-machine health columns in machine order (empty without a
-    /// health config).
+    /// Per-machine health columns in machine order (empty unless
+    /// ejection or hedging is armed).
     pub machine_health: Vec<MachineHealth>,
 }
 
@@ -305,11 +304,6 @@ impl ClusterReport {
             .map(|m| m.max_in_flight)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Invocations killed mid-flight by kernel deadline cancellation.
-    pub fn kernel_cancelled(&self) -> u64 {
-        self.overload.kernel_cancelled
     }
 
     /// The virtual instant the last machine finished.

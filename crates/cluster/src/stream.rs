@@ -212,10 +212,11 @@ pub struct StreamClusterReport {
     /// a fault plan or autoscaler).
     pub chaos: ChaosStats,
     /// Ejection/hedge/backoff ledger of the node-health layer (all-zero
-    /// without a [`HealthConfig`](crate::HealthConfig)).
+    /// with nothing armed in the [`HealthConfig`](crate::HealthConfig)
+    /// and no backoff).
     pub health: HealthStats,
-    /// Per-machine health telemetry, in machine order (empty without a
-    /// health config).
+    /// Per-machine health telemetry, in machine order (empty unless
+    /// ejection or hedging is armed).
     pub machine_health: Vec<MachineHealth>,
 }
 

@@ -88,11 +88,7 @@ fn health_fleet() -> ClusterConfig {
                         .with_probation(SimDuration::from_secs(5))
                         .with_min_samples(8),
                 )
-                .with_hedge(
-                    HedgeConfig::default()
-                        .with_quantile(0.95)
-                        .with_min_samples(64),
-                ),
+                .with_hedge(HedgeConfig::default().with_min_samples(64)),
         )
 }
 

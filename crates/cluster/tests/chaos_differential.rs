@@ -317,7 +317,7 @@ fn autoscaler_respects_bounds_and_spacing() {
         for _ in 0..g.usize_in(1, 60) {
             now += g.u64_in(0, 10_000_000);
             let outstanding = g.u64_in(0, 5_000);
-            match scaler.observe(now, outstanding, active) {
+            match scaler.observe(now, || outstanding, active) {
                 Some(ScaleDecision::Up) => {
                     assert!(active < max, "scaled past max {max}");
                     active += 1;

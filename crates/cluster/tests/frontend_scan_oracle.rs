@@ -274,18 +274,13 @@ fn heap_picks_match_scan_oracle_under_chaos_autoscale_health() {
         if g.boolean() {
             cfg = cfg.with_health(
                 HealthConfig::default()
-                    .with_ewma_alpha(g.f64_in(0.1, 0.9))
                     .with_ejection(
                         EjectionConfig::default()
                             .with_threshold(g.f64_in(1.2, 3.0))
                             .with_probation(SimDuration::from_millis(g.u64_in(10, 2_000)))
                             .with_min_samples(g.u64_in(1, 16)),
                     )
-                    .with_hedge(
-                        HedgeConfig::default()
-                            .with_quantile(g.f64_in(0.5, 0.99))
-                            .with_min_samples(g.u64_in(1, 64)),
-                    ),
+                    .with_hedge(HedgeConfig::default().with_min_samples(g.u64_in(1, 64))),
             );
         }
         let n = g.usize_in(30, 161);

@@ -1,12 +1,12 @@
 //! Differential pins of the node-health feedback loop.
 //!
-//! * **Passive tracker ≡ default config, bitwise.**
-//!   [`HealthConfig::default`] arms the tracker, which folds completion
-//!   reports into EWMAs but never ejects, probes or hedges — both run
-//!   paths must stay byte-identical to the default config, whose
-//!   tracker tracks nothing (records, event counts, cold starts, cost
-//!   bits), on the cluster01–03 shapes at fan widths 1, 2 and 4, while
-//!   the summaries still expose the per-machine EWMA columns.
+//! * **Inert tracker ≡ default config, bitwise.** Ejection and hedging
+//!   armed behind sample floors no run reaches make the tracker fold
+//!   every completion report into EWMAs but never eject, probe or hedge
+//!   — both run paths must stay byte-identical to the default config,
+//!   whose tracker tracks nothing (records, event counts, cold starts,
+//!   cost bits), on the cluster01–03 shapes at fan widths 1, 2 and 4,
+//!   while the summaries still expose the per-machine EWMA columns.
 //! * **Ejection + hedging improve the tail.** Under a straggler-heavy
 //!   plan the full feedback loop must cut the p99 sojourn versus the
 //!   same chaos with no health layer — the claim the paper's robustness
@@ -88,10 +88,17 @@ fn active_health() -> HealthConfig {
         )
         .with_hedge(
             HedgeConfig::default()
-                .with_quantile(0.95)
                 .with_min_samples(64)
                 .with_price(PriceModel::duration_only()),
         )
+}
+
+/// Ejection and hedging both armed behind sample floors no run reaches:
+/// the tracker folds every report and never acts on one.
+fn inert_health() -> HealthConfig {
+    HealthConfig::default()
+        .with_ejection(EjectionConfig::default().with_min_samples(u64::MAX))
+        .with_hedge(HedgeConfig::default().with_min_samples(u64::MAX))
 }
 
 fn stream_opts() -> StreamOptions {
@@ -113,15 +120,15 @@ fn p99_sojourn_us(records: &[faas_metrics::TaskRecord]) -> u64 {
 }
 
 #[test]
-fn passive_health_default_is_bitwise_identical_to_bare_cluster() {
-    run_passive_shape("cluster01", 4, || KeepAliveDispatch, |_| Fifo::new());
-    run_passive_shape(
+fn inert_health_is_bitwise_identical_to_bare_cluster() {
+    run_inert_shape("cluster01", 4, || KeepAliveDispatch, |_| Fifo::new());
+    run_inert_shape(
         "cluster02",
         16,
         || LeastOutstanding,
         |_| HybridScheduler::new(HybridConfig::split(2, 2)),
     );
-    run_passive_shape(
+    run_inert_shape(
         "cluster03",
         64,
         || RandomDispatch::new(0xC105),
@@ -129,7 +136,7 @@ fn passive_health_default_is_bitwise_identical_to_bare_cluster() {
     );
 }
 
-fn run_passive_shape<D, P, F>(
+fn run_inert_shape<D, P, F>(
     id: &str,
     machines: usize,
     make_dispatch: impl Fn() -> D,
@@ -148,21 +155,21 @@ fn run_passive_shape<D, P, F>(
         let bare = Cluster::new(scenario_fleet(machines), make_dispatch(), make_policy)
             .run(&tasks, threads)
             .expect("bare run completes");
-        let passive = Cluster::new(
-            scenario_fleet(machines).with_health(HealthConfig::default()),
+        let inert = Cluster::new(
+            scenario_fleet(machines).with_health(inert_health()),
             make_dispatch(),
             make_policy,
         )
         .run(&tasks, threads)
-        .expect("passive-health run completes");
+        .expect("inert-health run completes");
         assert!(
-            passive.health.is_zero(),
-            "{what}: passive tracker acted: {:?}",
-            passive.health
+            inert.health.is_zero(),
+            "{what}: inert tracker acted: {:?}",
+            inert.health
         );
-        assert_eq!(bare.records, passive.records, "{what}: records diverged");
-        assert_eq!(bare.cold_starts, passive.cold_starts, "{what}: cold starts");
-        for (i, (b, p)) in bare.machines.iter().zip(&passive.machines).enumerate() {
+        assert_eq!(bare.records, inert.records, "{what}: records diverged");
+        assert_eq!(bare.cold_starts, inert.cold_starts, "{what}: cold starts");
+        for (i, (b, p)) in bare.machines.iter().zip(&inert.machines).enumerate() {
             assert_eq!(
                 b.events_processed, p.events_processed,
                 "{what}: machine {i} event count (health plumbing leaks?)"
@@ -170,48 +177,48 @@ fn run_passive_shape<D, P, F>(
             assert_eq!(b.core_stats, p.core_stats, "{what}: machine {i} cores");
             assert_eq!(b.finished_at, p.finished_at, "{what}: machine {i} finish");
         }
-        // The bare run reports no columns; the passive run tracks every
+        // The bare run reports no columns; the inert run tracks every
         // machine's EWMA without acting on it.
         assert!(
             bare.machine_health.is_empty(),
             "{what}: bare run has columns"
         );
-        assert_eq!(passive.machine_health.len(), machines, "{what}: columns");
-        let sampled: u64 = passive.machine_health.iter().map(|m| m.samples).sum();
+        assert_eq!(inert.machine_health.len(), machines, "{what}: columns");
+        let sampled: u64 = inert.machine_health.iter().map(|m| m.samples).sum();
         assert_eq!(
             sampled,
             tasks.len() as u64,
             "{what}: every completion must report exactly once"
         );
         assert!(
-            passive.machine_health.iter().all(|m| m.ejections == 0),
-            "{what}: passive tracker ejected"
+            inert.machine_health.iter().all(|m| m.ejections == 0),
+            "{what}: inert tracker ejected"
         );
-        let summary = passive.summary();
+        let summary = inert.summary();
         assert_eq!(summary.machine_health.len(), machines, "{what}: summary");
 
         // Streaming path.
         let bare_s = Cluster::new(scenario_fleet(machines), make_dispatch(), make_policy)
             .run_streaming(chunks.iter().cloned(), &stream_opts(), threads)
             .expect("bare streaming run completes");
-        let passive_s = Cluster::new(
-            scenario_fleet(machines).with_health(HealthConfig::default()),
+        let inert_s = Cluster::new(
+            scenario_fleet(machines).with_health(inert_health()),
             make_dispatch(),
             make_policy,
         )
         .run_streaming(chunks.iter().cloned(), &stream_opts(), threads)
-        .expect("passive-health streaming run completes");
-        assert!(passive_s.health.is_zero(), "{what}: stream tracker acted");
+        .expect("inert-health streaming run completes");
+        assert!(inert_s.health.is_zero(), "{what}: stream tracker acted");
         assert_eq!(
-            bare_s.cold_starts, passive_s.cold_starts,
+            bare_s.cold_starts, inert_s.cold_starts,
             "{what}: stream cold"
         );
         assert_eq!(
             bare_s.total_cost_usd().to_bits(),
-            passive_s.total_cost_usd().to_bits(),
+            inert_s.total_cost_usd().to_bits(),
             "{what}: stream cost bits"
         );
-        for (i, (b, p)) in bare_s.machines.iter().zip(&passive_s.machines).enumerate() {
+        for (i, (b, p)) in bare_s.machines.iter().zip(&inert_s.machines).enumerate() {
             assert_eq!(b.stats, p.stats, "{what}: stream machine {i} stats");
             assert_eq!(
                 b.events_processed, p.events_processed,
@@ -225,7 +232,7 @@ fn run_passive_shape<D, P, F>(
         // Same telemetry through the streaming fold, and the two paths
         // agree column for column.
         assert_eq!(
-            passive.machine_health, passive_s.machine_health,
+            inert.machine_health, inert_s.machine_health,
             "{what}: run paths disagree on health columns"
         );
     }
@@ -508,11 +515,7 @@ fn hedge_copies_land_like_primaries() {
     let cfg = scenario_fleet(machines)
         .with_chaos(ChaosConfig::new(plan.clone()))
         .with_health(
-            HealthConfig::default().with_hedge(
-                HedgeConfig::default()
-                    .with_min_samples(32)
-                    .with_max_fraction(0.2),
-            ),
+            HealthConfig::default().with_hedge(HedgeConfig::default().with_min_samples(32)),
         );
     let mut front = FrontEnd::new(&cfg);
     let mut dispatch = LeastOutstanding;

@@ -221,8 +221,7 @@ fn binding_stack_is_chunking_and_fan_invariant() {
             );
             assert_eq!(exact.finished_at(), stream.finished_at(), "{what}: finish");
             assert_eq!(
-                exact.kernel_cancelled(),
-                stream.overload.kernel_cancelled,
+                exact.overload.kernel_cancelled, stream.overload.kernel_cancelled,
                 "{what}: kernel cancellations"
             );
         }

@@ -13,8 +13,8 @@
 use faas_simcore::SimDuration;
 
 /// What the health-feedback layer ejected, probed, hedged and delayed.
-/// All-zero when the front end ran without a health config (or with one
-/// whose ejection/hedging/backoff features never fired).
+/// All-zero when the front end's health config armed nothing and its
+/// chaos config no backoff (or when what they armed never fired).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthStats {
     /// Machines removed from the candidate set as latency outliers

@@ -72,10 +72,12 @@ pub struct FleetSummary<M> {
     /// All-zero when the front end ran without chaos.
     pub chaos: ChaosStats,
     /// What the node-health feedback layer ejected, probed and hedged.
-    /// All-zero when the front end ran without a health config.
+    /// All-zero when the front end's health config armed nothing and
+    /// its chaos config no backoff.
     pub health: HealthStats,
     /// Per-machine health columns (EWMA, ejections, time spent
-    /// ejected), in machine order; empty without a health config.
+    /// ejected), in machine order; empty unless the health config arms
+    /// ejection or hedging.
     pub machine_health: Vec<MachineHealth>,
 }
 
