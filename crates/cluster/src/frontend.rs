@@ -1804,7 +1804,7 @@ mod tests {
                 c.hedge_checks,
                 c.tail_refreshes
             ),
-            (48_269, 553, 32_040, 4_563),
+            (48_269, 553, 32_040, 1_677),
             "{c:?}"
         );
     }

@@ -19,8 +19,8 @@
 //! * **Outlier ejection** ([`EjectionConfig`]) — a machine whose
 //!   response-time EWMA exceeds `threshold ×` the fleet median is removed
 //!   from every policy's candidate set for a probation window, bounded by
-//!   a quorum of one machine in service and a cap of half the active
-//!   fleet out, so the fleet never starves. Crashes eject immediately.
+//!   a cap of half the active fleet out, so the fleet never starves.
+//!   Crashes eject immediately.
 //!   Probation expiry turns the next dispatch into a **half-open probe**:
 //!   one invocation forced onto the suspect; a surviving probe re-admits
 //!   it, a doomed one re-ejects it.
@@ -34,10 +34,14 @@
 //!   cancelled mid-flight; its wasted occupancy is billed through a
 //!   [`CostAccumulator`](lambda_pricing::CostAccumulator). The tail is
 //!   read from a [`QuantileSketch`] of the folded reports, behind a
-//!   bit-length screen that settles fast bookings without it and a cache
-//!   that holds between reports; a refresh is the sketch's own
-//!   allocation-free [`quantile_mut`](QuantileSketch::quantile_mut), so
-//!   the trigger's exactness rests on the sketch alone.
+//!   two-sided exact-count screen and a cache that holds between
+//!   reports. The screen counts the reports in a value-ordered histogram
+//!   (16 buckets per octave) and, from the sketch's rank-error bound,
+//!   proves `est ≤ tail` for bookings well under the tail and
+//!   `est > tail` for those well past it, so only estimates near the tail
+//!   refresh it; a refresh is the sketch's own allocation-free
+//!   [`quantile_mut`](QuantileSketch::quantile_mut), so the trigger's
+//!   decisions are exactly the sketch's.
 //! * **Retry backoff** ([`BackoffConfig`](crate::BackoffConfig), on the
 //!   chaos config) — crash re-dispatch waits out an exponential, jittered
 //!   delay and avoids the machine it just died on.
@@ -81,8 +85,23 @@ const HEDGE_MAX_FRACTION: f64 = 0.05;
 /// At most this fraction of the active fleet may be ejected at once.
 const MAX_EJECT_FRACTION: f64 = 0.5;
 
-/// Never eject below this many in-service machines.
-const EJECT_QUORUM: usize = 1;
+/// Sub-buckets per octave of the hedge screen's histogram: a value at or
+/// above 16 is bucketed by its bit length and the four bits after its
+/// leading one; values below 16 get a bucket each.
+const SUBS: usize = 16;
+
+/// Groups of [`SUBS`] buckets: the values below 16, then one per bit
+/// length from 5 to 64.
+const GROUPS: usize = 61;
+
+/// The hedge screen's bucket of `v`; buckets order as their values do.
+fn bucket(v: u64) -> usize {
+    if v < SUBS as u64 {
+        return v as usize;
+    }
+    let bits = (u64::BITS - v.leading_zeros()) as usize;
+    SUBS * (bits - 4) + ((v >> (bits - 5)) as usize & (SUBS - 1))
+}
 
 /// Outlier-ejection tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -245,6 +264,44 @@ impl MachineState {
     }
 }
 
+/// The hedge trigger's view of the folded response times: the tail
+/// quantile's sketch and cache, and the exact-count histogram the screen
+/// ([`HealthTracker::tail_screen`]) reads. Built only when hedging is
+/// armed.
+#[derive(Debug)]
+struct HedgeTail {
+    sketch: QuantileSketch,
+    /// Cached tail quantile, valid while `version` equals the sketch's
+    /// count — i.e. until the next completion report folds in.
+    cache: Option<u64>,
+    version: u64,
+    /// Reports per group of [`SUBS`] buckets: the histogram's first
+    /// level, so a count below a bucket sums a few groups and at most
+    /// `SUBS − 1` buckets.
+    groups: Vec<u64>,
+    /// Reports per [`bucket`].
+    buckets: Vec<u64>,
+}
+
+impl HedgeTail {
+    fn new() -> Self {
+        HedgeTail {
+            sketch: QuantileSketch::new(HEDGE_SKETCH_EPSILON),
+            cache: None,
+            version: u64::MAX,
+            groups: vec![0; GROUPS],
+            buckets: vec![0; GROUPS * SUBS],
+        }
+    }
+
+    fn record(&mut self, response_us: u64) {
+        self.sketch.record(response_us);
+        let b = bucket(response_us);
+        self.groups[b / SUBS] += 1;
+        self.buckets[b] += 1;
+    }
+}
+
 /// The front-end-resident health fold: EWMAs, the ejection state
 /// machine and the hedge trigger. One instance lives on the
 /// [`FrontEnd`](crate::frontend::FrontEnd) next to the chaos fold, whose
@@ -257,7 +314,8 @@ impl MachineState {
 /// count as a plain integer updated on phase transitions (each candidacy
 /// flip is also queued for the front end's dispatch heaps), the probe
 /// queue as an expiry heap + ready heap pair, and the hedge tail as a
-/// cached quantile invalidated only when a report folds into the sketch.
+/// cached quantile invalidated only when a report folds into the sketch,
+/// behind an exact-count screen that settles most checks without it.
 /// The tracker owns its view of the active prefix
 /// ([`set_active`](Self::set_active)) so no per-call scan ever re-derives
 /// it.
@@ -298,20 +356,9 @@ pub(crate) struct HealthTracker {
     /// machine index so the probe picks the lowest index, like the scan
     /// it replaces.
     probe_ready: IndexedMinHeap<u32>,
-    /// Observed-response tail for the hedge trigger (`None` without a
-    /// hedge config).
-    sketch: Option<QuantileSketch>,
-    /// Cached hedge-tail quantile, valid while `tail_version` equals the
-    /// sketch's count — i.e. until the next completion report folds into
-    /// the sketch.
-    tail_cache: Option<u64>,
-    tail_version: u64,
-    /// Histogram of folded response times by bit length (index =
-    /// `bitlen(value)`, 65 entries). All values of bit length > k are
-    /// ≥ 2^k — an exact count the GK certificate turns into a sound
-    /// lower bound on the tail quantile, so `should_hedge` can prove
-    /// `est ≤ tail` for fast bookings without refreshing the cache.
-    tail_hist: Vec<u64>,
+    /// The hedge trigger's view of the observed responses (`None`
+    /// without a hedge config).
+    tail: Option<HedgeTail>,
     /// Dispatches whose completion reports were booked — the denominator
     /// of the hedge budget.
     dispatches: u64,
@@ -335,13 +382,7 @@ impl HealthTracker {
             median_hi: IndexedMinHeap::new(),
             eject_expiry: IndexedMinHeap::new(),
             probe_ready: IndexedMinHeap::new(),
-            sketch: cfg
-                .hedge
-                .is_some()
-                .then(|| QuantileSketch::new(HEDGE_SKETCH_EPSILON)),
-            tail_cache: None,
-            tail_version: u64::MAX,
-            tail_hist: vec![0; 65],
+            tail: cfg.hedge.map(|_| HedgeTail::new()),
             dispatches: 0,
             hedge_cost: cfg.hedge.and_then(|h| h.price).map(CostAccumulator::new),
             stats: HealthStats::default(),
@@ -422,13 +463,29 @@ impl HealthTracker {
     }
 
     /// Inserts or re-keys `machine` in the median heaps after an EWMA
-    /// change. Remove-then-insert keeps the halves partitioned without
-    /// case analysis; both steps are O(log M).
+    /// change. A key that stays on its side of the split (below the
+    /// upper half's minimum in the lower half, above the lower half's
+    /// maximum in the upper) is re-keyed in place: the halves then hold
+    /// the key sets remove-then-insert would leave, with no rebalance.
+    /// Only a crossing or a first sample pays remove, insert and
+    /// rebalance; each step is O(log M).
     fn median_upsert(&mut self, machine: usize) {
-        if self.median_lo.remove(machine).is_none() {
+        let key = (self.machines[machine].ewma_us.to_bits(), machine as u32);
+        let lo_max = self.median_lo.peek_min().map(|(_, &Reverse(k))| k);
+        let hi_min = self.median_hi.peek_min().map(|(_, &k)| k);
+        if self.median_lo.contains(machine) {
+            if hi_min.is_none_or(|hi_min| key < hi_min) {
+                self.median_lo.set(machine, Reverse(key));
+                return;
+            }
+            self.median_lo.remove(machine);
+        } else if self.median_hi.contains(machine) {
+            if lo_max.is_none_or(|lo_max| key > lo_max) {
+                self.median_hi.set(machine, key);
+                return;
+            }
             self.median_hi.remove(machine);
         }
-        let key = (self.machines[machine].ewma_us.to_bits(), machine as u32);
         let into_lo = match (self.median_lo.peek_min(), self.median_hi.peek_min()) {
             (Some((_, &Reverse(lo_max))), _) => key <= lo_max,
             (None, Some((_, &hi_min))) => key < hi_min,
@@ -486,9 +543,8 @@ impl HealthTracker {
         probe: bool,
     ) {
         self.counters.reports_folded += 1;
-        if let Some(sketch) = &mut self.sketch {
-            sketch.record(response_us);
-            self.tail_hist[(u64::BITS - response_us.leading_zeros()) as usize] += 1;
+        if let Some(tail) = &mut self.tail {
+            tail.record(response_us);
         }
         let m = &mut self.machines[machine];
         m.ewma_us = if m.samples == 0 {
@@ -553,13 +609,15 @@ impl HealthTracker {
         })
     }
 
-    /// `true` while one more ejection keeps at least [`EJECT_QUORUM`]
-    /// machines in service and stays under [`MAX_EJECT_FRACTION`] of the
-    /// active fleet. O(1) off the maintained active exclusion count.
+    /// `true` while one more ejection stays within [`MAX_EJECT_FRACTION`]
+    /// of the active fleet. O(1) off the maintained active exclusion
+    /// count. The cap alone keeps a machine in service: with the fraction
+    /// at one half, an ejection needs `excluded + 1 ≤ ⌊active / 2⌋`, and
+    /// `⌊active / 2⌋ ≤ active − 1` for every `active ≥ 1` (an empty
+    /// prefix has a cap of zero and ejects nothing).
     fn can_eject(&self) -> bool {
-        let excluded = self.excluded_active;
         let cap = (self.active as f64 * MAX_EJECT_FRACTION).floor() as usize;
-        excluded < cap && self.active >= excluded + 1 + EJECT_QUORUM
+        self.excluded_active < cap
     }
 
     fn eject(&mut self, machine: usize, until_us: u64, since_us: u64) {
@@ -679,7 +737,7 @@ impl HealthTracker {
         let Some(h) = self.cfg.hedge else {
             return false;
         };
-        if self.sketch.as_ref().map_or(0, QuantileSketch::count) < h.min_samples {
+        if self.tail.as_ref().map_or(0, |t| t.sketch.count()) < h.min_samples {
             return false;
         }
         // The budget gate: under a fleet-wide slowdown most estimates
@@ -692,42 +750,52 @@ impl HealthTracker {
         }
         self.counters.hedge_checks += 1;
         let est = booked_response_us.max(self.machines[machine].ewma_us as u64);
-        // Fast bookings — the overwhelming majority — are proven under
-        // the tail by an exact-count screen and never touch the sketch.
-        if self.tail_screen_proves_below(HEDGE_QUANTILE, est) {
-            return false;
+        // Estimates well under the tail (the overwhelming majority) and
+        // well past it are settled by an exact-count screen and never
+        // touch the sketch.
+        if let Some(hedge) = self.tail_screen(HEDGE_QUANTILE, est) {
+            return hedge;
         }
-        let Some(tail) = self.hedge_tail(HEDGE_QUANTILE) else {
-            return false;
-        };
-        est > tail
+        let tail = self.hedge_tail(HEDGE_QUANTILE);
+        tail.is_some_and(|tail| est > tail)
     }
 
-    /// Exact-count screen for the hedge trigger: `true` when the bit-
-    /// length histogram proves `est ≤ tail` without refreshing the
-    /// cached tail. With `P = 2^bitlen(est) > est`, `c` folded samples
-    /// at or above `P`, target rank `r = ⌈q·n⌉` and the GK certificate
-    /// `E ≤ ⌈ε·n⌉`: the tail answer's true rank band reaches at least
-    /// `r − E`, so if fewer than `r − E` samples lie below `P` (i.e.
-    /// `c ≥ n − r + E + 1`), the answer cannot be below `P`, hence
-    /// `tail ≥ P > est`. A ~50-entry sum instead of a sketch walk; the
-    /// refresh is left to the genuinely slow estimates.
-    fn tail_screen_proves_below(&self, q: f64, est: u64) -> bool {
-        let Some(sketch) = &self.sketch else {
-            return false;
-        };
-        let n = sketch.count();
+    /// Exact-count screen for the hedge trigger: `Some(est > tail)` when
+    /// the histogram of folded responses decides it, `None` when only a
+    /// refresh can. The sketch answers target rank `r = ⌈q·n⌉` with a
+    /// value some copy of which sits at a sorted position within
+    /// `E = ⌈ε·n⌉` of `r` (its rank-error bound, `⌊εn⌋` at most). Every
+    /// value in a lower bucket is below `est` and every value in a
+    /// higher bucket above it, so:
+    ///
+    /// * if at most `r − E − 1` reports lie in buckets up to `est`'s,
+    ///   the answer's copy at position `r − E` or later lies in a higher
+    ///   bucket: `tail > est`, no hedge;
+    /// * if at least `r + E` reports lie in buckets below `est`'s, the
+    ///   answer's copy at position `r + E` or earlier lies in a lower
+    ///   bucket: `tail < est`, hedge.
+    ///
+    /// Two short sums over the histogram instead of a sketch walk; only
+    /// estimates within the bound's band of the tail refresh it.
+    fn tail_screen(&self, q: f64, est: u64) -> Option<bool> {
+        let tail = self.tail.as_ref()?;
+        let n = tail.sketch.count();
         if n == 0 {
-            return false;
+            return Some(false);
         }
         let r = nearest_rank(q, n);
-        let e_up = (sketch.epsilon() * n as f64).ceil() as u64;
-        let need = (n - r) + e_up + 1;
-        let k = (u64::BITS - est.leading_zeros()) as usize;
-        let c: u64 = self.tail_hist[(k + 1).min(self.tail_hist.len())..]
-            .iter()
-            .sum();
-        c >= need
+        let e = (tail.sketch.epsilon() * n as f64).ceil() as u64;
+        let b = bucket(est);
+        let group = b / SUBS;
+        let below = tail.groups[..group].iter().sum::<u64>()
+            + tail.buckets[group * SUBS..b].iter().sum::<u64>();
+        if below >= r + e {
+            Some(true)
+        } else if below + tail.buckets[b] + e < r {
+            Some(false)
+        } else {
+            None
+        }
     }
 
     /// The tail quantile the hedge trigger compares against, cached per
@@ -737,13 +805,13 @@ impl HealthTracker {
     /// (which the byte-identity pin depends on). Repeated queries
     /// between reports cost a cache-tag compare.
     fn hedge_tail(&mut self, q: f64) -> Option<u64> {
-        let sketch = self.sketch.as_mut()?;
-        if self.tail_version != sketch.count() {
+        let tail = self.tail.as_mut()?;
+        if tail.version != tail.sketch.count() {
             self.counters.tail_refreshes += 1;
-            self.tail_cache = sketch.quantile_mut(q);
-            self.tail_version = sketch.count();
+            tail.cache = tail.sketch.quantile_mut(q);
+            tail.version = tail.sketch.count();
         }
-        self.tail_cache
+        tail.cache
     }
 
     /// The healthiest active candidate other than `primary` (lowest
@@ -888,11 +956,14 @@ mod tests {
 
     #[test]
     fn property_tail_screen_never_flips_a_hedge_decision() {
-        // The histogram screen may only *prove* `est <= tail`; every
-        // screened decision must equal the full refreshed comparison.
-        // Random response streams (heavy tails, constants, bimodal
-        // bursts) x random estimate probes, past flush boundaries.
-        check::run("tail screen == refreshed est > tail", 48, |g| {
+        // The histogram screen decides a check only when it can prove the
+        // answer, in either direction; every decided check must equal the
+        // refreshed comparison `est > tail`. Heavy-tailed, constant,
+        // bimodal and mixed response streams x estimate probes (random,
+        // recorded values, the tail and its neighbours), past flush
+        // boundaries, at a random quantile.
+        let decided = std::cell::Cell::new([0u32; 2]);
+        check::run("tail screen == refreshed est > tail", 64, |g| {
             let q = g.f64_in(0.5, 0.995);
             let mut t = HealthTracker::new(
                 HealthConfig::default().with_hedge(HedgeConfig::default().with_min_samples(1)),
@@ -900,29 +971,74 @@ mod tests {
                 2,
             );
             let n = g.usize_in(1, 1_500);
-            let hi = g.u64_in(2, 2_000_000);
-            let mut at = 0;
-            for _ in 0..n {
-                at += 1;
-                let v = if g.boolean() {
-                    g.u64_in(0, hi)
-                } else {
-                    g.u64_in(0, 1 + hi / 100)
+            let hi_bits = g.u64_in(2, 41);
+            let hi = g.u64_in(2, 1 << hi_bits);
+            let shape = g.u64_in(0, 4);
+            let constant = g.u64_in(0, hi);
+            let mut seen = Vec::with_capacity(n);
+            for at in 1..=n as u64 {
+                let v = match shape {
+                    // Heavy tail: a uniform bit length, then a uniform
+                    // value below it.
+                    0 => {
+                        let bits = u64::from(u64::BITS - hi.leading_zeros());
+                        let bits = g.u64_in(1, bits + 1);
+                        g.u64_in(0, 1 << bits)
+                    }
+                    1 => constant,
+                    // Bimodal: fast bulk, a slow tenth.
+                    2 if g.u64_in(0, 10) == 0 => g.u64_in(hi / 2, hi),
+                    2 => g.u64_in(0, 1 + hi / 100),
+                    _ if g.boolean() => g.u64_in(0, hi),
+                    _ => g.u64_in(0, 1 + hi / 100),
                 };
+                seen.push(v);
                 report(&mut t, 0, at, v, false);
             }
-            for _ in 0..16 {
-                let est = g.u64_in(0, 2 * hi);
-                let screened = t.tail_screen_proves_below(q, est);
-                let tail = t.hedge_tail(q).expect("non-empty sketch");
-                if screened {
-                    assert!(
-                        est <= tail,
-                        "screen proved est {est} <= tail, but tail is {tail} (n={n}, q={q})"
+            let tail = t.hedge_tail(q).expect("non-empty sketch");
+            for i in 0..24 {
+                let est = match i % 3 {
+                    0 => g.u64_in(0, 2 * hi),
+                    1 => seen[g.usize_in(0, n)],
+                    _ => (tail + g.u64_in(0, 3)).saturating_sub(1),
+                };
+                if let Some(hedge) = t.tail_screen(q, est) {
+                    assert_eq!(
+                        hedge,
+                        est > tail,
+                        "screen decided est {est} > tail {tail} is {hedge} (n={n}, q={q})"
                     );
+                    let mut d = decided.get();
+                    d[usize::from(hedge)] += 1;
+                    decided.set(d);
                 }
             }
         });
+        let [below, above] = decided.get();
+        assert!(
+            below > 0 && above > 0,
+            "both directions must be exercised: {below} below, {above} above"
+        );
+    }
+
+    #[test]
+    fn estimate_far_past_the_tail_hedges_without_a_refresh() {
+        let cfg = HealthConfig::default().with_hedge(HedgeConfig::default().with_min_samples(10));
+        // Machine 4 never reports, so its estimates are its bookings.
+        let mut t = HealthTracker::new(cfg, 5, 5);
+        for i in 0..40u64 {
+            feed(&mut t, (i % 4) as usize, i + 1, 10);
+        }
+        assert!(t.should_hedge(4, ms(1_000)), "100x the tail hedges");
+        assert!(!t.should_hedge(4, ms(1)), "a tenth of it does not");
+        let c = t.counters();
+        assert_eq!(
+            (c.hedge_checks, c.tail_refreshes),
+            (2, 0),
+            "the screen settles both checks without the sketch"
+        );
+        assert!(!t.should_hedge(4, ms(10)), "a tie with the tail refreshes");
+        assert_eq!(t.counters().tail_refreshes, 1);
     }
 
     #[test]
@@ -1015,8 +1131,8 @@ mod tests {
                 .with_threshold(1.5)
                 .with_min_samples(1),
         );
-        // 2-machine fleet: one machine must stay in service, so at most
-        // one may ever be out.
+        // 2-machine fleet: the half-fleet cap allows one machine out, so
+        // one always stays in service.
         let mut t = HealthTracker::new(cfg, 2, 2);
         feed(&mut t, 0, 1, 10);
         feed(&mut t, 1, 2, 10_000);
@@ -1025,12 +1141,12 @@ mod tests {
         // nothing, so it stays.
         feed(&mut t, 0, 3, 50_000);
         feed(&mut t, 0, 4, 50_000);
-        assert!(!t.excluded(0), "quorum keeps the last machine in service");
+        assert!(!t.excluded(0), "the cap keeps the last machine in service");
         let (stats, _) = t.snapshot(ms(4));
         assert_eq!(stats.ejections, 1);
         // 5-machine fleet: at most half (rounded down) may be out. Each
         // outlier is worse than the last, so the third still passes 1.5×
-        // the median, and the quorum alone would let it go.
+        // the median, and one machine in service alone would let it go.
         let mut t = HealthTracker::new(cfg, 5, 5);
         feed(&mut t, 0, 1, 10);
         feed(&mut t, 1, 2, 10);

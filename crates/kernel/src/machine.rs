@@ -245,10 +245,12 @@ pub enum PolicyCall {
 /// known ahead of the clock (at construction, or when a streamed chunk is
 /// fed), so they live in a time-ordered calendar (`Machine::arrivals`)
 /// consumed from the front — the event queue then only ever holds the
-/// handful of in-flight per-core timers. Slice expiries and ticks are
-/// armed a fixed delay ahead of the clock, so they go to the queue's
-/// delay lanes ([`EventQueue::schedule_after`]); completions,
-/// interference, cancels and I/O returns go to its heap.
+/// handful of in-flight per-core timers. Slice expiries, ticks and the
+/// deadline cancels armed at arrival are set a delay ahead of the clock
+/// that mostly repeats, so they go to the queue's delay lanes
+/// ([`EventQueue::schedule_after`]); completions, interference, I/O
+/// returns and the cancel a past-deadline dispatch re-arms go to its
+/// heap.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     Arrival(TaskId),
@@ -944,8 +946,14 @@ impl Machine {
                     self.max_in_flight = in_flight;
                 }
                 if let Some(deadline) = self.task_ref(task).spec().deadline {
-                    self.events
-                        .schedule(deadline.max(self.now), Event::Cancel(task));
+                    // A deadline usually sits one fixed timeout past the
+                    // arrival, so these cancels share a delay lane; one
+                    // already past fires at this instant.
+                    self.events.schedule_after(
+                        self.now,
+                        deadline.saturating_since(self.now),
+                        Event::Cancel(task),
+                    );
                 }
                 self.log(KernelMessage::TaskNew { task });
                 PolicyCall::TaskNew(task)
@@ -1674,6 +1682,66 @@ mod tests {
         let t = m.task(TaskId(1));
         assert!(t.is_cancelled());
         assert_eq!(t.cpu_time(), SimDuration::ZERO);
+        assert_eq!(m.advance().unwrap(), None);
+    }
+
+    #[test]
+    fn deadline_at_the_completion_instant_cancels() {
+        // The cancel armed at arrival holds an earlier insertion than the
+        // completion the dispatch books for the same instant, so it fires
+        // first: the task is cancelled, not finished.
+        let cfg = MachineConfig::new(1).with_cost(CostModel::free());
+        let specs = vec![
+            TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(100), 128)
+                .with_deadline(SimTime::from_millis(100)),
+        ];
+        let mut m = Machine::new(cfg, specs);
+        m.advance().unwrap(); // arrival (arms the cancel for 100 ms)
+        m.dispatch(CoreId(0), TaskId(0), None).unwrap(); // completes at 100 ms
+        assert_eq!(
+            m.advance().unwrap(),
+            Some(PolicyCall::TaskFinished(TaskId(0), CoreId(0)))
+        );
+        assert_eq!(m.now(), SimTime::from_millis(100));
+        let t = m.task(TaskId(0));
+        assert!(t.is_cancelled());
+        assert_eq!(t.completion(), None);
+        assert_eq!(m.num_cancelled(), 1);
+        assert_eq!(m.advance().unwrap(), None);
+    }
+
+    #[test]
+    fn past_deadline_arrival_cancels_at_once() {
+        // T1 arrives at 20 ms, past its 5 ms deadline: its cancel is armed
+        // for the arrival instant, after T0's completion (inserted
+        // earlier), so T1 dispatched at once dies there with no progress.
+        let cfg = MachineConfig::new(2).with_cost(CostModel::free());
+        let specs = vec![
+            TaskSpec::function(SimTime::ZERO, SimDuration::from_millis(20), 128),
+            TaskSpec::function(SimTime::from_millis(20), SimDuration::from_millis(100), 128)
+                .with_deadline(SimTime::from_millis(5)),
+        ];
+        let mut m = Machine::new(cfg, specs);
+        // T0 arrives and is dispatched to complete at 20 ms. At that
+        // instant T1's arrival fires first, then the timers in insertion
+        // order.
+        m.advance().unwrap();
+        m.dispatch(CoreId(0), TaskId(0), None).unwrap();
+        assert_eq!(m.advance().unwrap(), Some(PolicyCall::TaskNew(TaskId(1))));
+        m.dispatch(CoreId(1), TaskId(1), None).unwrap();
+        assert_eq!(
+            m.advance().unwrap(),
+            Some(PolicyCall::TaskFinished(TaskId(0), CoreId(0)))
+        );
+        assert_eq!(
+            m.advance().unwrap(),
+            Some(PolicyCall::TaskFinished(TaskId(1), CoreId(1)))
+        );
+        assert_eq!(m.now(), SimTime::from_millis(20));
+        let t = m.task(TaskId(1));
+        assert!(t.is_cancelled());
+        assert_eq!(t.cpu_time(), SimDuration::ZERO);
+        assert_eq!(m.num_cancelled(), 1);
         assert_eq!(m.advance().unwrap(), None);
     }
 

@@ -21,8 +21,9 @@
 //! entry sits in a source sorted by the same key, so the pop order is
 //! exactly the order one heap over every entry would give. A simulation
 //! whose timers mostly repeat a few delays (CFS slices at the same
-//! granularity, periodic ticks) pays an append and a short scan for them
-//! instead of a heap push and pop.
+//! granularity, periodic ticks, deadline cancels one fixed timeout past
+//! each arrival) pays an append and a short scan for them instead of a
+//! heap push and pop.
 //!
 //! The queue offers no cancellation. Its users invalidate stale events
 //! instead: a kernel timer carries its core's generation stamp and is
