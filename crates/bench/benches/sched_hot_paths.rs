@@ -154,11 +154,13 @@ fn bench_core_scaling(c: &mut Bench) {
 /// The regime the loaded node of a provider-scale fleet spends most of its
 /// kernel events in: a 25+25-core hybrid at light load, where each long
 /// function runs alone on its CFS core and most events are its 24 ms
-/// slice expiries, renewed in place. One arrival every 20 ms;
-/// every tenth is a 2 s function, the rest 20 ms. With the 100 ms limit of
-/// the `core_scaling` hybrid rows, the FIFO side is about 6% busy and the
-/// CFS side about 38%, and round-robin placement hands each CFS core a new
-/// long function only every 5 s, so they never share a core.
+/// slice expiries, which the kernel renews without a policy call. One
+/// arrival every 20 ms; every tenth is a 2 s function, the rest 20 ms.
+/// With the 100 ms limit of the `core_scaling` hybrid rows, the FIFO side
+/// is about 6% busy and the CFS side about 38%, and round-robin placement
+/// hands each CFS core a new long function only every 5 s, so they never
+/// share a core. The untimed run panics unless most of its events are
+/// such kernel renewals.
 fn bench_light_load(c: &mut Bench) {
     let mut g = c.benchmark_group("light_load");
     g.sample_size(10);
@@ -177,10 +179,20 @@ fn bench_light_load(c: &mut Bench) {
             HybridConfig::split(25, 25)
                 .with_time_limit(TimeLimitPolicy::Fixed(SimDuration::from_millis(100))),
         );
-        run_machine(50, &specs, hybrid)
+        let cfg = MachineConfig::new(50).with_cost(CostModel::default());
+        let mut run = MachineRun::new(cfg, &specs, hybrid);
+        run.run_to_end().unwrap();
+        black_box(run.machine().now());
+        (run.machine().events_processed(), run.renewals())
     };
     // One untimed run fixes the deterministic event count.
-    g.bench_counted("hybrid_50c", run, identity);
+    g.bench_counted("hybrid_50c", run, |(events, renewals)| {
+        assert!(
+            2 * renewals > events,
+            "light_load/hybrid_50c: {renewals} kernel renewals in {events} events"
+        );
+        events
+    });
     g.finish();
 }
 

@@ -17,12 +17,12 @@
 //!
 //! A machine's state (its `MachineRun` and accumulators) is built on its
 //! first non-empty feed; until then it would process no event. A machine
-//! that is never fed is built only at the end, to be reported. Each
-//! machine's utilization ledger keeps only the window its policy reads
-//! ([`MachineRun::bound_utilization`]). Peak memory is O(in-flight tasks +
-//! fed machines × sketch), independent of how many invocations the trace
-//! contains, of how long each fed machine lives and of how its work is
-//! spaced. Dispatch decisions, exact
+//! that is never fed is never built: its report, all zeros, is written
+//! directly. Each machine's utilization ledger keeps only the window its
+//! policy reads ([`MachineRun::bound_utilization`]). Peak memory is
+//! O(in-flight tasks + fed machines × sketch), independent of how many
+//! invocations the trace contains, of how long each fed machine lives and
+//! of how its work is spaced. Dispatch decisions, exact
 //! aggregates (count/mean/max/total), core stats, event counts and the
 //! billed cost are **identical** to the materializing path — bitwise, at
 //! any fan width — and sketched quantiles carry a rank-error certificate.
@@ -367,6 +367,24 @@ impl<P: Scheduler> MachineState<P> {
     }
 }
 
+/// The report of a machine that was never fed: what building its state
+/// and reporting it at once would give (no event, no task, zero busy time
+/// on every core), without building a kernel to say so.
+fn unfed_report(policy: &str, cfg: &MachineConfig, opts: &StreamOptions) -> StreamMachineReport {
+    StreamMachineReport {
+        policy: policy.to_owned(),
+        stats: StreamRunStats::new(opts.epsilon),
+        core_stats: vec![CoreStats::default(); cfg.cores],
+        finished_at: SimTime::ZERO,
+        events_processed: 0,
+        tasks: 0,
+        cost_usd: 0.0,
+        max_live_tasks: 0,
+        max_in_flight: 0,
+        cancelled: 0,
+    }
+}
+
 impl<D, P, F> Cluster<D, F>
 where
     D: Dispatch,
@@ -465,9 +483,11 @@ where
             .enumerate()
             .map(|(i, state)| match state {
                 Some(state) => state.into_report(),
-                // Built only now, one at a time, and reported at once.
-                None => MachineState::new(self.cfg.machine_config(i), (self.make_policy)(i), opts)
-                    .into_report(),
+                None => unfed_report(
+                    (self.make_policy)(i).name(),
+                    &self.cfg.machine_config(i),
+                    opts,
+                ),
             })
             .collect();
         let mut overload = front.overload_stats();
@@ -538,6 +558,39 @@ mod tests {
         assert_eq!(chunks[1].tasks.len(), 0);
         assert_eq!(chunks[2].tasks.len(), 0);
         assert_eq!(chunks[3].tasks.len(), 1);
+    }
+
+    #[test]
+    fn unfed_report_equals_a_built_and_reported_machine() {
+        use faas_kernel::InterferenceConfig;
+        use hybrid_scheduler::{HybridConfig, HybridScheduler, RightsizingConfig};
+        fn check<P: Scheduler>(cfg: MachineConfig, policy: P, opts: &StreamOptions) {
+            let direct = unfed_report(policy.name(), &cfg, opts);
+            let built = MachineState::new(cfg, policy, opts).into_report();
+            assert_eq!(direct.policy, built.policy);
+            assert_eq!(direct.stats, built.stats);
+            assert_eq!(direct.core_stats, built.core_stats);
+            assert_eq!(direct.finished_at, built.finished_at);
+            assert_eq!(direct.events_processed, built.events_processed);
+            assert_eq!(direct.tasks, built.tasks);
+            assert_eq!(direct.cost_usd.to_bits(), built.cost_usd.to_bits());
+            assert_eq!(direct.max_live_tasks, built.max_live_tasks);
+            assert_eq!(direct.max_in_flight, built.max_in_flight);
+            assert_eq!(direct.cancelled, built.cancelled);
+        }
+        let billed = StreamOptions {
+            price: Some(lambda_pricing::PriceModel::duration_only()),
+            ..StreamOptions::default()
+        };
+        // A hybrid node with interference and a rightsizing tick armed at
+        // construction, and a plain FIFO node, billed and not.
+        let hybrid = HybridConfig::paper_25_25().with_rightsizing(RightsizingConfig::default());
+        let node = MachineConfig::new(hybrid.total_cores())
+            .with_interference(InterferenceConfig::default());
+        for opts in [&billed, &StreamOptions::default()] {
+            check(node.clone(), HybridScheduler::new(hybrid.clone()), opts);
+            check(MachineConfig::new(4), Fifo::new(), opts);
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! keeps the machine's offer mask ([`Machine::offer_mask_mut`]) at the
 //! cores an offer could act on: the FIFO group while the FIFO queue holds
 //! a task, plus the CFS members [`CfsRunQueues::offer_cores`] names.
+//!
+//! On a node that is not saturated, a function past the limit runs alone
+//! on its CFS core, where all CFS does is renew its slice. The scheduler
+//! publishes those cores ([`CfsRunQueues::publish_lone_slices`]), so the
+//! kernel renews such slices itself, with no callback per renewal.
 
 use std::collections::VecDeque;
 
@@ -247,14 +252,18 @@ impl HybridScheduler {
     /// act on: the CFS members [`CfsRunQueues::offer_cores`] names, plus
     /// the FIFO group while the FIFO queue holds a task. An offer to any
     /// other core finds an empty FIFO queue, or an empty CFS queue with
-    /// no crowded queue to steal from, and changes nothing. Called after
-    /// every callback that can change the queues.
-    fn publish_offer_mask(&self, m: &mut Machine) {
+    /// no crowded queue to steal from, and changes nothing. Also publishes
+    /// the CFS members whose slice the kernel may renew
+    /// ([`CfsRunQueues::publish_lone_slices`]): a slice expiry on any of
+    /// them goes to the CFS queues, whatever the FIFO side holds. Called
+    /// after every callback that can change the queues.
+    fn publish(&mut self, m: &mut Machine) {
         let mask = m.offer_mask_mut();
         mask.copy_from(self.cfs.offer_cores());
         if !self.fifo_queue.is_empty() {
             mask.union_with(&self.fifo_set);
         }
+        self.cfs.publish_lone_slices(m);
     }
 
     fn update_limit(&mut self, now: SimTime) {
@@ -415,7 +424,7 @@ impl Scheduler for HybridScheduler {
             // §IV-A: tasks are first directed to the global FIFO queue.
             self.fifo_queue.push_back(task);
         }
-        self.publish_offer_mask(m);
+        self.publish(m);
     }
 
     fn on_slice_expired(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
@@ -424,7 +433,7 @@ impl Scheduler for HybridScheduler {
             Group::Fifo => self.migrate_task_to_cfs(m, task),
             Group::Cfs => self.cfs.expire_slice(m, core, task),
         }
-        self.publish_offer_mask(m);
+        self.publish(m);
     }
 
     fn on_interference_preempt(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
@@ -434,7 +443,7 @@ impl Scheduler for HybridScheduler {
             Group::Fifo => self.fifo_queue.push_front(task),
             Group::Cfs => self.cfs.requeue(m, core, task),
         }
-        self.publish_offer_mask(m);
+        self.publish(m);
     }
 
     fn on_task_finished(&mut self, m: &mut Machine, task: TaskId, _core: CoreId) {
@@ -451,7 +460,7 @@ impl Scheduler for HybridScheduler {
             Group::Fifo => self.dispatch_fifo(m, core),
             Group::Cfs => self.cfs.dispatch(m, core),
         }
-        self.publish_offer_mask(m);
+        self.publish(m);
     }
 
     fn on_tick(&mut self, m: &mut Machine) {
@@ -470,7 +479,7 @@ impl Scheduler for HybridScheduler {
         );
         if let Some(direction) = decision {
             self.migrate_core(m, direction);
-            self.publish_offer_mask(m);
+            self.publish(m);
         }
     }
 }

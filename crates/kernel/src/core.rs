@@ -47,8 +47,9 @@ pub(crate) struct Core {
     pub(crate) state: CoreState,
     /// Invalidates in-flight completion/slice events after preemption.
     pub(crate) generation: u64,
-    /// When the current occupancy (dispatch or interference) began.
-    pub(crate) busy_since: Option<SimTime>,
+    /// When the current occupancy (dispatch or interference) began;
+    /// meaningful only while the core is busy.
+    pub(crate) busy_since: SimTime,
     /// When the current task starts making real progress (after the
     /// context-switch direct cost).
     pub(crate) work_start: SimTime,
@@ -58,6 +59,9 @@ pub(crate) struct Core {
     pub(crate) ctx_switches: u64,
     /// Task that most recently ran on this core (for free re-dispatch).
     pub(crate) last_task: Option<TaskId>,
+    /// CPU time of the task last dispatched here right after the latest
+    /// slice the kernel renewed since that dispatch; zero if none.
+    pub(crate) renewed_cpu: SimDuration,
 }
 
 impl Core {
@@ -65,11 +69,12 @@ impl Core {
         Core {
             state: CoreState::Idle,
             generation: 0,
-            busy_since: None,
+            busy_since: SimTime::ZERO,
             work_start: SimTime::ZERO,
             preemptions: 0,
             ctx_switches: 0,
             last_task: None,
+            renewed_cpu: SimDuration::ZERO,
         }
     }
 }

@@ -20,9 +20,10 @@ use crate::core::CoreId;
 
 /// A set of the cores of a machine, one bit per core.
 ///
-/// Two sets combined with [`copy_from`](Self::copy_from) or
-/// [`union_with`](Self::union_with) must be built for the same number of
-/// words (the same core count does it).
+/// Two sets combined with [`copy_from`](Self::copy_from),
+/// [`union_with`](Self::union_with) or
+/// [`difference_with`](Self::difference_with) must be built for the same
+/// number of words (the same core count does it).
 #[derive(Debug, Clone)]
 pub struct CoreSet {
     /// Cores 0..64.
@@ -137,6 +138,15 @@ impl CoreSet {
         }
     }
 
+    /// Removes every core of `other`, word by word.
+    #[inline]
+    pub fn difference_with(&mut self, other: &CoreSet) {
+        self.word0 &= !other.word0;
+        for (a, b) in self.rest.iter_mut().zip(&other.rest) {
+            *a &= !b;
+        }
+    }
+
     /// Iterates the cores in ascending id order without allocating.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
@@ -236,6 +246,8 @@ mod tests {
         assert_eq!(ids(&c), vec![3, 70]);
         c.union_with(&b);
         assert_eq!(ids(&c), vec![3, 64, 70, 129]);
+        c.difference_with(&a);
+        assert_eq!(ids(&c), vec![64, 129]);
         c.clear();
         assert_eq!(ids(&c), Vec::<usize>::new());
     }

@@ -6,7 +6,8 @@
 //! truth and *user-space agents* ([`Scheduler`]) that make placement
 //! decisions via two verbs, [`Machine::dispatch`] and [`Machine::preempt`],
 //! and may narrow the idle cores they are offered with a third,
-//! [`Machine::offer_mask_mut`].
+//! [`Machine::offer_mask_mut`], and name the cores where the kernel may
+//! renew a lone slice itself with a fourth, [`Machine::lone_slices_mut`].
 //!
 //! ## Why a simulator?
 //!
@@ -69,7 +70,8 @@ pub use crate::core::{CoreId, CoreState, CoreStats};
 pub use cost::CostModel;
 pub use idle::CoreSet;
 pub use machine::{
-    InterferenceConfig, Machine, MachineConfig, PolicyCall, SchedError, SimError, StormWindow,
+    InterferenceConfig, LoneSlices, Machine, MachineConfig, PolicyCall, SchedError, SimError,
+    StormWindow,
 };
 pub use message::KernelMessage;
 pub use sched::{MachineRun, Scheduler, Simulation, SlimReport};

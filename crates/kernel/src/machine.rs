@@ -154,6 +154,25 @@ impl MachineConfig {
     }
 }
 
+/// Where the kernel renews a lone slice itself, as a policy publishes it
+/// through [`Machine::lone_slices_mut`]: the cores on which a slice expiry
+/// would only put the same task back on the same core, and the slice it
+/// would get there.
+///
+/// A slice expiry on a core in [`cores`](Self::cores), while no other
+/// task waits or no other core is idle, renews the running task's slice
+/// in the kernel: the run segment ends and restarts at once with
+/// [`slice`](Self::slice), exactly as the policy's own re-dispatch of the
+/// expired task on that core would leave it, and the policy gets no
+/// callback ([`PolicyCall::Internal`]). Empty until a policy publishes.
+#[derive(Debug)]
+pub struct LoneSlices {
+    /// The cores a slice expiry may renew in the kernel.
+    pub cores: CoreSet,
+    /// The slice a kernel renewal dispatches with.
+    pub slice: SimDuration,
+}
+
 /// Errors returned by the scheduling verbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedError {
@@ -334,6 +353,10 @@ pub struct Machine {
     /// Tasks cancelled past their deadline (monotonic; retirement does not
     /// decrement it).
     cancelled_total: u64,
+    /// Where a slice expiry renews in the kernel (see [`LoneSlices`]).
+    lone: LoneSlices,
+    /// Slice expiries renewed in the kernel.
+    renewals: u64,
 }
 
 impl std::fmt::Debug for Machine {
@@ -408,6 +431,11 @@ impl Machine {
             arrived: 0,
             max_in_flight: 0,
             cancelled_total: 0,
+            lone: LoneSlices {
+                cores: CoreSet::empty(cfg.cores),
+                slice: SimDuration::ZERO,
+            },
+            renewals: 0,
             cfg,
         }
     }
@@ -579,6 +607,26 @@ impl Machine {
         self.events_processed
     }
 
+    /// Slice expiries renewed in the kernel so far (see [`LoneSlices`]).
+    /// Each is still a kernel event and a preemption; the policy got no
+    /// callback for it.
+    pub fn renewals(&self) -> u64 {
+        self.renewals
+    }
+
+    /// The CPU time of the task last dispatched on `core` right after the
+    /// latest slice the kernel renewed there since that dispatch, or zero
+    /// if it renewed none ([`LoneSlices`]). A policy that publishes reads
+    /// it to catch up on the renewals it was not called for; the next
+    /// dispatch on `core` resets it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub fn renewed_cpu(&self, core: CoreId) -> SimDuration {
+        self.cores[core.index()].renewed_cpu
+    }
+
     /// Per-core statistics.
     ///
     /// # Panics
@@ -733,6 +781,20 @@ impl Machine {
         &mut self.offer_mask
     }
 
+    /// Where the kernel renews a lone slice itself, for the policy to
+    /// publish ([`LoneSlices`]). No core is in it until a policy adds
+    /// one. A policy may publish a core only while its own queue for that
+    /// core is empty and a slice expiry there, with no other task waiting
+    /// or no other core idle, would dispatch the expired task again on
+    /// that core with exactly [`LoneSlices::slice`] (see the
+    /// [`Scheduler`] contract). Like the offer mask, the policy keeps it
+    /// current from every callback that changes its queues.
+    ///
+    /// [`Scheduler`]: crate::Scheduler
+    pub fn lone_slices_mut(&mut self) -> &mut LoneSlices {
+        &mut self.lone
+    }
+
     /// Commits `task` to run on `core`, optionally bounded by a time slice.
     ///
     /// With `slice = None` the task runs to completion (FIFO-style). With
@@ -785,9 +847,10 @@ impl Machine {
 
         c.state = CoreState::Running(task);
         c.generation += 1;
-        c.busy_since = Some(now);
+        c.busy_since = now;
         c.work_start = now + switch_cost;
         c.last_task = Some(task);
+        c.renewed_cpu = SimDuration::ZERO;
         if !warm {
             c.ctx_switches += 1;
         }
@@ -1038,9 +1101,16 @@ impl Machine {
                     let CoreState::Running(task) = c.state else {
                         unreachable!("live slice expiry on non-running core")
                     };
-                    self.stop_running(core, task);
-                    self.log(KernelMessage::SliceExpired { task, core });
-                    PolicyCall::SliceExpired(task, core)
+                    // With nothing else waiting or no other core idle, the
+                    // policy would only put the task back here.
+                    if self.lone.cores.contains(core) && (self.waiting == 0 || self.num_idle == 0) {
+                        self.renew_slice(core, task);
+                        PolicyCall::Internal
+                    } else {
+                        self.stop_running(core, task);
+                        self.log(KernelMessage::SliceExpired { task, core });
+                        PolicyCall::SliceExpired(task, core)
+                    }
                 }
             }
             Event::InterferenceStart(core) => {
@@ -1066,7 +1136,7 @@ impl Machine {
                     let c = &mut self.cores[core.index()];
                     c.state = CoreState::Interference;
                     c.generation += 1;
-                    c.busy_since = Some(self.now);
+                    c.busy_since = self.now;
                     c.last_task = None; // the intruder pollutes the cache
                     let generation = c.generation;
                     let dur = self.rng.jitter(icfg.duration, 0.5);
@@ -1082,10 +1152,8 @@ impl Machine {
             Event::InterferenceEnd { core, generation } => {
                 if self.cores[core.index()].generation == generation {
                     let c = &mut self.cores[core.index()];
-                    if let Some(since) = c.busy_since.take() {
-                        let now = self.now;
-                        self.util.record_busy(core.index(), since, now);
-                    }
+                    let now = self.now;
+                    self.util.record_busy(core.index(), c.busy_since, now);
                     c.state = CoreState::Idle;
                     self.mark_idle(core);
                     self.log(KernelMessage::InterferenceEnd { core });
@@ -1120,10 +1188,7 @@ impl Machine {
         let now = self.now;
         let c = &mut self.cores[core.index()];
         let ran = now.saturating_since(c.work_start);
-        let since = c
-            .busy_since
-            .take()
-            .expect("running core without busy_since");
+        let since = c.busy_since;
         c.state = CoreState::Idle;
         c.generation += 1;
         c.preemptions += u64::from(preempted);
@@ -1144,6 +1209,54 @@ impl Machine {
         t.preemptions += 1;
         t.state = TaskState::Preempted;
         t.on_core = None;
+    }
+
+    /// Renews the expired slice of `task` on `core` with the published
+    /// lone slice, leaving everything as [`Machine::stop_running`] plus
+    /// the policy's warm re-dispatch there would: the segment is billed
+    /// and accounted, the core and the task count a preemption, the
+    /// generation moves by two, the new timer and a past-deadline cancel
+    /// are booked in dispatch order, and both messages are logged. The
+    /// core never leaves the busy set and the task never waits, so the
+    /// idle and waiting counts stay as they were.
+    fn renew_slice(&mut self, core: CoreId, task: TaskId) {
+        let now = self.now;
+        let slice = self.lone.slice;
+        let c = &mut self.cores[core.index()];
+        let ran = now.saturating_since(c.work_start);
+        let since = std::mem::replace(&mut c.busy_since, now);
+        c.generation += 2;
+        c.preemptions += 1;
+        // Warm: the task was this core's last, so no switch is charged.
+        c.work_start = now;
+        let generation = c.generation;
+        self.idle_transitions += 1;
+        self.util.record_busy(core.index(), since, now);
+        let t = self.task_mut(task);
+        let ran = ran.min(t.remaining);
+        t.remaining -= ran;
+        t.cpu_time += ran;
+        t.preemptions += 1;
+        let (remaining, cpu_time) = (t.remaining, t.cpu_time);
+        let past_deadline = t.spec().deadline.is_some_and(|d| d <= now);
+        self.cores[core.index()].renewed_cpu = cpu_time;
+        self.renewals += 1;
+        if slice < remaining {
+            self.events
+                .schedule_after(now, slice, Event::SliceExpire { core, generation });
+        } else {
+            self.events
+                .schedule(now + remaining, Event::Complete { core, generation });
+        }
+        if past_deadline {
+            self.events.schedule(now, Event::Cancel(task));
+        }
+        self.log(KernelMessage::SliceExpired { task, core });
+        self.log(KernelMessage::Dispatch {
+            task,
+            core,
+            slice: Some(slice),
+        });
     }
 
     /// Finishes the CPU work of `task` on `core` and moves it to the

@@ -70,6 +70,23 @@ use crate::task::{Task, TaskId, TaskSpec};
 /// driver's offer count ([`MachineRun::offers`]) falls. An interference
 /// preemption must not take this path, because the host still holds the
 /// core.
+///
+/// A policy whose slice expiry on some cores could only renew the
+/// expired task there may let the kernel do it. It publishes those cores
+/// and the slice through [`Machine::lone_slices_mut`], and on such a
+/// core an expiry that meets the in-place condition above (no other task
+/// waits, or no other core is idle) ends and restarts the segment in the
+/// kernel, with no `on_slice_expired` call: the event, the messages, the
+/// counters and the new timer are those of the policy's own renewal. A
+/// third rule keeps that exact:
+///
+/// * a policy may publish a core only while its queue for that core is
+///   empty and a slice expiry there would dispatch the same task on that
+///   core with the published slice. It keeps the set current from every
+///   callback that changes its queues, and catches up on the renewals it
+///   was not called for ([`Machine::renewed_cpu`]) before its state
+///   depends on them. The CFS run queues fold them into the core's
+///   `min_vruntime` before the next dispatch or placement there.
 pub trait Scheduler {
     /// Human-readable policy name (used in reports and figures).
     fn name(&self) -> &str;
@@ -181,12 +198,15 @@ impl SlimReport {
 /// ([`Machine::offer_mask_mut`]). It scans the two sets 64 cores at a
 /// time, so idle cores outside the mask cost nothing, and it counts the
 /// offers it makes and those the policy declines ([`offers`],
-/// [`declined_offers`]). The counts repeat exactly for a given input, so
-/// tests can pin them where wall-clock timings would blur.
+/// [`declined_offers`]), beside the slice expiries the kernel renewed
+/// without calling the policy ([`renewals`]). The counts repeat exactly
+/// for a given input, so tests can pin them where wall-clock timings
+/// would blur.
 ///
 /// [`step`]: MachineRun::step
 /// [`offers`]: MachineRun::offers
 /// [`declined_offers`]: MachineRun::declined_offers
+/// [`renewals`]: MachineRun::renewals
 pub struct MachineRun<P> {
     machine: Machine,
     policy: P,
@@ -238,6 +258,13 @@ impl<P: Scheduler> MachineRun<P> {
     /// policy had nothing to run there.
     pub fn declined_offers(&self) -> u64 {
         self.declined_offers
+    }
+
+    /// Slice expiries so far that the kernel renewed on a core the policy
+    /// published ([`Machine::lone_slices_mut`]), with no policy call. They
+    /// are kernel events and preemptions like any other expiry.
+    pub fn renewals(&self) -> u64 {
+        self.machine.renewals()
     }
 
     /// Feeds more task specs mid-run (the chunked cluster feed; see

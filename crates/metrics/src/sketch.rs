@@ -30,14 +30,15 @@
 //!   materializing differential pin summaries exactly at small scale.
 //!
 //! Recorded values wait in a buffer until a batch of them is flushed into
-//! the tuple list. Each GK rule is written once, as a stream: `insert`
-//! merges the sorted pending values into the tuples, `compress` folds
-//! each tuple into the next while their band fits, and `nearest` picks
-//! the tuple closest to a target rank. A flush collects the first two; a
-//! query chains all three without building the flushed list, so every
-//! read answers exactly as a flush would, without moving the flush-batch
-//! boundary (which later inserts would see). The sketch remembers how
-//! much of its buffer is already sorted, so
+//! the tuple list. The GK insertion and compression rules are written
+//! once, as one indexed pass (`gk_pass`) that merges the sorted pending
+//! values into the tuples and folds each tuple into the next while their
+//! band fits, handing each tuple it leaves to a sink. A flush's sink
+//! collects them; a query's sink scores them against the target rank
+//! (`Nearest`, the rank rule), so every read answers exactly as a flush
+//! would, without building the flushed list and without moving the
+//! flush-batch boundary (which later inserts would see). The sketch
+//! remembers how much of its buffer is already sorted, so
 //! [`quantile_mut`](QuantileSketch::quantile_mut) sorts only the values
 //! recorded since the last query and allocates nothing: the hedge
 //! trigger refreshes its tail through it after each completion report.
@@ -76,14 +77,26 @@ struct Tuple {
 /// Amortizes insertion to O(log buffer) comparisons per value.
 const BUFFER_CAP: usize = 512;
 
-/// The GK insertion rule as a stream: `tuples` with the sorted values
-/// `pending` merged in, each value after every tuple of equal or smaller
-/// value. A value placed before successor tuple `s` gets
-/// `delta = g_s + delta_s - 1`; a new global minimum or maximum gets
-/// `delta = 0`, so the extremes stay exact.
-fn insert<'a>(tuples: &'a [Tuple], pending: &'a [u64]) -> impl Iterator<Item = Tuple> + 'a {
+/// One GK pass: `tuples` with the sorted values `pending` merged in, then
+/// compressed at `threshold`, each resulting tuple handed to `emit` in
+/// order. Both rules run in the same loop, so no list of the inserted
+/// tuples is built.
+///
+/// * Insertion: each value goes after every tuple of equal or smaller
+///   value. A value placed before successor tuple `s` gets
+///   `delta = g_s + delta_s - 1`; a new global minimum or maximum gets
+///   `delta = 0`, so the extremes stay exact.
+/// * Compression: greedily, left to right, a tuple is absorbed into the
+///   next one while their combined rank band `g + g' + delta'` stays
+///   within `threshold`; the result keeps the later tuple's value and
+///   `delta`. The first tuple is never absorbed (the minimum stays exact)
+///   and the last keeps its value (so does the maximum).
+///
+/// A zero threshold merges nothing, as every `g` is at least 1, so it
+/// inserts only; with nothing pending the pass compresses only.
+fn gk_pass(tuples: &[Tuple], pending: &[u64], threshold: u64, mut emit: impl FnMut(Tuple)) {
     let (mut ti, mut pi) = (0, 0);
-    std::iter::from_fn(move || {
+    let mut next = || {
         let successor = tuples.get(ti);
         match pending.get(pi) {
             Some(&v) if successor.is_none_or(|s| s.v > v) => {
@@ -99,50 +112,62 @@ fn insert<'a>(tuples: &'a [Tuple], pending: &'a [u64]) -> impl Iterator<Item = T
                 successor.copied()
             }
         }
-    })
-}
-
-/// The GK compression rule as a stream: greedily, left to right, a tuple
-/// is absorbed into the next one while their combined rank band
-/// `g + g' + delta'` stays within `threshold`; the result keeps the later
-/// tuple's value and `delta`. The first tuple is never absorbed (the
-/// minimum stays exact) and the last keeps its value (so does the
-/// maximum). A zero threshold merges nothing, as every `g` is at least 1.
-fn compress(tuples: impl Iterator<Item = Tuple>, threshold: u64) -> impl Iterator<Item = Tuple> {
-    let mut tuples = tuples.peekable();
-    let mut first = true;
-    std::iter::from_fn(move || {
-        let mut cur = tuples.next()?;
-        while let Some(t) = tuples.next_if(|t| !first && cur.g + t.g + t.delta <= threshold) {
+    };
+    let Some(first) = next() else {
+        return;
+    };
+    emit(first);
+    let Some(mut cur) = next() else {
+        return;
+    };
+    while let Some(t) = next() {
+        if cur.g + t.g + t.delta <= threshold {
             cur = Tuple {
                 v: t.v,
                 g: cur.g + t.g,
                 delta: t.delta,
             };
-        }
-        first = false;
-        Some(cur)
-    })
-}
-
-/// The GK rank rule: the value of the first tuple minimizing
-/// `max(rmax - r, r - rmin)` for target rank `r`, so on an uncompressed
-/// list (every tuple `g = 1, delta = 0`) the exact rank-`r` value.
-/// `None` for no tuples.
-fn nearest(tuples: impl Iterator<Item = Tuple>, r: u64) -> Option<u64> {
-    let mut rmin = 0u64;
-    let mut best = None;
-    let mut best_err = u64::MAX;
-    for t in tuples {
-        rmin += t.g;
-        let rmax = rmin + t.delta;
-        let err = rmax.saturating_sub(r).max(r.saturating_sub(rmin));
-        if err < best_err {
-            best_err = err;
-            best = Some(t.v);
+        } else {
+            emit(cur);
+            cur = t;
         }
     }
-    best
+    emit(cur);
+}
+
+/// The GK rank rule, fed one tuple at a time: keeps the value of the
+/// first tuple minimizing `max(rmax - r, r - rmin)` for target rank `r`,
+/// so on an uncompressed list (every tuple `g = 1, delta = 0`) the exact
+/// rank-`r` value. `None` for no tuples.
+struct Nearest {
+    r: u64,
+    rmin: u64,
+    best: Option<u64>,
+    best_err: u64,
+}
+
+impl Nearest {
+    fn new(r: u64) -> Self {
+        Nearest {
+            r,
+            rmin: 0,
+            best: None,
+            best_err: u64::MAX,
+        }
+    }
+
+    #[inline]
+    fn score(&mut self, t: Tuple) {
+        self.rmin += t.g;
+        let rmax = self.rmin + t.delta;
+        let err = rmax
+            .saturating_sub(self.r)
+            .max(self.r.saturating_sub(self.rmin));
+        if err < self.best_err {
+            self.best_err = err;
+            self.best = Some(t.v);
+        }
+    }
 }
 
 /// Deterministic Greenwald–Khanna ε-approximate quantile summary over
@@ -244,16 +269,24 @@ impl QuantileSketch {
         (2.0 * self.epsilon * self.count as f64).floor() as u64
     }
 
-    /// Streams the tuples a flush would leave, given the buffer's values
-    /// in sorted order as `pending`. With nothing pending a flush changes
-    /// nothing, so the stored tuples stream as they are (zero threshold).
-    fn flushed<'a>(&'a self, pending: &'a [u64]) -> impl Iterator<Item = Tuple> + 'a {
+    /// Hands `emit` the tuples a flush would leave, in order, given the
+    /// buffer's values in sorted order as `pending`. With nothing pending
+    /// a flush changes nothing, so the stored tuples pass as they are
+    /// (zero threshold).
+    fn for_each_flushed(&self, pending: &[u64], emit: impl FnMut(Tuple)) {
         let threshold = if pending.is_empty() {
             0
         } else {
             self.threshold()
         };
-        compress(insert(&self.tuples, pending), threshold)
+        gk_pass(&self.tuples, pending, threshold, emit);
+    }
+
+    /// The tuples a flush would leave, as a new list.
+    fn flushed_tuples(&self) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        self.for_each_flushed(&self.sorted_pending(), |t| out.push(t));
+        out
     }
 
     /// The buffer's values in sorted order: borrowed when the buffer is
@@ -281,7 +314,9 @@ impl QuantileSketch {
     }
 
     /// Sorts the buffer and merge-inserts it into the tuple list,
-    /// compressing as it goes.
+    /// compressing as it goes. Kept out of line: `record` calls it once
+    /// per `BUFFER_CAP` values, and inlined there it slows every record.
+    #[inline(never)]
     fn flush(&mut self) {
         if self.buffer.is_empty() {
             return;
@@ -292,7 +327,7 @@ impl QuantileSketch {
         // count, a flush performs no heap allocation.
         let mut next = std::mem::take(&mut self.scratch);
         next.clear();
-        next.extend(self.flushed(&self.buffer));
+        self.for_each_flushed(&self.buffer, |t| next.push(t));
         self.scratch = std::mem::replace(&mut self.tuples, next);
         self.buffer.clear();
         self.sorted = 0;
@@ -315,7 +350,7 @@ impl QuantileSketch {
         // state is independent of argument order; only then adopt the
         // joint epsilon for the final compression.
         self.flush();
-        let theirs: Vec<Tuple> = other.flushed(&other.sorted_pending()).collect();
+        let theirs = other.flushed_tuples();
         self.epsilon = self.epsilon.max(other.epsilon);
         if self.count == 0 {
             self.tuples = theirs;
@@ -345,7 +380,7 @@ impl QuantileSketch {
         self.count += other.count;
         let threshold = self.threshold();
         self.tuples.clear();
-        self.tuples.extend(compress(merged.into_iter(), threshold));
+        gk_pass(&merged, &[], threshold, |t| self.tuples.push(t));
     }
 
     /// The ε-approximate `q`-quantile, or `None` if the sketch is empty.
@@ -373,12 +408,14 @@ impl QuantileSketch {
     }
 
     /// Scores the tuples a flush would leave (`pending` sorted) against
-    /// the nearest rank of `q`.
+    /// the nearest rank of `q`, in the flush's own pass.
     fn query(&self, q: f64, pending: &[u64]) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
-        nearest(self.flushed(pending), nearest_rank(q, self.count))
+        let mut nearest = Nearest::new(nearest_rank(q, self.count));
+        self.for_each_flushed(pending, |t| nearest.score(t));
+        nearest.best
     }
 
     /// The exact minimum recorded value (`None` if empty): the stored
@@ -404,17 +441,18 @@ impl QuantileSketch {
     /// delta = 0` and the last `delta = 0`). A bound of 0 means every
     /// answer is the exact nearest-rank value.
     pub fn rank_error_bound(&self) -> u64 {
-        self.flushed(&self.sorted_pending())
-            .map(|t| t.g + t.delta)
-            .max()
-            .map_or(0, |gd| gd / 2)
+        let mut band = 0;
+        self.for_each_flushed(&self.sorted_pending(), |t| band = band.max(t.g + t.delta));
+        band / 2
     }
 
     /// Number of summary tuples a flush would leave — the sketch's memory
     /// footprint in 24-byte units. Grows like O((1/ε)·log(εn)), not O(n);
     /// the streaming memory tests assert this directly.
     pub fn tuple_count(&self) -> usize {
-        self.flushed(&self.sorted_pending()).count()
+        let mut n = 0;
+        self.for_each_flushed(&self.sorted_pending(), |_| n += 1);
+        n
     }
 
     /// FNV-1a digest of the flushed state `(ε, n, tuples)`. Two sketches
@@ -432,11 +470,11 @@ impl QuantileSketch {
         };
         eat(self.epsilon.to_bits());
         eat(self.count);
-        for t in self.flushed(&self.sorted_pending()) {
+        self.for_each_flushed(&self.sorted_pending(), |t| {
             eat(t.v);
             eat(t.g);
             eat(t.delta);
-        }
+        });
         h
     }
 }
@@ -447,9 +485,7 @@ impl PartialEq for QuantileSketch {
     fn eq(&self, other: &Self) -> bool {
         self.epsilon.to_bits() == other.epsilon.to_bits()
             && self.count == other.count
-            && self
-                .flushed(&self.sorted_pending())
-                .eq(other.flushed(&other.sorted_pending()))
+            && self.flushed_tuples() == other.flushed_tuples()
     }
 }
 
@@ -767,9 +803,16 @@ mod tests {
         });
     }
 
-    /// The first pass of the two-pass flush the streaming pieces
-    /// replaced, kept as their reference: merge-insert the sorted
-    /// `pending` values into a new list.
+    /// `gk_pass`'s tuples, collected.
+    fn pass(tuples: &[Tuple], pending: &[u64], threshold: u64) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        gk_pass(tuples, pending, threshold, |t| out.push(t));
+        out
+    }
+
+    /// The first pass of the two-pass flush the fused pass replaced, kept
+    /// as its reference: merge-insert the sorted `pending` values into a
+    /// new list.
     fn two_pass_insert(tuples: &[Tuple], pending: &[u64]) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(tuples.len() + pending.len());
         let mut oi = 0;
@@ -815,10 +858,11 @@ mod tests {
 
     #[test]
     fn property_streaming_flush_matches_two_pass_reference() {
-        // `insert` and `compress` must equal the two passes tuple
-        // for tuple: the flush at the sketch's own threshold after every
-        // batch of a random stream, and the compressor alone at random
-        // thresholds over the same inserted lists.
+        // The fused pass must equal the two passes tuple for tuple: the
+        // flush at the sketch's own threshold after every batch of a
+        // random stream, insertion alone (zero threshold), and
+        // compression alone (nothing pending) at random thresholds over
+        // the same inserted lists.
         check::run("streamed flush == two-pass flush", 64, |g| {
             let eps = g.f64_in(0.002, 0.5);
             let hi = g.u64_in(2, 100_000);
@@ -830,20 +874,23 @@ mod tests {
                 let mut pending = sk.buffer.clone();
                 pending.sort_unstable();
                 let inserted = two_pass_insert(&sk.tuples, &pending);
-                let streamed: Vec<Tuple> = insert(&sk.tuples, &pending).collect();
-                assert_eq!(streamed, inserted, "insertion");
+                assert_eq!(pass(&sk.tuples, &pending, 0), inserted, "insertion");
                 // A flush with nothing pending changes nothing.
                 let mut flushed = inserted.clone();
                 if !pending.is_empty() {
                     two_pass_compress(&mut flushed, sk.threshold());
                 }
-                let streamed: Vec<Tuple> = sk.flushed(&pending).collect();
+                let mut streamed = Vec::new();
+                sk.for_each_flushed(&pending, |t| streamed.push(t));
                 assert_eq!(streamed, flushed, "flush at the sketch's threshold");
                 let threshold = g.u64_in(0, 4 * sk.count + 1);
                 let mut compressed = inserted.clone();
                 two_pass_compress(&mut compressed, threshold);
-                let streamed: Vec<Tuple> = compress(inserted.iter().copied(), threshold).collect();
-                assert_eq!(streamed, compressed, "compression at threshold {threshold}");
+                assert_eq!(
+                    pass(&inserted, &[], threshold),
+                    compressed,
+                    "compression at threshold {threshold}"
+                );
             }
         });
     }

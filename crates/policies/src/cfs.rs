@@ -52,7 +52,12 @@ impl Default for CfsParams {
 type RqKey = (i64, TaskId);
 type RunQueue = SortedDeque<RqKey>;
 
-#[derive(Debug, Default)]
+/// `CoreRq::running_offset` of a core that has dispatched nothing since
+/// it (re)joined: so far below any vruntime that folding a kernel renewal
+/// from before it left changes nothing.
+const UNDISPATCHED: i64 = i64::MIN;
+
+#[derive(Debug)]
 struct CoreRq {
     /// Runnable tasks keyed by effective vruntime (µs) with id tie-break,
     /// in ascending order. The next task is the front and the steal
@@ -64,8 +69,18 @@ struct CoreRq {
     min_vruntime: i64,
     /// vruntime offset of the task this core last dispatched, which runs
     /// there or has just stopped there: its effective vruntime is this
-    /// plus its CPU time.
+    /// plus its CPU time. [`UNDISPATCHED`] until the first dispatch.
     running_offset: i64,
+}
+
+impl Default for CoreRq {
+    fn default() -> Self {
+        CoreRq {
+            queue: RunQueue::default(),
+            min_vruntime: 0,
+            running_offset: UNDISPATCHED,
+        }
+    }
 }
 
 /// The CFS mechanism: per-core vruntime run queues over cores
@@ -99,6 +114,18 @@ struct CoreRq {
 /// [`CoreSet`]s, so [`offer_cores`](Self::offer_cores) names the cores an
 /// idle-core offer could act on without a scan, for a policy's offer mask.
 ///
+/// A composing policy may also let the kernel renew lone slices
+/// ([`publish_lone_slices`](Self::publish_lone_slices)): on a member whose
+/// queue is empty, `expire_slice`'s in-place dispatch could only run the
+/// expired task again with the one-task slice, so the kernel does it
+/// without a callback. Each renewal would have raised the core's
+/// `min_vruntime` to the task's vruntime; the queues catch up on those
+/// renewals lazily, from the kernel's record of the latest one
+/// ([`Machine::renewed_cpu`]), before the next dispatch or placement on
+/// that core. [`Cfs`] does not publish; its record stays zero, so its fold
+/// reads the core record `Machine::dispatch` writes next and changes
+/// nothing.
+///
 /// Nothing is kept per task beyond the queued entries themselves, so a
 /// streaming run whose task ids keep rising holds memory for its cores
 /// and its queued tasks only.
@@ -119,6 +146,9 @@ pub struct CfsRunQueues {
     /// from. While it is zero a steal attempt misses in O(1) instead of
     /// scanning every queue.
     crowded: usize,
+    /// Whether the members or the members with a queued task changed
+    /// since the last publish, so the published cores are out of date.
+    lone_stale: bool,
 }
 
 impl CfsRunQueues {
@@ -142,6 +172,7 @@ impl CfsRunQueues {
                 .as_micros()
                 .div_ceil(min_granularity.as_micros()),
             crowded: 0,
+            lone_stale: true,
         }
     }
 
@@ -153,6 +184,7 @@ impl CfsRunQueues {
     /// Makes `core` a member with an empty queue (no-op if it is one).
     pub fn add_core(&mut self, core: CoreId) {
         self.members.insert(core);
+        self.lone_stale = true;
     }
 
     /// Removes `core` from the members, returning its queued tasks in
@@ -161,6 +193,7 @@ impl CfsRunQueues {
         let rq = std::mem::take(&mut self.rqs[core.index()]);
         self.members.remove(core);
         self.queued.remove(core);
+        self.lone_stale = true;
         if rq.queue.len() >= 2 {
             self.crowded -= 1;
         }
@@ -186,6 +219,26 @@ impl CfsRunQueues {
         } else {
             &self.queued
         }
+    }
+
+    /// Publishes on `m` the lone slices the kernel may renew
+    /// ([`Machine::lone_slices_mut`]): the members whose queue is empty,
+    /// with the one-task slice. A slice expiry on such a member, with one
+    /// task waiting or one core idle, is [`expire_slice`](Self::expire_slice)'s
+    /// in-place dispatch of the expired task with that slice. A composing
+    /// policy calls this after every callback that can change the queues.
+    /// It rewrites the machine's set only when the members or their
+    /// queued set changed since the last call; a change someone else makes
+    /// to that set in between (emptying it, say) lasts until then.
+    pub fn publish_lone_slices(&mut self, m: &mut Machine) {
+        if !self.lone_stale {
+            return;
+        }
+        self.lone_stale = false;
+        let lone = m.lone_slices_mut();
+        lone.slice = self.slice_for(0);
+        lone.cores.copy_from(&self.members);
+        lone.cores.difference_with(&self.queued);
     }
 
     /// Runnable tasks queued on `core` (excluding the running one).
@@ -287,6 +340,7 @@ impl CfsRunQueues {
     /// Runs `key`, just taken off member `core`'s queue, on `core` with
     /// the latency-target slice; `cpu_us` is the task's CPU time.
     fn run(&mut self, m: &mut Machine, core: CoreId, key: RqKey, cpu_us: i64) {
+        self.fold_renewals(m, core.index());
         let rq = &mut self.rqs[core.index()];
         rq.min_vruntime = rq.min_vruntime.max(key.0);
         rq.running_offset = key.0 - cpu_us;
@@ -349,9 +403,26 @@ impl CfsRunQueues {
             .map(|c| (c.index(), self.rqs[c.index()].queue.len()))
     }
 
+    /// Raises `core`'s `min_vruntime` to what the kernel's renewals there
+    /// since the core's last dispatch would have left: each renewal ran
+    /// the task in place, which raised it to the task's vruntime, so the
+    /// latest renewal's CPU time settles them all. Every dispatch on a
+    /// member is the queues' own and restarts the kernel's record, so the
+    /// record is the running offset's task's. With no renewal (zero CPU
+    /// time) the fold changes nothing, as a dispatched offset never
+    /// exceeds the floor it was dispatched under; nor does it on a core
+    /// that rejoined and has not dispatched yet ([`UNDISPATCHED`]), nor
+    /// under queues that never publish.
+    fn fold_renewals(&mut self, m: &Machine, core: usize) {
+        let cpu = m.renewed_cpu(CoreId::from_index(core)).as_micros() as i64;
+        let rq = &mut self.rqs[core];
+        rq.min_vruntime = rq.min_vruntime.max(rq.running_offset + cpu);
+    }
+
     /// Places `task` on `core` at `min_vruntime - credit_us`, returning
     /// that vruntime.
     fn place(&mut self, m: &Machine, core: usize, task: TaskId, credit_us: i64) -> i64 {
+        self.fold_renewals(m, core);
         let vr = self.rqs[core].min_vruntime - credit_us;
         debug_assert!(
             m.task(task).state() != faas_kernel::TaskState::Running,
@@ -369,7 +440,10 @@ impl CfsRunQueues {
         let queue = &mut self.rqs[core].queue;
         queue.push(key);
         match queue.len() {
-            1 => self.queued.insert(id),
+            1 => {
+                self.queued.insert(id);
+                self.lone_stale = true;
+            }
             2 => self.crowded += 1,
             _ => {}
         }
@@ -382,7 +456,10 @@ impl CfsRunQueues {
         let queue = &mut self.rqs[core].queue;
         let key = pick(queue)?;
         match queue.len() {
-            0 => self.queued.remove(CoreId::from_index(core)),
+            0 => {
+                self.queued.remove(CoreId::from_index(core));
+                self.lone_stale = true;
+            }
             1 => self.crowded -= 1,
             _ => {}
         }
@@ -822,6 +899,39 @@ mod tests {
             "exactly one task moved, off core 1"
         );
         rqs.check_crowded();
+    }
+
+    #[test]
+    fn a_rejoined_core_folds_no_renewal_from_before_it_left() {
+        // A lone task on a published core: its first slice expiry is
+        // renewed in the kernel, which records the task's CPU time there.
+        // The core then leaves the group while the record stands and
+        // rejoins before it dispatches again: a newcomer placed there
+        // starts from the fresh floor, not from the old task's vruntime.
+        let specs = uniform(2, 100);
+        let mut m = Machine::new(MachineConfig::new(1), &specs[..]);
+        m.advance().unwrap();
+        m.advance().unwrap();
+        let core = CoreId::from_index(0);
+        let mut rqs =
+            CfsRunQueues::new(1, SimDuration::from_millis(24), SimDuration::from_millis(3));
+        rqs.add_core(core);
+        rqs.enqueue_new(&m, core, TaskId::from_index(0));
+        rqs.publish_lone_slices(&mut m);
+        rqs.dispatch(&mut m, core);
+        rqs.publish_lone_slices(&mut m);
+        // T1 waits, but no core is idle: the expiry renews in the kernel.
+        assert_eq!(
+            m.advance().unwrap(),
+            Some(faas_kernel::PolicyCall::Internal)
+        );
+        assert_eq!(m.renewals(), 1);
+        assert!(!m.renewed_cpu(core).is_zero());
+        m.preempt(core).unwrap();
+        rqs.remove_core(core);
+        rqs.add_core(core);
+        let vr = rqs.enqueue_with_credit(&m, core, TaskId::from_index(1), SimDuration::ZERO);
+        assert_eq!(vr, 0, "a renewal from before the core left was folded");
     }
 
     #[test]

@@ -23,12 +23,18 @@
 //!
 //! Each run is pinned twice: to an FNV digest of every task record, the
 //! core stats and the whole kernel message log, and to its kernel counts
-//! (events processed, idle-core offers and declined offers). A change to
-//! how the kernel counts its own work, such as a timer nothing acts on,
-//! may move the counts but never the digest. The records, core stats,
-//! log and event counts were first pinned on the tree before the shortcut
-//! they pin existed, when every such expiry went through `MachineRun`'s
-//! offers.
+//! (events processed, idle-core offers, declined offers and the slice
+//! expiries the kernel renewed itself). A change to how the kernel counts
+//! its own work, such as a timer nothing acts on, may move the counts but
+//! never the digest. The records, core stats, log and event counts were
+//! first pinned on the tree before the shortcut they pin existed, when
+//! every such expiry went through `MachineRun`'s offers.
+//!
+//! The hybrid publishes its CFS cores with an empty queue, so the kernel
+//! renews a lone slice there without calling the policy; plain CFS does
+//! not publish, and its renewal count is pinned at zero. The digests and
+//! the other counts are those of the tree before the kernel renewed any
+//! slice.
 //!
 //! A third, tie-heavy shape keeps many cores in phase: integer-millisecond
 //! arrivals and work on a cost-free 8-core machine, under plain CFS and a
@@ -93,8 +99,37 @@ fn machine(cores: usize) -> MachineConfig {
         .with_message_log()
 }
 
-fn run(cores: usize, policy: impl Scheduler) -> Result<SlimReport, SimError> {
-    MachineRun::new(machine(cores), specs(), policy).run_slim()
+/// A finished run's report, with the slice expiries the kernel renewed
+/// without a policy call.
+struct Run {
+    report: SlimReport,
+    renewals: u64,
+}
+
+impl std::ops::Deref for Run {
+    type Target = SlimReport;
+
+    fn deref(&self) -> &SlimReport {
+        &self.report
+    }
+}
+
+fn run_on(
+    cfg: MachineConfig,
+    specs: Vec<TaskSpec>,
+    policy: impl Scheduler,
+) -> Result<Run, SimError> {
+    let mut run = MachineRun::new(cfg, specs, policy);
+    run.run_to_end()?;
+    let renewals = run.renewals();
+    Ok(Run {
+        report: run.run_slim()?,
+        renewals,
+    })
+}
+
+fn run(cores: usize, policy: impl Scheduler) -> Result<Run, SimError> {
+    run_on(machine(cores), specs(), policy)
 }
 
 /// Stands for an absent field.
@@ -148,11 +183,15 @@ fn digest(r: &SlimReport) -> u64 {
 }
 
 /// What a run is pinned to: its digest, then its kernel events, idle-core
-/// offers and declined offers.
-type Pin = (u64, [u64; 3]);
+/// offers, declined offers and the slice expiries the kernel renewed
+/// without a policy call.
+type Pin = (u64, [u64; 4]);
 
-fn pin(r: &SlimReport) -> Pin {
-    (digest(r), [r.events_processed, r.offers, r.declined_offers])
+fn pin(r: &Run) -> Pin {
+    (
+        digest(r),
+        [r.events_processed, r.offers, r.declined_offers, r.renewals],
+    )
 }
 
 /// Slice expiries whose very next message dispatches on the same core at
@@ -186,7 +225,7 @@ fn same_core_dispatches(r: &SlimReport) -> (usize, usize) {
 /// Checks one run against its pin, after making sure it exercised what
 /// the pin is for: renewals, interference preemptions, deadline cancels
 /// and off-CPU waits.
-fn assert_pinned(name: &str, r: &SlimReport, expected: Pin) {
+fn assert_pinned(name: &str, r: &Run, expected: Pin) {
     let (renewals, _) = same_core_dispatches(r);
     assert!(renewals > 1_000, "{name}: only {renewals} renewals");
     let interference_preempts = r
@@ -216,7 +255,7 @@ fn assert_pinned(name: &str, r: &SlimReport, expected: Pin) {
     assert_eq!(
         pin(r),
         expected,
-        "{name}: (digest, [events, offers, declined]) changed vs. the pinned baseline"
+        "{name}: (digest, [events, offers, declined, renewals]) changed vs. the pinned baseline"
     );
 }
 
@@ -224,18 +263,26 @@ fn assert_pinned(name: &str, r: &SlimReport, expected: Pin) {
 fn hybrid_25_25_lone_expiries_pinned() {
     let r = run(CORES, HybridScheduler::new(HybridConfig::paper_25_25()))
         .expect("hybrid run completes");
-    assert_pinned("hybrid", &r, (0xc1c6_d452_3506_4cca, [31_623, 2_563, 0]));
+    assert_pinned(
+        "hybrid",
+        &r,
+        (0xc1c6_d452_3506_4cca, [31_623, 2_563, 0, 20_927]),
+    );
 }
 
 #[test]
 fn cfs_50_lone_expiries_pinned() {
     let r = run(CORES, Cfs::with_cores(CORES)).expect("cfs run completes");
-    assert_pinned("cfs", &r, (0xb9b5_2461_2b5f_256d, [64_846, 97_395, 93_818]));
+    assert_pinned(
+        "cfs",
+        &r,
+        (0xb9b5_2461_2b5f_256d, [64_846, 97_395, 93_818, 0]),
+    );
 }
 
 /// Checks a saturated run's pin after making sure more than
 /// `min_handoffs` of its expiries handed the core to another queued task.
-fn assert_saturated_pinned(name: &str, r: &SlimReport, min_handoffs: usize, expected: Pin) {
+fn assert_saturated_pinned(name: &str, r: &Run, min_handoffs: usize, expected: Pin) {
     let (_, handoffs) = same_core_dispatches(r);
     assert!(handoffs > min_handoffs, "{name}: only {handoffs} hand-offs");
     assert_pinned(name, r, expected);
@@ -248,7 +295,7 @@ fn cfs_8_saturated_handoffs_pinned() {
         "cfs-8",
         &r,
         100_000,
-        (0xa316_39d5_2b26_48e9, [373_975, 5_312, 855]),
+        (0xa316_39d5_2b26_48e9, [373_975, 5_312, 855, 0]),
     );
 }
 
@@ -263,7 +310,7 @@ fn hybrid_4_4_saturated_handoffs_pinned() {
         "hybrid-4-4",
         &r,
         1_000,
-        (0x535e_7242_d79e_4fb0, [28_408, 19_428, 0]),
+        (0x535e_7242_d79e_4fb0, [28_408, 19_428, 0, 4_840]),
     );
 }
 
@@ -338,7 +385,7 @@ fn coincident_expiry_instants(r: &SlimReport) -> usize {
 
 /// Checks a tie-heavy run's pin after making sure more than
 /// `min_instants` instants carry the slice expiries of two or more cores.
-fn assert_ties_pinned(name: &str, r: &SlimReport, min_instants: usize, expected: Pin) {
+fn assert_ties_pinned(name: &str, r: &Run, min_instants: usize, expected: Pin) {
     let instants = coincident_expiry_instants(r);
     assert!(
         instants > min_instants,
@@ -347,7 +394,7 @@ fn assert_ties_pinned(name: &str, r: &SlimReport, min_instants: usize, expected:
     assert_eq!(
         pin(r),
         expected,
-        "{name}: (digest, [events, offers, declined]) changed vs. the pinned baseline"
+        "{name}: (digest, [events, offers, declined, renewals]) changed vs. the pinned baseline"
     );
 }
 
@@ -355,14 +402,13 @@ fn assert_ties_pinned(name: &str, r: &SlimReport, min_instants: usize, expected:
 /// (time, insertion) order across every batch of coincident expiries.
 #[test]
 fn cfs_8_coincident_expiries_pinned() {
-    let r = MachineRun::new(tie_machine(), tie_specs(), Cfs::with_cores(SATURATED_CORES))
-        .run_slim()
+    let r = run_on(tie_machine(), tie_specs(), Cfs::with_cores(SATURATED_CORES))
         .expect("cfs run completes");
     assert_ties_pinned(
         "cfs-8-ties",
         &r,
         2_000,
-        (0x73b2_d5a4_98cb_0be2, [20_347, 18_346, 11_603]),
+        (0x73b2_d5a4_98cb_0be2, [20_347, 18_346, 11_603, 0]),
     );
 }
 
@@ -370,17 +416,16 @@ fn cfs_8_coincident_expiries_pinned() {
 /// interleave with the hybrid's ticks and FIFO-side completions.
 #[test]
 fn hybrid_4_4_coincident_expiries_pinned() {
-    let r = MachineRun::new(
+    let r = run_on(
         tie_machine(),
         tie_specs(),
         HybridScheduler::new(HybridConfig::split(4, 4)),
     )
-    .run_slim()
     .expect("hybrid run completes");
     assert_ties_pinned(
         "hybrid-4-4-ties",
         &r,
         500,
-        (0xc970_f10a_e28d_7d26, [9_825, 5_604, 0]),
+        (0xc970_f10a_e28d_7d26, [9_825, 5_604, 0, 3_310]),
     );
 }

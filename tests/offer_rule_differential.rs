@@ -14,13 +14,19 @@
 //! mask and scan, and there the armed hybrid's rightsizing moves cores
 //! across the 64-core word boundary. Along the way the suite checks the
 //! kernel's waiting count against a brute-force count after every event.
+//!
+//! The same cases pin the kernel's lone-slice renewals: the hybrid lets
+//! the kernel renew a slice that expires alone on a CFS core, and a run
+//! where it does must equal, record for record, a run where a wrapper
+//! withdraws every published core, so each renewal goes through the
+//! policy.
 
 #[path = "../crates/kernel/tests/support/brute_force.rs"]
 mod brute_force;
 
 use faas_kernel::{
-    CoreId, CostModel, InterferenceConfig, KernelMessage, MachineConfig, PlacementHint, Scheduler,
-    Simulation, TaskId, TaskSpec, TaskState,
+    CoreId, CostModel, InterferenceConfig, KernelMessage, Machine, MachineConfig, PlacementHint,
+    Scheduler, Simulation, TaskId, TaskSpec, TaskState,
 };
 use faas_policies::{Cfs, Edf, Fifo, Mlfq, MlfqParams, Sfs};
 use std::cell::Cell;
@@ -233,4 +239,173 @@ fn offer_rule_matches_brute_force_driver_for_every_policy() {
         high_moves.get() > 0,
         "no case moved a core across the 64-core word boundary"
     );
+}
+
+/// `P` with every slice expiry delivered to it: forwards every
+/// `Scheduler` method, then withdraws the cores `P` published for kernel
+/// renewal, so the kernel never renews a slice.
+struct PolicyRenewal<P>(P);
+
+impl<P> PolicyRenewal<P> {
+    fn withdraw(m: &mut Machine) {
+        m.lone_slices_mut().cores.clear();
+    }
+}
+
+impl<P: Scheduler> Scheduler for PolicyRenewal<P> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn tick_interval(&self) -> Option<SimDuration> {
+        self.0.tick_interval()
+    }
+
+    fn utilization_window(&self) -> SimDuration {
+        self.0.utilization_window()
+    }
+
+    fn on_task_new(&mut self, m: &mut Machine, task: TaskId) {
+        self.0.on_task_new(m, task);
+        Self::withdraw(m);
+    }
+
+    fn on_slice_expired(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
+        self.0.on_slice_expired(m, task, core);
+        Self::withdraw(m);
+    }
+
+    fn on_core_idle(&mut self, m: &mut Machine, core: CoreId) {
+        self.0.on_core_idle(m, core);
+        Self::withdraw(m);
+    }
+
+    fn on_task_finished(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
+        self.0.on_task_finished(m, task, core);
+        Self::withdraw(m);
+    }
+
+    fn on_interference_preempt(&mut self, m: &mut Machine, task: TaskId, core: CoreId) {
+        self.0.on_interference_preempt(m, task, core);
+        Self::withdraw(m);
+    }
+
+    fn on_tick(&mut self, m: &mut Machine) {
+        self.0.on_tick(m);
+        Self::withdraw(m);
+    }
+}
+
+/// Runs `case` to the end under `policy` with the offer-counting driver,
+/// returning the run and how many of its kernel renewals were on a core
+/// at or above 64.
+fn run_case<P: Scheduler>(case: &Case, policy: P) -> (Simulation<P>, u64) {
+    let mut sim = Simulation::new(case.cfg.clone(), case.specs.clone(), policy);
+    let mut high = 0;
+    loop {
+        let renewals = sim.renewals();
+        let more = sim
+            .step()
+            .unwrap_or_else(|e| panic!("at {} cores: {e}", case.cores));
+        if sim.renewals() > renewals {
+            // A renewal logs its dispatch last.
+            match sim.machine().messages().last() {
+                Some((_, KernelMessage::Dispatch { core, .. })) => {
+                    high += u64::from(core.index() >= 64);
+                }
+                other => panic!("a kernel renewal ended with {other:?}"),
+            }
+        }
+        if !more {
+            return (sim, high);
+        }
+    }
+}
+
+/// Asserts that the kernel-renewing run `a` and the policy-renewing run
+/// `b` are the same run: messages, event count, finish instant, every
+/// task record, the core stats, every utilization bucket and the offer
+/// counts.
+fn assert_same_run<P: Scheduler, Q: Scheduler>(
+    name: &str,
+    case: &Case,
+    a: &Simulation<P>,
+    b: &Simulation<Q>,
+) {
+    let (ma, mb) = (a.machine(), b.machine());
+    assert_eq!(ma.messages(), mb.messages(), "{name}: message logs");
+    assert_eq!(
+        ma.events_processed(),
+        mb.events_processed(),
+        "{name}: events"
+    );
+    assert_eq!(ma.now(), mb.now(), "{name}: finish instant");
+    for i in 0..case.specs.len() {
+        let id = TaskId::from_index(i);
+        let (x, y) = (ma.task(id), mb.task(id));
+        assert_eq!(
+            (x.state(), x.first_run(), x.completion()),
+            (y.state(), y.first_run(), y.completion()),
+            "{name}: task {id}"
+        );
+        assert_eq!(
+            (x.cpu_time(), x.remaining(), x.preemptions()),
+            (y.cpu_time(), y.remaining(), y.preemptions()),
+            "{name}: task {id} progress"
+        );
+    }
+    assert_eq!(a.core_stats(), b.core_stats(), "{name}: core stats");
+    let (ua, ub) = (ma.utilization(), mb.utilization());
+    assert_eq!(ua.bucket_count(), ub.bucket_count(), "{name}: buckets");
+    for core in 0..case.cores {
+        for bucket in 0..ua.bucket_count() {
+            assert_eq!(
+                ua.bucket_utilization(core, bucket).to_bits(),
+                ub.bucket_utilization(core, bucket).to_bits(),
+                "{name}: core {core} bucket {bucket}"
+            );
+        }
+    }
+    assert_eq!(
+        (a.offers(), a.declined_offers()),
+        (b.offers(), b.declined_offers()),
+        "{name}: offers"
+    );
+}
+
+#[test]
+fn kernel_renewal_matches_policy_renewal() {
+    // Hybrid runs that renewed a slice in the kernel, of all hybrid runs,
+    // and renewals seen on a core at or above 64.
+    let (renewing, runs, high) = (Cell::new(0), Cell::new(0), Cell::new(0));
+    check::run("kernel_renewal_matches_policy_renewal", 24, |g| {
+        let case = arb_case(g);
+        let cores = case.cores;
+        if cores < 2 {
+            return;
+        }
+        for (name, cfg) in [
+            ("paper split", paper_split as fn(usize) -> HybridConfig),
+            ("armed hybrid", armed_hybrid),
+        ] {
+            let (kernel, kernel_high) = run_case(&case, HybridScheduler::new(cfg(cores)));
+            let (policy, _) = run_case(&case, PolicyRenewal(HybridScheduler::new(cfg(cores))));
+            assert_eq!(
+                policy.renewals(),
+                0,
+                "{name}: the wrapper renewed in the kernel"
+            );
+            assert_same_run(name, &case, &kernel, &policy);
+            runs.set(runs.get() + 1);
+            renewing.set(renewing.get() + u64::from(kernel.renewals() > 0));
+            high.set(high.get() + kernel_high);
+        }
+    });
+    assert!(
+        2 * renewing.get() > runs.get(),
+        "only {} of {} hybrid runs renewed a slice in the kernel",
+        renewing.get(),
+        runs.get()
+    );
+    assert!(high.get() > 0, "no kernel renewal on a core at or above 64");
 }
